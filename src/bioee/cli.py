@@ -378,27 +378,31 @@ def cmd_predict(cfg: RunConfig) -> int:
     pred_dir.mkdir(exist_ok=True)
 
     windows = vecent.build_entity_windows(corpus, manifest["u"], table)
-    tsv_rows = ["sentence_id\tfirst\tsecond\tp_exists\tp_forward\tevent_type"]
+    candidates = {}  # (doc id, sentence index) -> candidate pairs
+    paired = set()  # qualified ids of the entities in those pairs
     for doc in corpus.documents:
-        # Embed each involved entity once per role model.
-        emb_cache: dict[tuple[str, str], np.ndarray] = {}
-
-        def embeddings(role: str, qids: list[str]) -> np.ndarray:
-            missing = [q for q in qids if (role, q) not in emb_cache]
-            if missing:
-                vecs = vecent.argument_embeddings(
-                    arg_models[role], [windows[q] for q in missing]
-                )
-                for q, v in zip(missing, vecs):
-                    emb_cache[(role, q)] = v
-            return np.stack([emb_cache[(role, q)] for q in qids])
-
-        doc_events = []
         for sidx, sent in enumerate(doc.sentences):
             ents = corpus.sentence_entities(doc.id, sidx)
-            if len(ents) < 2:
+            if len(ents) >= 2:
+                candidates[doc.id, sidx] = vecom.gen_candidates(sent, ents)
+                paired.update(Corpus.qualify(doc.id, e.id) for e in ents)
+
+    # One chunked embedding pass per role model over the whole corpus.
+    qids = sorted(paired)
+    row = {q: i for i, q in enumerate(qids)}
+    roles = {r for event_type in event_models for r in schema.roles(event_type)}
+    embeddings = {
+        role: vecent.argument_embeddings(arg_models[role], [windows[q] for q in qids])
+        for role in sorted(roles & arg_models.keys())
+    }
+
+    tsv_rows = ["sentence_id\tfirst\tsecond\tp_exists\tp_forward\tevent_type"]
+    for doc in corpus.documents:
+        doc_events = []
+        for sidx, sent in enumerate(doc.sentences):
+            all_pairs = candidates.get((doc.id, sidx))
+            if all_pairs is None:
                 continue
-            all_pairs = vecom.gen_candidates(sent, ents)
             for event_type in sorted(event_models):
                 model = event_models[event_type]
                 pairs = (
@@ -414,18 +418,12 @@ def cmd_predict(cfg: RunConfig) -> int:
                         f"event type {event_type} needs argument models "
                         f"{src_role} and {tgt_role}"
                     )
-                qa = [Corpus.qualify(doc.id, p.first.id) for p in pairs]
-                qb = [Corpus.qualify(doc.id, p.second.id) for p in pairs]
-                uniq = sorted(set(qa) | set(qb))
-                emb_s = embeddings(src_role, uniq)
-                emb_t = embeddings(tgt_role, uniq)
-                row = {q: i for i, q in enumerate(uniq)}
-                first_halves = np.concatenate([emb_s, emb_t], axis=1)
-                second_halves = np.concatenate([emb_t, emb_s], axis=1)
-                composed = first_halves[[row[q] for q in qa]] - second_halves[
-                    [row[q] for q in qb]
-                ]
-                pe, pf = vecom.event_forward_batch(model, composed)
+                rows_a = [row[Corpus.qualify(doc.id, p.first.id)] for p in pairs]
+                rows_b = [row[Corpus.qualify(doc.id, p.second.id)] for p in pairs]
+                emb_s, emb_t = embeddings[src_role], embeddings[tgt_role]
+                first = np.concatenate([emb_s[rows_a], emb_t[rows_a]], axis=1)
+                second = np.concatenate([emb_t[rows_b], emb_s[rows_b]], axis=1)
+                pe, pf = vecom.event_forward_batch(model, first - second)
                 predictions = list(zip(pe.tolist(), pf.tolist()))
                 for pair, (e_prob, f_prob) in zip(pairs, predictions):
                     tsv_rows.append(

@@ -60,12 +60,18 @@ class EmbeddingTable:
         self.oov_policy = oov_policy
         self.seed = int(seed)
         self.duplicate_words = 0
+        self._oov_vectors: dict[str, np.ndarray] = {}
 
     def _oov(self, word: str) -> np.ndarray:
         if self.oov_policy == OOV_ZERO:
             return self.pad_vector
-        rng = np.random.Generator(np.random.PCG64(_hash_seed(self.seed, word)))
-        return rng.standard_normal(self.dim)
+        vec = self._oov_vectors.get(word)
+        if vec is None:  # a sha256 plus a fresh PCG64 per word: draw each once
+            rng = np.random.Generator(np.random.PCG64(_hash_seed(self.seed, word)))
+            vec = rng.standard_normal(self.dim)
+            vec.setflags(write=False)
+            self._oov_vectors[word] = vec
+        return vec
 
     def lookup(self, word: str) -> np.ndarray:
         """Vector for a word: stored row, pad vector, or OOV-policy vector.

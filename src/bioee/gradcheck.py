@@ -71,25 +71,17 @@ def _op_checks(rng):
     checks["dropout"] = (dropout_loss, {"drop_in": drop_in})
 
     cell = ndiff.init_lstm(rng, 3, 4, "cell")
-    step_x = _param(rng, (2, 3), "step_x")
-    h0 = ndiff.constant(np.zeros((2, 4)))
-    c0 = ndiff.constant(np.zeros((2, 4)))
+    cell_params = cell.params("cell")
+    for form, step_shape in (("batch", (2, 3)), ("vec", (3,))):
+        seq = [_param(rng, step_shape, f"seq{i}") for i in range(3)]
 
-    def lstm_step_loss():
-        h, c = ndiff.lstm_step(cell, step_x, h0, c0)
-        return ndiff.sum_all(ndiff.mul(ndiff.concat([h, c], axis=-1), 0.9))
+        def lstm_last_loss(seq=seq):
+            return ndiff.sum_all(ndiff.mul(ndiff.lstm_last(cell, seq), 1.1))
 
-    checks["lstm_step"] = (lstm_step_loss, {"step_x": step_x, **cell.params("cell")})
-
-    seq = [_param(rng, (2, 3), f"seq{i}") for i in range(3)]
-
-    def lstm_last_loss():
-        return ndiff.sum_all(ndiff.mul(ndiff.lstm_last(cell, seq), 1.1))
-
-    checks["lstm_last"] = (
-        lstm_last_loss,
-        {**{f"seq{i}": s for i, s in enumerate(seq)}, **cell.params("cell")},
-    )
+        checks[f"lstm_last_{form}"] = (
+            lstm_last_loss,
+            {**{f"seq{i}": s for i, s in enumerate(seq)}, **cell_params},
+        )
 
     logits = _param(rng, (5, 1), "logits")
     bce_labels = np.array([[1.0], [0.0], [1.0], [1.0], [0.0]])

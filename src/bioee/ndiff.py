@@ -1,14 +1,18 @@
 """Minimal dense-tensor reverse-mode automatic differentiation.
 
 Exactly the operators the models need: affine maps, the usual pointwise
-nonlinearities, concatenation/subtraction, an LSTM step, dropout, and a
-weighted binary cross-entropy, plus momentum SGD. Values are float64
-throughout; inputs may be single vectors ``(n,)`` or batches ``(B, n)``.
+nonlinearities, concatenation/subtraction, dropout, a weighted binary
+cross-entropy, and a whole-sequence LSTM recorded as a single node (input
+projection hoisted out of the recurrence, hand-written BPTT), plus momentum
+SGD. Values are float64 throughout; inputs may be single vectors ``(n,)`` or
+batches ``(B, n)``. Inside ``with no_grad():`` no operation records a tape.
 """
 
 from __future__ import annotations
 
 import struct
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +20,17 @@ import numpy as np
 from .errors import ShapeError, TrainingError
 
 check_finite = False  # set True in tests to assert the all-finite invariant
+
+
+class _GradMode(threading.local):
+    """Per thread, so inference in one worker never disables another's tape."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+INFERENCE_CHUNK = 256  # rows per no-grad forward pass; bounds activation memory
 
 
 class Tensor:
@@ -61,12 +76,35 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def _records(parents) -> bool:
+    return _grad_mode.enabled and any(_wants_grad(p) for p in parents)
+
+
 def _node(data, parents, backward_fn) -> Tensor:
     if check_finite and not np.isfinite(data).all():
         raise TrainingError("non-finite value produced by an operation")
-    if any(_wants_grad(p) for p in parents):
+    if _records(parents):
         return Tensor(data, parents=parents, backward_fn=backward_fn)
     return Tensor(data)
+
+
+@contextmanager
+def no_grad():
+    """Inference scope for the calling thread: operations record no parents
+    and keep no backward state. The previous mode is restored on exit, also
+    after an exception."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
+
+
+def inference_chunks(n: int) -> list[slice]:
+    """Row slices of at most INFERENCE_CHUNK rows covering ``range(n)``; one
+    empty slice when n is 0, so a forward pass still sees a (0, ...) batch."""
+    return [slice(lo, lo + INFERENCE_CHUNK) for lo in range(0, max(n, 1), INFERENCE_CHUNK)]
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -198,19 +236,6 @@ def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
     return _node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), backward_fn)
 
 
-def slice_last(x: Tensor, start: int, end: int) -> Tensor:
-    """Contiguous slice along the last axis."""
-    if not 0 <= start < end <= x.data.shape[-1]:
-        raise ShapeError(f"slice_last: [{start}:{end}] out of {x.data.shape}")
-
-    def backward_fn(g):
-        full = np.zeros_like(x.data)
-        full[..., start:end] = g
-        _accumulate(x, full)
-
-    return _node(x.data[..., start:end].copy(), (x,), backward_fn)
-
-
 def sum_all(x: Tensor) -> Tensor:
     def backward_fn(g):
         _accumulate(x, np.full_like(x.data, float(g)))
@@ -309,50 +334,82 @@ class LSTMCellParams:
         return out
 
 
-def _fused_gates(cell: LSTMCellParams) -> DenseParams:
-    """All four gate layers as one stacked affine (a single GEMM per step).
-
-    Gradients flow back into the individual gate matrices through the concat.
-    """
-    return DenseParams(
-        A=concat(
-            [cell.input_gate.A, cell.forget_gate.A, cell.output_gate.A, cell.candidate.A],
-            axis=0,
-        ),
-        b=concat(
-            [cell.input_gate.b, cell.forget_gate.b, cell.output_gate.b, cell.candidate.b],
-            axis=0,
-        ),
-    )
-
-
-def lstm_step(cell: LSTMCellParams, x: Tensor, h: Tensor, c: Tensor, fused=None):
-    """One forget-gate LSTM step; returns (h', c')."""
-    hidden = cell.hidden_size
-    z = concat([x, h], axis=-1)
-    pre = affine(fused if fused is not None else _fused_gates(cell), z)
-    i = sigmoid(slice_last(pre, 0, hidden))
-    f = sigmoid(slice_last(pre, hidden, 2 * hidden))
-    o = sigmoid(slice_last(pre, 2 * hidden, 3 * hidden))
-    g = tanh(slice_last(pre, 3 * hidden, 4 * hidden))
-    c_next = add(mul(f, c), mul(i, g))
-    h_next = mul(o, tanh(c_next))
-    return h_next, c_next
-
-
 def lstm_last(cell: LSTMCellParams, xs: list[Tensor]) -> Tensor:
-    """Fold lstm_step over a sequence from the zero state; final hidden state."""
+    """Final hidden state of a forget-gate LSTM run from the zero state.
+
+    ``xs`` holds one tensor per time step, all ``(D,)`` or all ``(B, D)``.
+    The whole sequence is one tape node: the input projection of all T*B
+    steps is a single GEMM, each step adds only ``h @ Wh.T``, and the
+    backward closure runs BPTT by hand into the eight gate tensors and any
+    step input that wants a gradient.
+    """
     if not xs:
         raise ShapeError("lstm_last: empty sequence")
+    gates = (cell.input_gate, cell.forget_gate, cell.output_gate, cell.candidate)
     hidden = cell.hidden_size
-    first = xs[0].data
-    state_shape = (hidden,) if first.ndim == 1 else (first.shape[0], hidden)
-    h = constant(np.zeros(state_shape))
-    c = constant(np.zeros(state_shape))
-    fused = _fused_gates(cell)
-    for x in xs:
-        h, c = lstm_step(cell, x, h, c, fused=fused)
-    return h
+    in_dim = cell.input_gate.A.data.shape[1] - hidden
+    shape = xs[0].data.shape
+    if len(shape) not in (1, 2) or shape[-1] != in_dim:
+        raise ShapeError(f"lstm_last: step shape {shape} vs input size {in_dim}")
+    if any(x.data.shape != shape for x in xs):
+        raise ShapeError("lstm_last: steps differ in shape")
+
+    X = np.stack([x.data for x in xs]).reshape(-1, in_dim)  # (T*B, D), step-major
+    Wx = np.concatenate([gate.A.data[:, :in_dim] for gate in gates])  # (4H, D)
+    Wh = np.concatenate([gate.A.data[:, in_dim:] for gate in gates])  # (4H, H)
+    b = np.concatenate([gate.b.data for gate in gates])
+    projected = (X @ Wx.T + b).reshape(len(xs), -1, 4 * hidden)
+
+    parents = (*(t for gate in gates for t in (gate.A, gate.b)), *xs)
+    keep = _records(parents)
+    cache = []  # per step, only when recording: h_prev, c_prev, activations, tanh(c)
+    h = c = np.zeros((projected.shape[1], hidden))
+    for step_input in projected:
+        act = h @ Wh.T
+        act += step_input
+        act[:, : 3 * hidden] = 0.5 * (1.0 + np.tanh(0.5 * act[:, : 3 * hidden]))  # sigmoid
+        act[:, 3 * hidden :] = np.tanh(act[:, 3 * hidden :])
+        i, f, o, g = np.split(act, 4, axis=1)
+        c_next = f * c + i * g
+        tanh_c = np.tanh(c_next)
+        if keep:
+            cache.append((h, c, act, tanh_c))
+        h, c = o * tanh_c, c_next
+    out = h.reshape(shape[:-1] + (hidden,))
+    if not keep:
+        return _node(out, (), None)
+
+    def backward_fn(grad):
+        dh = grad.reshape(h.shape)
+        dc = 0.0
+        d_pre = []  # gate pre-activation gradients, last step first
+        for t, (h_prev, c_prev, act, tanh_c) in reversed(list(enumerate(cache))):
+            i, f, o, g = np.split(act, 4, axis=1)
+            dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+            d = np.concatenate(
+                [
+                    dc * g * i * (1.0 - i),
+                    dc * c_prev * f * (1.0 - f),
+                    dh * tanh_c * o * (1.0 - o),
+                    dc * i * (1.0 - g * g),
+                ],
+                axis=1,
+            )
+            d_pre.append(d)
+            dc = dc * f
+            if t:
+                dh = d @ Wh
+        d_pre = np.concatenate(d_pre[::-1])  # (T*B, 4H), step-major like X
+        h_prevs = np.concatenate([entry[0] for entry in cache])
+        dW = d_pre.T @ np.concatenate([X, h_prevs], axis=1)  # (4H, D+H): stacked gate matrices
+        for gate, dA, db in zip(gates, np.split(dW, 4), np.split(d_pre.sum(axis=0), 4)):
+            _accumulate(gate.A, dA)
+            _accumulate(gate.b, db)
+        if any(_wants_grad(x) for x in xs):
+            for x, dx in zip(xs, (d_pre @ Wx).reshape(len(xs), *shape)):
+                _accumulate(x, dx)
+
+    return _node(out, parents, backward_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -191,17 +191,14 @@ def build_argument_samples(
 # Forward passes
 
 
-def _sequence(arr: np.ndarray, steps: int, batched: bool):
-    if batched:
-        return [ndiff.constant(arr[:, t, :]) for t in range(steps)]
-    return [ndiff.constant(arr[t]) for t in range(steps)]
-
-
 def _encode_arrays(model: ArgumentModel, left: np.ndarray, right: np.ndarray) -> Tensor:
-    batched = left.ndim == 3
-    steps = left.shape[1] if batched else left.shape[0]
-    h_fwd = ndiff.lstm_last(model.forward_cell, _sequence(left, steps, batched))
-    h_bwd = ndiff.lstm_last(model.backward_cell, _sequence(right, steps, batched))
+    """BLSTM encoding of ``(T, dim)`` windows or ``(B, T, dim)`` batches."""
+
+    def steps(arr):
+        return [ndiff.constant(x) for x in np.moveaxis(arr, -2, 0)]
+
+    h_fwd = ndiff.lstm_last(model.forward_cell, steps(left))
+    h_bwd = ndiff.lstm_last(model.backward_cell, steps(right))
     return ndiff.concat([h_fwd, h_bwd], axis=-1)
 
 
@@ -234,23 +231,29 @@ def argument_embedding(model: ArgumentModel, window: ContextWindow) -> np.ndarra
     return ndiff.affine(model.f1, enc).data
 
 
+def _infer(model: ArgumentModel, windows: list[ContextWindow], head) -> np.ndarray:
+    """``head(encoding)`` over the windows, in bounded chunks, with no tape."""
+    parts = []
+    with ndiff.no_grad():
+        for rows in ndiff.inference_chunks(len(windows)):
+            chunk = windows[rows]
+            left = np.stack([w.left for w in chunk])
+            right = np.stack([w.right for w in chunk])
+            parts.append(head(_encode_arrays(model, left, right)).data)
+    return np.concatenate(parts)
+
+
 def argument_embeddings(model: ArgumentModel, windows: list[ContextWindow]) -> np.ndarray:
     if not windows:
         return np.zeros((0, model.embedding_size))
-    left = np.stack([w.left for w in windows])
-    right = np.stack([w.right for w in windows])
-    enc = _encode_arrays(model, left, right)
-    return ndiff.affine(model.f1, enc).data
+    return _infer(model, windows, lambda enc: ndiff.affine(model.f1, enc))
 
 
 def predict_probs(model: ArgumentModel, windows: list[ContextWindow]) -> np.ndarray:
     """Inference-mode probabilities for a batch of windows."""
     if not windows:
         return np.zeros(0)
-    left = np.stack([w.left for w in windows])
-    right = np.stack([w.right for w in windows])
-    enc = _encode_arrays(model, left, right)
-    return _head(model, enc, training=False, rng=None).data[:, 0]
+    return _infer(model, windows, lambda enc: _head(model, enc, training=False, rng=None))[:, 0]
 
 
 # ---------------------------------------------------------------------------

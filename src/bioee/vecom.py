@@ -268,8 +268,15 @@ def event_forward(model: EventModel, x: PairInput) -> tuple[float, float]:
 
 
 def event_forward_batch(model: EventModel, composed: np.ndarray):
-    p_exists, p_forward = _heads(model, ndiff.constant(composed))
-    return p_exists.data[:, 0], p_forward.data[:, 0]
+    """(existence, forward) probability arrays for a batch of composed pairs."""
+    with ndiff.no_grad():
+        chunks = [
+            _heads(model, ndiff.constant(composed[rows]))
+            for rows in ndiff.inference_chunks(len(composed))
+        ]
+    p_exists = np.concatenate([pe.data[:, 0] for pe, _ in chunks])
+    p_forward = np.concatenate([pf.data[:, 0] for _, pf in chunks])
+    return p_exists, p_forward
 
 
 def _masked_bce(labels: np.ndarray, probs: Tensor, mask: np.ndarray, eps=1e-7) -> Tensor:

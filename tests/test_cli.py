@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
-from bioee import cli, synth
+from bioee import cli, ndiff, synth, vecent
 from bioee.cli import RunConfig, config_from_ini, config_to_ini, main
+from bioee.corpus import load_corpus_dir, load_schema
 from bioee.errors import ConfigurationError
 
 import fixtures
@@ -220,6 +222,31 @@ class TestPredict:
             for rel in ("PMID-10629188.a2", "pairs.tsv")
         }
         assert first == second
+
+    def test_one_chunked_embedding_pass_per_role(self, bgi_dir, trained_out, monkeypatch):
+        calls = {}
+        embed_windows = vecent.argument_embeddings
+
+        def counting(model, windows):
+            calls.setdefault(model.arg_type, []).append(len(windows))
+            return embed_windows(model, windows)
+
+        monkeypatch.setattr(vecent, "argument_embeddings", counting)
+        assert main(["predict", "--schema", "bgi", "--predict-dir", str(bgi_dir),
+                     "--out", str(trained_out), *FIT_ARGS]) == 0
+        corpus = load_corpus_dir(bgi_dir, load_schema("bgi"))
+        schema = corpus.task_schema
+        n = sum(
+            len(ents)
+            for doc in corpus.documents
+            for sidx in range(len(doc.sentences))
+            if len(ents := corpus.sentence_entities(doc.id, sidx)) >= 2
+        )
+        assert len(corpus.documents) > 1 and n > 0
+        assert set(calls) == {r for et in schema.event_types for r in schema.roles(et)}
+        for role, sizes in calls.items():
+            assert sum(sizes) == n, role
+            assert len(sizes) <= math.ceil(n / ndiff.INFERENCE_CHUNK), role
 
     def test_missing_event_checkpoints(self, tmp_path, bgi_dir, case_dir, capsys):
         out = tmp_path / "noevents"

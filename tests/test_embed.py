@@ -12,6 +12,7 @@ from bioee.embed import (
     OOV_ZERO,
     PAD,
     EmbeddingTable,
+    _hash_seed,
     load_table,
     make_hashed_table,
 )
@@ -93,6 +94,17 @@ class TestLookup:
         a = make_hashed_table(dim=16, seed=1).lookup("cotB")
         b = make_hashed_table(dim=16, seed=2).lookup("cotB")
         assert not np.allclose(a, b)
+
+    def test_repeated_oov_lookups_share_one_read_only_vector(self):
+        table = make_hashed_table(dim=16, seed=7)
+        first, again = table.lookup("cotB"), table.lookup("cotB")
+        drawn = np.random.Generator(np.random.PCG64(_hash_seed(7, "cotB"))).standard_normal(16)
+        assert first.tobytes() == again.tobytes() == drawn.tobytes()
+        for vec in (first, again):
+            assert not vec.flags.writeable
+            with pytest.raises(ValueError):
+                vec[0] = 1.0
+        assert not np.allclose(make_hashed_table(dim=16, seed=8).lookup("cotB"), first)
 
     def test_zero_policy(self):
         table = EmbeddingTable(dim=8, oov_policy=OOV_ZERO)

@@ -1,6 +1,7 @@
 """Autodiff semantics, gradient correctness, optimizer, and checkpoints."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -24,14 +25,13 @@ from bioee.ndiff import (
     init_lstm,
     load_tensors,
     lstm_last,
-    lstm_step,
     mul,
+    no_grad,
     parameter,
     relu,
     save_tensors,
     sgd_step,
     sigmoid,
-    slice_last,
     sub,
     sum_all,
     tanh,
@@ -49,20 +49,50 @@ def _matmul_oracle(A, x):
 
 
 def _lstm_step_oracle(weights, x, h, c):
-    """Independent re-implementation of one forget-gate LSTM step."""
+    """Independent re-implementation of one forget-gate LSTM step; x, h and c
+    are single vectors or row batches."""
     Wi, Wf, Wo, Wg, bi, bf, bo, bg = weights
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    z = np.concatenate([x, h])
-    i = sig(Wi @ z + bi)
-    f = sig(Wf @ z + bf)
-    o = sig(Wo @ z + bo)
-    g = np.tanh(Wg @ z + bg)
+    z = np.concatenate([x, h], axis=-1)
+    i = sig(z @ Wi.T + bi)
+    f = sig(z @ Wf.T + bf)
+    o = sig(z @ Wo.T + bo)
+    g = np.tanh(z @ Wg.T + bg)
     c2 = f * c + i * g
     h2 = o * np.tanh(c2)
     return h2, c2
+
+
+def _lstm_oracle(weights, xs):
+    """_lstm_step_oracle folded over a sequence from the zero state."""
+    hidden = weights[0].shape[0]
+    h = np.zeros(xs[0].shape[:-1] + (hidden,))
+    c = np.zeros_like(h)
+    for x in xs:
+        h, c = _lstm_step_oracle(weights, x, h, c)
+    return h
+
+
+def _per_step_tape_lstm(cell, xs):
+    """The per-step tape formulation: one affine per gate over [x, h] at
+    every step, differentiated by the generic backward pass."""
+    h = c = constant(np.zeros(xs[0].data.shape[:-1] + (cell.hidden_size,)))
+    for x in xs:
+        z = concat([x, h], axis=-1)
+        i = sigmoid(affine(cell.input_gate, z))
+        f = sigmoid(affine(cell.forget_gate, z))
+        o = sigmoid(affine(cell.output_gate, z))
+        g = tanh(affine(cell.candidate, z))
+        c = ndiff.add(mul(f, c), mul(i, g))
+        h = mul(o, tanh(c))
+    return h
+
+
+def _gates(cell):
+    return (cell.input_gate, cell.forget_gate, cell.output_gate, cell.candidate)
 
 
 def _cell_from_arrays(Wi, Wf, Wo, Wg, bi, bf, bo, bg):
@@ -133,24 +163,21 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             sub(constant([1.0]), constant([1.0, 2.0]))
 
-    def test_slice_last(self):
-        x = constant(np.arange(6.0).reshape(2, 3))
-        np.testing.assert_array_equal(slice_last(x, 1, 3).data, [[1, 2], [4, 5]])
-
 
 class TestLSTM:
     def test_zero_weights_zero_state(self):
         zeros = [np.zeros((4, 7)) for _ in range(4)] + [np.zeros(4) for _ in range(4)]
         cell = _cell_from_arrays(*zeros)
-        h, c = lstm_step(cell, constant(np.zeros(3)), constant(np.zeros(4)), constant(np.zeros(4)))
-        np.testing.assert_array_equal(h.data, np.zeros(4))
-        np.testing.assert_array_equal(c.data, np.zeros(4))
+        for steps in (1, 5):
+            h = lstm_last(cell, [constant(np.zeros(3)) for _ in range(steps)])
+            np.testing.assert_array_equal(h.data, np.zeros(4))
 
-    def test_zero_weights_unit_cell_state(self):
-        zeros = [np.zeros((4, 7)) for _ in range(4)] + [np.zeros(4) for _ in range(4)]
-        cell = _cell_from_arrays(*zeros)
-        h, c = lstm_step(cell, constant(np.zeros(3)), constant(np.zeros(4)), constant(np.ones(4)))
-        np.testing.assert_allclose(c.data, np.full(4, 0.5), atol=1e-15)
+    def test_zero_weights_carried_cell_state(self):
+        # All gates sit at 0.5 and the candidate at tanh(atanh(2/3)) = 2/3, so
+        # c1 = 1/3 and c2 = 0.5 * c1 + 0.5 * 2/3 = 0.5 from a non-zero c_prev.
+        zeros = [np.zeros((4, 7)) for _ in range(4)] + [np.zeros(4) for _ in range(3)]
+        cell = _cell_from_arrays(*zeros, np.full(4, math.atanh(2.0 / 3.0)))
+        h = lstm_last(cell, [constant(np.zeros(3)) for _ in range(2)])
         np.testing.assert_allclose(h.data, np.full(4, 0.5 * math.tanh(0.5)), atol=1e-15)
 
     def test_random_cell_matches_independent_oracle(self):
@@ -158,21 +185,57 @@ class TestLSTM:
         Ws = [rng.standard_normal((4, 9)) for _ in range(4)]
         bs = [rng.standard_normal(4) for _ in range(4)]
         cell = _cell_from_arrays(*Ws, *bs)
-        x, h, c = rng.standard_normal(5), rng.standard_normal(4), rng.standard_normal(4)
-        h2, c2 = lstm_step(cell, constant(x), constant(h), constant(c))
-        oh, oc = _lstm_step_oracle([*Ws, *bs], x, h, c)
-        np.testing.assert_allclose(h2.data, oh, atol=1e-12)
-        np.testing.assert_allclose(c2.data, oc, atol=1e-12)
+        for step_shape in ((5,), (3, 5)):
+            xs = [rng.standard_normal(step_shape) for _ in range(4)]
+            h = lstm_last(cell, [constant(x) for x in xs])
+            np.testing.assert_allclose(h.data, _lstm_oracle([*Ws, *bs], xs), atol=1e-12)
 
     def test_lstm_last_single_step(self):
         rng = np.random.default_rng(3)
         cell = init_lstm(rng, 3, 4, "c")
         x = rng.standard_normal(3)
         h_last = lstm_last(cell, [constant(x)])
-        h_step, _ = lstm_step(
-            cell, constant(x), constant(np.zeros(4)), constant(np.zeros(4))
-        )
-        np.testing.assert_allclose(h_last.data, h_step.data, atol=1e-15)
+        weights = [g.A.data for g in _gates(cell)] + [g.b.data for g in _gates(cell)]
+        h_step, _ = _lstm_step_oracle(weights, x, np.zeros(4), np.zeros(4))
+        np.testing.assert_allclose(h_last.data, h_step, atol=1e-15)
+
+    def test_fused_matches_per_step_tape_at_model_shape(self):
+        B, T, D, H = 32, 11, 200, 128
+        rng = np.random.default_rng(17)
+        cell = init_lstm(rng, D, H, "c")
+        params = cell.params("c")
+        xs = [constant(rng.standard_normal((B, D))) for _ in range(T)]
+        weights_out = rng.standard_normal((B, H))
+
+        def grads_of(encode):
+            h = encode(cell, xs)
+            backward(sum_all(mul(h, weights_out)))
+            grads = {name: p.grad for name, p in params.items()}
+            for p in params.values():
+                p.grad = None
+            return h.data, grads
+
+        h_fused, g_fused = grads_of(lstm_last)
+        h_ref, g_ref = grads_of(_per_step_tape_lstm)
+        weights = [g.A.data for g in _gates(cell)] + [g.b.data for g in _gates(cell)]
+        np.testing.assert_allclose(h_fused, _lstm_oracle(weights, [x.data for x in xs]), rtol=1e-10)
+        np.testing.assert_allclose(h_fused, h_ref, rtol=1e-10)
+        for name in params:
+            np.testing.assert_allclose(g_fused[name], g_ref[name], rtol=1e-10, err_msg=name)
+
+    def test_step_input_gradients_match_per_step_tape(self):
+        rng = np.random.default_rng(18)
+        cell = init_lstm(rng, 5, 3, "c")
+        for step_shape in ((5,), (2, 5)):
+            xs = [parameter(rng.standard_normal(step_shape)) for _ in range(4)]
+            grads = []
+            for encode in (lstm_last, _per_step_tape_lstm):
+                backward(sum_all(mul(encode(cell, xs), 1.3)))
+                grads.append([x.grad for x in xs])
+                for p in [*xs, *cell.params("c").values()]:
+                    p.grad = None
+            for fused, ref in zip(*grads):
+                np.testing.assert_allclose(fused, ref, rtol=1e-10)
 
     def test_all_pad_inputs_bounded(self):
         rng = np.random.default_rng(4)
@@ -200,6 +263,53 @@ class TestLSTM:
         cell = init_lstm(np.random.default_rng(0), 3, 4, "c")
         with pytest.raises(ShapeError):
             lstm_last(cell, [])
+
+
+class TestNoGrad:
+    def test_outputs_have_no_parents(self):
+        rng = np.random.default_rng(30)
+        cell = init_lstm(rng, 3, 4, "c")
+        dense = init_dense(rng, 4, 2, "d")
+        with no_grad():
+            h = lstm_last(cell, [constant(rng.standard_normal((2, 3))) for _ in range(3)])
+            y = tanh(affine(dense, h))
+        for t in (h, y):
+            assert t._parents == () and t._backward is None
+
+    def test_mode_restored_after_exception(self):
+        x = parameter(np.ones(3))
+        with pytest.raises(RuntimeError), no_grad():
+            raise RuntimeError("inside no_grad")
+        assert tanh(x)._parents == (x,)
+
+    def test_mode_is_per_thread(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def infer():
+            with no_grad():
+                entered.set()
+                release.wait(timeout=10)
+
+        worker = threading.Thread(target=infer)
+        worker.start()
+        try:
+            assert entered.wait(timeout=10)
+            x = parameter(np.ones(3))
+            assert tanh(x)._parents == (x,)
+        finally:
+            release.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+
+    def test_training_after_no_grad_gets_gradients(self):
+        rng = np.random.default_rng(31)
+        cell = init_lstm(rng, 3, 4, "c")
+        xs = [constant(rng.standard_normal((2, 3))) for _ in range(3)]
+        with no_grad():
+            lstm_last(cell, xs)
+        backward(sum_all(lstm_last(cell, xs)))
+        for name, p in cell.params("c").items():
+            assert p.grad is not None and np.abs(p.grad).sum() > 0, name
 
 
 class TestWeightedBCE:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bioee import vecent
+from bioee import ndiff, vecent
 from bioee.embed import PAD, make_hashed_table
 from bioee.errors import TrainingSetupError
 from bioee.vecent import (
@@ -301,3 +301,19 @@ class TestArgumentEmbedding:
         batch = vecent.argument_embeddings(model, windows)
         for i, w in enumerate(windows):
             np.testing.assert_allclose(batch[i], argument_embedding(model, w), atol=1e-12)
+
+    def test_chunked_inference_matches_row_by_row(self, bgi, table, monkeypatch):
+        monkeypatch.setattr(ndiff, "INFERENCE_CHUNK", 4)
+        model = new_argument_model("t", table.dim, 8, 5, rng=np.random.default_rng(11))
+        windows = list(build_entity_windows(bgi, 3, table).values())[:10]
+        assert len(ndiff.inference_chunks(len(windows))) == 3
+        emb = vecent.argument_embeddings(model, windows)
+        probs = vecent.predict_probs(model, windows)
+        assert emb.shape == (10, 5) and probs.shape == (10,)
+        for i, w in enumerate(windows):
+            np.testing.assert_allclose(
+                emb[i], vecent.argument_embeddings(model, [w])[0], rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                probs[i], vecent.predict_probs(model, [w])[0], rtol=0, atol=1e-12
+            )
