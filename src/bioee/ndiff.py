@@ -358,19 +358,31 @@ def lstm_last(cell: LSTMCellParams, xs: list[Tensor]) -> Tensor:
     Wx = np.concatenate([gate.A.data[:, :in_dim] for gate in gates])  # (4H, D)
     Wh = np.concatenate([gate.A.data[:, in_dim:] for gate in gates])  # (4H, H)
     b = np.concatenate([gate.b.data for gate in gates])
-    projected = (X @ Wx.T + b).reshape(len(xs), -1, 4 * hidden)
+    # sigmoid(x) = (1 + tanh(x/2)) / 2. Halving the weight rows and biases of
+    # the three sigmoid gates halves their pre-activations exactly (scaling by
+    # a power of two rounds the same way unless a value is subnormal), so the
+    # forward runs no halving pass; BPTT keeps the unscaled weights.
+    half = np.repeat([0.5, 1.0], [3 * hidden, hidden])
+    projected = X @ (half[:, None] * Wx).T
+    projected += half * b
+    Wh_half = half[:, None] * Wh
+    projected = projected.reshape(len(xs), -1, 4 * hidden)
+    gate_cols = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]
 
     parents = (*(t for gate in gates for t in (gate.A, gate.b)), *xs)
     keep = _records(parents)
     cache = []  # per step, only when recording: h_prev, c_prev, activations, tanh(c)
     h = c = np.zeros((projected.shape[1], hidden))
-    for step_input in projected:
-        act = h @ Wh.T
-        act += step_input
-        act[:, : 3 * hidden] = 0.5 * (1.0 + np.tanh(0.5 * act[:, : 3 * hidden]))  # sigmoid
-        act[:, 3 * hidden :] = np.tanh(act[:, 3 * hidden :])
-        i, f, o, g = np.split(act, 4, axis=1)
-        c_next = f * c + i * g
+    for t, act in enumerate(projected):  # each step's slice becomes its activations
+        if t:  # the zero state adds nothing at the first step
+            act += h @ Wh_half.T
+        np.tanh(act, out=act)
+        sig = act[:, : 3 * hidden]
+        sig += 1.0
+        sig *= 0.5
+        i, f, o, g = (act[:, cols] for cols in gate_cols)
+        c_next = f * c
+        c_next += i * g
         tanh_c = np.tanh(c_next)
         if keep:
             cache.append((h, c, act, tanh_c))
@@ -384,7 +396,7 @@ def lstm_last(cell: LSTMCellParams, xs: list[Tensor]) -> Tensor:
         dc = 0.0
         d_pre = []  # gate pre-activation gradients, last step first
         for t, (h_prev, c_prev, act, tanh_c) in reversed(list(enumerate(cache))):
-            i, f, o, g = np.split(act, 4, axis=1)
+            i, f, o, g = (act[:, cols] for cols in gate_cols)
             dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
             d = np.concatenate(
                 [
@@ -499,9 +511,9 @@ def sgd_step(state: SGDState, params: dict[str, Tensor], grads=None) -> None:
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
         v = state.velocity.get(name)
         if v is None:
-            v = np.zeros_like(p.data)
-        v = state.momentum * v - state.learning_rate * g
-        state.velocity[name] = v
+            v = state.velocity[name] = np.zeros_like(p.data)
+        v *= state.momentum
+        v -= state.learning_rate * g
         p.data += v
         p.grad = None
 

@@ -265,6 +265,46 @@ class TestLSTM:
             lstm_last(cell, [])
 
 
+class TestInPlaceGateMath:
+    """lstm_last runs its gate math in place and halves the sigmoid gates'
+    weights instead of their pre-activations. Its output must keep the bits of
+    the out-of-place formulation, so checkpoints, reports and predictions do
+    not move."""
+
+    @staticmethod
+    def _out_of_place(cell, steps):
+        gates = _gates(cell)
+        H, D = cell.hidden_size, steps.shape[-1]
+        Wx = np.concatenate([g.A.data[:, :D] for g in gates])
+        Wh = np.concatenate([g.A.data[:, D:] for g in gates])
+        b = np.concatenate([g.b.data for g in gates])
+        projected = (steps.reshape(-1, D) @ Wx.T + b).reshape(len(steps), -1, 4 * H)
+        h = c = np.zeros((steps.shape[1], H))
+        for step_input in projected:
+            act = h @ Wh.T + step_input
+            act[:, : 3 * H] = 0.5 * (1.0 + np.tanh(0.5 * act[:, : 3 * H]))
+            act[:, 3 * H :] = np.tanh(act[:, 3 * H :])
+            i, f, o, g = np.split(act, 4, axis=1)
+            c = f * c + i * g
+            h = o * np.tanh(c)
+        return h
+
+    @pytest.mark.parametrize("grad", [True, False], ids=["tape", "no_grad"])
+    @pytest.mark.parametrize("B, D, H", [(32, 200, 128), (5, 50, 301)])
+    def test_output_bits_match_out_of_place_reference(self, grad, B, D, H):
+        T = 11
+        rng = np.random.default_rng(41)
+        cell = init_lstm(rng, D, H, "c")
+        steps = rng.standard_normal((T, B, D))
+        xs = [constant(s) for s in steps]
+        if grad:
+            h = lstm_last(cell, xs).data
+        else:
+            with no_grad():
+                h = lstm_last(cell, xs).data
+        assert np.array_equal(h, self._out_of_place(cell, steps))
+
+
 class TestNoGrad:
     def test_outputs_have_no_parents(self):
         rng = np.random.default_rng(30)
@@ -410,6 +450,23 @@ class TestSGD:
         p.grad = np.array([np.nan])
         with pytest.raises(TrainingError, match="weights"):
             sgd_step(SGDState(), {"weights": p})
+
+    def test_in_place_momentum_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        p = parameter(rng.standard_normal((4, 5)), name="p")
+        expected, v = p.data.copy(), np.zeros((4, 5))
+        state = SGDState(learning_rate=0.3, momentum=0.9)
+        for _ in range(3):
+            g = rng.standard_normal((4, 5))
+            v = 0.9 * v - 0.3 * g
+            expected = expected + v
+            p.grad = g.copy()
+            sgd_step(state, {"p": p})
+            assert np.array_equal(state.velocity["p"], v)
+            assert np.array_equal(p.data, expected)
+        p.grad = np.full((4, 5), np.inf)
+        with pytest.raises(TrainingError):
+            sgd_step(state, {"p": p})
 
     def test_momentum_accumulates_velocity(self):
         p = parameter(np.array([0.0]), name="p")
