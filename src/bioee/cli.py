@@ -285,14 +285,19 @@ def cmd_train_events(cfg: RunConfig) -> int:
     events_dir.mkdir(exist_ok=True)
 
     windows = vecent.build_entity_windows(corpus, manifest["u"], table)
+    pairs = vecom.candidate_pairs(corpus)
+    embeddings, rows = vecom.embed_pair_entities(pairs, arg_models, windows)
 
     def train_one(event_type: str):
-        src_role, tgt_role = corpus.task_schema.roles(event_type)
-        samples = vecom.build_pair_samples(corpus, event_type, arg_models, windows)
+        roles = corpus.task_schema.roles(event_type)
+        labels = vecom.label_pairs(pairs, list(corpus.events.values()), event_type)
+        exists = np.array([label.exists for label in labels])
+        forward = np.array([label.forward for label in labels])
+        composed = vecom.compose_pairs(embeddings, rows, roles)
         rng = child_rng(cfg.seed, f"cmd/train-events/{event_type}")
         try:
             model, log = vecom.train_event_model(
-                samples, event_type, src_role, tgt_role, hyper, rng=rng
+                composed, exists, forward, event_type, *roles, hyper, rng=rng
             )
         except TrainingSetupError as exc:
             logger.warning("skipping %s: %s", event_type, exc)
@@ -339,23 +344,12 @@ def _load_event_models(cfg: RunConfig, schema) -> dict[str, vecom.EventModel]:
         ckpt = events_dir / f"{event_type}.ckpt"
         if not ckpt.exists():
             raise ConfigurationError(f"missing event checkpoint {ckpt}")
-        blobs = ndiff.load_tensors(ckpt)
         src_role, tgt_role = schema.roles(event_type)
-
-        def dense(prefix):
-            return ndiff.DenseParams(
-                A=ndiff.parameter(blobs[f"{prefix}.A"], name=f"{prefix}.A"),
-                b=ndiff.parameter(blobs[f"{prefix}.b"], name=f"{prefix}.b"),
-            )
-
         models[event_type] = vecom.EventModel(
             event_type=event_type,
             source_type=src_role,
             target_type=tgt_role,
-            exist_f1=dense("exist_f1"),
-            exist_f2=dense("exist_f2"),
-            dir_f1=dense("dir_f1"),
-            dir_f2=dense("dir_f2"),
+            **ndiff.load_dense_layers(ckpt, ["exist_f1", "exist_f2", "dir_f1", "dir_f2"]),
         )
     return models
 
@@ -378,60 +372,43 @@ def cmd_predict(cfg: RunConfig) -> int:
     pred_dir.mkdir(exist_ok=True)
 
     windows = vecent.build_entity_windows(corpus, manifest["u"], table)
-    candidates = {}  # (doc id, sentence index) -> candidate pairs
-    paired = set()  # qualified ids of the entities in those pairs
-    for doc in corpus.documents:
-        for sidx, sent in enumerate(doc.sentences):
-            ents = corpus.sentence_entities(doc.id, sidx)
-            if len(ents) >= 2:
-                candidates[doc.id, sidx] = vecom.gen_candidates(sent, ents)
-                paired.update(Corpus.qualify(doc.id, e.id) for e in ents)
-
-    # One chunked embedding pass per role model over the whole corpus.
-    qids = sorted(paired)
-    row = {q: i for i, q in enumerate(qids)}
+    pairs = vecom.candidate_pairs(corpus)
+    # One chunked embedding pass per role model over the whole corpus, and one
+    # scoring pass per event type.
     roles = {r for event_type in event_models for r in schema.roles(event_type)}
-    embeddings = {
-        role: vecent.argument_embeddings(arg_models[role], [windows[q] for q in qids])
-        for role in sorted(roles & arg_models.keys())
-    }
+    embeddings, rows = vecom.embed_pair_entities(
+        pairs, {role: arg_models[role] for role in roles & arg_models.keys()}, windows
+    )
+    scores = {}  # event type -> pair index -> (p_exists, p_forward)
+    for event_type, model in sorted(event_models.items()):
+        kept = (
+            vecom.typed_filter(pairs, schema, event_type)
+            if cfg.typed_candidates
+            else range(len(pairs))
+        )
+        composed = vecom.compose_pairs(embeddings, rows[kept], schema.roles(event_type))
+        pe, pf = vecom.event_forward_batch(model, composed)
+        scores[event_type] = dict(zip(kept, zip(pe.tolist(), pf.tolist())))
+    by_sentence = {}  # (doc id, sentence index) -> indices of its pairs
+    for i, pair in enumerate(pairs):
+        by_sentence.setdefault((pair.doc_id, pair.sentence_index), []).append(i)
 
     tsv_rows = ["sentence_id\tfirst\tsecond\tp_exists\tp_forward\tevent_type"]
     for doc in corpus.documents:
         doc_events = []
         for sidx, sent in enumerate(doc.sentences):
-            all_pairs = candidates.get((doc.id, sidx))
-            if all_pairs is None:
-                continue
-            for event_type in sorted(event_models):
-                model = event_models[event_type]
-                pairs = (
-                    vecom.typed_filter(all_pairs, schema, event_type)
-                    if cfg.typed_candidates
-                    else all_pairs
-                )
-                if not pairs:
-                    continue
-                src_role, tgt_role = schema.roles(event_type)
-                if src_role not in arg_models or tgt_role not in arg_models:
-                    raise ConfigurationError(
-                        f"event type {event_type} needs argument models "
-                        f"{src_role} and {tgt_role}"
-                    )
-                rows_a = [row[Corpus.qualify(doc.id, p.first.id)] for p in pairs]
-                rows_b = [row[Corpus.qualify(doc.id, p.second.id)] for p in pairs]
-                emb_s, emb_t = embeddings[src_role], embeddings[tgt_role]
-                first = np.concatenate([emb_s[rows_a], emb_t[rows_a]], axis=1)
-                second = np.concatenate([emb_t[rows_b], emb_s[rows_b]], axis=1)
-                pe, pf = vecom.event_forward_batch(model, first - second)
-                predictions = list(zip(pe.tolist(), pf.tolist()))
-                for pair, (e_prob, f_prob) in zip(pairs, predictions):
+            for event_type, scored in scores.items():
+                kept = [i for i in by_sentence.get((doc.id, sidx), ()) if i in scored]
+                predictions = [scored[i] for i in kept]
+                for i, (e_prob, f_prob) in zip(kept, predictions):
                     tsv_rows.append(
-                        f"{sent.id}\t{pair.first.id}\t{pair.second.id}"
+                        f"{sent.id}\t{pairs[i].first.id}\t{pairs[i].second.id}"
                         f"\t{e_prob:.6f}\t{f_prob:.6f}\t{event_type}"
                     )
                 doc_events.extend(
-                    vecom.decode_events(pairs, predictions, event_type, cfg.threshold)
+                    vecom.decode_events(
+                        [pairs[i] for i in kept], predictions, event_type, cfg.threshold
+                    )
                 )
         (pred_dir / f"{doc.id}.a2").write_text(
             write_standoff(doc_events, schema), encoding="utf-8"
@@ -463,6 +440,7 @@ def cmd_crossval(cfg: RunConfig) -> int:
     _write_json(cv_dir / "metrics.json", evalkit.report_json(report))
     (cv_dir / "metrics.csv").write_text(evalkit.metrics_csv(report), encoding="utf-8")
     (cv_dir / "timings.csv").write_text(evalkit.timings_csv(report), encoding="utf-8")
+    _write_json(cv_dir / "overlap.json", evalkit.overlap_json(report))
     for name, result in sorted(report.arguments.items()):
         (curves_dir / f"arg_{name}_roc.tsv").write_text(
             evalkit.curve_tsv(result.curves.roc), encoding="utf-8"

@@ -208,6 +208,10 @@ class EventResult:
     curves: Curves
     k: int
     n_pairs: int
+    # Entity occurrences of the test pairs, summed over folds, and how many
+    # of them are in their fold's argument training pool (the label leak).
+    test_entities: int
+    test_entities_seen: int
 
 
 @dataclass
@@ -260,17 +264,11 @@ def _argument_cv(corpus, windows, arg_type, arg_hyper, cv_args, seed, doc_level)
 
 
 def _event_cv(corpus, windows, event_type, arg_hyper, event_hyper, threshold, cv_args, seed, doc_level):
-    schema = corpus.task_schema
-    src_role, tgt_role = schema.roles(event_type)
-
-    pairs = []
-    for doc in corpus.documents:
-        for sidx, sent in enumerate(doc.sentences):
-            ents = corpus.sentence_entities(doc.id, sidx)
-            if len(ents) >= 2:
-                pairs.extend(vecom.gen_candidates(sent, ents))
+    src_role, tgt_role = corpus.task_schema.roles(event_type)
+    pairs = vecom.candidate_pairs(corpus)
     labels = vecom.label_pairs(pairs, list(corpus.events.values()), event_type)
     exist = np.array([l.exists for l in labels])
+    forward = np.array([l.forward for l in labels])
 
     plan_seed = child_seed(seed, f"plan/evt/{event_type}")
     if doc_level:
@@ -289,6 +287,7 @@ def _event_cv(corpus, windows, event_type, arg_hyper, event_hyper, threshold, cv
     pooled_forward = np.zeros(len(pairs))
     train_time = 0.0
     test_time = 0.0
+    seen = 0
     for fold in range(plan.k):
         test_mask = plan.assignments == fold
         train_idx = np.where(~test_mask)[0]
@@ -299,6 +298,7 @@ def _event_cv(corpus, windows, event_type, arg_hyper, event_hyper, threshold, cv
         pool = set()
         for i in train_idx:
             pool.update(qid_of[i])
+        seen += sum(q in pool for i in test_idx for q in qid_of[i])
         t0 = time.perf_counter()
         arg_models = {}
         for role in sorted({src_role, tgt_role}):
@@ -313,30 +313,12 @@ def _event_cv(corpus, windows, event_type, arg_hyper, event_hyper, threshold, cv
                 role_samples, arg_hyper, rng=rng, arg_type=role
             )
 
-        all_qids = sorted({q for qpair in qid_of for q in qpair})
-        ordered = [windows[q] for q in all_qids]
-        emb_s = vecent.argument_embeddings(arg_models[src_role], ordered)
-        emb_t = vecent.argument_embeddings(arg_models[tgt_role], ordered)
-        first_halves = np.concatenate([emb_s, emb_t], axis=1)
-        second_halves = np.concatenate([emb_t, emb_s], axis=1)
-        row = {q: i for i, q in enumerate(all_qids)}
-        rows_a = np.array([row[qa] for qa, _ in qid_of])
-        rows_b = np.array([row[qb] for _, qb in qid_of])
-        composed = first_halves[rows_a] - second_halves[rows_b]
-
-        train_samples = [
-            vecom.PairSample(
-                pair=pairs[i],
-                x=vecom.PairInput(
-                    first_half=first_halves[rows_a[i]], second_half=second_halves[rows_b[i]]
-                ),
-                label=labels[i],
-            )
-            for i in train_idx
-        ]
+        embeddings, rows = vecom.embed_pair_entities(pairs, arg_models, windows)
+        composed = vecom.compose_pairs(embeddings, rows, (src_role, tgt_role))
         rng = child_rng(seed, f"train/evt/{event_type}/{fold}/heads")
         model, _ = vecom.train_event_model(
-            train_samples, event_type, src_role, tgt_role, event_hyper, rng=rng
+            composed[train_idx], exist[train_idx], forward[train_idx],
+            event_type, src_role, tgt_role, event_hyper, rng=rng,
         )
         train_time += time.perf_counter() - t0
 
@@ -359,6 +341,8 @@ def _event_cv(corpus, windows, event_type, arg_hyper, event_hyper, threshold, cv
         curves=micro_curves(pooled_exists, exist),
         k=plan.k,
         n_pairs=len(pairs),
+        test_entities=2 * len(pairs),
+        test_entities_seen=seen,
     ), (pooled_exists, exist)
 
 
@@ -518,6 +502,18 @@ def report_json(report: CrossValReport) -> dict:
             }
             for name, r in sorted(report.events.items())
         },
+    }
+
+
+def overlap_json(report: CrossValReport) -> dict:
+    """Per event type, the test-pair entity occurrences across folds and how
+    many of them the fold's argument models were trained on."""
+    return {
+        name: {
+            "test_entity_occurrences": r.test_entities,
+            "seen_in_training": r.test_entities_seen,
+        }
+        for name, r in sorted(report.events.items())
     }
 
 

@@ -10,6 +10,7 @@ batches ``(B, n)``. Inside ``with no_grad():`` no operation records a tape.
 
 from __future__ import annotations
 
+import os
 import struct
 import threading
 from contextlib import contextmanager
@@ -255,22 +256,6 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
         _accumulate(x, g * keep)
 
     return _node(x.data * keep, (x,), backward_fn)
-
-
-_ELEMENTWISE = {"tanh": tanh, "sigmoid": sigmoid, "relu": relu, "abs": absolute}
-
-
-def elementwise(op: str, *inputs: Tensor) -> Tensor:
-    """Dispatch by operator name; `sub` takes two inputs, `concat` any number."""
-    if op in _ELEMENTWISE:
-        (x,) = inputs
-        return _ELEMENTWISE[op](x)
-    if op == "sub":
-        a, b = inputs
-        return sub(a, b)
-    if op == "concat":
-        return concat(list(inputs))
-    raise ValueError(f"unknown elementwise op {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -579,21 +564,46 @@ def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
 
 def load_tensors(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int) -> bytes:
+            # Checked before reading, so a corrupt shape cannot ask for more
+            # memory than the file holds.
+            if n > file_size - fh.tell():
+                raise TrainingError(f"{path}: checkpoint is truncated")
+            return fh.read(n)
+
         if fh.read(4) != _MAGIC:
             raise TrainingError(f"{path}: not a checkpoint file")
-        version, count = struct.unpack("<II", fh.read(8))
+        version, count = struct.unpack("<II", read(8))
         if version != _VERSION:
             raise TrainingError(f"{path}: unsupported checkpoint version {version}")
         out = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
+            (name_len,) = struct.unpack("<H", read(2))
+            try:
+                name = read(name_len).decode("utf-8")
+            except UnicodeDecodeError:
+                raise TrainingError(f"{path}: tensor name is not UTF-8") from None
+            (ndim,) = struct.unpack("<B", read(1))
+            shape = struct.unpack(f"<{ndim}I", read(4 * ndim)) if ndim else ()
             size = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * size), dtype="<f8").reshape(shape)
+            data = np.frombuffer(read(8 * size), dtype="<f8").reshape(shape)
             out[name] = np.array(data, dtype=np.float64)
         return out
+
+
+def load_dense_layers(path, prefixes: list[str]) -> dict[str, DenseParams]:
+    """The named dense layers of a checkpoint, as trainable parameters."""
+    blobs = load_tensors(path)
+    layers = {}
+    for prefix in prefixes:
+        names = (f"{prefix}.A", f"{prefix}.b")
+        for name in names:
+            if name not in blobs:
+                raise TrainingError(f"{path}: checkpoint has no tensor {name!r}")
+        layers[prefix] = DenseParams(*(parameter(blobs[name], name=name) for name in names))
+    return layers
 
 
 # ---------------------------------------------------------------------------

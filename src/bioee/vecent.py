@@ -202,33 +202,10 @@ def _encode_arrays(model: ArgumentModel, left: np.ndarray, right: np.ndarray) ->
     return ndiff.concat([h_fwd, h_bwd], axis=-1)
 
 
-def encode(model: ArgumentModel, window: ContextWindow) -> np.ndarray:
-    """Concatenated final hidden states of both direction cells (2*hidden)."""
-    return _encode_arrays(model, window.left, window.right).data
-
-
 def _head(model: ArgumentModel, enc: Tensor, training: bool, rng) -> Tensor:
     hidden = ndiff.tanh(ndiff.affine(model.f1, enc))
     hidden = ndiff.dropout(hidden, model.dropout, training, rng or np.random.default_rng(0))
     return ndiff.sigmoid(ndiff.affine(model.f2, hidden))
-
-
-def arg_forward(
-    model: ArgumentModel,
-    window: ContextWindow,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Probability that the entity plays this model's argument role."""
-    enc = _encode_arrays(model, window.left, window.right)
-    return float(_head(model, enc, training, rng).data[0])
-
-
-def argument_embedding(model: ArgumentModel, window: ContextWindow) -> np.ndarray:
-    """First dense-layer output over the BLSTM encoding; no activation, no
-    dropout, deterministic."""
-    enc = _encode_arrays(model, window.left, window.right)
-    return ndiff.affine(model.f1, enc).data
 
 
 def _infer(model: ArgumentModel, windows: list[ContextWindow], head) -> np.ndarray:
@@ -244,6 +221,8 @@ def _infer(model: ArgumentModel, windows: list[ContextWindow], head) -> np.ndarr
 
 
 def argument_embeddings(model: ArgumentModel, windows: list[ContextWindow]) -> np.ndarray:
+    """First dense-layer output over the BLSTM encoding, one row per window;
+    no activation, no dropout, deterministic."""
     if not windows:
         return np.zeros((0, model.embedding_size))
     return _infer(model, windows, lambda enc: ndiff.affine(model.f1, enc))
@@ -272,24 +251,25 @@ def class_weight(labels) -> float:
     return 1.0 - n_pos / total
 
 
-def oversample(samples: list, max_ratio: float = 5.0, rng=None, label=None) -> list:
-    """Duplicate minority-class samples until majority/minority <= max_ratio.
+def oversample(labels, max_ratio: float = 5.0, rng=None) -> np.ndarray:
+    """Training-set indices that duplicate minority-class samples until
+    majority/minority <= max_ratio.
 
-    All originals are retained; duplicates are drawn uniformly at random.
-    Never apply this to evaluation samples.
+    Every original index comes first, in order; duplicates are drawn
+    uniformly at random. Never apply this to evaluation samples.
     """
     rng = rng or np.random.default_rng(0)
-    label = label or (lambda s: s.label)
-    pos = [s for s in samples if label(s) == 1]
-    neg = [s for s in samples if label(s) != 1]
-    if not pos or not neg:
+    labels = np.asarray(labels)
+    pos = np.flatnonzero(labels == 1)
+    neg = np.flatnonzero(labels != 1)
+    if not pos.size or not neg.size:
         raise TrainingSetupError("oversample needs both classes present")
-    minority, majority = (pos, neg) if len(pos) <= len(neg) else (neg, pos)
-    need = int(np.ceil(len(majority) / max_ratio)) - len(minority)
+    minority, majority = (pos, neg) if pos.size <= neg.size else (neg, pos)
+    need = int(np.ceil(majority.size / max_ratio)) - minority.size
     if need <= 0:
-        return list(samples)
-    extra = [minority[i] for i in rng.integers(0, len(minority), size=need)]
-    return list(samples) + extra
+        return np.arange(labels.size)
+    extra = minority[rng.integers(0, minority.size, size=need)]
+    return np.concatenate([np.arange(labels.size), extra])
 
 
 def train_argument_model(
@@ -307,10 +287,11 @@ def train_argument_model(
     rng = rng or np.random.default_rng(0)
     if not samples:
         raise TrainingSetupError("no training samples")
-    z = class_weight([s.label for s in samples])
-    train_set = oversample(samples, max_ratio=hyper.oversample_ratio, rng=rng)
+    labels = np.array([s.label for s in samples])
+    z = class_weight(labels)
+    train_idx = oversample(labels, max_ratio=hyper.oversample_ratio, rng=rng)
 
-    dim = train_set[0].window.left.shape[1]
+    dim = samples[0].window.left.shape[1]
     model = new_argument_model(
         arg_type or "argument",
         embed_dim=dim,
@@ -322,10 +303,10 @@ def train_argument_model(
     params = model.parameters()
     opt = ndiff.SGDState(learning_rate=hyper.lr, momentum=hyper.momentum)
 
-    lefts = np.stack([s.window.left for s in train_set])
-    rights = np.stack([s.window.right for s in train_set])
-    labels = np.array([[s.label] for s in train_set], dtype=np.float64)
-    n = len(train_set)
+    lefts = np.stack([samples[i].window.left for i in train_idx])
+    rights = np.stack([samples[i].window.right for i in train_idx])
+    labels = labels[train_idx, None].astype(np.float64)
+    n = train_idx.size
 
     log: list[EpochRecord] = []
     for epoch in range(1, hyper.epochs + 1):
@@ -373,27 +354,14 @@ def save_argument_model(model: ArgumentModel, path) -> None:
 
 
 def load_argument_model(path, arg_type: str, dropout: float = 0.2) -> ArgumentModel:
-    blobs = ndiff.load_tensors(path)
-
-    def dense(prefix):
-        return DenseParams(
-            A=ndiff.parameter(blobs[f"{prefix}.A"], name=f"{prefix}.A"),
-            b=ndiff.parameter(blobs[f"{prefix}.b"], name=f"{prefix}.b"),
-        )
-
-    def cell(prefix):
-        return LSTMCellParams(
-            input_gate=dense(f"{prefix}.input_gate"),
-            forget_gate=dense(f"{prefix}.forget_gate"),
-            output_gate=dense(f"{prefix}.output_gate"),
-            candidate=dense(f"{prefix}.candidate"),
-        )
-
+    gates = ("input_gate", "forget_gate", "output_gate", "candidate")
+    cells = [f"{cell}.{gate}" for cell in ("fwd", "bwd") for gate in gates]
+    layers = ndiff.load_dense_layers(path, [*cells, "f1", "f2"])
     return ArgumentModel(
         arg_type=arg_type,
-        forward_cell=cell("fwd"),
-        backward_cell=cell("bwd"),
-        f1=dense("f1"),
-        f2=dense("f2"),
+        forward_cell=LSTMCellParams(*(layers[name] for name in cells[:4])),
+        backward_cell=LSTMCellParams(*(layers[name] for name in cells[4:])),
+        f1=layers["f1"],
+        f2=layers["f2"],
         dropout=dropout,
     )

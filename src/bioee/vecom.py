@@ -17,8 +17,7 @@ import numpy as np
 
 from . import ndiff, vecent
 from .corpus import Corpus, Entity, Event, Sentence, TaskSchema
-from .embed import EmbeddingTable
-from .errors import ConfigurationError, DataError, ShapeError, TrainingSetupError
+from .errors import ConfigurationError, DataError, TrainingSetupError
 from .ndiff import DenseParams, Tensor
 from .vecent import ArgumentModel, ContextWindow, EpochRecord
 
@@ -43,25 +42,6 @@ class CandidatePair:
 class PairLabel:
     exists: int
     forward: int  # 0 whenever exists is 0
-
-
-@dataclass
-class PairInput:
-    """The two role-conditioned halves for an ordered pair.
-
-    first_half = R_src(first) ++ R_tgt(first); second_half has the model
-    order swapped: R_tgt(second) ++ R_src(second).
-    """
-
-    first_half: np.ndarray
-    second_half: np.ndarray
-
-
-@dataclass
-class PairSample:
-    pair: CandidatePair
-    x: PairInput
-    label: PairLabel
 
 
 @dataclass
@@ -130,6 +110,17 @@ def gen_candidates(sentence: Sentence, entities: list[Entity]) -> list[Candidate
     return pairs
 
 
+def candidate_pairs(corpus: Corpus) -> list[CandidatePair]:
+    """Every ordered pair of each sentence, in document and sentence order."""
+    pairs = []
+    for doc in corpus.documents:
+        for sidx, sent in enumerate(doc.sentences):
+            ents = corpus.sentence_entities(doc.id, sidx)
+            if len(ents) >= 2:
+                pairs.extend(gen_candidates(sent, ents))
+    return pairs
+
+
 def label_pairs(
     pairs: list[CandidatePair], events: list[Event], event_type: str
 ) -> list[PairLabel]:
@@ -164,86 +155,43 @@ def label_pairs(
 # Pair features
 
 
-def pair_input(
-    pair: CandidatePair,
-    model_s: ArgumentModel,
-    model_t: ArgumentModel,
-    u: int,
-    table: EmbeddingTable,
-    windows: dict[str, ContextWindow] | None = None,
-) -> PairInput:
-    """Both-order argument embeddings for an ordered pair (roles unknown at
-    prediction time, so each entity is embedded under both role models)."""
-    if model_s is None or model_t is None:
-        raise ConfigurationError(f"missing argument model for pair {pair.key}")
-
-    def window_of(ent: Entity) -> ContextWindow:
-        qid = Corpus.qualify(pair.doc_id, ent.id)
-        if windows is not None and qid in windows:
-            return windows[qid]
-        return vecent.build_context(pair.sentence, ent, u, table)
-
-    w_first, w_second = window_of(pair.first), window_of(pair.second)
-    first_half = np.concatenate(
-        [vecent.argument_embedding(model_s, w_first), vecent.argument_embedding(model_t, w_first)]
-    )
-    second_half = np.concatenate(
-        [
-            vecent.argument_embedding(model_t, w_second),
-            vecent.argument_embedding(model_s, w_second),
-        ]
-    )
-    return PairInput(first_half=first_half, second_half=second_half)
-
-
-def vecom_compose(x: PairInput) -> np.ndarray:
-    """Subtract layer: first half minus second half."""
-    if x.first_half.shape != x.second_half.shape:
-        raise ShapeError(f"compose: halves {x.first_half.shape} vs {x.second_half.shape}")
-    return x.first_half - x.second_half
-
-
-def build_pair_samples(
-    corpus: Corpus,
-    event_type: str,
-    arg_models: dict[str, ArgumentModel],
+def embed_pair_entities(
+    pairs: list[CandidatePair],
+    models: dict[str, ArgumentModel],
     windows: dict[str, ContextWindow],
-) -> list[PairSample]:
-    """Candidate pairs with features and two-bit labels for one event type."""
-    schema = corpus.task_schema
-    src_role, tgt_role = schema.roles(event_type)
-    model_s = arg_models.get(src_role)
-    model_t = arg_models.get(tgt_role)
-    if model_s is None or model_t is None:
-        raise ConfigurationError(
-            f"event type {event_type} needs argument models {src_role} and {tgt_role}"
-        )
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Embed each distinct entity of ``pairs`` once under every role model.
 
-    pairs: list[CandidatePair] = []
-    for doc in corpus.documents:
-        for sidx, sent in enumerate(doc.sentences):
-            ents = corpus.sentence_entities(doc.id, sidx)
-            if len(ents) >= 2:
-                pairs.extend(gen_candidates(sent, ents))
-    labels = label_pairs(pairs, list(corpus.events.values()), event_type)
+    Roles are unknown at prediction time, so each entity gets the embedding
+    of each role model. Returns role -> ``(m, E)`` embeddings of the m
+    distinct entities, in qualified-id order, and the ``(n, 2)`` rows of
+    each pair's first and second entity in them.
+    """
+    qids = [
+        (Corpus.qualify(p.doc_id, p.first.id), Corpus.qualify(p.doc_id, p.second.id))
+        for p in pairs
+    ]
+    distinct = sorted({q for pair in qids for q in pair})
+    row = {q: i for i, q in enumerate(distinct)}
+    rows = np.array([(row[a], row[b]) for a, b in qids], dtype=np.intp).reshape(-1, 2)
+    ordered = [windows[q] for q in distinct]
+    embeddings = {
+        role: vecent.argument_embeddings(model, ordered) for role, model in sorted(models.items())
+    }
+    return embeddings, rows
 
-    # Embed every involved entity once per role model.
-    qids = sorted({Corpus.qualify(p.doc_id, e.id) for p in pairs for e in (p.first, p.second)})
-    ordered_windows = [windows[q] for q in qids]
-    emb_s = vecent.argument_embeddings(model_s, ordered_windows)
-    emb_t = vecent.argument_embeddings(model_t, ordered_windows)
-    row = {q: i for i, q in enumerate(qids)}
 
-    samples = []
-    for pair, label in zip(pairs, labels):
-        qa = Corpus.qualify(pair.doc_id, pair.first.id)
-        qb = Corpus.qualify(pair.doc_id, pair.second.id)
-        x = PairInput(
-            first_half=np.concatenate([emb_s[row[qa]], emb_t[row[qa]]]),
-            second_half=np.concatenate([emb_t[row[qb]], emb_s[row[qb]]]),
-        )
-        samples.append(PairSample(pair=pair, x=x, label=label))
-    return samples
+def compose_pairs(
+    embeddings: dict[str, np.ndarray], rows: np.ndarray, roles: tuple[str, str]
+) -> np.ndarray:
+    """Subtract layer over a batch of pairs (a, b) of an event type with
+    roles (s, t): ``[R_s(a), R_t(a)] - [R_t(b), R_s(b)]``, shape ``(n, 2E)``."""
+    for role in roles:
+        if role not in embeddings:
+            raise ConfigurationError(f"no argument model for role {role}")
+    emb_s, emb_t = (embeddings[role] for role in roles)
+    a, b = rows[:, 0], rows[:, 1]
+    return np.concatenate([emb_s[a] - emb_t[b], emb_t[a] - emb_s[b]], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +206,6 @@ def _heads(model: EventModel, v: Tensor) -> tuple[Tensor, Tensor]:
         ndiff.affine(model.dir_f2, ndiff.relu(ndiff.affine(model.dir_f1, v)))
     )
     return p_exists, p_forward
-
-
-def event_forward(model: EventModel, x: PairInput) -> tuple[float, float]:
-    """(existence probability, forward-direction probability) for one pair."""
-    v = ndiff.constant(vecom_compose(x))
-    p_exists, p_forward = _heads(model, v)
-    return float(p_exists.data[0]), float(p_forward.data[0])
 
 
 def event_forward_batch(model: EventModel, composed: np.ndarray):
@@ -287,37 +228,37 @@ def _masked_bce(labels: np.ndarray, probs: Tensor, mask: np.ndarray, eps=1e-7) -
 
 
 def train_event_model(
-    samples: list[PairSample],
+    composed: np.ndarray,
+    exists: np.ndarray,
+    forward: np.ndarray,
     event_type: str,
     source_type: str,
     target_type: str,
     hyper: EventHyper | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[EventModel, list[EpochRecord]]:
-    """Joint SGD over the two heads; the direction term is masked to pairs
-    where the event exists (non-events carry no direction information)."""
+    """Joint SGD over the two heads on composed pairs and their two-bit
+    labels; the direction term is masked to pairs where the event exists
+    (non-events carry no direction information)."""
     hyper = hyper or EventHyper()
     rng = rng or np.random.default_rng(0)
-    exist_labels = [s.label.exists for s in samples]
-    if len(set(exist_labels)) < 2:
+    if np.unique(exists).size < 2:
         raise TrainingSetupError(
             f"event type {event_type}: existence labels are single-class"
         )
-    train_set = vecent.oversample(
-        samples, max_ratio=hyper.oversample_ratio, rng=rng, label=lambda s: s.label.exists
-    )
+    train_idx = vecent.oversample(exists, max_ratio=hyper.oversample_ratio, rng=rng)
 
-    dim = train_set[0].x.first_half.shape[0]
+    dim = composed.shape[1]
     model = new_event_model(
         event_type, source_type, target_type, input_dim=dim, hidden=hyper.hidden, rng=rng
     )
     params = model.parameters()
     opt = ndiff.SGDState(learning_rate=hyper.lr, momentum=hyper.momentum)
 
-    composed = np.stack([vecom_compose(s.x) for s in train_set])
-    y_exist = np.array([[s.label.exists] for s in train_set], dtype=np.float64)
-    y_dir = np.array([[s.label.forward] for s in train_set], dtype=np.float64)
-    n = len(train_set)
+    composed = composed[train_idx]
+    y_exist = np.asarray(exists, dtype=np.float64)[train_idx, None]
+    y_dir = np.asarray(forward, dtype=np.float64)[train_idx, None]
+    n = train_idx.size
 
     log: list[EpochRecord] = []
     for epoch in range(1, hyper.epochs + 1):
@@ -392,10 +333,10 @@ def decode_events(
     return events
 
 
-def typed_filter(pairs: list[CandidatePair], schema: TaskSchema, event_type: str):
-    """Optional candidate filter: keep pairs whose entity labels are drawn
-    from the event's role vocabulary. Only meaningful when the corpus labels
-    entities with role names; off by default."""
+def typed_filter(pairs: list[CandidatePair], schema: TaskSchema, event_type: str) -> list[int]:
+    """Optional candidate filter: indices of the pairs whose entity labels are
+    drawn from the event's role vocabulary. Only meaningful when the corpus
+    labels entities with role names; off by default."""
     src_role, tgt_role = schema.roles(event_type)
     allowed = {src_role, tgt_role}
-    return [p for p in pairs if {p.first.label, p.second.label} <= allowed]
+    return [i for i, p in enumerate(pairs) if {p.first.label, p.second.label} <= allowed]

@@ -125,13 +125,6 @@ class TestCriterion3LabelDecodingRoundTrip:
         _line(3, decoded == expected, "case-study sentence decodes to exactly its three events")
 
 
-class _Sample:
-    __slots__ = ("label",)
-
-    def __init__(self, label):
-        self.label = label
-
-
 class TestCriterion4OversamplingBound:
     def test_bound_exact_on_100_random_multisets(self):
         rng = np.random.default_rng(1234)
@@ -139,34 +132,33 @@ class TestCriterion4OversamplingBound:
         for _ in range(100):
             n_pos = int(rng.integers(1, 400))
             n_neg = int(rng.integers(1, 400))
-            samples = [_Sample(1)] * n_pos + [_Sample(0)] * n_neg
-            out = oversample(samples, max_ratio=5, rng=rng)
-            pos = sum(1 for s in out if s.label == 1)
-            neg = len(out) - pos
+            labels = np.array([1] * n_pos + [0] * n_neg)
+            out = labels[oversample(labels, max_ratio=5, rng=rng)]
+            pos = int((out == 1).sum())
+            neg = out.size - pos
             minority, majority = min(pos, neg), max(pos, neg)
             assert majority / minority <= 5, (n_pos, n_neg)
             expected_minority = max(min(n_pos, n_neg), math.ceil(majority / 5))
             assert minority == expected_minority, (n_pos, n_neg)
-            assert len(out) >= n_pos + n_neg
+            assert out.size >= n_pos + n_neg
             checked += 1
         _line(4, checked == 100, "majority/minority <= 5 holds exactly on 100 random multisets")
 
     def test_evaluation_portions_untouched(self):
         rng = np.random.default_rng(5)
-        samples = [_Sample(1) for _ in range(30)] + [_Sample(0) for _ in range(300)]
-        labels = np.array([s.label for s in samples])
+        labels = np.array([1] * 30 + [0] * 300)
         plan = plan_folds(labels, seed=3)
         clean = True
         for fold in range(plan.k):
             test_idx = np.where(plan.assignments == fold)[0]
-            train = [samples[i] for i in np.where(plan.assignments != fold)[0]]
-            duplicated = oversample(train, max_ratio=5, rng=rng)
-            test_objects = {id(samples[i]) for i in test_idx}
-            clean &= all(id(s) not in test_objects for s in duplicated)
+            train = np.where(plan.assignments != fold)[0]
+            duplicated = train[oversample(labels[train], max_ratio=5, rng=rng)]
+            clean &= not set(duplicated.tolist()) & set(test_idx.tolist())
         _line(4, clean, "no evaluation sample is ever duplicated into a training portion")
 
 
 class TestCriterion5SyntheticEndToEnd:
+    @pytest.mark.slow
     def test_planted_patterns_reach_f090(self):
         start = time.perf_counter()
         corpus = synth.make_synthetic_corpus(n_sentences=500, seed=21)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import shutil
 
 import pytest
 
@@ -259,6 +260,41 @@ class TestPredict:
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigurationError"
 
 
+def _rewrite(edit):
+    return lambda path: path.write_bytes(edit(path.read_bytes()))
+
+
+def _drop_f2_b(path):
+    tensors = ndiff.load_tensors(path)
+    del tensors["f2.b"]
+    ndiff.save_tensors(path, tensors)
+
+
+class TestBadCheckpoints:
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            _rewrite(lambda blob: blob[:10]),
+            _rewrite(lambda blob: blob[:14]),
+            _rewrite(lambda blob: blob[:-5]),
+            _rewrite(lambda blob: blob[:14] + b"\xff" + blob[15:]),  # first name byte
+            _drop_f2_b,
+        ],
+        ids=["cut_at_10", "cut_at_14", "five_bytes_short", "name_not_utf8", "missing_f2_b"],
+    )
+    def test_predict_reports_json_error(self, tmp_path, case_dir, trained_out, damage, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(trained_out / "args", out / "args")
+        shutil.copytree(trained_out / "events", out / "events")
+        damage(out / "args" / "Action.ckpt")
+        rc = main(["predict", "--schema", "bgi", "--predict-dir", str(case_dir),
+                   "--out", str(out), *FIT_ARGS])
+        assert rc == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "TrainingError"
+        assert "Action.ckpt" in error["message"]
+
+
 class TestCrossval:
     SYNTH_ARGS = [
         "--embedding", "hashed", "--dim", "8", "--window", "2",
@@ -287,6 +323,10 @@ class TestCrossval:
         assert (cv / "timings.csv").exists()
         assert (cv / "curves" / "event_Activation_roc.tsv").exists()
         assert (cv / "curves" / "micro_events_prc.tsv").exists()
+        overlap = json.loads((cv / "overlap.json").read_text())
+        seen = overlap["Activation"]
+        assert seen["test_entity_occurrences"] == 2 * payload["events"]["Activation"]["n_pairs"]
+        assert 0 <= seen["seen_in_training"] <= seen["test_entity_occurrences"]
 
     def test_reports_byte_identical_across_runs(self, tmp_path, synth_dir):
         corpus_dir, schema_path = synth_dir

@@ -14,6 +14,7 @@ from bioee.evalkit import (
     cross_validate,
     metrics_csv,
     micro_curves,
+    overlap_json,
     plan_folds,
     plan_folds_by_document,
     report_json,
@@ -281,6 +282,72 @@ class TestCrossValidate:
         lines = csv_text.strip().splitlines()
         assert lines[0].startswith("metric,")
         assert len(lines) == 5  # header + accuracy/precision/recall/f_score
+
+
+def _doc_level_report(corpus):
+    # Five folds: with ten, some fold of the 50 one-sentence documents holds
+    # no positive pair.
+    arg_hyper, event_hyper = _tiny_settings()
+    return cross_validate(
+        corpus,
+        make_hashed_table(dim=8, seed=2),
+        arg_hyper=arg_hyper,
+        event_hyper=event_hyper,
+        seed=99,
+        doc_level=True,
+        default_k=5,
+        small_k=5,
+    )
+
+
+@pytest.fixture(scope="module")
+def doc_report(small_corpus):
+    return _doc_level_report(small_corpus)
+
+
+class TestDocumentLevelCrossValidate:
+    def test_deterministic_given_seed(self, small_corpus, doc_report):
+        assert report_json(_doc_level_report(small_corpus)) == report_json(doc_report)
+
+    def test_folds_keep_documents_whole(self, small_corpus, monkeypatch):
+        plans = []
+        plan_by_document = evalkit.plan_folds_by_document
+
+        def spy(doc_ids, labels, k, seed=0):
+            plan = plan_by_document(doc_ids, labels, k, seed=seed)
+            plans.append((doc_ids, plan))
+            return plan
+
+        monkeypatch.setattr(evalkit, "plan_folds_by_document", spy)
+        _doc_level_report(small_corpus)
+        assert len(plans) == 3  # Activator, Target and Activation
+        for doc_ids, plan in plans:
+            assert plan.k == 5
+            fold_of = {}
+            for doc_id, fold in zip(doc_ids, plan.assignments.tolist()):
+                assert fold_of.setdefault(doc_id, fold) == fold, doc_id
+            assert len(fold_of) == len(small_corpus.documents)
+
+
+class TestTrainTestOverlap:
+    def test_pair_level_folds_leak_test_entities(self, report):
+        evt = report.events["Activation"]
+        assert evt.test_entities == 2 * evt.n_pairs
+        assert 0 < evt.test_entities_seen <= evt.test_entities
+
+    def test_document_level_folds_see_no_test_entity(self, doc_report):
+        evt = doc_report.events["Activation"]
+        assert evt.test_entities == 2 * evt.n_pairs > 0
+        assert evt.test_entities_seen == 0
+
+    def test_sidecar_payload(self, report):
+        evt = report.events["Activation"]
+        assert overlap_json(report) == {
+            "Activation": {
+                "test_entity_occurrences": evt.test_entities,
+                "seen_in_training": evt.test_entities_seen,
+            }
+        }
 
 
 class TestSeeds:

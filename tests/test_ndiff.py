@@ -20,7 +20,6 @@ from bioee.ndiff import (
     concat,
     constant,
     dropout,
-    elementwise,
     init_dense,
     init_lstm,
     load_tensors,
@@ -150,14 +149,11 @@ class TestElementwise:
         got = concat([constant([1.0, 2.0]), constant([3.0])]).data
         np.testing.assert_array_equal(got, [1.0, 2.0, 3.0])
 
-    def test_dispatcher(self):
+    def test_relu_abs_sub_values(self):
         x = constant([-1.0, 2.0])
-        np.testing.assert_array_equal(elementwise("relu", x).data, [0.0, 2.0])
-        np.testing.assert_array_equal(elementwise("abs", x).data, [1.0, 2.0])
-        got = elementwise("sub", x, constant([1.0, 1.0])).data
-        np.testing.assert_array_equal(got, [-2.0, 1.0])
-        with pytest.raises(ValueError):
-            elementwise("pow", x)
+        np.testing.assert_array_equal(relu(x).data, [0.0, 2.0])
+        np.testing.assert_array_equal(absolute(x).data, [1.0, 2.0])
+        np.testing.assert_array_equal(sub(x, constant([1.0, 1.0])).data, [-2.0, 1.0])
 
     def test_sub_shape_mismatch(self):
         with pytest.raises(ShapeError):

@@ -12,15 +12,14 @@ from bioee.vecent import (
     ArgHyper,
     ArgSample,
     ContextWindow,
-    arg_forward,
-    argument_embedding,
+    argument_embeddings,
     build_argument_samples,
     build_context,
     build_entity_windows,
     class_weight,
-    encode,
     new_argument_model,
     oversample,
+    predict_probs,
     train_argument_model,
 )
 
@@ -87,11 +86,14 @@ class TestBuildContext:
 
 
 class TestEncode:
+    """The BLSTM encoding, seen through the batched inference paths."""
+
     def test_output_is_twice_hidden(self, bgi, table):
         model = new_argument_model("t", table.dim, lstm_hidden=16, mlp_hidden=8,
                                    rng=np.random.default_rng(0))
         w = build_context(_gere_sentence(bgi), bgi.entity("GERE", "T4"), 3, table)
-        assert encode(model, w).shape == (32,)
+        assert model.f1.A.data.shape == (8, 32)  # f1 reads the encoding
+        assert argument_embeddings(model, [w]).shape == (1, 8)
 
     def test_all_pad_windows_encode_identically(self, table):
         model = new_argument_model("t", table.dim, lstm_hidden=8, mlp_hidden=4,
@@ -99,35 +101,44 @@ class TestEncode:
         pad_vec = np.zeros((4, table.dim))
         w1 = ContextWindow([PAD] * 4, [PAD] * 4, pad_vec, pad_vec, u=3, entity_id="a")
         w2 = ContextWindow([PAD] * 4, [PAD] * 4, pad_vec.copy(), pad_vec.copy(), u=3, entity_id="b")
-        np.testing.assert_array_equal(encode(model, w1), encode(model, w2))
+        np.testing.assert_array_equal(
+            argument_embeddings(model, [w1]), argument_embeddings(model, [w2])
+        )
+        np.testing.assert_array_equal(predict_probs(model, [w1]), predict_probs(model, [w2]))
 
     def test_swapping_halves_changes_encoding(self, bgi, table):
         model = new_argument_model("t", table.dim, lstm_hidden=8, mlp_hidden=4,
                                    rng=np.random.default_rng(2))
         w = build_context(_gere_sentence(bgi), bgi.entity("GERE", "T4"), 3, table)
         swapped = ContextWindow(w.right_tokens, w.left_tokens, w.right, w.left, w.u, w.entity_id)
-        assert not np.allclose(encode(model, w), encode(model, swapped))
+        assert not np.allclose(
+            argument_embeddings(model, [w]), argument_embeddings(model, [swapped])
+        )
 
 
 class TestArgForward:
+    """Argument-role probabilities from ``predict_probs``."""
+
     def test_probability_range(self, bgi, table):
         model = new_argument_model("t", table.dim, 8, 4, rng=np.random.default_rng(3))
-        for ent in bgi.doc_entities("GERE"):
-            w = build_context(_gere_sentence(bgi), ent, 3, table)
-            assert 0.0 < arg_forward(model, w) < 1.0
+        windows = [build_context(_gere_sentence(bgi), ent, 3, table)
+                   for ent in bgi.doc_entities("GERE")]
+        probs = predict_probs(model, windows)
+        assert probs.shape == (len(windows),)
+        assert np.all((0.0 < probs) & (probs < 1.0))
 
     def test_zero_weight_model_gives_half(self, bgi, table):
         model = new_argument_model("t", table.dim, 8, 4, rng=np.random.default_rng(4))
         for t in model.parameters().values():
             t.data[...] = 0.0
         w = build_context(_gere_sentence(bgi), bgi.entity("GERE", "T4"), 3, table)
-        assert arg_forward(model, w) == pytest.approx(0.5)
+        assert predict_probs(model, [w])[0] == pytest.approx(0.5)
 
     def test_inference_is_deterministic(self, bgi, table):
         model = new_argument_model("t", table.dim, 8, 4, dropout=0.5,
                                    rng=np.random.default_rng(5))
         w = build_context(_gere_sentence(bgi), bgi.entity("GERE", "T4"), 3, table)
-        assert arg_forward(model, w) == arg_forward(model, w)
+        assert predict_probs(model, [w])[0] == predict_probs(model, [w])[0]
 
 
 class TestClassWeight:
@@ -144,50 +155,45 @@ class TestClassWeight:
             class_weight([1, 1])
 
 
-class _Tagged:
-    def __init__(self, label, idx):
-        self.label = label
-        self.idx = idx
-
-
 class TestOversample:
     def test_bound_reached_exactly(self):
-        samples = [_Tagged(0, i) for i in range(100)] + [_Tagged(1, i) for i in range(10)]
-        out = oversample(samples, max_ratio=5, rng=np.random.default_rng(0))
-        pos = sum(1 for s in out if s.label == 1)
-        neg = sum(1 for s in out if s.label == 0)
+        labels = np.array([0] * 100 + [1] * 10)
+        out = labels[oversample(labels, max_ratio=5, rng=np.random.default_rng(0))]
+        pos = int((out == 1).sum())
+        neg = int((out == 0).sum())
         assert pos == 20  # ceil(100 / 5)
         assert neg == 100
         assert neg / pos <= 5
 
     def test_within_bound_unchanged(self):
-        samples = [_Tagged(0, i) for i in range(20)] + [_Tagged(1, i) for i in range(10)]
-        assert len(oversample(samples, 5, np.random.default_rng(0))) == 30
+        labels = np.array([0] * 20 + [1] * 10)
+        assert len(oversample(labels, 5, np.random.default_rng(0))) == 30
 
     def test_balanced_unchanged(self):
-        samples = [_Tagged(0, i) for i in range(5)] + [_Tagged(1, i) for i in range(5)]
-        assert len(oversample(samples, 5, np.random.default_rng(0))) == 10
+        labels = np.array([0] * 5 + [1] * 5)
+        assert len(oversample(labels, 5, np.random.default_rng(0))) == 10
 
     def test_originals_all_retained(self):
-        samples = [_Tagged(0, i) for i in range(40)] + [_Tagged(1, i) for i in range(3)]
-        out = oversample(samples, 5, np.random.default_rng(1))
-        assert out[: len(samples)] == samples  # prefix preserved
-        for extra in out[len(samples) :]:
-            assert extra in samples  # duplicates reference original objects
+        labels = np.array([0] * 40 + [1] * 3)
+        idx = oversample(labels, 5, np.random.default_rng(1))
+        np.testing.assert_array_equal(idx[: labels.size], np.arange(labels.size))  # prefix
+        extra = idx[labels.size :]
+        assert extra.size > 0
+        assert np.all(labels[extra] == 1)  # duplicates point at minority originals
 
     def test_single_class_rejected(self):
         with pytest.raises(TrainingSetupError):
-            oversample([_Tagged(1, 0)], 5, np.random.default_rng(0))
+            oversample(np.array([1]), 5, np.random.default_rng(0))
 
     @given(st.integers(1, 60), st.integers(1, 60))
     @settings(max_examples=80, deadline=None)
     def test_ratio_bound_property(self, n_pos, n_neg):
-        samples = [_Tagged(1, i) for i in range(n_pos)] + [_Tagged(0, i) for i in range(n_neg)]
-        out = oversample(samples, 5, np.random.default_rng(7))
-        pos = sum(1 for s in out if s.label == 1)
-        neg = len(out) - pos
+        labels = np.array([1] * n_pos + [0] * n_neg)
+        out = labels[oversample(labels, 5, np.random.default_rng(7))]
+        pos = int((out == 1).sum())
+        neg = out.size - pos
         assert max(pos, neg) / min(pos, neg) <= 5
-        assert len(out) >= len(samples)
+        assert out.size >= labels.size
 
 
 def _separable_samples(n=200, dim=8, u=2, seed=0):
@@ -270,27 +276,29 @@ class TestArgumentEmbedding:
     def test_dimension_is_mlp_hidden(self, bgi, table):
         model = new_argument_model("t", table.dim, 8, 5, rng=np.random.default_rng(6))
         w = build_context(_gere_sentence(bgi), bgi.entity("GERE", "T4"), 3, table)
-        assert argument_embedding(model, w).shape == (5,)
+        assert argument_embeddings(model, [w]).shape == (1, 5)
 
     def test_zero_weight_model_gives_zero_vector(self, bgi, table):
         model = new_argument_model("t", table.dim, 8, 5, rng=np.random.default_rng(7))
         for t in model.parameters().values():
             t.data[...] = 0.0
         w = build_context(_gere_sentence(bgi), bgi.entity("GERE", "T4"), 3, table)
-        np.testing.assert_array_equal(argument_embedding(model, w), np.zeros(5))
+        np.testing.assert_array_equal(argument_embeddings(model, [w]), np.zeros((1, 5)))
 
     def test_identical_windows_identical_embeddings(self, bgi, table):
         model = new_argument_model("t", table.dim, 8, 5, dropout=0.5,
                                    rng=np.random.default_rng(8))
         w = build_context(_gere_sentence(bgi), bgi.entity("GERE", "T4"), 3, table)
-        np.testing.assert_array_equal(argument_embedding(model, w), argument_embedding(model, w))
+        np.testing.assert_array_equal(
+            argument_embeddings(model, [w]), argument_embeddings(model, [w])
+        )
 
     def test_embedding_is_preactivation(self, bgi, table):
         # Values outside (-1, 1) prove no tanh was applied.
         model = new_argument_model("t", table.dim, 8, 5, rng=np.random.default_rng(9))
         model.f1.A.data *= 50.0
         w = build_context(_gere_sentence(bgi), bgi.entity("GERE", "T4"), 3, table)
-        assert np.abs(argument_embedding(model, w)).max() > 1.0
+        assert np.abs(argument_embeddings(model, [w])).max() > 1.0
 
     def test_batch_matches_single(self, bgi, table):
         model = new_argument_model("t", table.dim, 8, 5, rng=np.random.default_rng(10))
@@ -298,9 +306,9 @@ class TestArgumentEmbedding:
             build_context(_gere_sentence(bgi), bgi.entity("GERE", tid), 3, table)
             for tid in ("T1", "T4", "T5")
         ]
-        batch = vecent.argument_embeddings(model, windows)
+        batch = argument_embeddings(model, windows)
         for i, w in enumerate(windows):
-            np.testing.assert_allclose(batch[i], argument_embedding(model, w), atol=1e-12)
+            np.testing.assert_allclose(batch[i], argument_embeddings(model, [w])[0], atol=1e-12)
 
     def test_chunked_inference_matches_row_by_row(self, bgi, table, monkeypatch):
         monkeypatch.setattr(ndiff, "INFERENCE_CHUNK", 4)

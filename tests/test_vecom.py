@@ -5,23 +5,20 @@ import pytest
 
 from bioee import vecent, vecom
 from bioee.embed import make_hashed_table
-from bioee.errors import DataError, ShapeError, TrainingSetupError
+from bioee.errors import ConfigurationError, DataError, TrainingSetupError
 from bioee.vecom import (
     CandidatePair,
     EventHyper,
-    PairInput,
-    PairLabel,
-    PairSample,
-    build_pair_samples,
+    candidate_pairs,
+    compose_pairs,
     decode_events,
-    event_forward,
+    embed_pair_entities,
+    event_forward_batch,
     gen_candidates,
     label_pairs,
     new_event_model,
-    pair_input,
     train_event_model,
     typed_filter,
-    vecom_compose,
 )
 
 import fixtures
@@ -62,6 +59,18 @@ class TestGenCandidates:
 
     def test_gere_sentence_has_thirty_pairs(self, bgi):
         assert len(_sentence_pairs(bgi, "GERE")) == 30
+
+    def test_candidate_pairs_in_document_and_sentence_order(self):
+        bb = fixtures.bb_corpus()
+        expected = [
+            (p.doc_id, p.sentence_index, p.first.id, p.second.id)
+            for doc in bb.documents
+            for sidx in range(len(doc.sentences))
+            for p in _sentence_pairs(bb, doc.id, sidx)
+        ]
+        got = [(p.doc_id, p.sentence_index, p.first.id, p.second.id) for p in candidate_pairs(bb)]
+        assert got == expected
+        assert len({(doc_id, sidx) for doc_id, sidx, _, _ in got}) > 1
 
 
 class TestLabelPairs:
@@ -128,101 +137,128 @@ class TestLabelPairs:
         assert frozenset(("T1", "T4")) not in linked
 
 
+def _role_models(table, seed_s, seed_t):
+    return {
+        "Action": vecent.new_argument_model(
+            "Action", table.dim, 6, 5, rng=np.random.default_rng(seed_s)
+        ),
+        "Target": vecent.new_argument_model(
+            "Target", table.dim, 6, 5, rng=np.random.default_rng(seed_t)
+        ),
+    }
+
+
 class TestPairInput:
+    """Both-order argument embeddings of a pair, composed in one batch."""
+
+    ROLES = ("Action", "Target")
+
+    def _composed(self, bgi, table, models):
+        pairs = _sentence_pairs(bgi, "PMID-10629188")
+        windows = vecent.build_entity_windows(bgi, 3, table)
+        embeddings, rows = embed_pair_entities(pairs, models, windows)
+        return pairs, embeddings, rows, compose_pairs(embeddings, rows, self.ROLES)
+
     def test_halves_are_twice_embedding_size(self, bgi, table):
-        model_s = vecent.new_argument_model("Action", table.dim, 6, 5, rng=np.random.default_rng(0))
-        model_t = vecent.new_argument_model("Target", table.dim, 6, 5, rng=np.random.default_rng(1))
-        pair = _sentence_pairs(bgi, "PMID-10629188")[0]
-        x = pair_input(pair, model_s, model_t, u=3, table=table)
-        assert x.first_half.shape == (10,)
-        assert x.second_half.shape == (10,)
+        pairs, embeddings, rows, composed = self._composed(bgi, table, _role_models(table, 0, 1))
+        assert composed.shape == (len(pairs), 10)
+        assert rows.shape == (len(pairs), 2)
+        assert {e.shape for e in embeddings.values()} == {(4, 5)}  # four distinct entities
 
     def test_half_layout_matches_role_models(self, bgi, table):
-        model_s = vecent.new_argument_model("Action", table.dim, 6, 5, rng=np.random.default_rng(2))
-        model_t = vecent.new_argument_model("Target", table.dim, 6, 5, rng=np.random.default_rng(3))
-        pair = next(
-            p for p in _sentence_pairs(bgi, "PMID-10629188")
-            if (p.first.id, p.second.id) == ("T1", "T2")
-        )
-        x = pair_input(pair, model_s, model_t, u=3, table=table)
+        models = _role_models(table, 2, 3)
+        pairs, embeddings, rows, composed = self._composed(bgi, table, models)
+        i = next(k for k, p in enumerate(pairs) if (p.first.id, p.second.id) == ("T1", "T2"))
+        pair = pairs[i]
         w_first = vecent.build_context(pair.sentence, pair.first, 3, table)
         w_second = vecent.build_context(pair.sentence, pair.second, 3, table)
-        np.testing.assert_allclose(
-            x.first_half[:5], vecent.argument_embedding(model_s, w_first), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            x.first_half[5:], vecent.argument_embedding(model_t, w_first), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            x.second_half[:5], vecent.argument_embedding(model_t, w_second), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            x.second_half[5:], vecent.argument_embedding(model_s, w_second), atol=1e-12
-        )
+
+        def emb(role, w):
+            return vecent.argument_embeddings(models[role], [w])[0]
+
+        a, b = rows[i]
+        np.testing.assert_allclose(embeddings["Action"][a], emb("Action", w_first), atol=1e-12)
+        np.testing.assert_allclose(embeddings["Target"][a], emb("Target", w_first), atol=1e-12)
+        np.testing.assert_allclose(embeddings["Target"][b], emb("Target", w_second), atol=1e-12)
+        np.testing.assert_allclose(embeddings["Action"][b], emb("Action", w_second), atol=1e-12)
+        first_half = np.concatenate([emb("Action", w_first), emb("Target", w_first)])
+        second_half = np.concatenate([emb("Target", w_second), emb("Action", w_second)])
+        np.testing.assert_allclose(composed[i], first_half - second_half, atol=1e-12)
 
     def test_deterministic(self, bgi, table):
-        model_s = vecent.new_argument_model("Action", table.dim, 6, 5, rng=np.random.default_rng(4))
-        model_t = vecent.new_argument_model("Target", table.dim, 6, 5, rng=np.random.default_rng(5))
-        pair = _sentence_pairs(bgi, "PMID-10629188")[3]
-        a = pair_input(pair, model_s, model_t, u=3, table=table)
-        b = pair_input(pair, model_s, model_t, u=3, table=table)
-        np.testing.assert_array_equal(a.first_half, b.first_half)
-        np.testing.assert_array_equal(a.second_half, b.second_half)
+        models = _role_models(table, 4, 5)
+        _, _, rows_a, a = self._composed(bgi, table, models)
+        _, _, rows_b, b = self._composed(bgi, table, models)
+        np.testing.assert_array_equal(rows_a, rows_b)
+        np.testing.assert_array_equal(a, b)
+
+
+def _compose_one(first_half, second_half):
+    """compose_pairs over one pair (a, b) whose halves are given: the rows
+    of a hold first_half, the rows of b hold second_half in role order."""
+    e = first_half.size // 2
+    embeddings = {
+        "S": np.stack([first_half[:e], second_half[e:]]),
+        "T": np.stack([first_half[e:], second_half[:e]]),
+    }
+    return compose_pairs(embeddings, np.array([[0, 1]]), ("S", "T"))[0]
 
 
 class TestCompose:
     def test_equal_halves_give_zero(self):
         v = np.arange(6.0)
-        np.testing.assert_array_equal(vecom_compose(PairInput(v, v.copy())), np.zeros(6))
+        np.testing.assert_array_equal(_compose_one(v, v.copy()), np.zeros(6))
 
     def test_zero_second_half_is_identity(self):
         v = np.arange(6.0)
-        np.testing.assert_array_equal(vecom_compose(PairInput(v, np.zeros(6))), v)
+        np.testing.assert_array_equal(_compose_one(v, np.zeros(6)), v)
 
     def test_matches_elementwise_loop_oracle(self):
         rng = np.random.default_rng(11)
-        a, b = rng.standard_normal(16), rng.standard_normal(16)
-        got = vecom_compose(PairInput(a, b))
-        expected = np.array([a[i] - b[i] for i in range(16)])
-        np.testing.assert_allclose(got, expected, atol=1e-15)
+        emb_s, emb_t = rng.standard_normal((5, 8)), rng.standard_normal((5, 8))
+        rows = rng.integers(0, 5, size=(7, 2))
+        got = compose_pairs({"S": emb_s, "T": emb_t}, rows, ("S", "T"))
+        for (a, b), row in zip(rows, got):
+            first = list(emb_s[a]) + list(emb_t[a])
+            second = list(emb_t[b]) + list(emb_s[b])
+            expected = np.array([first[i] - second[i] for i in range(16)])
+            np.testing.assert_allclose(row, expected, atol=1e-15)
 
     def test_antisymmetric_under_half_swap(self):
         rng = np.random.default_rng(12)
-        a, b = rng.standard_normal(16), rng.standard_normal(16)
-        lhs = vecom_compose(PairInput(a, b))
-        rhs = -vecom_compose(PairInput(b, a))
+        embeddings = {"S": rng.standard_normal((2, 8)), "T": rng.standard_normal((2, 8))}
+        lhs = compose_pairs(embeddings, np.array([[0, 1]]), ("S", "T"))
+        rhs = -compose_pairs(embeddings, np.array([[1, 0]]), ("T", "S"))
         np.testing.assert_allclose(lhs, rhs, atol=1e-15)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            vecom_compose(PairInput(np.zeros(4), np.zeros(5)))
 
 
 class TestEventForward:
+    """The event heads through ``event_forward_batch``."""
+
     def test_existence_invariant_under_sign_flip(self):
         rng = np.random.default_rng(13)
         model = new_event_model("E", "S", "T", input_dim=8, hidden=4, rng=rng)
         v = rng.standard_normal(8)
-        p1, _ = event_forward(model, PairInput(v, np.zeros(8)))
-        p2, _ = event_forward(model, PairInput(np.zeros(8), v))  # composed = -v
-        assert p1 == pytest.approx(p2, abs=0)
+        p1, _ = event_forward_batch(model, v[None, :])
+        p2, _ = event_forward_batch(model, -v[None, :])
+        assert p1[0] == pytest.approx(p2[0], abs=0)
 
     def test_zero_weight_model_gives_half_half(self):
         model = new_event_model("E", "S", "T", input_dim=8, hidden=4,
                                 rng=np.random.default_rng(14))
         for t in model.parameters().values():
             t.data[...] = 0.0
-        p_exists, p_forward = event_forward(model, PairInput(np.ones(8), np.zeros(8)))
-        assert p_exists == pytest.approx(0.5)
-        assert p_forward == pytest.approx(0.5)
+        p_exists, p_forward = event_forward_batch(model, np.ones((1, 8)))
+        assert p_exists[0] == pytest.approx(0.5)
+        assert p_forward[0] == pytest.approx(0.5)
 
     def test_direction_changes_under_sign_flip(self):
         rng = np.random.default_rng(15)
         model = new_event_model("E", "S", "T", input_dim=8, hidden=4, rng=rng)
         v = rng.standard_normal(8)
-        _, f1 = event_forward(model, PairInput(v, np.zeros(8)))
-        _, f2 = event_forward(model, PairInput(np.zeros(8), v))
-        assert f1 != pytest.approx(f2)
+        _, f1 = event_forward_batch(model, v[None, :])
+        _, f2 = event_forward_batch(model, -v[None, :])
+        assert f1[0] != pytest.approx(f2[0])
 
 
 def _pair_stub(doc_id, first_id, second_id):
@@ -233,60 +269,54 @@ def _pair_stub(doc_id, first_id, second_id):
     return CandidatePair(doc_id=doc_id, sentence=sent, first=mk(first_id), second=mk(second_id))
 
 
-def _separable_pair_samples(n=160, dim=12, seed=0):
+def _separable_pairs(n=160, dim=12, seed=0):
+    """(composed, exists, forward) for pairs whose composed vector encodes
+    both bits along one direction."""
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(dim)
-    samples = []
+    composed = np.empty((n, dim))
+    exists = np.arange(n) % 2
+    forward = (np.arange(n) // 2) % 2 * exists
     for i in range(n):
-        exists = i % 2
-        forward = (i // 2) % 2 if exists else 0
-        if exists:
-            v = direction * (3.0 if forward else -3.0) + 0.1 * rng.standard_normal(dim)
+        if exists[i]:
+            composed[i] = direction * (3.0 if forward[i] else -3.0) + 0.1 * rng.standard_normal(dim)
         else:
-            v = 0.05 * rng.standard_normal(dim)
-        samples.append(
-            PairSample(
-                pair=_pair_stub("D", f"T{i}", f"T{i + 1}"),
-                x=PairInput(first_half=v, second_half=np.zeros(dim)),
-                label=PairLabel(exists=exists, forward=forward),
-            )
-        )
-    return samples
+            composed[i] = 0.05 * rng.standard_normal(dim)
+    return composed, exists, forward
 
 
 class TestTrainEventModel:
     def test_separable_pairs_reach_95_accuracy(self):
         hyper = EventHyper(hidden=8, batch=16, epochs=10, lr=0.05)
         model, log = train_event_model(
-            _separable_pair_samples(), "E", "S", "T", hyper, rng=np.random.default_rng(0)
+            *_separable_pairs(), "E", "S", "T", hyper, rng=np.random.default_rng(0)
         )
         assert log[-1].accuracy >= 0.95
 
     def test_zero_epochs_returns_initialized_model(self):
         hyper = EventHyper(hidden=8, epochs=0)
         model, log = train_event_model(
-            _separable_pair_samples(n=20), "E", "S", "T", hyper, rng=np.random.default_rng(0)
+            *_separable_pairs(n=20), "E", "S", "T", hyper, rng=np.random.default_rng(0)
         )
         assert log == []
 
     def test_single_class_existence_rejected(self):
-        samples = [s for s in _separable_pair_samples(n=40) if s.label.exists == 1]
+        composed, exists, forward = _separable_pairs(n=40)
+        keep = exists == 1
         with pytest.raises(TrainingSetupError):
-            train_event_model(samples, "E", "S", "T", EventHyper(), np.random.default_rng(0))
+            train_event_model(
+                composed[keep], exists[keep], forward[keep], "E", "S", "T", EventHyper(),
+                np.random.default_rng(0),
+            )
 
     def test_direction_learned_on_separable_pairs(self):
         hyper = EventHyper(hidden=8, batch=16, epochs=12, lr=0.05)
-        samples = _separable_pair_samples()
-        model, _ = train_event_model(samples, "E", "S", "T", hyper, rng=np.random.default_rng(0))
-        correct = 0
-        n_pos = 0
-        for s in samples:
-            if not s.label.exists:
-                continue
-            _, pf = event_forward(model, s.x)
-            n_pos += 1
-            correct += int((pf >= 0.5) == bool(s.label.forward))
-        assert correct / n_pos >= 0.95
+        composed, exists, forward = _separable_pairs()
+        model, _ = train_event_model(
+            composed, exists, forward, "E", "S", "T", hyper, rng=np.random.default_rng(0)
+        )
+        _, pf = event_forward_batch(model, composed[exists == 1])
+        assert np.mean((pf >= 0.5) == (forward[exists == 1] == 1)) >= 0.95
 
 
 class TestDecodeEvents:
@@ -364,6 +394,9 @@ class TestGoldRoundTrip:
 
 
 class TestBuildPairSamples:
+    """The corpus-wide pair batch of one event type: pairs, composed
+    features and two-bit labels, aligned by index."""
+
     def test_features_and_labels_align(self, bgi, table):
         rng = np.random.default_rng(0)
         arg_models = {
@@ -371,18 +404,21 @@ class TestBuildPairSamples:
             for role in ("Action", "Target")
         }
         windows = vecent.build_entity_windows(bgi, 3, table)
-        samples = build_pair_samples(bgi, "ActionTarget", arg_models, windows)
-        positive = [s for s in samples if s.label.exists]
+        pairs = candidate_pairs(bgi)
+        embeddings, rows = embed_pair_entities(pairs, arg_models, windows)
+        composed = compose_pairs(embeddings, rows, bgi.task_schema.roles("ActionTarget"))
+        labels = label_pairs(pairs, list(bgi.events.values()), "ActionTarget")
+        positive = [p for p, l in zip(pairs, labels) if l.exists]
         assert len(positive) == 2  # both orderings of (T1, T2) in the case doc
-        for s in samples:
-            assert s.x.first_half.shape == (10,)
+        assert {p.doc_id for p in positive} == {"PMID-10629188"}
+        assert composed.shape == (len(pairs), 10)
 
     def test_missing_model_is_configuration_error(self, bgi, table):
-        from bioee.errors import ConfigurationError
-
         windows = vecent.build_entity_windows(bgi, 3, table)
+        pairs = candidate_pairs(bgi)
+        embeddings, rows = embed_pair_entities(pairs, {}, windows)
         with pytest.raises(ConfigurationError):
-            build_pair_samples(bgi, "ActionTarget", {}, windows)
+            compose_pairs(embeddings, rows, bgi.task_schema.roles("ActionTarget"))
 
 
 class TestTypedFilter:
@@ -398,5 +434,5 @@ class TestTypedFilter:
         corpus = corpus_from_documents([("D", text, a1, "", None, None)], BB_SCHEMA)
         doc = corpus.documents[0]
         pairs = gen_candidates(doc.sentences[0], corpus.sentence_entities("D", 0))
-        kept = typed_filter(pairs, BB_SCHEMA, "Lives_In")
+        kept = [pairs[i] for i in typed_filter(pairs, BB_SCHEMA, "Lives_In")]
         assert {(p.first.id, p.second.id) for p in kept} == {("T1", "T2"), ("T2", "T1")}
