@@ -200,6 +200,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     started = time.perf_counter()
     corpus = _train_corpus(cfg)
     stats = corpus_stats(corpus)
+    stats["window_padding"] = vecent.window_padding(corpus, cfg.window)
     out = _outdir(cfg)
     _write_json(out / "stats.json", stats)
     print(json.dumps(stats, indent=2, sort_keys=True))

@@ -146,27 +146,37 @@ class Corpus:
     documents: list[Document] = field(default_factory=list)
     entities: dict[str, Entity] = field(default_factory=dict)  # "doc/T1" -> Entity
     events: dict[str, Event] = field(default_factory=dict)  # "doc/R1" -> Event
+    # Entity lists per document (by span) and per (document, sentence index)
+    # (by span, then id), built once by index_entities.
+    _by_doc: dict[str, list[Entity]] = field(default_factory=dict, init=False, repr=False)
+    _by_sentence: dict[tuple[str, int], list[Entity]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @staticmethod
     def qualify(doc_id: str, local_id: str) -> str:
         return f"{doc_id}/{local_id}"
 
+    def index_entities(self) -> None:
+        """Build the lookups of doc_entities and sentence_entities from
+        ``entities``; call again after changing it."""
+        self._by_doc, self._by_sentence = {}, {}
+        for e in self.entities.values():
+            self._by_doc.setdefault(e.doc_id, []).append(e)
+            self._by_sentence.setdefault((e.doc_id, e.sentence_index), []).append(e)
+        for out in self._by_doc.values():
+            out.sort(key=lambda e: e.span)
+        for out in self._by_sentence.values():
+            out.sort(key=lambda e: (e.span, e.id))
+
     def doc_entities(self, doc_id: str) -> list[Entity]:
-        out = [e for e in self.entities.values() if e.doc_id == doc_id]
-        out.sort(key=lambda e: e.span)
-        return out
+        return list(self._by_doc.get(doc_id, ()))
 
     def doc_events(self, doc_id: str) -> list[Event]:
         return [e for e in self.events.values() if e.doc_id == doc_id]
 
     def sentence_entities(self, doc_id: str, sentence_index: int) -> list[Entity]:
-        out = [
-            e
-            for e in self.entities.values()
-            if e.doc_id == doc_id and e.sentence_index == sentence_index
-        ]
-        out.sort(key=lambda e: (e.span, e.id))
-        return out
+        return list(self._by_sentence.get((doc_id, sentence_index), ()))
 
     def entity(self, doc_id: str, local_id: str) -> Entity:
         return self.entities[self.qualify(doc_id, local_id)]
@@ -472,6 +482,7 @@ def corpus_from_documents(items, schema: TaskSchema) -> Corpus:
         for ev in events.values():
             corpus.events[Corpus.qualify(doc_id, ev.id)] = ev
     corpus.documents.sort(key=lambda d: d.id)
+    corpus.index_entities()
     n_cross = sum(1 for ev in corpus.events.values() if ev.cross_sentence)
     if n_cross:
         logger.info(

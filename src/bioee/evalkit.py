@@ -72,14 +72,29 @@ def plan_folds(
 
 
 def plan_folds_by_document(doc_ids: list[str], labels, k: int, seed: int = 0) -> FoldPlan:
-    """Document-level alternative: all samples of a document share a fold."""
+    """Document-level alternative: all samples of a document share a fold.
+
+    Stratified by document: the documents holding only positives, those
+    holding both classes and those holding only negatives are each shuffled,
+    then dealt round-robin in that order. The documents holding a positive,
+    and those holding a negative, each take consecutive turns, so every fold
+    gets both classes whenever at least k documents hold each.
+    """
     labels = np.asarray(labels)
     unique_docs = sorted(set(doc_ids))
     if len(unique_docs) < k:
         raise PlanningError(f"{len(unique_docs)} documents cannot fill {k} folds")
+    with_pos, with_neg = set(), set()
+    for doc, y in zip(doc_ids, labels.tolist()):
+        (with_pos if y == 1 else with_neg).add(doc)
+    groups = (
+        [d for d in unique_docs if d not in with_neg],
+        [d for d in unique_docs if d in with_pos and d in with_neg],
+        [d for d in unique_docs if d not in with_pos],
+    )
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(unique_docs))
-    doc_fold = {unique_docs[j]: int(i % k) for i, j in enumerate(order)}
+    dealt = [group[j] for group in groups for j in rng.permutation(len(group))]
+    doc_fold = {doc: i % k for i, doc in enumerate(dealt)}
     assignments = np.array([doc_fold[d] for d in doc_ids], dtype=np.int64)
     for fold in range(k):
         test = labels[assignments == fold]

@@ -83,6 +83,16 @@ def _op_checks(rng):
             {**{f"seq{i}": s for i, s in enumerate(seq)}, **cell_params},
         )
 
+    # Constant steps whose rows have 1, T-1, 0 and T leading zero steps
+    # (T = 4), so lstm_last packs the rows and starts them from its pad chain.
+    leads = np.array([1, 3, 0, 4])
+    live = np.arange(4)[:, None, None] >= leads[:, None]
+    padded = [ndiff.constant(s) for s in _signed_uniform(rng, (4, leads.size, 3)) * live]
+    checks["lstm_last_padded"] = (
+        lambda: ndiff.sum_all(ndiff.mul(ndiff.lstm_last(cell, padded), 1.1)),
+        cell_params,
+    )
+
     logits = _param(rng, (5, 1), "logits")
     bce_labels = np.array([[1.0], [0.0], [1.0], [1.0], [0.0]])
 

@@ -3,9 +3,11 @@
 Exactly the operators the models need: affine maps, the usual pointwise
 nonlinearities, concatenation/subtraction, dropout, a weighted binary
 cross-entropy, and a whole-sequence LSTM recorded as a single node (input
-projection hoisted out of the recurrence, hand-written BPTT), plus momentum
-SGD. Values are float64 throughout; inputs may be single vectors ``(n,)`` or
-batches ``(B, n)``. Inside ``with no_grad():`` no operation records a tape.
+projection hoisted out of the recurrence, leading all-zero steps skipped by
+packing the rows and sharing one pad-state chain, hand-written BPTT), plus
+momentum SGD. Values are float64 throughout; inputs may be single vectors
+``(n,)`` or batches ``(B, n)``. Inside ``with no_grad():`` no operation
+records a tape.
 """
 
 from __future__ import annotations
@@ -319,14 +321,42 @@ class LSTMCellParams:
         return out
 
 
+def _grow(state: np.ndarray, rows: int) -> np.ndarray:
+    """``state`` with rows appended up to ``rows``, each a copy of row 0: rows
+    joining the packed batch start from the pad chain's state."""
+    extra = rows - len(state)
+    if not extra:
+        return state
+    return np.concatenate([state, np.broadcast_to(state[:1], (extra, state.shape[1]))])
+
+
+def _fold(grad: np.ndarray, rows: int) -> np.ndarray:
+    """Adjoint of ``_grow``: the rows past ``rows`` are summed into row 0, in
+    place, and dropped."""
+    if len(grad) > rows:
+        grad[0] += grad[rows:].sum(axis=0)
+    return grad[:rows]
+
+
 def lstm_last(cell: LSTMCellParams, xs: list[Tensor]) -> Tensor:
     """Final hidden state of a forget-gate LSTM run from the zero state.
 
     ``xs`` holds one tensor per time step, all ``(D,)`` or all ``(B, D)``.
-    The whole sequence is one tape node: the input projection of all T*B
-    steps is a single GEMM, each step adds only ``h @ Wh.T``, and the
-    backward closure runs BPTT by hand into the eight gate tensors and any
-    step input that wants a gradient.
+    The whole sequence is one tape node: the input projection is a single
+    GEMM, each step adds only ``h @ Wh.T``, and the backward closure runs BPTT
+    by hand into the eight gate tensors and any step input that wants a
+    gradient.
+
+    No row's leading all-zero steps (window padding) are computed. From the
+    zero state, zero inputs take every row through one shared state
+    sequence, the pad chain. Rows are sorted stably by their count of leading
+    zero steps, so the rows past their padding at step t are a prefix, and
+    only those are gathered, step-major, and projected. The chain runs as
+    packed row 0 on zero input; a row joins at its first non-zero step from
+    the chain's state there, and an all-zero row ends in the chain's final
+    state. BPTT runs over the same layout and sums the gradients of joining
+    rows into the chain. When a step input wants a gradient, no step is
+    skipped: a pad step's input gradient differs per row.
     """
     if not xs:
         raise ShapeError("lstm_last: empty sequence")
@@ -338,8 +368,29 @@ def lstm_last(cell: LSTMCellParams, xs: list[Tensor]) -> Tensor:
         raise ShapeError(f"lstm_last: step shape {shape} vs input size {in_dim}")
     if any(x.data.shape != shape for x in xs):
         raise ShapeError("lstm_last: steps differ in shape")
+    parents = (*(t for gate in gates for t in (gate.A, gate.b)), *xs)
+    keep = _records(parents)
+    wants_dx = keep and any(_wants_grad(x) for x in xs)
 
-    X = np.stack([x.data for x in xs]).reshape(-1, in_dim)  # (T*B, D), step-major
+    steps = len(xs)
+    X = np.stack([x.data for x in xs]).reshape(steps, -1, in_dim)  # (T, B, D)
+    batch = X.shape[1]
+    lead = np.zeros(batch, dtype=np.int64)  # leading all-zero steps per row
+    padded = np.flatnonzero(~X[0].any(axis=1)) if not wants_dx else ()
+    if len(padded):  # only rows whose first step is zeros have any
+        lead[padded] = (~np.logical_or.accumulate(X[:, padded].any(axis=2))).sum(axis=0)
+    order = np.argsort(lead, kind="stable")
+    chain = int(lead.any())  # 1 when some row has padding: packed row 0 is the chain
+    step_col = np.arange(steps)[:, None]
+    live = lead[order] <= step_col  # (T, B) past its padding: a prefix of each step's rows
+    widths = chain + live.sum(axis=1)  # packed rows per step
+    X = X.reshape(-1, in_dim)
+    if chain:  # else the packing is the identity
+        # Each step packs the chain, which reads step 0 of the row with the
+        # longest lead (zeros), then the sorted rows past their padding.
+        source = np.column_stack([np.full(steps, order[-1]), step_col * batch + order])
+        X = X.take(source[np.column_stack([np.ones(steps, dtype=bool), live])], axis=0)
+
     Wx = np.concatenate([gate.A.data[:, :in_dim] for gate in gates])  # (4H, D)
     Wh = np.concatenate([gate.A.data[:, in_dim:] for gate in gates])  # (4H, H)
     b = np.concatenate([gate.b.data for gate in gates])
@@ -351,14 +402,15 @@ def lstm_last(cell: LSTMCellParams, xs: list[Tensor]) -> Tensor:
     projected = X @ (half[:, None] * Wx).T
     projected += half * b
     Wh_half = half[:, None] * Wh
-    projected = projected.reshape(len(xs), -1, 4 * hidden)
     gate_cols = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]
 
-    parents = (*(t for gate in gates for t in (gate.A, gate.b)), *xs)
-    keep = _records(parents)
     cache = []  # per step, only when recording: h_prev, c_prev, activations, tanh(c)
-    h = c = np.zeros((projected.shape[1], hidden))
-    for t, act in enumerate(projected):  # each step's slice becomes its activations
+    h = c = np.zeros((widths[0], hidden))
+    end = 0
+    for t, width in enumerate(widths):
+        act = projected[end : end + width]  # this step's rows become its activations
+        end += width
+        h, c = _grow(h, width), _grow(c, width)
         if t:  # the zero state adds nothing at the first step
             act += h @ Wh_half.T
         np.tanh(act, out=act)
@@ -372,15 +424,20 @@ def lstm_last(cell: LSTMCellParams, xs: list[Tensor]) -> Tensor:
         if keep:
             cache.append((h, c, act, tanh_c))
         h, c = o * tanh_c, c_next
-    out = h.reshape(shape[:-1] + (hidden,))
+    out = np.empty((batch, hidden))
+    out[order] = _grow(h, chain + batch)[chain:]  # all-zero rows end on the chain
+    out = out.reshape(shape[:-1] + (hidden,))
     if not keep:
         return _node(out, (), None)
 
     def backward_fn(grad):
-        dh = grad.reshape(h.shape)
+        dh = np.zeros((chain + batch, hidden))
+        dh[chain:] = grad.reshape(batch, hidden)[order]
+        dh = _fold(dh, widths[-1])
         dc = 0.0
         d_pre = []  # gate pre-activation gradients, last step first
-        for t, (h_prev, c_prev, act, tanh_c) in reversed(list(enumerate(cache))):
+        for t in reversed(range(steps)):
+            h_prev, c_prev, act, tanh_c = cache[t]
             i, f, o, g = (act[:, cols] for cols in gate_cols)
             dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
             d = np.concatenate(
@@ -393,17 +450,17 @@ def lstm_last(cell: LSTMCellParams, xs: list[Tensor]) -> Tensor:
                 axis=1,
             )
             d_pre.append(d)
-            dc = dc * f
             if t:
-                dh = d @ Wh
-        d_pre = np.concatenate(d_pre[::-1])  # (T*B, 4H), step-major like X
+                dh = _fold(d @ Wh, widths[t - 1])
+                dc = _fold(dc * f, widths[t - 1])
+        d_pre = np.concatenate(d_pre[::-1])  # packed rows, step-major like X
         h_prevs = np.concatenate([entry[0] for entry in cache])
         dW = d_pre.T @ np.concatenate([X, h_prevs], axis=1)  # (4H, D+H): stacked gate matrices
         for gate, dA, db in zip(gates, np.split(dW, 4), np.split(d_pre.sum(axis=0), 4)):
             _accumulate(gate.A, dA)
             _accumulate(gate.b, db)
-        if any(_wants_grad(x) for x in xs):
-            for x, dx in zip(xs, (d_pre @ Wx).reshape(len(xs), *shape)):
+        if wants_dx:  # identity packing: d_pre holds every row of every step
+            for x, dx in zip(xs, (d_pre @ Wx).reshape(steps, *shape)):
                 _accumulate(x, dx)
 
     return _node(out, parents, backward_fn)

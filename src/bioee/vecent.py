@@ -118,16 +118,25 @@ def new_argument_model(
 # Window construction
 
 
-def _window_tokens(sentence: Sentence, anchor_index: int):
-    """Sentence tokens that carry alphanumeric signal, plus the anchor even
-    if it does not (punctuation-only tokens pad nothing into the LSTMs)."""
+def _window_halves(sentence: Sentence, entity: Entity, u: int) -> tuple[list[str], list[str]]:
+    """The real tokens of both window halves, each read toward the anchor:
+    at most u+1 per half, before the far-end padding.
+
+    Only tokens with alphanumeric signal count, plus the anchor even if it
+    has none (punctuation-only tokens pad nothing into the LSTMs).
+    """
+    if u < 1:
+        raise ValueError(f"window size must be >= 1, got {u}")
+    if entity.token_span is None:
+        raise AlignmentError(f"entity {entity.id} has no token alignment")
+    anchor = entity.token_span[1]
     toks = [
-        t
-        for t in sentence.tokens
-        if any(ch.isalnum() for ch in t.text) or t.index == anchor_index
+        t for t in sentence.tokens if any(ch.isalnum() for ch in t.text) or t.index == anchor
     ]
-    pos = next(k for k, t in enumerate(toks) if t.index == anchor_index)
-    return toks, pos
+    pos = next(k for k, t in enumerate(toks) if t.index == anchor)
+    left = [t.text for t in toks[max(0, pos - u) : pos + 1]]
+    right = [t.text for t in reversed(toks[pos : pos + u + 1])]
+    return left, right
 
 
 def build_context(
@@ -139,17 +148,9 @@ def build_context(
     emitted in reversed order so that the anchor is again the final element;
     missing context at the far end is padded.
     """
-    if u < 1:
-        raise ValueError(f"window size must be >= 1, got {u}")
-    if entity.token_span is None:
-        raise AlignmentError(f"entity {entity.id} has no token alignment")
-    toks, pos = _window_tokens(sentence, entity.token_span[1])
-
-    lo = max(0, pos - u)
-    left_tokens = [PAD] * (u + 1 - (pos - lo + 1)) + [t.text for t in toks[lo : pos + 1]]
-    right_slice = toks[pos : pos + u + 1]
-    right_tokens = [PAD] * (u + 1 - len(right_slice)) + [t.text for t in reversed(right_slice)]
-
+    left, right = _window_halves(sentence, entity, u)
+    left_tokens = [PAD] * (u + 1 - len(left)) + left
+    right_tokens = [PAD] * (u + 1 - len(right)) + right
     return ContextWindow(
         left_tokens=left_tokens,
         right_tokens=right_tokens,
@@ -160,16 +161,36 @@ def build_context(
     )
 
 
+def _entity_sentences(corpus: Corpus):
+    """(qualified id, sentence, entity) for every entity, in document order."""
+    for doc in corpus.documents:
+        for ent in corpus.doc_entities(doc.id):
+            yield Corpus.qualify(doc.id, ent.id), doc.sentences[ent.sentence_index], ent
+
+
 def build_entity_windows(
     corpus: Corpus, u: int, table: EmbeddingTable
 ) -> dict[str, ContextWindow]:
     """One window per entity, keyed by qualified id."""
-    windows = {}
-    for doc in corpus.documents:
-        for ent in corpus.doc_entities(doc.id):
-            sent = doc.sentences[ent.sentence_index]
-            windows[Corpus.qualify(doc.id, ent.id)] = build_context(sent, ent, u, table)
-    return windows
+    return {
+        qid: build_context(sent, ent, u, table) for qid, sent, ent in _entity_sentences(corpus)
+    }
+
+
+def window_padding(corpus: Corpus, u: int) -> dict:
+    """How many of the BLSTM steps over all entity windows are leading
+    padding, which ``ndiff.lstm_last`` does not compute."""
+    steps = pads = 0
+    for _, sent, ent in _entity_sentences(corpus):
+        left, right = _window_halves(sent, ent, u)
+        steps += 2 * (u + 1)
+        pads += 2 * (u + 1) - len(left) - len(right)
+    return {
+        "u": u,
+        "steps": steps,
+        "leading_pad_steps": pads,
+        "leading_pad_share": pads / steps if steps else 0.0,
+    }
 
 
 def build_argument_samples(

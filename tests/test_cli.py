@@ -5,11 +5,13 @@ import json
 import math
 import shutil
 
+import numpy as np
 import pytest
 
 from bioee import cli, ndiff, synth, vecent
 from bioee.cli import RunConfig, config_from_ini, config_to_ini, main
 from bioee.corpus import load_corpus_dir, load_schema
+from bioee.embed import make_hashed_table
 from bioee.errors import ConfigurationError
 
 import fixtures
@@ -96,6 +98,23 @@ class TestIngest:
         assert stats["events"]["Interaction"] == 4
         assert stats["arguments"]["Target"] == 4
         assert stats["documents"] == 8
+
+    def test_stats_report_window_padding(self, tmp_path, bgi_dir):
+        out = tmp_path / "out"
+        assert main(["ingest", "--schema", "bgi", "--train-dir", str(bgi_dir), "--window", "3",
+                     "--out", str(out)]) == 0
+        padding = json.loads((out / "stats.json").read_text())["window_padding"]
+        corpus = load_corpus_dir(bgi_dir, load_schema("bgi"))
+        windows = vecent.build_entity_windows(corpus, 3, make_hashed_table(dim=4))
+        halves = [w for win in windows.values() for w in (win.left, win.right)]
+        lead = sum(int((~np.logical_or.accumulate(w.any(axis=1))).sum()) for w in halves)
+        assert padding == {
+            "u": 3,
+            "steps": 4 * len(halves),
+            "leading_pad_steps": lead,
+            "leading_pad_share": lead / (4 * len(halves)),
+        }
+        assert 0 < lead < 4 * len(halves)
 
     def test_empty_dir_is_machine_readable_error(self, tmp_path, capsys):
         rc = main(["ingest", "--schema", "bgi", "--train-dir", str(tmp_path / "nothing"),

@@ -265,6 +265,21 @@ class TestCorpusAssembly:
                 assert sent.tokens[first].span[0] <= ent.span[0]
                 assert sent.tokens[last].span[1] >= ent.span[1]
 
+    def test_entity_index_matches_scan(self):
+        for corpus in (fixtures.bgi_corpus(), fixtures.bb_corpus()):
+            entities = list(corpus.entities.values())
+            for doc in corpus.documents:
+                scan = sorted((e for e in entities if e.doc_id == doc.id), key=lambda e: e.span)
+                assert [e.id for e in corpus.doc_entities(doc.id)] == [e.id for e in scan]
+                for idx in range(len(doc.sentences) + 1):
+                    scan = sorted(
+                        (e for e in entities if e.doc_id == doc.id and e.sentence_index == idx),
+                        key=lambda e: (e.span, e.id),
+                    )
+                    got = corpus.sentence_entities(doc.id, idx)
+                    assert [e.id for e in got] == [e.id for e in scan]
+            assert corpus.doc_entities("no-such-doc") == []
+
     def test_stats_shape(self):
         stats = corpus_stats(fixtures.bgi_corpus())
         assert stats["events"]["PromoterOf"] == 2

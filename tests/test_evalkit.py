@@ -66,6 +66,28 @@ class TestPlanFolds:
             by_doc.setdefault(doc, set()).add(int(fold))
         assert all(len(folds) == 1 for folds in by_doc.values())
 
+    def test_document_level_plan_is_stratified(self):
+        # 40 documents, only 10 of them with a positive and 5 of those also
+        # with negatives: an unstratified deal leaves some of ten folds
+        # without a positive.
+        doc_ids, labels = [], []
+        for d in range(40):
+            doc_labels = [1] * (d % 3 + 1) if d < 5 else [1, 0, 0] if d < 10 else [0] * (d % 4 + 1)
+            doc_ids += [f"D{d}"] * len(doc_labels)
+            labels += doc_labels
+        for seed in range(20):
+            order = np.random.default_rng(seed).permutation(len(labels))
+            shuffled = np.array(labels)[order]
+            plan = plan_folds_by_document([doc_ids[i] for i in order], shuffled, k=10, seed=seed)
+            for fold in range(10):
+                assert set(shuffled[plan.assignments == fold].tolist()) == {0, 1}
+
+    def test_document_level_plan_rejects_too_few_positive_documents(self):
+        doc_ids = [f"D{d}" for d in range(20)]
+        labels = np.array([1] * 9 + [0] * 11)
+        with pytest.raises(PlanningError, match="single-class"):
+            plan_folds_by_document(doc_ids, labels, k=10, seed=0)
+
 
 def _metrics_oracle(gold, predicted):
     tp = fp = fn = tn = 0
@@ -285,8 +307,6 @@ class TestCrossValidate:
 
 
 def _doc_level_report(corpus):
-    # Five folds: with ten, some fold of the 50 one-sentence documents holds
-    # no positive pair.
     arg_hyper, event_hyper = _tiny_settings()
     return cross_validate(
         corpus,
@@ -295,8 +315,8 @@ def _doc_level_report(corpus):
         event_hyper=event_hyper,
         seed=99,
         doc_level=True,
-        default_k=5,
-        small_k=5,
+        default_k=10,
+        small_k=10,
     )
 
 
@@ -322,7 +342,7 @@ class TestDocumentLevelCrossValidate:
         _doc_level_report(small_corpus)
         assert len(plans) == 3  # Activator, Target and Activation
         for doc_ids, plan in plans:
-            assert plan.k == 5
+            assert plan.k == 10
             fold_of = {}
             for doc_id, fold in zip(doc_ids, plan.assignments.tolist()):
                 assert fold_of.setdefault(doc_id, fold) == fold, doc_id

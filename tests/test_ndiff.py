@@ -301,6 +301,138 @@ class TestInPlaceGateMath:
         assert np.array_equal(h, self._out_of_place(cell, steps))
 
 
+def _unpacked_lstm(cell, steps, grad_out):
+    """The whole-sequence LSTM with every step of every row computed, pad
+    steps included: output ``(T, B, D) -> (B, H)`` and the gradients of the
+    eight gate tensors for the upstream gradient ``grad_out``."""
+    gates = _gates(cell)
+    H, D = cell.hidden_size, steps.shape[-1]
+    Wx = np.concatenate([g.A.data[:, :D] for g in gates])
+    Wh = np.concatenate([g.A.data[:, D:] for g in gates])
+    b = np.concatenate([g.b.data for g in gates])
+    X = steps.reshape(-1, D)
+    half = np.repeat([0.5, 1.0], [3 * H, H])
+    projected = (X @ (half[:, None] * Wx).T + half * b).reshape(len(steps), -1, 4 * H)
+    h = c = np.zeros((steps.shape[1], H))
+    cache = []
+    for t, act in enumerate(projected):
+        if t:
+            act += h @ (half[:, None] * Wh).T
+        act = np.tanh(act)
+        act[:, : 3 * H] = 0.5 * (act[:, : 3 * H] + 1.0)
+        i, f, o, g = np.split(act, 4, axis=1)
+        c_next = f * c + i * g
+        cache.append((h, c, act, np.tanh(c_next)))
+        h, c = o * np.tanh(c_next), c_next
+    dh, dc, d_pre = grad_out, 0.0, []
+    for t in reversed(range(len(steps))):
+        h_prev, c_prev, act, tanh_c = cache[t]
+        i, f, o, g = np.split(act, 4, axis=1)
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        d = np.concatenate(
+            [dc * g * i * (1 - i), dc * c_prev * f * (1 - f), dh * tanh_c * o * (1 - o),
+             dc * i * (1 - g * g)],
+            axis=1,
+        )
+        d_pre.insert(0, d)
+        dc, dh = dc * f, d @ Wh
+    d_pre = np.concatenate(d_pre)
+    dW = d_pre.T @ np.concatenate([X, np.concatenate([e[0] for e in cache])], axis=1)
+    grads = []
+    for gate, dA, db in zip(gates, np.split(dW, 4), np.split(d_pre.sum(axis=0), 4)):
+        grads += [dA, db]
+    return h, grads
+
+
+def _assert_close(got, ref, err_msg=""):
+    """Within 1e-12 of ``ref``'s largest entry: skipping pad steps reorders
+    the sums behind each gradient entry, which moves its last bits by a
+    fraction of the summands, not of the (possibly cancelled) result."""
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max(), err_msg=err_msg)
+
+
+def _padded_steps(rng, leads, T, D):
+    """Random ``(T, B, D)`` steps whose row r starts with leads[r] zero steps."""
+    steps = rng.standard_normal((T, len(leads), D))
+    for r, lead in enumerate(leads):
+        steps[:lead, r] = 0.0
+    return steps
+
+
+class TestPaddedRows:
+    """lstm_last skips each row's leading all-zero steps by packing the rows
+    past their padding and starting them from a shared pad-state chain. It
+    must agree with computing every step of every row."""
+
+    @staticmethod
+    def _tape_run(cell, xs, grad_out):
+        h = lstm_last(cell, xs)
+        backward(sum_all(mul(h, grad_out)))
+        grads = [p.grad for gate in _gates(cell) for p in (gate.A, gate.b)]
+        for gate in _gates(cell):
+            gate.A.grad = gate.b.grad = None
+        return h.data, grads
+
+    def test_matches_unpacked_at_model_shape(self):
+        B, T, D, H = 32, 11, 200, 128
+        rng = np.random.default_rng(51)
+        cell = init_lstm(rng, D, H, "c")
+        leads = rng.integers(0, T + 1, size=B)
+        leads[:4] = [T, 0, T - 1, 1]  # all-pad, none, all but the last, one
+        steps = _padded_steps(rng, leads, T, D)
+        grad_out = rng.standard_normal((B, H))
+        h_ref, grads_ref = _unpacked_lstm(cell, steps, grad_out)
+        h, grads = self._tape_run(cell, [constant(s) for s in steps], grad_out)
+        _assert_close(h, h_ref)
+        for name, got, ref in zip(cell.params("c"), grads, grads_ref):
+            _assert_close(got, ref, err_msg=name)
+        with no_grad():
+            h_inference = lstm_last(cell, [constant(s) for s in steps]).data
+        _assert_close(h_inference, h_ref)
+
+    @pytest.mark.parametrize("lead", [0, 1, 3, 4])
+    def test_vector_steps(self, lead):
+        T, D, H = 4, 5, 3
+        rng = np.random.default_rng(52 + lead)
+        cell = init_lstm(rng, D, H, "c")
+        steps = _padded_steps(rng, [lead], T, D)
+        grad_out = rng.standard_normal((1, H))
+        h_ref, grads_ref = _unpacked_lstm(cell, steps, grad_out)
+        h, grads = self._tape_run(cell, [constant(s[0]) for s in steps], grad_out[0])
+        assert h.shape == (H,)
+        _assert_close(h, h_ref[0])
+        for name, got, ref in zip(cell.params("c"), grads, grads_ref):
+            _assert_close(got, ref, err_msg=name)
+
+    def test_padded_step_inputs_get_gradients(self):
+        T, D, H = 5, 4, 3
+        rng = np.random.default_rng(53)
+        cell = init_lstm(rng, D, H, "c")
+        steps = _padded_steps(rng, [2, 0, 5, 4], T, D)
+        xs = [parameter(s) for s in steps]
+        grads = []
+        for encode in (lstm_last, _per_step_tape_lstm):
+            backward(sum_all(mul(encode(cell, xs), 1.3)))
+            grads.append([x.grad for x in xs])
+            for p in [*xs, *cell.params("c").values()]:
+                p.grad = None
+        for t, (fused, ref) in enumerate(zip(*grads)):
+            np.testing.assert_allclose(fused, ref, rtol=1e-10, err_msg=f"step {t}")
+        assert np.abs(grads[0][0][0]).sum() > 0  # a pad step's input gradient
+
+    def test_output_rows_keep_input_order(self):
+        T, D, H = 6, 4, 3
+        rng = np.random.default_rng(54)
+        cell = init_lstm(rng, D, H, "c")
+        leads = [6, 5, 3, 0, 2, 6, 1, 4]  # packing sorts these rows
+        steps = _padded_steps(rng, leads, T, D)
+        h = lstm_last(cell, [constant(s) for s in steps]).data
+        for r in range(len(leads)):
+            alone = lstm_last(cell, [constant(s[r]) for s in steps]).data
+            _assert_close(h[r], alone, err_msg=f"row {r}")
+        np.testing.assert_array_equal(h[0], h[5])  # both all-pad rows end on the chain
+
+
 class TestNoGrad:
     def test_outputs_have_no_parents(self):
         rng = np.random.default_rng(30)
