@@ -16,7 +16,6 @@ import json
 import logging
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -60,7 +59,6 @@ class RunConfig:
     threshold: float = 0.5
     seed: int = 7
     out: str = "out"
-    jobs: int = 1
     typed_candidates: bool = False
     doc_level_cv: bool = False
 
@@ -81,7 +79,7 @@ _INI_LAYOUT = {
         "oversample_ratio",
         "threshold",
     ),
-    "run": ("seed", "out", "jobs", "typed_candidates", "doc_level_cv"),
+    "run": ("seed", "out", "typed_candidates", "doc_level_cv"),
 }
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -184,12 +182,36 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _map_jobs(fn, items, jobs: int) -> list:
-    """Run fn over items, optionally on a thread pool; order preserved."""
-    if jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+def _load_checkpoints(cfg: RunConfig, stage: str, noun: str, load) -> tuple[dict, dict]:
+    """``load(path, name)`` of every checkpoint that ``train-<stage>`` listed
+    in ``<out>/<stage>/manifest.json`` under ``<noun>_types``, and the
+    manifest."""
+    directory = Path(cfg.out) / stage
+    manifest_path = directory / "manifest.json"
+    if not manifest_path.exists():
+        raise ConfigurationError(
+            f"no {noun} checkpoints at {directory} (run train-{stage} first)"
+        )
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    models = {}
+    for name in manifest[f"{noun}_types"]:
+        ckpt = directory / f"{name}.ckpt"
+        if not ckpt.exists():
+            raise ConfigurationError(f"missing {noun} checkpoint {ckpt}")
+        models[name] = load(ckpt, name)
+    return models, manifest
+
+
+def _load_argument_models(
+    cfg: RunConfig, table: embed.EmbeddingTable
+) -> tuple[dict[str, vecent.ArgumentModel], dict]:
+    """The argument models and their manifest, checked against the table."""
+    models, manifest = _load_checkpoints(cfg, "args", "argument", vecent.load_argument_model)
+    if table.dim != manifest["dim"]:
+        raise ConfigurationError(
+            f"embedding dim {table.dim} does not match checkpoints ({manifest['dim']})"
+        )
+    return models, manifest
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +240,8 @@ def cmd_train_args(cfg: RunConfig) -> int:
     args_dir.mkdir(exist_ok=True)
 
     windows = vecent.build_entity_windows(corpus, hyper.u, table)
-
-    def train_one(arg_type: str) -> str:
+    trained = corpus.task_schema.argument_types
+    for arg_type in trained:
         samples = vecent.build_argument_samples(corpus, arg_type, windows)
         rng = child_rng(cfg.seed, f"cmd/train-args/{arg_type}")
         model, log = vecent.train_argument_model(samples, hyper, rng=rng, arg_type=arg_type)
@@ -228,9 +250,6 @@ def cmd_train_args(cfg: RunConfig) -> int:
             vecent.epoch_log_csv(log), encoding="utf-8"
         )
         logger.info("trained argument model %s on %d samples", arg_type, len(samples))
-        return arg_type
-
-    trained = _map_jobs(train_one, corpus.task_schema.argument_types, cfg.jobs)
     _write_json(
         args_dir / "manifest.json",
         {
@@ -254,32 +273,11 @@ def cmd_train_args(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_argument_models(cfg: RunConfig) -> tuple[dict[str, vecent.ArgumentModel], dict]:
-    args_dir = Path(cfg.out) / "args"
-    manifest_path = args_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise ConfigurationError(f"no argument checkpoints at {args_dir} (run train-args first)")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    models = {}
-    for arg_type in manifest["argument_types"]:
-        ckpt = args_dir / f"{arg_type}.ckpt"
-        if not ckpt.exists():
-            raise ConfigurationError(f"missing argument checkpoint {ckpt}")
-        models[arg_type] = vecent.load_argument_model(
-            ckpt, arg_type, dropout=manifest.get("dropout", cfg.dropout)
-        )
-    return models, manifest
-
-
 def cmd_train_events(cfg: RunConfig) -> int:
     started = time.perf_counter()
     corpus = _train_corpus(cfg)
     table = _resolve_table(cfg)
-    arg_models, manifest = _load_argument_models(cfg)
-    if table.dim != manifest["dim"]:
-        raise ConfigurationError(
-            f"embedding dim {table.dim} does not match checkpoints ({manifest['dim']})"
-        )
+    arg_models, manifest = _load_argument_models(cfg, table)
     hyper = _event_hyper(cfg)
     out = _outdir(cfg)
     events_dir = out / "events"
@@ -289,20 +287,21 @@ def cmd_train_events(cfg: RunConfig) -> int:
     pairs = vecom.candidate_pairs(corpus)
     embeddings, rows = vecom.embed_pair_entities(pairs, arg_models, windows)
 
-    def train_one(event_type: str):
-        roles = corpus.task_schema.roles(event_type)
+    trained, skipped = [], {}
+    for event_type in corpus.task_schema.event_types:
         labels = vecom.label_pairs(pairs, list(corpus.events.values()), event_type)
         exists = np.array([label.exists for label in labels])
         forward = np.array([label.forward for label in labels])
-        composed = vecom.compose_pairs(embeddings, rows, roles)
+        composed = vecom.compose_pairs(embeddings, rows, corpus.task_schema.roles(event_type))
         rng = child_rng(cfg.seed, f"cmd/train-events/{event_type}")
         try:
             model, log = vecom.train_event_model(
-                composed, exists, forward, event_type, *roles, hyper, rng=rng
+                composed, exists, forward, event_type, hyper, rng=rng
             )
         except TrainingSetupError as exc:
             logger.warning("skipping %s: %s", event_type, exc)
-            return event_type, str(exc)
+            skipped[event_type] = str(exc)
+            continue
         ndiff.save_tensors(
             events_dir / f"{event_type}.ckpt",
             {name: t.data for name, t in model.parameters().items()},
@@ -310,14 +309,7 @@ def cmd_train_events(cfg: RunConfig) -> int:
         (events_dir / f"{event_type}.log.csv").write_text(
             vecent.epoch_log_csv(log), encoding="utf-8"
         )
-        return event_type, None
-
-    trained, skipped = [], {}
-    for event_type, error in _map_jobs(train_one, corpus.task_schema.event_types, cfg.jobs):
-        if error is None:
-            trained.append(event_type)
-        else:
-            skipped[event_type] = error
+        trained.append(event_type)
     if not trained:
         raise TrainingSetupError("no event type had both positive and negative pairs")
     _write_json(
@@ -334,27 +326,6 @@ def cmd_train_events(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_event_models(cfg: RunConfig, schema) -> dict[str, vecom.EventModel]:
-    events_dir = Path(cfg.out) / "events"
-    manifest_path = events_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise ConfigurationError(f"no event checkpoints at {events_dir} (run train-events first)")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    models = {}
-    for event_type in manifest["event_types"]:
-        ckpt = events_dir / f"{event_type}.ckpt"
-        if not ckpt.exists():
-            raise ConfigurationError(f"missing event checkpoint {ckpt}")
-        src_role, tgt_role = schema.roles(event_type)
-        models[event_type] = vecom.EventModel(
-            event_type=event_type,
-            source_type=src_role,
-            target_type=tgt_role,
-            **ndiff.load_dense_layers(ckpt, ["exist_f1", "exist_f2", "dir_f1", "dir_f2"]),
-        )
-    return models
-
-
 def cmd_predict(cfg: RunConfig) -> int:
     started = time.perf_counter()
     if not cfg.predict_dir:
@@ -362,12 +333,14 @@ def cmd_predict(cfg: RunConfig) -> int:
     schema = load_schema(cfg.schema)
     corpus = load_corpus_dir(cfg.predict_dir, schema)
     table = _resolve_table(cfg)
-    arg_models, manifest = _load_argument_models(cfg)
-    if table.dim != manifest["dim"]:
-        raise ConfigurationError(
-            f"embedding dim {table.dim} does not match checkpoints ({manifest['dim']})"
-        )
-    event_models = _load_event_models(cfg, schema)
+    arg_models, manifest = _load_argument_models(cfg, table)
+    heads = ["exist_f1", "exist_f2", "dir_f1", "dir_f2"]
+    event_models, _ = _load_checkpoints(
+        cfg,
+        "events",
+        "event",
+        lambda path, _: vecom.EventModel(**ndiff.load_dense_layers(path, heads)),
+    )
     out = _outdir(cfg)
     pred_dir = out / "pred"
     pred_dir.mkdir(exist_ok=True)
@@ -432,7 +405,6 @@ def cmd_crossval(cfg: RunConfig) -> int:
         threshold=cfg.threshold,
         seed=cfg.seed,
         doc_level=cfg.doc_level_cv,
-        jobs=cfg.jobs,
     )
     out = _outdir(cfg)
     cv_dir = out / "crossval"
@@ -442,34 +414,18 @@ def cmd_crossval(cfg: RunConfig) -> int:
     (cv_dir / "metrics.csv").write_text(evalkit.metrics_csv(report), encoding="utf-8")
     (cv_dir / "timings.csv").write_text(evalkit.timings_csv(report), encoding="utf-8")
     _write_json(cv_dir / "overlap.json", evalkit.overlap_json(report))
-    for name, result in sorted(report.arguments.items()):
-        (curves_dir / f"arg_{name}_roc.tsv").write_text(
-            evalkit.curve_tsv(result.curves.roc), encoding="utf-8"
-        )
-        (curves_dir / f"arg_{name}_prc.tsv").write_text(
-            evalkit.curve_tsv(result.curves.prc), encoding="utf-8"
-        )
-    for name, result in sorted(report.events.items()):
-        (curves_dir / f"event_{name}_roc.tsv").write_text(
-            evalkit.curve_tsv(result.curves.roc), encoding="utf-8"
-        )
-        (curves_dir / f"event_{name}_prc.tsv").write_text(
-            evalkit.curve_tsv(result.curves.prc), encoding="utf-8"
-        )
-    if report.micro_arguments:
-        (curves_dir / "micro_arguments_roc.tsv").write_text(
-            evalkit.curve_tsv(report.micro_arguments.roc), encoding="utf-8"
-        )
-        (curves_dir / "micro_arguments_prc.tsv").write_text(
-            evalkit.curve_tsv(report.micro_arguments.prc), encoding="utf-8"
-        )
-    if report.micro_events:
-        (curves_dir / "micro_events_roc.tsv").write_text(
-            evalkit.curve_tsv(report.micro_events.roc), encoding="utf-8"
-        )
-        (curves_dir / "micro_events_prc.tsv").write_text(
-            evalkit.curve_tsv(report.micro_events.prc), encoding="utf-8"
-        )
+    curve_sets = [("arg", name, r.curves) for name, r in sorted(report.arguments.items())]
+    curve_sets += [("event", name, r.curves) for name, r in sorted(report.events.items())]
+    curve_sets += [
+        ("micro", name, curves)
+        for name, curves in (("arguments", report.micro_arguments), ("events", report.micro_events))
+        if curves
+    ]
+    for prefix, name, curves in curve_sets:
+        for kind in ("roc", "prc"):
+            (curves_dir / f"{prefix}_{name}_{kind}.tsv").write_text(
+                evalkit.curve_tsv(getattr(curves, kind)), encoding="utf-8"
+            )
     print((cv_dir / "metrics.csv").read_text(encoding="utf-8"))
     _finish(cfg, "crossval", started)
     return 0
@@ -514,7 +470,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threshold", type=float)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out")
-    parser.add_argument("--jobs", type=int)
+    parser.add_argument(
+        "--jobs", type=int, choices=[1], help="accepted for old command lines; no effect"
+    )
     parser.add_argument(
         "--typed-candidates", dest="typed_candidates", action=argparse.BooleanOptionalAction
     )

@@ -172,9 +172,6 @@ class Corpus:
     def doc_entities(self, doc_id: str) -> list[Entity]:
         return list(self._by_doc.get(doc_id, ()))
 
-    def doc_events(self, doc_id: str) -> list[Event]:
-        return [e for e in self.events.values() if e.doc_id == doc_id]
-
     def sentence_entities(self, doc_id: str, sentence_index: int) -> list[Entity]:
         return list(self._by_sentence.get((doc_id, sentence_index), ()))
 

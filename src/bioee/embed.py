@@ -110,52 +110,33 @@ def _read_header(line: bytes) -> tuple[int, int]:
     return count, dim
 
 
-def _load_text(stream, oov_policy, seed) -> EmbeddingTable:
-    count, dim = _read_header(stream.readline())
-    vocab: dict[str, int] = {}
-    rows = []
-    duplicates = 0
-    for _ in range(count):
+def _read_text(stream, count: int, dim: int):
+    """(word bytes, vector) of each ``word v1 .. vd`` line."""
+    for row in range(1, count + 1):
         line = stream.readline()
         if not line.strip():
-            raise FormatError(f"header declares {count} words, file has {len(rows)}")
+            raise FormatError(f"header declares {count} words, file has {row - 1}")
         parts = line.rstrip(b"\n").split()
         if len(parts) != dim + 1:
             raise FormatError(
                 f"row for {parts[0]!r} has {len(parts) - 1} values, expected {dim}"
             )
-        word = parts[0].decode("utf-8")
-        vec = np.array([float(v) for v in parts[1:]])
-        if not np.isfinite(vec).all():
-            raise FormatError(f"non-finite value in row for {word!r}")
-        if word in vocab:
-            duplicates += 1
-            continue
-        vocab[word] = len(rows)
-        rows.append(vec)
-    table = EmbeddingTable(
-        dim=dim,
-        vocab=vocab,
-        matrix=np.stack(rows) if rows else None,
-        oov_policy=oov_policy,
-        seed=seed,
-    )
-    table.duplicate_words = duplicates
-    return table
+        try:
+            vec = np.array([float(v) for v in parts[1:]])
+        except ValueError:
+            raise FormatError(f"non-numeric value in row {row} ({parts[0]!r})") from None
+        yield parts[0], vec
 
 
-def _load_binary(stream, oov_policy, seed) -> EmbeddingTable:
-    count, dim = _read_header(stream.readline())
-    vocab: dict[str, int] = {}
-    rows = []
-    duplicates = 0
+def _read_binary(stream, count: int, dim: int):
+    """(word bytes, vector) of each ``word `` + d float32 record."""
     row_bytes = 4 * dim
-    for _ in range(count):
+    for row in range(count):
         word_bytes = bytearray()
         while True:
             ch = stream.read(1)
             if not ch:
-                raise FormatError(f"header declares {count} words, file has {len(rows)}")
+                raise FormatError(f"header declares {count} words, file has {row}")
             if ch == b" ":
                 break
             if ch != b"\n":  # tolerate newline between records
@@ -163,8 +144,20 @@ def _load_binary(stream, oov_policy, seed) -> EmbeddingTable:
         raw = stream.read(row_bytes)
         if len(raw) != row_bytes:
             raise FormatError(f"truncated vector for {bytes(word_bytes)!r}")
-        word = word_bytes.decode("utf-8")
-        vec = np.array(struct.unpack(f"<{dim}f", raw), dtype=np.float64)
+        yield bytes(word_bytes), np.array(struct.unpack(f"<{dim}f", raw), dtype=np.float64)
+
+
+def _build_table(records, dim: int, oov_policy, seed) -> EmbeddingTable:
+    """Table of (word bytes, vector) records; a duplicate word keeps its
+    first vector and is counted on the table."""
+    vocab: dict[str, int] = {}
+    rows = []
+    duplicates = 0
+    for row, (raw_word, vec) in enumerate(records, start=1):
+        try:
+            word = raw_word.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"word in row {row} is not UTF-8: {raw_word!r}") from None
         if not np.isfinite(vec).all():
             raise FormatError(f"non-finite value in row for {word!r}")
         if word in vocab:
@@ -193,12 +186,17 @@ def load_table(source, format: str = "text", oov_policy: str = OOV_HASHED, seed:
     """
     if format not in ("text", "binary"):
         raise FormatError(f"unknown embedding format {format!r}")
-    loader = _load_text if format == "text" else _load_binary
+    reader = _read_text if format == "text" else _read_binary
+
+    def load(stream) -> EmbeddingTable:
+        count, dim = _read_header(stream.readline())
+        return _build_table(reader(stream, count, dim), dim, oov_policy, seed)
+
     if isinstance(source, (str, Path)):
         with open(source, "rb") as stream:
-            table = loader(stream, oov_policy, seed)
+            table = load(stream)
     else:
-        table = loader(source, oov_policy, seed)
+        table = load(source)
     if table.duplicate_words:
         logger.warning("%d duplicate words, kept first occurrence", table.duplicate_words)
     return table

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,6 +102,15 @@ def plan_folds_by_document(doc_ids: list[str], labels, k: int, seed: int = 0) ->
     return FoldPlan(k=k, assignments=assignments, seed=seed)
 
 
+def _plan(labels, doc_ids, plan_seed, cv_args, doc_level) -> FoldPlan:
+    """One class's folds: stratified over its samples, or over the documents
+    in ``doc_ids`` (one per sample) with the fold count plan_folds picks."""
+    if not doc_level:
+        return plan_folds(labels, seed=plan_seed, **cv_args)
+    k = cv_args["small_k"] if labels.sum() < cv_args["small_threshold"] else cv_args["default_k"]
+    return plan_folds_by_document(doc_ids, labels, k, seed=plan_seed)
+
+
 # ---------------------------------------------------------------------------
 # Metrics
 
@@ -120,15 +128,9 @@ class MetricsReport:
     flags: list[str] = field(default_factory=list)
 
 
-def binary_metrics(gold, predicted) -> MetricsReport:
-    gold = np.asarray(gold).astype(np.int64)
-    predicted = np.asarray(predicted).astype(np.int64)
-    if gold.shape != predicted.shape:
-        raise ValueError(f"length mismatch: {gold.shape} gold vs {predicted.shape} predicted")
-    tp = int(((gold == 1) & (predicted == 1)).sum())
-    fp = int(((gold == 0) & (predicted == 1)).sum())
-    fn = int(((gold == 1) & (predicted == 0)).sum())
-    tn = int(((gold == 0) & (predicted == 0)).sum())
+def _counts_report(tp: int, fp: int, fn: int, accuracy: float, support_neg: int) -> MetricsReport:
+    """Precision, recall and F from counts; an undefined ratio is 0 and
+    flagged."""
     flags = []
     if tp + fp > 0:
         precision = tp / (tp + fp)
@@ -142,16 +144,28 @@ def binary_metrics(gold, predicted) -> MetricsReport:
         f_score = 2 * precision * recall / (precision + recall)
     else:
         f_score, flags = 0.0, flags + ["f_zero_division"]
-    total = tp + fp + fn + tn
     return MetricsReport(
-        accuracy=(tp + tn) / total if total else 0.0,
+        accuracy=accuracy,
         precision=precision,
         recall=recall,
         f_score=f_score,
         support_pos=tp + fn,
-        support_neg=fp + tn,
+        support_neg=support_neg,
         flags=flags,
     )
+
+
+def binary_metrics(gold, predicted) -> MetricsReport:
+    gold = np.asarray(gold).astype(np.int64)
+    predicted = np.asarray(predicted).astype(np.int64)
+    if gold.shape != predicted.shape:
+        raise ValueError(f"length mismatch: {gold.shape} gold vs {predicted.shape} predicted")
+    tp = int(((gold == 1) & (predicted == 1)).sum())
+    fp = int(((gold == 0) & (predicted == 1)).sum())
+    fn = int(((gold == 1) & (predicted == 0)).sum())
+    tn = int(((gold == 0) & (predicted == 0)).sum())
+    total = tp + fp + fn + tn
+    return _counts_report(tp, fp, fn, (tp + tn) / total if total else 0.0, fp + tn)
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +255,8 @@ class CrossValReport:
 def _argument_cv(corpus, windows, arg_type, arg_hyper, cv_args, seed, doc_level):
     samples = vecent.build_argument_samples(corpus, arg_type, windows)
     labels = np.array([s.label for s in samples])
-    plan_seed = child_seed(seed, f"plan/arg/{arg_type}")
-    if doc_level:
-        doc_ids = [s.entity_id.split("/", 1)[0] for s in samples]
-        k = cv_args["small_k"] if labels.sum() < cv_args["small_threshold"] else cv_args["default_k"]
-        plan = plan_folds_by_document(doc_ids, labels, k, seed=plan_seed)
-    else:
-        plan = plan_folds(labels, seed=plan_seed, **cv_args)
+    doc_ids = [s.entity_id.split("/", 1)[0] for s in samples]
+    plan = _plan(labels, doc_ids, child_seed(seed, f"plan/arg/{arg_type}"), cv_args, doc_level)
     pooled = np.zeros(labels.size)
     train_time = 0.0
     test_time = 0.0
@@ -284,20 +293,17 @@ def _event_cv(corpus, windows, event_type, arg_hyper, event_hyper, threshold, cv
     labels = vecom.label_pairs(pairs, list(corpus.events.values()), event_type)
     exist = np.array([l.exists for l in labels])
     forward = np.array([l.forward for l in labels])
-
     plan_seed = child_seed(seed, f"plan/evt/{event_type}")
-    if doc_level:
-        doc_ids = [p.doc_id for p in pairs]
-        k = cv_args["small_k"] if exist.sum() < cv_args["small_threshold"] else cv_args["default_k"]
-        plan = plan_folds_by_document(doc_ids, exist, k, seed=plan_seed)
-    else:
-        plan = plan_folds(exist, seed=plan_seed, **cv_args)
+    plan = _plan(exist, [p.doc_id for p in pairs], plan_seed, cv_args, doc_level)
 
     qid_of = [
         (Corpus.qualify(p.doc_id, p.first.id), Corpus.qualify(p.doc_id, p.second.id))
         for p in pairs
     ]
-    roles = corpus.argument_roles()
+    role_samples = {
+        role: vecent.build_argument_samples(corpus, role, windows)
+        for role in sorted({src_role, tgt_role})
+    }
     pooled_exists = np.zeros(len(pairs))
     pooled_forward = np.zeros(len(pairs))
     train_time = 0.0
@@ -316,24 +322,18 @@ def _event_cv(corpus, windows, event_type, arg_hyper, event_hyper, threshold, cv
         seen += sum(q in pool for i in test_idx for q in qid_of[i])
         t0 = time.perf_counter()
         arg_models = {}
-        for role in sorted({src_role, tgt_role}):
-            role_samples = [
-                vecent.ArgSample(
-                    window=windows[q], label=1 if role in roles.get(q, ()) else 0, entity_id=q
-                )
-                for q in sorted(pool)
-            ]
+        for role, samples in role_samples.items():
             rng = child_rng(seed, f"train/evt/{event_type}/{fold}/{role}")
             arg_models[role], _ = vecent.train_argument_model(
-                role_samples, arg_hyper, rng=rng, arg_type=role
+                [s for s in samples if s.entity_id in pool], arg_hyper, rng=rng, arg_type=role
             )
 
         embeddings, rows = vecom.embed_pair_entities(pairs, arg_models, windows)
         composed = vecom.compose_pairs(embeddings, rows, (src_role, tgt_role))
         rng = child_rng(seed, f"train/evt/{event_type}/{fold}/heads")
         model, _ = vecom.train_event_model(
-            composed[train_idx], exist[train_idx], forward[train_idx],
-            event_type, src_role, tgt_role, event_hyper, rng=rng,
+            composed[train_idx], exist[train_idx], forward[train_idx], event_type, event_hyper,
+            rng=rng,
         )
         train_time += time.perf_counter() - t0
 
@@ -386,24 +386,11 @@ def _decoded_event_metrics(
     tp = len(predicted & gold)
     fp = len(predicted - gold)
     fn = len(gold - predicted)
-    flags = []
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    if not tp + fp:
-        flags.append("precision_zero_division")
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    if not tp + fn:
-        flags.append("recall_zero_division")
-    f_score = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     union = tp + fp + fn
-    return MetricsReport(
-        accuracy=tp / union if union else 0.0,  # set overlap; no TN for a set match
-        precision=precision,
-        recall=recall,
-        f_score=f_score,
-        support_pos=len(gold),
-        support_neg=0,
-        flags=flags + ["set_match"],
-    )
+    # Accuracy is the set overlap: a set match has no true negatives.
+    report = _counts_report(tp, fp, fn, tp / union if union else 0.0, support_neg=0)
+    report.flags.append("set_match")
+    return report
 
 
 def cross_validate(
@@ -417,7 +404,6 @@ def cross_validate(
     small_threshold: int = 20,
     seed: int = 0,
     doc_level: bool = False,
-    jobs: int = 1,
 ) -> CrossValReport:
     """Full protocol: per class, stratified folds; per fold, oversampled
     training of the argument models, frozen, then the event heads; evaluation
@@ -428,25 +414,14 @@ def cross_validate(
     windows = vecent.build_entity_windows(corpus, arg_hyper.u, table)
     cv_args = {"default_k": default_k, "small_k": small_k, "small_threshold": small_threshold}
 
-    arg_jobs = [
-        (lambda at=at: _argument_cv(corpus, windows, at, arg_hyper, cv_args, seed, doc_level))
+    arg_results = [
+        _argument_cv(corpus, windows, at, arg_hyper, cv_args, seed, doc_level)
         for at in schema.argument_types
     ]
-    evt_jobs = [
-        (
-            lambda et=et: _event_cv(
-                corpus, windows, et, arg_hyper, event_hyper, threshold, cv_args, seed, doc_level
-            )
-        )
+    evt_results = [
+        _event_cv(corpus, windows, et, arg_hyper, event_hyper, threshold, cv_args, seed, doc_level)
         for et in schema.event_types
     ]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            arg_results = list(pool.map(lambda f: f(), arg_jobs))
-            evt_results = list(pool.map(lambda f: f(), evt_jobs))
-    else:
-        arg_results = [f() for f in arg_jobs]
-        evt_results = [f() for f in evt_jobs]
 
     report = CrossValReport(arguments={}, events={}, seed=seed)
     arg_pool_scores, arg_pool_labels = [], []

@@ -1,20 +1,20 @@
 """Minimal dense-tensor reverse-mode automatic differentiation.
 
-Exactly the operators the models need: affine maps, the usual pointwise
-nonlinearities, concatenation/subtraction, dropout, a weighted binary
-cross-entropy, and a whole-sequence LSTM recorded as a single node (input
-projection hoisted out of the recurrence, leading all-zero steps skipped by
-packing the rows and sharing one pad-state chain, hand-written BPTT), plus
-momentum SGD. Values are float64 throughout; inputs may be single vectors
-``(n,)`` or batches ``(B, n)``. Inside ``with no_grad():`` no operation
+Exactly the operators the models need: affine maps over row batches
+``(B, n)``, the usual pointwise nonlinearities, concatenation, dropout, a
+weighted binary cross-entropy, and a whole-sequence LSTM over a constant
+step-major batch ``(T, B, D)`` recorded as a single node (input projection
+hoisted out of the recurrence, leading all-zero steps skipped by packing the
+rows and sharing one pad-state chain, hand-written BPTT), plus momentum SGD.
+Values are float64 throughout. Inside ``with no_grad():`` no operation
 records a tape.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -25,13 +25,7 @@ from .errors import ShapeError, TrainingError
 check_finite = False  # set True in tests to assert the all-finite invariant
 
 
-class _GradMode(threading.local):
-    """Per thread, so inference in one worker never disables another's tape."""
-
-    enabled = True
-
-
-_grad_mode = _GradMode()
+_grad_enabled = True  # False inside no_grad()
 
 INFERENCE_CHUNK = 256  # rows per no-grad forward pass; bounds activation memory
 
@@ -80,7 +74,7 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def _records(parents) -> bool:
-    return _grad_mode.enabled and any(_wants_grad(p) for p in parents)
+    return _grad_enabled and any(_wants_grad(p) for p in parents)
 
 
 def _node(data, parents, backward_fn) -> Tensor:
@@ -93,15 +87,15 @@ def _node(data, parents, backward_fn) -> Tensor:
 
 @contextmanager
 def no_grad():
-    """Inference scope for the calling thread: operations record no parents
-    and keep no backward state. The previous mode is restored on exit, also
-    after an exception."""
-    previous = _grad_mode.enabled
-    _grad_mode.enabled = False
+    """Inference scope: operations record no parents and keep no backward
+    state. The previous mode is restored on exit, also after an exception."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
     try:
         yield
     finally:
-        _grad_mode.enabled = previous
+        _grad_enabled = previous
 
 
 def inference_chunks(n: int) -> list[slice]:
@@ -127,16 +121,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, g)
 
     return _node(a.data + b.data, (a, b), backward_fn)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "sub")
-
-    def backward_fn(g):
-        _accumulate(a, g)
-        _accumulate(b, -g)
-
-    return _node(a.data - b.data, (a, b), backward_fn)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -276,29 +260,17 @@ class DenseParams:
 
 
 def affine(params: DenseParams, x: Tensor) -> Tensor:
+    """``x A^T + b`` over a batch of rows ``(B, in) -> (B, out)``."""
     A, b = params.A, params.b
-    out_dim, in_dim = A.data.shape
-    if x.data.ndim == 1:
-        if x.data.shape[0] != in_dim:
-            raise ShapeError(f"affine: input {x.data.shape} vs weight {A.data.shape}")
+    if x.data.ndim != 2 or x.data.shape[1] != A.data.shape[1]:
+        raise ShapeError(f"affine: input {x.data.shape} vs weight {A.data.shape}")
 
-        def backward_fn(g):
-            _accumulate(A, np.outer(g, x.data))
-            _accumulate(b, g)
-            _accumulate(x, A.data.T @ g)
+    def backward_fn(g):
+        _accumulate(A, g.T @ x.data)
+        _accumulate(b, g.sum(axis=0))
+        _accumulate(x, g @ A.data)
 
-        return _node(A.data @ x.data + b.data, (A, b, x), backward_fn)
-    if x.data.ndim == 2:
-        if x.data.shape[1] != in_dim:
-            raise ShapeError(f"affine: input {x.data.shape} vs weight {A.data.shape}")
-
-        def backward_fn(g):
-            _accumulate(A, g.T @ x.data)
-            _accumulate(b, g.sum(axis=0))
-            _accumulate(x, g @ A.data)
-
-        return _node(x.data @ A.data.T + b.data, (A, b, x), backward_fn)
-    raise ShapeError(f"affine: rank-{x.data.ndim} input unsupported")
+    return _node(x.data @ A.data.T + b.data, (A, b, x), backward_fn)
 
 
 @dataclass
@@ -338,13 +310,13 @@ def _fold(grad: np.ndarray, rows: int) -> np.ndarray:
     return grad[:rows]
 
 
-def lstm_last(cell: LSTMCellParams, xs: list[Tensor]) -> Tensor:
-    """Final hidden state of a forget-gate LSTM run from the zero state.
+def lstm_last(cell: LSTMCellParams, X: np.ndarray) -> Tensor:
+    """Final hidden states ``(B, H)`` of a forget-gate LSTM run from the zero
+    state over ``X``, a constant step-major batch ``(T, B, D)``.
 
-    ``xs`` holds one tensor per time step, all ``(D,)`` or all ``(B, D)``.
     The whole sequence is one tape node: the input projection is a single
     GEMM, each step adds only ``h @ Wh.T``, and the backward closure runs BPTT
-    by hand into the eight gate tensors and any step input that wants a
+    by hand into the eight gate tensors. The input is constant, so it gets no
     gradient.
 
     No row's leading all-zero steps (window padding) are computed. From the
@@ -355,28 +327,22 @@ def lstm_last(cell: LSTMCellParams, xs: list[Tensor]) -> Tensor:
     packed row 0 on zero input; a row joins at its first non-zero step from
     the chain's state there, and an all-zero row ends in the chain's final
     state. BPTT runs over the same layout and sums the gradients of joining
-    rows into the chain. When a step input wants a gradient, no step is
-    skipped: a pad step's input gradient differs per row.
+    rows into the chain.
     """
-    if not xs:
-        raise ShapeError("lstm_last: empty sequence")
     gates = (cell.input_gate, cell.forget_gate, cell.output_gate, cell.candidate)
     hidden = cell.hidden_size
     in_dim = cell.input_gate.A.data.shape[1] - hidden
-    shape = xs[0].data.shape
-    if len(shape) not in (1, 2) or shape[-1] != in_dim:
-        raise ShapeError(f"lstm_last: step shape {shape} vs input size {in_dim}")
-    if any(x.data.shape != shape for x in xs):
-        raise ShapeError("lstm_last: steps differ in shape")
-    parents = (*(t for gate in gates for t in (gate.A, gate.b)), *xs)
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 3 or X.shape[2] != in_dim:
+        raise ShapeError(f"lstm_last: input shape {X.shape} vs input size {in_dim}")
+    steps, batch = X.shape[:2]
+    if not steps:
+        raise ShapeError("lstm_last: empty sequence")
+    parents = tuple(t for gate in gates for t in (gate.A, gate.b))
     keep = _records(parents)
-    wants_dx = keep and any(_wants_grad(x) for x in xs)
 
-    steps = len(xs)
-    X = np.stack([x.data for x in xs]).reshape(steps, -1, in_dim)  # (T, B, D)
-    batch = X.shape[1]
     lead = np.zeros(batch, dtype=np.int64)  # leading all-zero steps per row
-    padded = np.flatnonzero(~X[0].any(axis=1)) if not wants_dx else ()
+    padded = np.flatnonzero(~X[0].any(axis=1))
     if len(padded):  # only rows whose first step is zeros have any
         lead[padded] = (~np.logical_or.accumulate(X[:, padded].any(axis=2))).sum(axis=0)
     order = np.argsort(lead, kind="stable")
@@ -426,13 +392,12 @@ def lstm_last(cell: LSTMCellParams, xs: list[Tensor]) -> Tensor:
         h, c = o * tanh_c, c_next
     out = np.empty((batch, hidden))
     out[order] = _grow(h, chain + batch)[chain:]  # all-zero rows end on the chain
-    out = out.reshape(shape[:-1] + (hidden,))
     if not keep:
         return _node(out, (), None)
 
     def backward_fn(grad):
         dh = np.zeros((chain + batch, hidden))
-        dh[chain:] = grad.reshape(batch, hidden)[order]
+        dh[chain:] = grad[order]
         dh = _fold(dh, widths[-1])
         dc = 0.0
         d_pre = []  # gate pre-activation gradients, last step first
@@ -459,9 +424,6 @@ def lstm_last(cell: LSTMCellParams, xs: list[Tensor]) -> Tensor:
         for gate, dA, db in zip(gates, np.split(dW, 4), np.split(d_pre.sum(axis=0), 4)):
             _accumulate(gate.A, dA)
             _accumulate(gate.b, db)
-        if wants_dx:  # identity packing: d_pre holds every row of every step
-            for x, dx in zip(xs, (d_pre @ Wx).reshape(steps, *shape)):
-                _accumulate(x, dx)
 
     return _node(out, parents, backward_fn)
 
@@ -470,22 +432,21 @@ def lstm_last(cell: LSTMCellParams, xs: list[Tensor]) -> Tensor:
 # Loss
 
 
-def weighted_bce(y, yhat: Tensor, z: float, eps: float = 1e-7) -> Tensor:
-    """-sum_i [z y_i log p_i + (1-z)(1-y_i) log(1-p_i)], probabilities clamped."""
-    if not 0.0 <= z <= 1.0:
-        raise ValueError(f"positive-class weight must be in [0, 1], got {z}")
+def weighted_bce(y, p: Tensor, pos_weight, neg_weight, eps: float = 1e-7) -> Tensor:
+    """-sum_i [w+_i y_i log p_i + w-_i (1-y_i) log(1-p_i)], probabilities
+    clamped to [eps, 1-eps]. Each weight is a scalar or an array of per-row
+    weights shaped like ``y`` (a 0/1 array masks rows out)."""
     labels = np.asarray(y, dtype=np.float64)
-    if labels.shape != yhat.data.shape:
-        raise ShapeError(f"weighted_bce: labels {labels.shape} vs predictions {yhat.data.shape}")
-    p = clamp(yhat, eps, 1.0 - eps)
-    pos_term = mul(log(p), z * labels)
-    neg_term = mul(log(rsub(1.0, p)), (1.0 - z) * (1.0 - labels))
+    if labels.shape != p.data.shape:
+        raise ShapeError(f"weighted_bce: labels {labels.shape} vs predictions {p.data.shape}")
+    pos_weight = np.asarray(pos_weight, dtype=np.float64)
+    neg_weight = np.asarray(neg_weight, dtype=np.float64)
+    if (pos_weight < 0).any() or (neg_weight < 0).any():
+        raise ValueError("weighted_bce: class weights must be non-negative")
+    p = clamp(p, eps, 1.0 - eps)
+    pos_term = mul(log(p), pos_weight * labels)
+    neg_term = mul(log(rsub(1.0, p)), neg_weight * (1.0 - labels))
     return mul(sum_all(add(pos_term, neg_term)), -1.0)
-
-
-def bce(y, yhat: Tensor, eps: float = 1e-7) -> Tensor:
-    """Unweighted binary cross-entropy (sum over elements)."""
-    return mul(weighted_bce(y, yhat, 0.5, eps=eps), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +605,7 @@ def load_tensors(path) -> dict[str, np.ndarray]:
                 raise TrainingError(f"{path}: tensor name is not UTF-8") from None
             (ndim,) = struct.unpack("<B", read(1))
             shape = struct.unpack(f"<{ndim}I", read(4 * ndim)) if ndim else ()
-            size = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(read(8 * size), dtype="<f8").reshape(shape)
+            data = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8").reshape(shape)
             out[name] = np.array(data, dtype=np.float64)
         return out
 

@@ -87,10 +87,6 @@ class ArgumentModel:
         return out
 
     @property
-    def lstm_hidden(self) -> int:
-        return self.forward_cell.hidden_size
-
-    @property
     def embedding_size(self) -> int:
         return self.f1.A.data.shape[0]
 
@@ -213,13 +209,9 @@ def build_argument_samples(
 
 
 def _encode_arrays(model: ArgumentModel, left: np.ndarray, right: np.ndarray) -> Tensor:
-    """BLSTM encoding of ``(T, dim)`` windows or ``(B, T, dim)`` batches."""
-
-    def steps(arr):
-        return [ndiff.constant(x) for x in np.moveaxis(arr, -2, 0)]
-
-    h_fwd = ndiff.lstm_last(model.forward_cell, steps(left))
-    h_bwd = ndiff.lstm_last(model.backward_cell, steps(right))
+    """BLSTM encoding ``(B, 2H)`` of ``(B, T, dim)`` window batches."""
+    h_fwd = ndiff.lstm_last(model.forward_cell, np.moveaxis(left, 1, 0))
+    h_bwd = ndiff.lstm_last(model.backward_cell, np.moveaxis(right, 1, 0))
     return ndiff.concat([h_fwd, h_bwd], axis=-1)
 
 
@@ -340,7 +332,7 @@ def train_argument_model(
             enc = _encode_arrays(model, lefts[idx], rights[idx])
             probs = _head(model, enc, training=True, rng=rng)
             y = labels[idx]
-            loss = ndiff.mul(ndiff.weighted_bce(y, probs, z), 1.0 / len(idx))
+            loss = ndiff.mul(ndiff.weighted_bce(y, probs, z, 1.0 - z), 1.0 / len(idx))
             ndiff.backward(loss)
             ndiff.sgd_step(opt, params)
             p = probs.data
@@ -374,7 +366,9 @@ def save_argument_model(model: ArgumentModel, path) -> None:
     ndiff.save_tensors(path, model_tensors(model))
 
 
-def load_argument_model(path, arg_type: str, dropout: float = 0.2) -> ArgumentModel:
+def load_argument_model(path, arg_type: str) -> ArgumentModel:
+    """A saved model, for inference: checkpoints hold only the weights, so the
+    dropout rate is the default."""
     gates = ("input_gate", "forget_gate", "output_gate", "candidate")
     cells = [f"{cell}.{gate}" for cell in ("fwd", "bwd") for gate in gates]
     layers = ndiff.load_dense_layers(path, [*cells, "f1", "f2"])
@@ -384,5 +378,4 @@ def load_argument_model(path, arg_type: str, dropout: float = 0.2) -> ArgumentMo
         backward_cell=LSTMCellParams(*(layers[name] for name in cells[4:])),
         f1=layers["f1"],
         f2=layers["f2"],
-        dropout=dropout,
     )

@@ -33,10 +33,6 @@ class CandidatePair:
     def sentence_index(self) -> int:
         return self.first.sentence_index
 
-    @property
-    def key(self) -> tuple[str, str, str]:
-        return (self.doc_id, self.first.id, self.second.id)
-
 
 @dataclass
 class PairLabel:
@@ -58,9 +54,6 @@ class EventHyper:
 class EventModel:
     """Existence and direction MLP heads over the composed pair vector."""
 
-    event_type: str
-    source_type: str
-    target_type: str
     exist_f1: DenseParams
     exist_f2: DenseParams
     dir_f1: DenseParams
@@ -76,18 +69,10 @@ class EventModel:
 
 
 def new_event_model(
-    event_type: str,
-    source_type: str,
-    target_type: str,
-    input_dim: int,
-    hidden: int = 64,
-    rng: np.random.Generator | None = None,
+    input_dim: int, hidden: int = 64, rng: np.random.Generator | None = None
 ) -> EventModel:
     rng = rng or np.random.default_rng(0)
     return EventModel(
-        event_type=event_type,
-        source_type=source_type,
-        target_type=target_type,
         exist_f1=ndiff.init_dense(rng, input_dim, hidden, "exist_f1"),
         exist_f2=ndiff.init_dense(rng, hidden, 1, "exist_f2"),
         dir_f1=ndiff.init_dense(rng, input_dim, hidden, "dir_f1"),
@@ -220,20 +205,11 @@ def event_forward_batch(model: EventModel, composed: np.ndarray):
     return p_exists, p_forward
 
 
-def _masked_bce(labels: np.ndarray, probs: Tensor, mask: np.ndarray, eps=1e-7) -> Tensor:
-    p = ndiff.clamp(probs, eps, 1.0 - eps)
-    pos = ndiff.mul(ndiff.log(p), labels)
-    neg = ndiff.mul(ndiff.log(ndiff.rsub(1.0, p)), 1.0 - labels)
-    return ndiff.mul(ndiff.sum_all(ndiff.mul(ndiff.add(pos, neg), mask)), -1.0)
-
-
 def train_event_model(
     composed: np.ndarray,
     exists: np.ndarray,
     forward: np.ndarray,
     event_type: str,
-    source_type: str,
-    target_type: str,
     hyper: EventHyper | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[EventModel, list[EpochRecord]]:
@@ -249,9 +225,7 @@ def train_event_model(
     train_idx = vecent.oversample(exists, max_ratio=hyper.oversample_ratio, rng=rng)
 
     dim = composed.shape[1]
-    model = new_event_model(
-        event_type, source_type, target_type, input_dim=dim, hidden=hyper.hidden, rng=rng
-    )
+    model = new_event_model(input_dim=dim, hidden=hyper.hidden, rng=rng)
     params = model.parameters()
     opt = ndiff.SGDState(learning_rate=hyper.lr, momentum=hyper.momentum)
 
@@ -271,8 +245,8 @@ def train_event_model(
             v = ndiff.constant(composed[idx])
             p_exists, p_forward = _heads(model, v)
             ye, yd = y_exist[idx], y_dir[idx]
-            loss_e = ndiff.bce(ye, p_exists)
-            loss_d = _masked_bce(yd, p_forward, ye)
+            loss_e = ndiff.weighted_bce(ye, p_exists, 1.0, 1.0)
+            loss_d = ndiff.weighted_bce(yd, p_forward, ye, ye)  # masked to existing events
             loss = ndiff.mul(ndiff.add(loss_e, loss_d), 1.0 / len(idx))
             ndiff.backward(loss)
             ndiff.sgd_step(opt, params)

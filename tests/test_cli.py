@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -56,7 +57,6 @@ class TestConfig:
             window=4,
             lr=0.05,
             typed_candidates=True,
-            jobs=3,
         )
         path = tmp_path / "run.ini"
         path.write_text(config_to_ini(cfg), encoding="utf-8")
@@ -78,6 +78,22 @@ class TestConfig:
         path.write_text("[hyper]\nwarmup = 3\n", encoding="utf-8")
         with pytest.raises(ConfigurationError):
             config_from_ini(path)
+
+    def test_ini_jobs_key_rejected(self, tmp_path):
+        path = tmp_path / "jobs.ini"
+        path.write_text("[run]\njobs = 1\n", encoding="utf-8")
+        with pytest.raises(ConfigurationError):
+            config_from_ini(path)
+
+    def test_jobs_flag_accepts_only_one(self, tmp_path, bgi_dir, capsys):
+        base = ["ingest", "--schema", "bgi", "--train-dir", str(bgi_dir), "--out", str(tmp_path)]
+        assert main([*base, "--jobs", "1"]) == 0
+        effective = (tmp_path / "effective.ini").read_text(encoding="utf-8").splitlines()
+        assert not [line for line in effective if line.startswith("jobs")]
+        with pytest.raises(SystemExit) as exc:
+            main([*base, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_effective_config_reloads_to_equivalent_run(self, tmp_path, bgi_dir):
         out = tmp_path / "out"
@@ -156,6 +172,16 @@ class TestTrainArgs:
         a = (outs[0] / "args" / "Target.ckpt").read_bytes()
         b = (outs[1] / "args" / "Target.ckpt").read_bytes()
         assert a == b
+
+    def test_malformed_embedding_file_is_json_error(self, tmp_path, bgi_dir, capsys):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("2 3\nalpha 1 2 3\nbeta 1 x 3\n", encoding="utf-8")
+        rc = main(["train-args", "--schema", "bgi", "--train-dir", str(bgi_dir),
+                   "--out", str(tmp_path / "out"), "--embedding", str(vectors)])
+        assert rc == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "FormatError"
+        assert "row 2" in error["message"]
 
 
 class TestTrainEvents:
@@ -289,6 +315,19 @@ def _drop_f2_b(path):
     ndiff.save_tensors(path, tensors)
 
 
+def _first_shape(shape):
+    """Replace the first tensor's shape header with ``shape``."""
+
+    def damage(path):
+        blob = path.read_bytes()
+        (name_len,) = struct.unpack_from("<H", blob, 12)
+        at = 14 + name_len  # the first tensor's ndim byte
+        rest = blob[at + 1 + 4 * blob[at] :]
+        path.write_bytes(blob[:at] + struct.pack(f"<B{len(shape)}I", len(shape), *shape) + rest)
+
+    return damage
+
+
 class TestBadCheckpoints:
     @pytest.mark.parametrize(
         "damage",
@@ -298,8 +337,11 @@ class TestBadCheckpoints:
             _rewrite(lambda blob: blob[:-5]),
             _rewrite(lambda blob: blob[:14] + b"\xff" + blob[15:]),  # first name byte
             _drop_f2_b,
+            _first_shape((2**32 - 1, 2**32 - 1)),  # its element count wraps in int64
+            _first_shape((2**16,) * 5),  # 2**80 elements wrap to 0 in int64
         ],
-        ids=["cut_at_10", "cut_at_14", "five_bytes_short", "name_not_utf8", "missing_f2_b"],
+        ids=["cut_at_10", "cut_at_14", "five_bytes_short", "name_not_utf8", "missing_f2_b",
+             "shape_2x_uint32_max", "shape_5x_2_16"],
     )
     def test_predict_reports_json_error(self, tmp_path, case_dir, trained_out, damage, capsys):
         out = tmp_path / "out"

@@ -44,6 +44,14 @@ class TestLoadText:
         with pytest.raises(FormatError, match="non-finite"):
             load_table(_text_stream(["1 2", "a 1 inf"]))
 
+    def test_non_numeric_value(self):
+        with pytest.raises(FormatError, match="non-numeric value in row 2"):
+            load_table(_text_stream(["2 2", "a 1 2", "b 3 four"]))
+
+    def test_word_not_utf8(self):
+        with pytest.raises(FormatError, match="row 1 is not UTF-8"):
+            load_table(io.BytesIO(b"1 2\n\xff\xfe 1 2\n"))
+
     def test_duplicates_keep_first(self):
         table = load_table(_text_stream(["3 2", "a 1 2", "a 9 9", "b 3 4"]))
         assert table.duplicate_words == 1
@@ -74,6 +82,12 @@ class TestLoadBinary:
     def test_truncated_file(self):
         stream = self._binary_stream([("a", [1.0, 2.0])], dim=2, header_count=2)
         with pytest.raises(FormatError):
+            load_table(stream, format="binary")
+
+    def test_word_not_utf8(self):
+        records = [b"ok " + struct.pack("<f", 1.0), b"\xff " + struct.pack("<f", 2.0)]
+        stream = io.BytesIO(b"2 1\n" + b"\n".join(records))
+        with pytest.raises(FormatError, match="row 2 is not UTF-8"):
             load_table(stream, format="binary")
 
     def test_unknown_format(self):

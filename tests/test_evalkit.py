@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bioee import evalkit, synth
+from bioee import evalkit, synth, vecom
 from bioee.embed import make_hashed_table
 from bioee.errors import PlanningError
 from bioee.evalkit import (
@@ -129,6 +129,15 @@ class TestBinaryMetrics:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             binary_metrics([1, 0], [1])
+
+    def test_decoded_event_metrics_share_the_flags(self):
+        corpus = synth.make_synthetic_corpus(n_sentences=10, seed=3)
+        pairs = vecom.candidate_pairs(corpus)
+        nothing = np.zeros(len(pairs))  # no pair clears the threshold
+        m = evalkit._decoded_event_metrics(corpus, pairs, nothing, nothing, "Activation", 0.5)
+        assert m.flags == ["precision_zero_division", "f_zero_division", "set_match"]
+        assert (m.accuracy, m.precision, m.recall, m.f_score) == (0.0, 0.0, 0.0, 0.0)
+        assert m.support_pos > 0 and m.support_neg == 0
 
     def test_matches_oracle_on_random_sets(self):
         rng = np.random.default_rng(17)
@@ -286,18 +295,6 @@ class TestCrossValidate:
             seed=99,
         )
         assert report_json(again) == report_json(report)
-
-    def test_jobs_do_not_change_results(self, small_corpus, report):
-        arg_hyper, event_hyper = _tiny_settings()
-        threaded = cross_validate(
-            small_corpus,
-            make_hashed_table(dim=8, seed=2),
-            arg_hyper=arg_hyper,
-            event_hyper=event_hyper,
-            seed=99,
-            jobs=3,
-        )
-        assert report_json(threaded) == report_json(report)
 
     def test_csv_layout(self, report):
         csv_text = metrics_csv(report)

@@ -1,7 +1,6 @@
 """Autodiff semantics, gradient correctness, optimizer, and checkpoints."""
 
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -15,8 +14,8 @@ from bioee.ndiff import (
     SGDState,
     absolute,
     affine,
+    add,
     backward,
-    bce,
     concat,
     constant,
     dropout,
@@ -28,10 +27,10 @@ from bioee.ndiff import (
     no_grad,
     parameter,
     relu,
+    rsub,
     save_tensors,
     sgd_step,
     sigmoid,
-    sub,
     sum_all,
     tanh,
     weighted_bce,
@@ -75,12 +74,13 @@ def _lstm_oracle(weights, xs):
     return h
 
 
-def _per_step_tape_lstm(cell, xs):
-    """The per-step tape formulation: one affine per gate over [x, h] at
-    every step, differentiated by the generic backward pass."""
-    h = c = constant(np.zeros(xs[0].data.shape[:-1] + (cell.hidden_size,)))
-    for x in xs:
-        z = concat([x, h], axis=-1)
+def _per_step_tape_lstm(cell, steps):
+    """The per-step tape formulation over ``(T, B, D)`` steps: one affine per
+    gate over [x, h] at every step, differentiated by the generic backward
+    pass."""
+    h = c = constant(np.zeros((steps.shape[1], cell.hidden_size)))
+    for x in steps:
+        z = concat([constant(x), h], axis=-1)
         i = sigmoid(affine(cell.input_gate, z))
         f = sigmoid(affine(cell.forget_gate, z))
         o = sigmoid(affine(cell.output_gate, z))
@@ -106,20 +106,20 @@ def _cell_from_arrays(Wi, Wf, Wo, Wg, bi, bf, bo, bg):
 class TestAffine:
     def test_identity(self):
         p = DenseParams(parameter(np.eye(3)), parameter(np.zeros(3)))
-        x = constant([1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(affine(p, x).data, [1.0, -2.0, 3.0])
+        x = constant([[1.0, -2.0, 3.0]])
+        np.testing.assert_array_equal(affine(p, x).data, [[1.0, -2.0, 3.0]])
 
     def test_zero_weight_gives_bias(self):
         p = DenseParams(parameter(np.zeros((2, 3))), parameter([5.0, -1.0]))
-        np.testing.assert_array_equal(affine(p, constant([1.0, 2.0, 3.0])).data, [5.0, -1.0])
+        np.testing.assert_array_equal(affine(p, constant([[1.0, 2.0, 3.0]])).data, [[5.0, -1.0]])
 
     def test_random_case_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(7)
         A = rng.standard_normal((3, 2))
         b = rng.standard_normal(3)
         x = rng.standard_normal(2)
-        got = affine(DenseParams(parameter(A), parameter(b)), constant(x)).data
-        np.testing.assert_allclose(got, _matmul_oracle(A, x) + b, atol=1e-12)
+        got = affine(DenseParams(parameter(A), parameter(b)), constant(x[None, :])).data
+        np.testing.assert_allclose(got[0], _matmul_oracle(A, x) + b, atol=1e-12)
 
     def test_batched_matches_per_row(self):
         rng = np.random.default_rng(8)
@@ -133,8 +133,9 @@ class TestAffine:
 
     def test_shape_mismatch(self):
         p = DenseParams(parameter(np.zeros((2, 3))), parameter(np.zeros(2)))
-        with pytest.raises(ShapeError):
-            affine(p, constant(np.zeros(4)))
+        for x in (np.zeros((1, 4)), np.zeros(3)):  # wrong width; a single vector
+            with pytest.raises(ShapeError):
+                affine(p, constant(x))
 
 
 class TestElementwise:
@@ -143,7 +144,7 @@ class TestElementwise:
 
     def test_abs_of_self_difference_is_zero(self):
         x = constant([1.5, -2.0, 0.25])
-        np.testing.assert_array_equal(absolute(sub(x, x)).data, np.zeros(3))
+        np.testing.assert_array_equal(absolute(add(x, mul(x, -1.0))).data, np.zeros(3))
 
     def test_concat(self):
         got = concat([constant([1.0, 2.0]), constant([3.0])]).data
@@ -153,11 +154,11 @@ class TestElementwise:
         x = constant([-1.0, 2.0])
         np.testing.assert_array_equal(relu(x).data, [0.0, 2.0])
         np.testing.assert_array_equal(absolute(x).data, [1.0, 2.0])
-        np.testing.assert_array_equal(sub(x, constant([1.0, 1.0])).data, [-2.0, 1.0])
+        np.testing.assert_array_equal(rsub(1.0, x).data, [2.0, -1.0])
 
-    def test_sub_shape_mismatch(self):
+    def test_add_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            sub(constant([1.0]), constant([1.0, 2.0]))
+            add(constant([1.0]), constant([1.0, 2.0]))
 
 
 class TestLSTM:
@@ -165,46 +166,46 @@ class TestLSTM:
         zeros = [np.zeros((4, 7)) for _ in range(4)] + [np.zeros(4) for _ in range(4)]
         cell = _cell_from_arrays(*zeros)
         for steps in (1, 5):
-            h = lstm_last(cell, [constant(np.zeros(3)) for _ in range(steps)])
-            np.testing.assert_array_equal(h.data, np.zeros(4))
+            h = lstm_last(cell, np.zeros((steps, 1, 3)))
+            np.testing.assert_array_equal(h.data, np.zeros((1, 4)))
 
     def test_zero_weights_carried_cell_state(self):
         # All gates sit at 0.5 and the candidate at tanh(atanh(2/3)) = 2/3, so
         # c1 = 1/3 and c2 = 0.5 * c1 + 0.5 * 2/3 = 0.5 from a non-zero c_prev.
         zeros = [np.zeros((4, 7)) for _ in range(4)] + [np.zeros(4) for _ in range(3)]
         cell = _cell_from_arrays(*zeros, np.full(4, math.atanh(2.0 / 3.0)))
-        h = lstm_last(cell, [constant(np.zeros(3)) for _ in range(2)])
-        np.testing.assert_allclose(h.data, np.full(4, 0.5 * math.tanh(0.5)), atol=1e-15)
+        h = lstm_last(cell, np.zeros((2, 1, 3)))
+        np.testing.assert_allclose(h.data, np.full((1, 4), 0.5 * math.tanh(0.5)), atol=1e-15)
 
     def test_random_cell_matches_independent_oracle(self):
         rng = np.random.default_rng(21)
         Ws = [rng.standard_normal((4, 9)) for _ in range(4)]
         bs = [rng.standard_normal(4) for _ in range(4)]
         cell = _cell_from_arrays(*Ws, *bs)
-        for step_shape in ((5,), (3, 5)):
-            xs = [rng.standard_normal(step_shape) for _ in range(4)]
-            h = lstm_last(cell, [constant(x) for x in xs])
-            np.testing.assert_allclose(h.data, _lstm_oracle([*Ws, *bs], xs), atol=1e-12)
+        for batch in (1, 3):
+            steps = rng.standard_normal((4, batch, 5))
+            h = lstm_last(cell, steps)
+            np.testing.assert_allclose(h.data, _lstm_oracle([*Ws, *bs], steps), atol=1e-12)
 
     def test_lstm_last_single_step(self):
         rng = np.random.default_rng(3)
         cell = init_lstm(rng, 3, 4, "c")
         x = rng.standard_normal(3)
-        h_last = lstm_last(cell, [constant(x)])
+        h_last = lstm_last(cell, x[None, None, :])
         weights = [g.A.data for g in _gates(cell)] + [g.b.data for g in _gates(cell)]
         h_step, _ = _lstm_step_oracle(weights, x, np.zeros(4), np.zeros(4))
-        np.testing.assert_allclose(h_last.data, h_step, atol=1e-15)
+        np.testing.assert_allclose(h_last.data[0], h_step, atol=1e-15)
 
     def test_fused_matches_per_step_tape_at_model_shape(self):
         B, T, D, H = 32, 11, 200, 128
         rng = np.random.default_rng(17)
         cell = init_lstm(rng, D, H, "c")
         params = cell.params("c")
-        xs = [constant(rng.standard_normal((B, D))) for _ in range(T)]
+        steps = rng.standard_normal((T, B, D))
         weights_out = rng.standard_normal((B, H))
 
         def grads_of(encode):
-            h = encode(cell, xs)
+            h = encode(cell, steps)
             backward(sum_all(mul(h, weights_out)))
             grads = {name: p.grad for name, p in params.items()}
             for p in params.values():
@@ -214,29 +215,15 @@ class TestLSTM:
         h_fused, g_fused = grads_of(lstm_last)
         h_ref, g_ref = grads_of(_per_step_tape_lstm)
         weights = [g.A.data for g in _gates(cell)] + [g.b.data for g in _gates(cell)]
-        np.testing.assert_allclose(h_fused, _lstm_oracle(weights, [x.data for x in xs]), rtol=1e-10)
+        np.testing.assert_allclose(h_fused, _lstm_oracle(weights, steps), rtol=1e-10)
         np.testing.assert_allclose(h_fused, h_ref, rtol=1e-10)
         for name in params:
             np.testing.assert_allclose(g_fused[name], g_ref[name], rtol=1e-10, err_msg=name)
 
-    def test_step_input_gradients_match_per_step_tape(self):
-        rng = np.random.default_rng(18)
-        cell = init_lstm(rng, 5, 3, "c")
-        for step_shape in ((5,), (2, 5)):
-            xs = [parameter(rng.standard_normal(step_shape)) for _ in range(4)]
-            grads = []
-            for encode in (lstm_last, _per_step_tape_lstm):
-                backward(sum_all(mul(encode(cell, xs), 1.3)))
-                grads.append([x.grad for x in xs])
-                for p in [*xs, *cell.params("c").values()]:
-                    p.grad = None
-            for fused, ref in zip(*grads):
-                np.testing.assert_allclose(fused, ref, rtol=1e-10)
-
     def test_all_pad_inputs_bounded(self):
         rng = np.random.default_rng(4)
         cell = init_lstm(rng, 3, 4, "c")
-        h = lstm_last(cell, [constant(np.zeros(3)) for _ in range(6)])
+        h = lstm_last(cell, np.zeros((6, 1, 3)))
         assert np.all(np.abs(h.data) < 1.0)
 
     def test_output_magnitude_bounded_by_one(self):
@@ -244,21 +231,23 @@ class TestLSTM:
         rng = np.random.default_rng(6)
         cell = init_lstm(rng, 5, 3, "c")
         for _ in range(10):
-            seq = [constant(10.0 * rng.standard_normal(5)) for _ in range(7)]
+            seq = 10.0 * rng.standard_normal((7, 1, 5))
             assert np.all(np.abs(lstm_last(cell, seq).data) < 1.0)
 
     def test_sequence_reversal_changes_output(self):
         rng = np.random.default_rng(5)
         cell = init_lstm(rng, 3, 4, "c")
-        seq = [rng.standard_normal(3) for _ in range(4)]
-        fwd = lstm_last(cell, [constant(v) for v in seq]).data
-        rev = lstm_last(cell, [constant(v) for v in reversed(seq)]).data
+        seq = rng.standard_normal((4, 1, 3))
+        fwd = lstm_last(cell, seq).data
+        rev = lstm_last(cell, seq[::-1]).data
         assert not np.allclose(fwd, rev)
 
     def test_empty_sequence(self):
         cell = init_lstm(np.random.default_rng(0), 3, 4, "c")
         with pytest.raises(ShapeError):
-            lstm_last(cell, [])
+            lstm_last(cell, np.zeros((0, 1, 3)))
+        with pytest.raises(ShapeError):  # one step of one row, not a (T, B, D) batch
+            lstm_last(cell, np.zeros((1, 3)))
 
 
 class TestInPlaceGateMath:
@@ -292,12 +281,11 @@ class TestInPlaceGateMath:
         rng = np.random.default_rng(41)
         cell = init_lstm(rng, D, H, "c")
         steps = rng.standard_normal((T, B, D))
-        xs = [constant(s) for s in steps]
         if grad:
-            h = lstm_last(cell, xs).data
+            h = lstm_last(cell, steps).data
         else:
             with no_grad():
-                h = lstm_last(cell, xs).data
+                h = lstm_last(cell, steps).data
         assert np.array_equal(h, self._out_of_place(cell, steps))
 
 
@@ -365,8 +353,8 @@ class TestPaddedRows:
     must agree with computing every step of every row."""
 
     @staticmethod
-    def _tape_run(cell, xs, grad_out):
-        h = lstm_last(cell, xs)
+    def _tape_run(cell, steps, grad_out):
+        h = lstm_last(cell, steps)
         backward(sum_all(mul(h, grad_out)))
         grads = [p.grad for gate in _gates(cell) for p in (gate.A, gate.b)]
         for gate in _gates(cell):
@@ -382,12 +370,12 @@ class TestPaddedRows:
         steps = _padded_steps(rng, leads, T, D)
         grad_out = rng.standard_normal((B, H))
         h_ref, grads_ref = _unpacked_lstm(cell, steps, grad_out)
-        h, grads = self._tape_run(cell, [constant(s) for s in steps], grad_out)
+        h, grads = self._tape_run(cell, steps, grad_out)
         _assert_close(h, h_ref)
         for name, got, ref in zip(cell.params("c"), grads, grads_ref):
             _assert_close(got, ref, err_msg=name)
         with no_grad():
-            h_inference = lstm_last(cell, [constant(s) for s in steps]).data
+            h_inference = lstm_last(cell, steps).data
         _assert_close(h_inference, h_ref)
 
     @pytest.mark.parametrize("lead", [0, 1, 3, 4])
@@ -398,27 +386,11 @@ class TestPaddedRows:
         steps = _padded_steps(rng, [lead], T, D)
         grad_out = rng.standard_normal((1, H))
         h_ref, grads_ref = _unpacked_lstm(cell, steps, grad_out)
-        h, grads = self._tape_run(cell, [constant(s[0]) for s in steps], grad_out[0])
-        assert h.shape == (H,)
-        _assert_close(h, h_ref[0])
+        h, grads = self._tape_run(cell, steps, grad_out)
+        assert h.shape == (1, H)
+        _assert_close(h, h_ref)
         for name, got, ref in zip(cell.params("c"), grads, grads_ref):
             _assert_close(got, ref, err_msg=name)
-
-    def test_padded_step_inputs_get_gradients(self):
-        T, D, H = 5, 4, 3
-        rng = np.random.default_rng(53)
-        cell = init_lstm(rng, D, H, "c")
-        steps = _padded_steps(rng, [2, 0, 5, 4], T, D)
-        xs = [parameter(s) for s in steps]
-        grads = []
-        for encode in (lstm_last, _per_step_tape_lstm):
-            backward(sum_all(mul(encode(cell, xs), 1.3)))
-            grads.append([x.grad for x in xs])
-            for p in [*xs, *cell.params("c").values()]:
-                p.grad = None
-        for t, (fused, ref) in enumerate(zip(*grads)):
-            np.testing.assert_allclose(fused, ref, rtol=1e-10, err_msg=f"step {t}")
-        assert np.abs(grads[0][0][0]).sum() > 0  # a pad step's input gradient
 
     def test_output_rows_keep_input_order(self):
         T, D, H = 6, 4, 3
@@ -426,9 +398,9 @@ class TestPaddedRows:
         cell = init_lstm(rng, D, H, "c")
         leads = [6, 5, 3, 0, 2, 6, 1, 4]  # packing sorts these rows
         steps = _padded_steps(rng, leads, T, D)
-        h = lstm_last(cell, [constant(s) for s in steps]).data
+        h = lstm_last(cell, steps).data
         for r in range(len(leads)):
-            alone = lstm_last(cell, [constant(s[r]) for s in steps]).data
+            alone = lstm_last(cell, steps[:, r : r + 1]).data[0]
             _assert_close(h[r], alone, err_msg=f"row {r}")
         np.testing.assert_array_equal(h[0], h[5])  # both all-pad rows end on the chain
 
@@ -439,7 +411,7 @@ class TestNoGrad:
         cell = init_lstm(rng, 3, 4, "c")
         dense = init_dense(rng, 4, 2, "d")
         with no_grad():
-            h = lstm_last(cell, [constant(rng.standard_normal((2, 3))) for _ in range(3)])
+            h = lstm_last(cell, rng.standard_normal((3, 2, 3)))
             y = tanh(affine(dense, h))
         for t in (h, y):
             assert t._parents == () and t._backward is None
@@ -450,65 +422,61 @@ class TestNoGrad:
             raise RuntimeError("inside no_grad")
         assert tanh(x)._parents == (x,)
 
-    def test_mode_is_per_thread(self):
-        entered, release = threading.Event(), threading.Event()
-
-        def infer():
-            with no_grad():
-                entered.set()
-                release.wait(timeout=10)
-
-        worker = threading.Thread(target=infer)
-        worker.start()
-        try:
-            assert entered.wait(timeout=10)
-            x = parameter(np.ones(3))
-            assert tanh(x)._parents == (x,)
-        finally:
-            release.set()
-            worker.join(timeout=10)
-        assert not worker.is_alive()
-
     def test_training_after_no_grad_gets_gradients(self):
         rng = np.random.default_rng(31)
         cell = init_lstm(rng, 3, 4, "c")
-        xs = [constant(rng.standard_normal((2, 3))) for _ in range(3)]
+        steps = rng.standard_normal((3, 2, 3))
         with no_grad():
-            lstm_last(cell, xs)
-        backward(sum_all(lstm_last(cell, xs)))
+            lstm_last(cell, steps)
+        backward(sum_all(lstm_last(cell, steps)))
         for name, p in cell.params("c").items():
             assert p.grad is not None and np.abs(p.grad).sum() > 0, name
 
 
 class TestWeightedBCE:
     def test_perfect_prediction_is_near_zero(self):
-        loss = weighted_bce(np.array([1.0]), constant([1.0]), 1.0)
+        loss = weighted_bce(np.array([1.0]), constant([1.0]), 1.0, 0.0)
         assert 0.0 <= float(loss.data) < 1e-6
 
     def test_half_probability_is_ln2(self):
-        loss = weighted_bce(np.array([1.0]), constant([0.5]), 1.0)
+        loss = weighted_bce(np.array([1.0]), constant([0.5]), 1.0, 0.0)
         assert float(loss.data) == pytest.approx(math.log(2), rel=1e-9)
 
     def test_z_half_is_half_unweighted(self):
         rng = np.random.default_rng(9)
         y = (rng.random(20) > 0.5).astype(float)
         p = rng.uniform(0.05, 0.95, 20)
-        halved = float(weighted_bce(y, constant(p), 0.5).data)
-        full = float(bce(y, constant(p)).data)
+        halved = float(weighted_bce(y, constant(p), 0.5, 0.5).data)
+        full = float(weighted_bce(y, constant(p), 1.0, 1.0).data)
         assert halved == pytest.approx(0.5 * full, rel=1e-12)
 
     def test_z_out_of_range(self):
-        with pytest.raises(ValueError):
-            weighted_bce(np.array([1.0]), constant([0.5]), 1.5)
+        with pytest.raises(ValueError):  # z = 1.5 leaves 1 - z = -0.5 for negatives
+            weighted_bce(np.array([1.0]), constant([0.5]), 1.5, -0.5)
 
     @given(st.floats(0.01, 0.99), st.floats(0.0, 1.0))
     @settings(max_examples=50, deadline=None)
     def test_weight_identity_property(self, p, z):
         y = np.array([1.0, 0.0])
         probs = constant([p, p])
-        lhs = float(weighted_bce(y, probs, z).data)
+        lhs = float(weighted_bce(y, probs, z, 1.0 - z).data)
         manual = -(z * math.log(p) + (1 - z) * math.log(1 - p))
         assert lhs == pytest.approx(manual, rel=1e-9, abs=1e-12)
+
+    def test_per_row_weights_mask_rows(self):
+        rng = np.random.default_rng(10)
+        y = (rng.random((8, 1)) > 0.5).astype(float)
+        p = rng.uniform(0.05, 0.95, (8, 1))
+        mask = (np.arange(8) % 3 != 1).astype(float)[:, None]
+        keep = mask[:, 0] == 1
+        masked, kept = parameter(p), parameter(p[keep])
+        loss = weighted_bce(y, masked, mask, mask)
+        backward(loss)
+        backward(weighted_bce(y[keep], kept, 1.0, 1.0))
+        manual = -np.sum(y[keep] * np.log(p[keep]) + (1 - y[keep]) * np.log(1 - p[keep]))
+        assert float(loss.data) == pytest.approx(manual, rel=1e-12)
+        np.testing.assert_array_equal(masked.grad[~keep], 0.0)
+        np.testing.assert_allclose(masked.grad[keep], kept.grad, rtol=1e-15)
 
 
 class TestBackward:
@@ -634,11 +602,10 @@ class TestDeterminism:
         dense = init_dense(rng, 4, 2, "layer")
         state = SGDState(learning_rate=0.05, momentum=0.9)
         X = np.random.default_rng(1).standard_normal((8, 4))
-        y = np.zeros((8, 2))
         trajectory = []
         for _ in range(5):
             out = tanh(affine(dense, constant(X)))
-            loss = sum_all(mul(sub(out, constant(y)), sub(out, constant(y))))
+            loss = sum_all(mul(out, out))
             backward(loss)
             sgd_step(state, dense.params("layer"))
             trajectory.append(dense.A.data.copy())

@@ -234,7 +234,7 @@ class TestTraining:
             _separable_samples(n=20), hyper, rng=np.random.default_rng(0), arg_type="t"
         )
         assert log == []
-        assert model.lstm_hidden == 8
+        assert model.forward_cell.hidden_size == 8
 
     def test_class_weight_uses_predup_distribution(self, monkeypatch):
         seen = {}

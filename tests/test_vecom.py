@@ -237,15 +237,14 @@ class TestEventForward:
 
     def test_existence_invariant_under_sign_flip(self):
         rng = np.random.default_rng(13)
-        model = new_event_model("E", "S", "T", input_dim=8, hidden=4, rng=rng)
+        model = new_event_model(input_dim=8, hidden=4, rng=rng)
         v = rng.standard_normal(8)
         p1, _ = event_forward_batch(model, v[None, :])
         p2, _ = event_forward_batch(model, -v[None, :])
         assert p1[0] == pytest.approx(p2[0], abs=0)
 
     def test_zero_weight_model_gives_half_half(self):
-        model = new_event_model("E", "S", "T", input_dim=8, hidden=4,
-                                rng=np.random.default_rng(14))
+        model = new_event_model(input_dim=8, hidden=4, rng=np.random.default_rng(14))
         for t in model.parameters().values():
             t.data[...] = 0.0
         p_exists, p_forward = event_forward_batch(model, np.ones((1, 8)))
@@ -254,7 +253,7 @@ class TestEventForward:
 
     def test_direction_changes_under_sign_flip(self):
         rng = np.random.default_rng(15)
-        model = new_event_model("E", "S", "T", input_dim=8, hidden=4, rng=rng)
+        model = new_event_model(input_dim=8, hidden=4, rng=rng)
         v = rng.standard_normal(8)
         _, f1 = event_forward_batch(model, v[None, :])
         _, f2 = event_forward_batch(model, -v[None, :])
@@ -289,14 +288,14 @@ class TestTrainEventModel:
     def test_separable_pairs_reach_95_accuracy(self):
         hyper = EventHyper(hidden=8, batch=16, epochs=10, lr=0.05)
         model, log = train_event_model(
-            *_separable_pairs(), "E", "S", "T", hyper, rng=np.random.default_rng(0)
+            *_separable_pairs(), "E", hyper, rng=np.random.default_rng(0)
         )
         assert log[-1].accuracy >= 0.95
 
     def test_zero_epochs_returns_initialized_model(self):
         hyper = EventHyper(hidden=8, epochs=0)
         model, log = train_event_model(
-            *_separable_pairs(n=20), "E", "S", "T", hyper, rng=np.random.default_rng(0)
+            *_separable_pairs(n=20), "E", hyper, rng=np.random.default_rng(0)
         )
         assert log == []
 
@@ -305,7 +304,7 @@ class TestTrainEventModel:
         keep = exists == 1
         with pytest.raises(TrainingSetupError):
             train_event_model(
-                composed[keep], exists[keep], forward[keep], "E", "S", "T", EventHyper(),
+                composed[keep], exists[keep], forward[keep], "E", EventHyper(),
                 np.random.default_rng(0),
             )
 
@@ -313,7 +312,7 @@ class TestTrainEventModel:
         hyper = EventHyper(hidden=8, batch=16, epochs=12, lr=0.05)
         composed, exists, forward = _separable_pairs()
         model, _ = train_event_model(
-            composed, exists, forward, "E", "S", "T", hyper, rng=np.random.default_rng(0)
+            composed, exists, forward, "E", hyper, rng=np.random.default_rng(0)
         )
         _, pf = event_forward_batch(model, composed[exists == 1])
         assert np.mean((pf >= 0.5) == (forward[exists == 1] == 1)) >= 0.95
