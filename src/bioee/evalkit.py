@@ -1,10 +1,12 @@
 """Cross-validation planning, classification metrics, and micro-averaged
 ROC/PRC curves.
 
-Per-class one-vs-all classifiers are cross-validated independently; classes
-with few positive instances drop from 10-fold to 5-fold so every test fold
-still sees both classes. Scores are pooled across folds before metrics and
-curves are computed (micro-averaging).
+Every class is cross-validated on one fold plan over sentences (or
+documents), so no test sentence's entities reach training. Per fold, one
+argument model per role is trained and its embeddings feed every event
+type's heads. A corpus where some class has few positives drops from
+10-fold to 5-fold. Scores are pooled across folds before metrics and curves
+are computed (micro-averaging).
 """
 
 from __future__ import annotations
@@ -40,75 +42,58 @@ def child_rng(seed: int, label: str) -> np.random.Generator:
 @dataclass
 class FoldPlan:
     k: int
-    assignments: np.ndarray  # sample index -> fold id
-    seed: int
+    fold_of: dict  # unit -> fold id
+
+    def folds(self, units) -> np.ndarray:
+        """The fold id of each sample, given the unit of each."""
+        return np.array([self.fold_of[u] for u in units], dtype=np.int64)
 
 
 def plan_folds(
-    labels,
+    classes: dict,
     default_k: int = 10,
     small_k: int = 5,
     small_threshold: int = 20,
     seed: int = 0,
 ) -> FoldPlan:
-    """Stratified fold assignment; classes under the small threshold use the
-    reduced fold count so no test fold goes single-class."""
-    labels = np.asarray(labels)
-    n_pos = int((labels == 1).sum())
-    n_neg = int(labels.size - n_pos)
-    k = small_k if n_pos < small_threshold else default_k
-    if n_pos < k:
-        raise PlanningError(f"{n_pos} positive instances cannot fill {k} folds")
-    if n_neg < k:
-        raise PlanningError(f"{n_neg} negative instances cannot fill {k} folds")
-    rng = np.random.default_rng(seed)
-    assignments = np.empty(labels.size, dtype=np.int64)
-    for value in (1, 0):
-        idx = np.where(labels == value)[0]
-        idx = idx[rng.permutation(idx.size)]
-        assignments[idx] = np.arange(idx.size) % k
-    return FoldPlan(k=k, assignments=assignments, seed=seed)
+    """One fold assignment of units (sentences, or documents) for every class.
 
-
-def plan_folds_by_document(doc_ids: list[str], labels, k: int, seed: int = 0) -> FoldPlan:
-    """Document-level alternative: all samples of a document share a fold.
-
-    Stratified by document: the documents holding only positives, those
-    holding both classes and those holding only negatives are each shuffled,
-    then dealt round-robin in that order. The documents holding a positive,
-    and those holding a negative, each take consecutive turns, so every fold
-    gets both classes whenever at least k documents hold each.
+    ``classes`` maps a class name to ``(units, labels)``: the unit of each of
+    its samples and their 0/1 labels. All samples of a unit share a fold. k
+    is ``small_k`` if any class has fewer than ``small_threshold``
+    positives. The units holding the positives of the rarest class (fewest
+    such units, ties by name) are shuffled and dealt round-robin first, then
+    the not yet dealt ones of the next rarest class, then the rest, with one
+    running count, so each class's positives spread over the folds.
     """
-    labels = np.asarray(labels)
-    unique_docs = sorted(set(doc_ids))
-    if len(unique_docs) < k:
-        raise PlanningError(f"{len(unique_docs)} documents cannot fill {k} folds")
-    with_pos, with_neg = set(), set()
-    for doc, y in zip(doc_ids, labels.tolist()):
-        (with_pos if y == 1 else with_neg).add(doc)
-    groups = (
-        [d for d in unique_docs if d not in with_neg],
-        [d for d in unique_docs if d in with_pos and d in with_neg],
-        [d for d in unique_docs if d not in with_pos],
-    )
+    held = {}  # (name, label) -> units holding a sample with that label
+    k = default_k
+    for name, (units, labels) in classes.items():
+        positive = np.asarray(labels) == 1
+        held[name, 1] = {u for u, y in zip(units, positive) if y}
+        held[name, 0] = {u for u, y in zip(units, positive) if not y}
+        if positive.sum() < small_threshold:
+            k = small_k
+    for (name, value), units in sorted(held.items()):
+        if len(units) < k:
+            noun = "positive" if value else "negative"
+            raise PlanningError(
+                f"{name}: {noun} instances in {len(units)} units cannot fill {k} folds"
+            )
+
     rng = np.random.default_rng(seed)
-    dealt = [group[j] for group in groups for j in rng.permutation(len(group))]
-    doc_fold = {doc: i % k for i, doc in enumerate(dealt)}
-    assignments = np.array([doc_fold[d] for d in doc_ids], dtype=np.int64)
-    for fold in range(k):
-        test = labels[assignments == fold]
-        if test.size == 0 or len(set(test.tolist())) < 2:
-            raise PlanningError(f"document-level fold {fold} is single-class")
-    return FoldPlan(k=k, assignments=assignments, seed=seed)
-
-
-def _plan(labels, doc_ids, plan_seed, cv_args, doc_level) -> FoldPlan:
-    """One class's folds: stratified over its samples, or over the documents
-    in ``doc_ids`` (one per sample) with the fold count plan_folds picks."""
-    if not doc_level:
-        return plan_folds(labels, seed=plan_seed, **cv_args)
-    k = cv_args["small_k"] if labels.sum() < cv_args["small_threshold"] else cv_args["default_k"]
-    return plan_folds_by_document(doc_ids, labels, k, seed=plan_seed)
+    rarest = sorted(classes, key=lambda name: (len(held[name, 1]), name))
+    everything = {u for units, _ in classes.values() for u in units}
+    groups = [held[name, 1] for name in rarest] + [everything]
+    fold_of: dict = {}
+    for group in groups:
+        fresh = sorted(group - fold_of.keys())
+        for j in rng.permutation(len(fresh)):
+            fold_of[fresh[j]] = len(fold_of) % k
+    for (name, value), units in sorted(held.items()):
+        if len({fold_of[u] for u in units}) < 2:
+            raise PlanningError(f"{name}: all units with label {value} fell into one fold")
+    return FoldPlan(k=k, fold_of=fold_of)
 
 
 # ---------------------------------------------------------------------------
@@ -252,115 +237,6 @@ class CrossValReport:
     micro_events: Curves | None = None  # pooled across event types
 
 
-def _argument_cv(corpus, windows, arg_type, arg_hyper, cv_args, seed, doc_level):
-    samples = vecent.build_argument_samples(corpus, arg_type, windows)
-    labels = np.array([s.label for s in samples])
-    doc_ids = [s.entity_id.split("/", 1)[0] for s in samples]
-    plan = _plan(labels, doc_ids, child_seed(seed, f"plan/arg/{arg_type}"), cv_args, doc_level)
-    pooled = np.zeros(labels.size)
-    train_time = 0.0
-    test_time = 0.0
-    for fold in range(plan.k):
-        test_mask = plan.assignments == fold
-        train_samples = [samples[i] for i in np.where(~test_mask)[0]]
-        t0 = time.perf_counter()
-        model, _ = vecent.train_argument_model(
-            train_samples,
-            arg_hyper,
-            rng=child_rng(seed, f"train/arg/{arg_type}/{fold}"),
-            arg_type=arg_type,
-        )
-        train_time += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        pooled[test_mask] = vecent.predict_probs(
-            model, [samples[i].window for i in np.where(test_mask)[0]]
-        )
-        test_time += time.perf_counter() - t0
-    metrics = binary_metrics(labels, pooled >= 0.5)
-    metrics.train_time = train_time
-    metrics.test_time = test_time
-    return arg_type, ClassResult(
-        metrics=metrics,
-        curves=micro_curves(pooled, labels),
-        k=plan.k,
-        n_samples=labels.size,
-    ), (pooled, labels)
-
-
-def _event_cv(corpus, windows, event_type, arg_hyper, event_hyper, threshold, cv_args, seed, doc_level):
-    src_role, tgt_role = corpus.task_schema.roles(event_type)
-    pairs = vecom.candidate_pairs(corpus)
-    labels = vecom.label_pairs(pairs, list(corpus.events.values()), event_type)
-    exist = np.array([l.exists for l in labels])
-    forward = np.array([l.forward for l in labels])
-    plan_seed = child_seed(seed, f"plan/evt/{event_type}")
-    plan = _plan(exist, [p.doc_id for p in pairs], plan_seed, cv_args, doc_level)
-
-    qid_of = [
-        (Corpus.qualify(p.doc_id, p.first.id), Corpus.qualify(p.doc_id, p.second.id))
-        for p in pairs
-    ]
-    role_samples = {
-        role: vecent.build_argument_samples(corpus, role, windows)
-        for role in sorted({src_role, tgt_role})
-    }
-    pooled_exists = np.zeros(len(pairs))
-    pooled_forward = np.zeros(len(pairs))
-    train_time = 0.0
-    test_time = 0.0
-    seen = 0
-    for fold in range(plan.k):
-        test_mask = plan.assignments == fold
-        train_idx = np.where(~test_mask)[0]
-        test_idx = np.where(test_mask)[0]
-
-        # Argument models are trained per fold from the entities of the
-        # training pairs only, then frozen before the event heads train.
-        pool = set()
-        for i in train_idx:
-            pool.update(qid_of[i])
-        seen += sum(q in pool for i in test_idx for q in qid_of[i])
-        t0 = time.perf_counter()
-        arg_models = {}
-        for role, samples in role_samples.items():
-            rng = child_rng(seed, f"train/evt/{event_type}/{fold}/{role}")
-            arg_models[role], _ = vecent.train_argument_model(
-                [s for s in samples if s.entity_id in pool], arg_hyper, rng=rng, arg_type=role
-            )
-
-        embeddings, rows = vecom.embed_pair_entities(pairs, arg_models, windows)
-        composed = vecom.compose_pairs(embeddings, rows, (src_role, tgt_role))
-        rng = child_rng(seed, f"train/evt/{event_type}/{fold}/heads")
-        model, _ = vecom.train_event_model(
-            composed[train_idx], exist[train_idx], forward[train_idx], event_type, event_hyper,
-            rng=rng,
-        )
-        train_time += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        pe, pf = vecom.event_forward_batch(model, composed[test_idx])
-        pooled_exists[test_idx] = pe
-        pooled_forward[test_idx] = pf
-        test_time += time.perf_counter() - t0
-
-    pair_metrics = binary_metrics(exist, pooled_exists >= threshold)
-    pair_metrics.train_time = train_time
-    pair_metrics.test_time = test_time
-
-    event_metrics = _decoded_event_metrics(
-        corpus, pairs, pooled_exists, pooled_forward, event_type, threshold
-    )
-    return event_type, EventResult(
-        pair_metrics=pair_metrics,
-        event_metrics=event_metrics,
-        curves=micro_curves(pooled_exists, exist),
-        k=plan.k,
-        n_pairs=len(pairs),
-        test_entities=2 * len(pairs),
-        test_entities_seen=seen,
-    ), (pooled_exists, exist)
-
-
 def _decoded_event_metrics(
     corpus, pairs, p_exists, p_forward, event_type, threshold
 ) -> MetricsReport:
@@ -405,42 +281,138 @@ def cross_validate(
     seed: int = 0,
     doc_level: bool = False,
 ) -> CrossValReport:
-    """Full protocol: per class, stratified folds; per fold, oversampled
-    training of the argument models, frozen, then the event heads; evaluation
-    pools the untouched test scores across folds."""
+    """Full protocol: one fold plan over sentences (documents with
+    ``doc_level``) for every class; per fold, oversampled training of one
+    argument model per role on the training sentences' entities, frozen,
+    then each event type's heads on the training pairs; evaluation pools the
+    untouched test scores across folds."""
     arg_hyper = arg_hyper or ArgHyper()
     event_hyper = event_hyper or EventHyper()
     schema = corpus.task_schema
     windows = vecent.build_entity_windows(corpus, arg_hyper.u, table)
-    cv_args = {"default_k": default_k, "small_k": small_k, "small_threshold": small_threshold}
+    pairs = vecom.candidate_pairs(corpus)
 
-    arg_results = [
-        _argument_cv(corpus, windows, at, arg_hyper, cv_args, seed, doc_level)
-        for at in schema.argument_types
+    def unit(doc_id, sentence_index):
+        return doc_id if doc_level else (doc_id, sentence_index)
+
+    qids = sorted(windows)  # the sample order of build_argument_samples
+    entity_unit = {
+        Corpus.qualify(doc.id, e.id): unit(doc.id, e.sentence_index)
+        for doc in corpus.documents
+        for e in corpus.doc_entities(doc.id)
+    }
+    arg_samples = {
+        role: vecent.build_argument_samples(corpus, role, windows)
+        for role in schema.argument_types
+    }
+    arg_labels = {role: np.array([s.label for s in ss]) for role, ss in arg_samples.items()}
+    events = list(corpus.events.values())
+    pair_labels = {et: vecom.label_pairs(pairs, events, et) for et in schema.event_types}
+    exist = {et: np.array([l.exists for l in ls]) for et, ls in pair_labels.items()}
+    forward = {et: np.array([l.forward for l in ls]) for et, ls in pair_labels.items()}
+
+    entity_units = [entity_unit[q] for q in qids]
+    pair_units = [unit(p.doc_id, p.sentence_index) for p in pairs]
+    plan = plan_folds(
+        {
+            **{f"arg:{role}": (entity_units, y) for role, y in arg_labels.items()},
+            **{f"event:{et}": (pair_units, y) for et, y in exist.items()},
+        },
+        default_k=default_k,
+        small_k=small_k,
+        small_threshold=small_threshold,
+        seed=child_seed(seed, "plan"),
+    )
+    entity_fold = plan.folds(entity_units)
+    pair_fold = plan.folds(pair_units)
+    pair_qids = [
+        (Corpus.qualify(p.doc_id, p.first.id), Corpus.qualify(p.doc_id, p.second.id))
+        for p in pairs
     ]
-    evt_results = [
-        _event_cv(corpus, windows, et, arg_hyper, event_hyper, threshold, cv_args, seed, doc_level)
-        for et in schema.event_types
-    ]
+
+    arg_scores = {role: np.zeros(len(qids)) for role in arg_samples}
+    exist_scores = {et: np.zeros(len(pairs)) for et in exist}
+    forward_scores = {et: np.zeros(len(pairs)) for et in exist}
+    arg_times = {role: [0.0, 0.0] for role in arg_samples}  # train, test seconds
+    event_times = {et: [0.0, 0.0] for et in exist}
+    seen = 0
+    for fold in range(plan.k):
+        train_ents = np.flatnonzero(entity_fold != fold)
+        test_ents = np.flatnonzero(entity_fold == fold)
+        train_pairs = np.flatnonzero(pair_fold != fold)
+        test_pairs = np.flatnonzero(pair_fold == fold)
+        pool = {qids[i] for i in train_ents}
+        seen += sum(q in pool for i in test_pairs for q in pair_qids[i])
+
+        # One argument model per role, trained on the training units'
+        # entities, scores this fold's test entities and then, frozen,
+        # embeds the pairs of every event type.
+        arg_models = {}
+        for role, samples in arg_samples.items():
+            t0 = time.perf_counter()
+            arg_models[role], _ = vecent.train_argument_model(
+                [samples[i] for i in train_ents],
+                arg_hyper,
+                rng=child_rng(seed, f"train/arg/{role}/{fold}"),
+                arg_type=role,
+            )
+            t1 = time.perf_counter()
+            arg_scores[role][test_ents] = vecent.predict_probs(
+                arg_models[role], [windows[qids[i]] for i in test_ents]
+            )
+            arg_times[role][0] += t1 - t0
+            arg_times[role][1] += time.perf_counter() - t1
+
+        embeddings, rows = vecom.embed_pair_entities(pairs, arg_models, windows)
+        for et in exist:
+            composed = vecom.compose_pairs(embeddings, rows, schema.roles(et))
+            t0 = time.perf_counter()
+            model, _ = vecom.train_event_model(
+                composed[train_pairs],
+                exist[et][train_pairs],
+                forward[et][train_pairs],
+                et,
+                event_hyper,
+                rng=child_rng(seed, f"train/evt/{et}/{fold}/heads"),
+            )
+            t1 = time.perf_counter()
+            pe, pf = vecom.event_forward_batch(model, composed[test_pairs])
+            exist_scores[et][test_pairs] = pe
+            forward_scores[et][test_pairs] = pf
+            event_times[et][0] += t1 - t0
+            event_times[et][1] += time.perf_counter() - t1
 
     report = CrossValReport(arguments={}, events={}, seed=seed)
-    arg_pool_scores, arg_pool_labels = [], []
-    for name, result, (scores, labels) in sorted(arg_results, key=lambda r: r[0]):
-        report.arguments[name] = result
-        arg_pool_scores.append(scores)
-        arg_pool_labels.append(labels)
-    evt_pool_scores, evt_pool_labels = [], []
-    for name, result, (scores, labels) in sorted(evt_results, key=lambda r: r[0]):
-        report.events[name] = result
-        evt_pool_scores.append(scores)
-        evt_pool_labels.append(labels)
-    if arg_pool_scores:
-        report.micro_arguments = micro_curves(
-            np.concatenate(arg_pool_scores), np.concatenate(arg_pool_labels)
+    for role, labels in arg_labels.items():
+        metrics = binary_metrics(labels, arg_scores[role] >= 0.5)
+        metrics.train_time, metrics.test_time = arg_times[role]
+        report.arguments[role] = ClassResult(
+            metrics=metrics,
+            curves=micro_curves(arg_scores[role], labels),
+            k=plan.k,
+            n_samples=labels.size,
         )
-    if evt_pool_scores:
+    for et, labels in exist.items():
+        pair_metrics = binary_metrics(labels, exist_scores[et] >= threshold)
+        pair_metrics.train_time, pair_metrics.test_time = event_times[et]
+        report.events[et] = EventResult(
+            pair_metrics=pair_metrics,
+            event_metrics=_decoded_event_metrics(
+                corpus, pairs, exist_scores[et], forward_scores[et], et, threshold
+            ),
+            curves=micro_curves(exist_scores[et], labels),
+            k=plan.k,
+            n_pairs=len(pairs),
+            test_entities=2 * len(pairs),
+            test_entities_seen=seen,
+        )
+    if arg_labels:
+        report.micro_arguments = micro_curves(
+            np.concatenate(list(arg_scores.values())), np.concatenate(list(arg_labels.values()))
+        )
+    if exist:
         report.micro_events = micro_curves(
-            np.concatenate(evt_pool_scores), np.concatenate(evt_pool_labels)
+            np.concatenate(list(exist_scores.values())), np.concatenate(list(exist.values()))
         )
     return report
 

@@ -35,8 +35,6 @@ class ContextWindow:
     right_tokens: list[str]
     left: np.ndarray  # (u+1, dim)
     right: np.ndarray  # (u+1, dim)
-    u: int
-    entity_id: str = ""
 
 
 @dataclass
@@ -152,8 +150,6 @@ def build_context(
         right_tokens=right_tokens,
         left=table.lookup_all(left_tokens),
         right=table.lookup_all(right_tokens),
-        u=u,
-        entity_id=f"{entity.doc_id}/{entity.id}" if entity.doc_id else entity.id,
     )
 
 

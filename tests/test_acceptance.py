@@ -147,11 +147,13 @@ class TestCriterion4OversamplingBound:
     def test_evaluation_portions_untouched(self):
         rng = np.random.default_rng(5)
         labels = np.array([1] * 30 + [0] * 300)
-        plan = plan_folds(labels, seed=3)
+        samples = list(range(labels.size))  # each sample its own unit
+        plan = plan_folds({"c": (samples, labels)}, seed=3)
+        folds = plan.folds(samples)
         clean = True
         for fold in range(plan.k):
-            test_idx = np.where(plan.assignments == fold)[0]
-            train = np.where(plan.assignments != fold)[0]
+            test_idx = np.where(folds == fold)[0]
+            train = np.where(folds != fold)[0]
             duplicated = train[oversample(labels[train], max_ratio=5, rng=rng)]
             clean &= not set(duplicated.tolist()) & set(test_idx.tolist())
         _line(4, clean, "no evaluation sample is ever duplicated into a training portion")

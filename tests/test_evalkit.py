@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bioee import evalkit, synth, vecom
+from bioee import evalkit, synth, vecent, vecom
 from bioee.embed import make_hashed_table
 from bioee.errors import PlanningError
 from bioee.evalkit import (
@@ -16,7 +16,6 @@ from bioee.evalkit import (
     micro_curves,
     overlap_json,
     plan_folds,
-    plan_folds_by_document,
     report_json,
 )
 from bioee.vecent import ArgHyper
@@ -29,40 +28,148 @@ def _labels(n_pos, n_neg, seed=0):
     return labels[rng.permutation(labels.size)]
 
 
+def _one_class(labels):
+    """A class whose every sample is its own unit."""
+    return {"c": (list(range(len(labels))), labels)}
+
+
+def _sentence_classes(n_sentences, seed):
+    """Entity and pair classes over shared sentence units, as crossval builds
+    them: a few entities per sentence, a rare and a common entity role, and
+    a pair class whose positives sit in about a third of the sentences."""
+    rng = np.random.default_rng(seed)
+    ent_units, rare, common, pair_units, pair_labels = [], [], [], [], []
+    for s in range(n_sentences):
+        unit = (f"D{s // 7}", s % 7)
+        n = int(rng.integers(1, 4))
+        ent_units += [unit] * n
+        rare += [int(rng.random() < 0.15) for _ in range(n)]
+        common += [int(rng.random() < 0.5) for _ in range(n)]
+        has_event = rng.random() < 0.35
+        pair_units += [unit] * (n * (n - 1))
+        pair_labels += [int(has_event and j < 2) for j in range(n * (n - 1))]
+    return {
+        "arg:Rare": (ent_units, np.array(rare)),
+        "arg:Common": (ent_units, np.array(common)),
+        "event:Link": (pair_units, np.array(pair_labels)),
+    }
+
+
 class TestPlanFolds:
     def test_many_positives_use_ten_folds(self):
-        plan = plan_folds(_labels(327, 600))
+        plan = plan_folds(_one_class(_labels(327, 600)))
         assert plan.k == 10
 
     def test_few_positives_drop_to_five_folds(self):
-        plan = plan_folds(_labels(15, 200))
+        plan = plan_folds(_one_class(_labels(15, 200)))
         assert plan.k == 5
+
+    def test_one_rare_class_sets_k_for_the_corpus(self):
+        classes = _one_class(_labels(100, 200))
+        classes["rare"] = (classes["c"][0], _labels(15, 285, seed=1))
+        assert plan_folds(classes).k == 5
 
     def test_too_few_positives_error(self):
         with pytest.raises(PlanningError):
-            plan_folds(_labels(4, 50))
+            plan_folds(_one_class(_labels(4, 50)))
+
+    def test_document_level_plan_rejects_too_few_positive_documents(self):
+        doc_ids = [f"D{d}" for d in range(20)]
+        labels = np.array([1] * 9 + [0] * 11)
+        with pytest.raises(PlanningError, match="c: positive instances in 9 units"):
+            plan_folds({"c": (doc_ids, labels)}, default_k=10, small_k=10, seed=0)
+
+    def test_negatives_in_too_few_units_error(self):
+        units = list(range(40)) + [99] * 10
+        labels = np.array([1] * 40 + [0] * 10)
+        with pytest.raises(PlanningError, match="c: negative instances in 1 units"):
+            plan_folds({"c": (units, labels)})
 
     def test_partition_and_stratification(self):
         labels = _labels(40, 200, seed=3)
-        plan = plan_folds(labels, seed=5)
-        assert plan.assignments.shape == labels.shape
+        plan = plan_folds(_one_class(labels), seed=5)
+        folds = plan.folds(range(labels.size))
+        assert folds.shape == labels.shape
         for fold in range(plan.k):
-            mask = plan.assignments == fold
+            mask = folds == fold
             assert mask.sum() > 0
             assert labels[mask].sum() >= 1  # every fold holds a positive
 
+    def test_units_never_split_across_folds(self):
+        classes = _sentence_classes(120, seed=4)
+        plan = plan_folds(classes, seed=5)
+        for units, _ in classes.values():
+            fold_of = {}
+            for unit, fold in zip(units, plan.folds(units).tolist()):
+                assert fold_of.setdefault(unit, fold) == fold, unit
+        all_units = {u for units, _ in classes.values() for u in units}
+        assert set(plan.fold_of) == all_units
+        sizes = np.bincount(list(plan.fold_of.values()), minlength=plan.k)
+        assert sizes.max() - sizes.min() <= 1  # one round-robin deal
+
     def test_deterministic_given_seed(self):
-        labels = _labels(40, 100, seed=1)
-        a = plan_folds(labels, seed=9).assignments
-        b = plan_folds(labels, seed=9).assignments
-        np.testing.assert_array_equal(a, b)
+        classes = _sentence_classes(120, seed=1)
+        a = plan_folds(classes, seed=9)
+        b = plan_folds(classes, seed=9)
+        assert a.fold_of == b.fold_of
+        assert plan_folds(classes, seed=10).fold_of != a.fold_of
+
+    def test_every_training_part_holds_both_labels(self):
+        for seed in range(20):
+            classes = _sentence_classes(100, seed=seed)
+            plan = plan_folds(classes, seed=seed)
+            for name, (units, labels) in classes.items():
+                folds = plan.folds(units)
+                for fold in range(plan.k):
+                    assert set(labels[folds != fold].tolist()) == {0, 1}, (seed, name, fold)
+
+    def test_positives_dealt_into_one_fold_error(self):
+        # A and B deal one positive unit into each of 3 folds; C's two
+        # shared units can share a fold that C's one fresh unit then joins.
+        units = ["a1", "a2", "a3", "b1", "b2", "b3", "c1", "r1", "r2", "r3"]
+        positives = {"A": {"a1", "a2", "a3"}, "B": {"b1", "b2", "b3"}, "C": {"a1", "b1", "c1"}}
+        classes = {
+            name: (units, np.array([int(u in held) for u in units]))
+            for name, held in positives.items()
+        }
+        raised = 0
+        for seed in range(100):
+            try:
+                plan = plan_folds(classes, small_k=3, seed=seed)
+            except PlanningError as err:
+                assert "C: all units with label 1 fell into one fold" in str(err)
+                raised += 1
+                continue
+            for _, labels in classes.values():
+                folds = plan.folds(units)
+                for fold in range(3):
+                    assert set(labels[folds != fold].tolist()) == {0, 1}
+        assert raised > 0
+
+    def test_rarest_class_dealt_first(self):
+        # The rarest class's positive units come first in the deal, so with
+        # at least k of them every test fold holds one.
+        for seed in range(20):
+            classes = _sentence_classes(100, seed=seed)
+            plan = plan_folds(classes, seed=seed)
+
+            def positive_units(name):
+                units, labels = classes[name]
+                return len({u for u, y in zip(units, labels.tolist()) if y == 1})
+
+            rarest = min(sorted(classes), key=positive_units)
+            units, labels = classes[rarest]
+            folds = plan.folds(units)
+            for fold in range(plan.k):
+                assert labels[folds == fold].sum() >= 1, (seed, fold)
 
     def test_document_level_plan(self):
         doc_ids = [f"D{i // 4}" for i in range(40)]
         labels = np.array([1, 0, 0, 1] * 10)
-        plan = plan_folds_by_document(doc_ids, labels, k=5, seed=0)
+        plan = plan_folds({"c": (doc_ids, labels)}, default_k=5, small_k=5, seed=0)
+        assert sorted(plan.fold_of) == sorted(set(doc_ids))
         by_doc = {}
-        for doc, fold in zip(doc_ids, plan.assignments):
+        for doc, fold in zip(doc_ids, plan.folds(doc_ids)):
             by_doc.setdefault(doc, set()).add(int(fold))
         assert all(len(folds) == 1 for folds in by_doc.values())
 
@@ -78,15 +185,11 @@ class TestPlanFolds:
         for seed in range(20):
             order = np.random.default_rng(seed).permutation(len(labels))
             shuffled = np.array(labels)[order]
-            plan = plan_folds_by_document([doc_ids[i] for i in order], shuffled, k=10, seed=seed)
+            docs = [doc_ids[i] for i in order]
+            plan = plan_folds({"c": (docs, shuffled)}, default_k=10, small_k=10, seed=seed)
+            folds = plan.folds(docs)
             for fold in range(10):
-                assert set(shuffled[plan.assignments == fold].tolist()) == {0, 1}
-
-    def test_document_level_plan_rejects_too_few_positive_documents(self):
-        doc_ids = [f"D{d}" for d in range(20)]
-        labels = np.array([1] * 9 + [0] * 11)
-        with pytest.raises(PlanningError, match="single-class"):
-            plan_folds_by_document(doc_ids, labels, k=10, seed=0)
+                assert set(shuffled[folds == fold].tolist()) == {0, 1}
 
 
 def _metrics_oracle(gold, predicted):
@@ -296,6 +399,29 @@ class TestCrossValidate:
         )
         assert report_json(again) == report_json(report)
 
+    def test_one_argument_model_per_fold_and_role(self, monkeypatch):
+        corpus = synth.make_synthetic_corpus(n_sentences=30, seed=13)
+        calls = []
+        train = vecent.train_argument_model
+
+        def spy(samples, hyper=None, rng=None, arg_type=""):
+            calls.append(arg_type)
+            return train(samples, hyper, rng=rng, arg_type=arg_type)
+
+        monkeypatch.setattr(vecent, "train_argument_model", spy)
+        arg_hyper, event_hyper = _tiny_settings()
+        report = cross_validate(
+            corpus,
+            make_hashed_table(dim=8, seed=2),
+            arg_hyper=arg_hyper,
+            event_hyper=event_hyper,
+            default_k=5,
+            seed=99,
+        )
+        roles = corpus.task_schema.argument_types
+        assert report.events["Activation"].k == 5
+        assert sorted(calls) == sorted(roles * 5)
+
     def test_csv_layout(self, report):
         csv_text = metrics_csv(report)
         lines = csv_text.strip().splitlines()
@@ -328,29 +454,27 @@ class TestDocumentLevelCrossValidate:
 
     def test_folds_keep_documents_whole(self, small_corpus, monkeypatch):
         plans = []
-        plan_by_document = evalkit.plan_folds_by_document
+        plan_folds = evalkit.plan_folds
 
-        def spy(doc_ids, labels, k, seed=0):
-            plan = plan_by_document(doc_ids, labels, k, seed=seed)
-            plans.append((doc_ids, plan))
+        def spy(classes, **kwargs):
+            plan = plan_folds(classes, **kwargs)
+            plans.append((classes, plan))
             return plan
 
-        monkeypatch.setattr(evalkit, "plan_folds_by_document", spy)
+        monkeypatch.setattr(evalkit, "plan_folds", spy)
         _doc_level_report(small_corpus)
-        assert len(plans) == 3  # Activator, Target and Activation
-        for doc_ids, plan in plans:
-            assert plan.k == 10
-            fold_of = {}
-            for doc_id, fold in zip(doc_ids, plan.assignments.tolist()):
-                assert fold_of.setdefault(doc_id, fold) == fold, doc_id
-            assert len(fold_of) == len(small_corpus.documents)
+        assert len(plans) == 1  # one plan for Activator, Target and Activation
+        classes, plan = plans[0]
+        assert sorted(classes) == ["arg:Activator", "arg:Target", "event:Activation"]
+        assert plan.k == 10
+        assert sorted(plan.fold_of) == sorted(doc.id for doc in small_corpus.documents)
 
 
 class TestTrainTestOverlap:
-    def test_pair_level_folds_leak_test_entities(self, report):
+    def test_sentence_level_folds_see_no_test_entity(self, report):
         evt = report.events["Activation"]
-        assert evt.test_entities == 2 * evt.n_pairs
-        assert 0 < evt.test_entities_seen <= evt.test_entities
+        assert evt.test_entities == 2 * evt.n_pairs > 0
+        assert evt.test_entities_seen == 0
 
     def test_document_level_folds_see_no_test_entity(self, doc_report):
         evt = doc_report.events["Activation"]

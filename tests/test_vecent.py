@@ -99,8 +99,8 @@ class TestEncode:
         model = new_argument_model("t", table.dim, lstm_hidden=8, mlp_hidden=4,
                                    rng=np.random.default_rng(1))
         pad_vec = np.zeros((4, table.dim))
-        w1 = ContextWindow([PAD] * 4, [PAD] * 4, pad_vec, pad_vec, u=3, entity_id="a")
-        w2 = ContextWindow([PAD] * 4, [PAD] * 4, pad_vec.copy(), pad_vec.copy(), u=3, entity_id="b")
+        w1 = ContextWindow([PAD] * 4, [PAD] * 4, pad_vec, pad_vec)
+        w2 = ContextWindow([PAD] * 4, [PAD] * 4, pad_vec.copy(), pad_vec.copy())
         np.testing.assert_array_equal(
             argument_embeddings(model, [w1]), argument_embeddings(model, [w2])
         )
@@ -110,7 +110,7 @@ class TestEncode:
         model = new_argument_model("t", table.dim, lstm_hidden=8, mlp_hidden=4,
                                    rng=np.random.default_rng(2))
         w = build_context(_gere_sentence(bgi), bgi.entity("GERE", "T4"), 3, table)
-        swapped = ContextWindow(w.right_tokens, w.left_tokens, w.right, w.left, w.u, w.entity_id)
+        swapped = ContextWindow(w.right_tokens, w.left_tokens, w.right, w.left)
         assert not np.allclose(
             argument_embeddings(model, [w]), argument_embeddings(model, [swapped])
         )
@@ -211,7 +211,7 @@ def _separable_samples(n=200, dim=8, u=2, seed=0):
         right[-1] = anchor
         samples.append(
             ArgSample(
-                window=ContextWindow(["w"] * (u + 1), ["w"] * (u + 1), left, right, u, str(i)),
+                window=ContextWindow(["w"] * (u + 1), ["w"] * (u + 1), left, right),
                 label=label,
                 entity_id=str(i),
             )
