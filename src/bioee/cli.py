@@ -24,7 +24,7 @@ import numpy as np
 
 from . import embed, evalkit, gradcheck, ndiff, vecent, vecom
 from .corpus import Corpus, corpus_stats, load_corpus_dir, load_schema, write_standoff
-from .errors import BioeeError, ConfigurationError, TrainingSetupError
+from .errors import BioeeError, ConfigurationError, TrainingError, TrainingSetupError
 from .evalkit import child_rng
 from .vecent import ArgHyper
 from .vecom import EventHyper
@@ -59,7 +59,6 @@ class RunConfig:
     threshold: float = 0.5
     seed: int = 7
     out: str = "out"
-    typed_candidates: bool = False
     doc_level_cv: bool = False
 
 
@@ -79,7 +78,7 @@ _INI_LAYOUT = {
         "oversample_ratio",
         "threshold",
     ),
-    "run": ("seed", "out", "typed_candidates", "doc_level_cv"),
+    "run": ("seed", "out", "doc_level_cv"),
 }
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -207,11 +206,20 @@ def _load_argument_models(
 ) -> tuple[dict[str, vecent.ArgumentModel], dict]:
     """The argument models and their manifest, checked against the table."""
     models, manifest = _load_checkpoints(cfg, "args", "argument", vecent.load_argument_model)
-    if table.dim != manifest["dim"]:
-        raise ConfigurationError(
-            f"embedding dim {table.dim} does not match checkpoints ({manifest['dim']})"
-        )
+    dim = manifest["dim"]
+    if table.dim != dim:
+        raise ConfigurationError(f"embedding dim {table.dim} does not match checkpoints ({dim})")
+    for name, model in models.items():
+        if model.input_size != dim:
+            raise TrainingError(
+                f"{Path(cfg.out) / 'args' / f'{name}.ckpt'}: LSTM input size "
+                f"{model.input_size} is not the manifest's dim {dim}"
+            )
     return models, manifest
+
+
+def _save_model(model: ndiff.Layers, path: Path) -> None:
+    ndiff.save_tensors(path, {name: t.data for name, t in model.parameters().items()})
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +253,7 @@ def cmd_train_args(cfg: RunConfig) -> int:
         samples = vecent.build_argument_samples(corpus, arg_type, windows)
         rng = child_rng(cfg.seed, f"cmd/train-args/{arg_type}")
         model, log = vecent.train_argument_model(samples, hyper, rng=rng, arg_type=arg_type)
-        vecent.save_argument_model(model, args_dir / f"{arg_type}.ckpt")
+        _save_model(model, args_dir / f"{arg_type}.ckpt")
         (args_dir / f"{arg_type}.log.csv").write_text(
             vecent.epoch_log_csv(log), encoding="utf-8"
         )
@@ -302,10 +310,7 @@ def cmd_train_events(cfg: RunConfig) -> int:
             logger.warning("skipping %s: %s", event_type, exc)
             skipped[event_type] = str(exc)
             continue
-        ndiff.save_tensors(
-            events_dir / f"{event_type}.ckpt",
-            {name: t.data for name, t in model.parameters().items()},
-        )
+        _save_model(model, events_dir / f"{event_type}.ckpt")
         (events_dir / f"{event_type}.log.csv").write_text(
             vecent.epoch_log_csv(log), encoding="utf-8"
         )
@@ -334,12 +339,11 @@ def cmd_predict(cfg: RunConfig) -> int:
     corpus = load_corpus_dir(cfg.predict_dir, schema)
     table = _resolve_table(cfg)
     arg_models, manifest = _load_argument_models(cfg, table)
-    heads = ["exist_f1", "exist_f2", "dir_f1", "dir_f2"]
     event_models, _ = _load_checkpoints(
         cfg,
         "events",
         "event",
-        lambda path, _: vecom.EventModel(**ndiff.load_dense_layers(path, heads)),
+        lambda path, _: vecom.EventModel(**ndiff.load_dense_layers(path, vecom.EventModel.LAYERS)),
     )
     out = _outdir(cfg)
     pred_dir = out / "pred"
@@ -353,16 +357,12 @@ def cmd_predict(cfg: RunConfig) -> int:
     embeddings, rows = vecom.embed_pair_entities(
         pairs, {role: arg_models[role] for role in roles & arg_models.keys()}, windows
     )
-    scores = {}  # event type -> pair index -> (p_exists, p_forward)
-    for event_type, model in sorted(event_models.items()):
-        kept = (
-            vecom.typed_filter(pairs, schema, event_type)
-            if cfg.typed_candidates
-            else range(len(pairs))
+    scores = {  # event type -> (p_exists, p_forward), each indexed by pair
+        event_type: vecom.event_forward_batch(
+            model, vecom.compose_pairs(embeddings, rows, schema.roles(event_type))
         )
-        composed = vecom.compose_pairs(embeddings, rows[kept], schema.roles(event_type))
-        pe, pf = vecom.event_forward_batch(model, composed)
-        scores[event_type] = dict(zip(kept, zip(pe.tolist(), pf.tolist())))
+        for event_type, model in sorted(event_models.items())
+    }
     by_sentence = {}  # (doc id, sentence index) -> indices of its pairs
     for i, pair in enumerate(pairs):
         by_sentence.setdefault((pair.doc_id, pair.sentence_index), []).append(i)
@@ -371,17 +371,17 @@ def cmd_predict(cfg: RunConfig) -> int:
     for doc in corpus.documents:
         doc_events = []
         for sidx, sent in enumerate(doc.sentences):
-            for event_type, scored in scores.items():
-                kept = [i for i in by_sentence.get((doc.id, sidx), ()) if i in scored]
-                predictions = [scored[i] for i in kept]
-                for i, (e_prob, f_prob) in zip(kept, predictions):
+            idx = by_sentence.get((doc.id, sidx), [])
+            for event_type, (pe, pf) in scores.items():
+                predictions = list(zip(pe[idx].tolist(), pf[idx].tolist()))
+                for i, (e_prob, f_prob) in zip(idx, predictions):
                     tsv_rows.append(
                         f"{sent.id}\t{pairs[i].first.id}\t{pairs[i].second.id}"
                         f"\t{e_prob:.6f}\t{f_prob:.6f}\t{event_type}"
                     )
                 doc_events.extend(
                     vecom.decode_events(
-                        [pairs[i] for i in kept], predictions, event_type, cfg.threshold
+                        [pairs[i] for i in idx], predictions, event_type, cfg.threshold
                     )
                 )
         (pred_dir / f"{doc.id}.a2").write_text(
@@ -472,9 +472,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out")
     parser.add_argument(
         "--jobs", type=int, choices=[1], help="accepted for old command lines; no effect"
-    )
-    parser.add_argument(
-        "--typed-candidates", dest="typed_candidates", action=argparse.BooleanOptionalAction
     )
     parser.add_argument(
         "--doc-level-cv", dest="doc_level_cv", action=argparse.BooleanOptionalAction

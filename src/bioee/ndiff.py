@@ -64,11 +64,13 @@ def _wants_grad(t: Tensor) -> bool:
     return t.requires_grad or bool(t._parents)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add ``g`` into ``t.grad``. A first gradient is copied, because ``g`` may
+    alias a live buffer, unless ``fresh`` says that nothing else holds it."""
     if not _wants_grad(t):
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)  # copy: g may alias a live buffer
+        t.grad = g if fresh else np.array(g, dtype=np.float64)
     else:
         t.grad += g
 
@@ -259,6 +261,20 @@ class DenseParams:
         return {f"{prefix}.A": self.A, f"{prefix}.b": self.b}
 
 
+class Layers:
+    """A model made of named dense layers, the fields listed in ``LAYERS``.
+    Its parameters, and the tensors of its checkpoint, are named
+    ``<layer>.A`` and ``<layer>.b``."""
+
+    LAYERS: tuple[str, ...] = ()
+
+    def parameters(self) -> dict[str, Tensor]:
+        out = {}
+        for layer in self.LAYERS:
+            out.update(getattr(self, layer).params(layer))
+        return out
+
+
 def affine(params: DenseParams, x: Tensor) -> Tensor:
     """``x A^T + b`` over a batch of rows ``(B, in) -> (B, out)``."""
     A, b = params.A, params.b
@@ -271,26 +287,6 @@ def affine(params: DenseParams, x: Tensor) -> Tensor:
         _accumulate(x, g @ A.data)
 
     return _node(x.data @ A.data.T + b.data, (A, b, x), backward_fn)
-
-
-@dataclass
-class LSTMCellParams:
-    """Gate weights over the concatenated [input, hidden] vector."""
-
-    input_gate: DenseParams
-    forget_gate: DenseParams
-    output_gate: DenseParams
-    candidate: DenseParams
-
-    @property
-    def hidden_size(self) -> int:
-        return self.input_gate.A.data.shape[0]
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        out = {}
-        for gate_name in ("input_gate", "forget_gate", "output_gate", "candidate"):
-            out.update(getattr(self, gate_name).params(f"{prefix}.{gate_name}"))
-        return out
 
 
 def _grow(state: np.ndarray, rows: int) -> np.ndarray:
@@ -310,14 +306,16 @@ def _fold(grad: np.ndarray, rows: int) -> np.ndarray:
     return grad[:rows]
 
 
-def lstm_last(cell: LSTMCellParams, X: np.ndarray) -> Tensor:
+def lstm_last(cell: DenseParams, X: np.ndarray) -> Tensor:
     """Final hidden states ``(B, H)`` of a forget-gate LSTM run from the zero
     state over ``X``, a constant step-major batch ``(T, B, D)``.
 
-    The whole sequence is one tape node: the input projection is a single
-    GEMM, each step adds only ``h @ Wh.T``, and the backward closure runs BPTT
-    by hand into the eight gate tensors. The input is constant, so it gets no
-    gradient.
+    ``cell`` is one dense layer over ``[x, h]`` for all four gates: ``A`` is
+    ``(4H, D+H)`` and ``b`` is ``(4H,)``, in row blocks i, f, o, g. The whole
+    sequence is one tape node: the input projection ``Wx = A[:, :D]`` is a
+    single GEMM, each step adds only ``h @ Wh.T`` with ``Wh = A[:, D:]``, and
+    the backward closure runs BPTT by hand into ``A`` and ``b``. The input is
+    constant, so it gets no gradient.
 
     No row's leading all-zero steps (window padding) are computed. From the
     zero state, zero inputs take every row through one shared state
@@ -329,17 +327,16 @@ def lstm_last(cell: LSTMCellParams, X: np.ndarray) -> Tensor:
     state. BPTT runs over the same layout and sums the gradients of joining
     rows into the chain.
     """
-    gates = (cell.input_gate, cell.forget_gate, cell.output_gate, cell.candidate)
-    hidden = cell.hidden_size
-    in_dim = cell.input_gate.A.data.shape[1] - hidden
+    A, b = cell.A, cell.b
+    hidden = len(b.data) // 4
+    in_dim = A.data.shape[1] - hidden
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3 or X.shape[2] != in_dim:
         raise ShapeError(f"lstm_last: input shape {X.shape} vs input size {in_dim}")
     steps, batch = X.shape[:2]
     if not steps:
         raise ShapeError("lstm_last: empty sequence")
-    parents = tuple(t for gate in gates for t in (gate.A, gate.b))
-    keep = _records(parents)
+    keep = _records((A, b))
 
     lead = np.zeros(batch, dtype=np.int64)  # leading all-zero steps per row
     padded = np.flatnonzero(~X[0].any(axis=1))
@@ -357,16 +354,14 @@ def lstm_last(cell: LSTMCellParams, X: np.ndarray) -> Tensor:
         source = np.column_stack([np.full(steps, order[-1]), step_col * batch + order])
         X = X.take(source[np.column_stack([np.ones(steps, dtype=bool), live])], axis=0)
 
-    Wx = np.concatenate([gate.A.data[:, :in_dim] for gate in gates])  # (4H, D)
-    Wh = np.concatenate([gate.A.data[:, in_dim:] for gate in gates])  # (4H, H)
-    b = np.concatenate([gate.b.data for gate in gates])
+    Wx, Wh = A.data[:, :in_dim], A.data[:, in_dim:]
     # sigmoid(x) = (1 + tanh(x/2)) / 2. Halving the weight rows and biases of
     # the three sigmoid gates halves their pre-activations exactly (scaling by
     # a power of two rounds the same way unless a value is subnormal), so the
     # forward runs no halving pass; BPTT keeps the unscaled weights.
     half = np.repeat([0.5, 1.0], [3 * hidden, hidden])
     projected = X @ (half[:, None] * Wx).T
-    projected += half * b
+    projected += half * b.data
     Wh_half = half[:, None] * Wh
     gate_cols = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]
 
@@ -420,12 +415,10 @@ def lstm_last(cell: LSTMCellParams, X: np.ndarray) -> Tensor:
                 dc = _fold(dc * f, widths[t - 1])
         d_pre = np.concatenate(d_pre[::-1])  # packed rows, step-major like X
         h_prevs = np.concatenate([entry[0] for entry in cache])
-        dW = d_pre.T @ np.concatenate([X, h_prevs], axis=1)  # (4H, D+H): stacked gate matrices
-        for gate, dA, db in zip(gates, np.split(dW, 4), np.split(d_pre.sum(axis=0), 4)):
-            _accumulate(gate.A, dA)
-            _accumulate(gate.b, db)
+        _accumulate(A, d_pre.T @ np.concatenate([X, h_prevs], axis=1), fresh=True)
+        _accumulate(b, d_pre.sum(axis=0))
 
-    return _node(out, parents, backward_fn)
+    return _node(out, (A, b), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -500,23 +493,21 @@ class SGDState:
         self.velocity: dict[str, np.ndarray] = {}
 
 
-def sgd_step(state: SGDState, params: dict[str, Tensor], grads=None) -> None:
-    """Apply one update in place; gradients default to each tensor's .grad."""
-    for name in params:
-        p = params[name]
-        g = grads[name] if grads is not None else p.grad
+def sgd_step(state: SGDState, params: dict[str, Tensor]) -> None:
+    """Apply one update in place from each tensor's .grad, which it consumes
+    (scales in place) and clears."""
+    for name, p in params.items():
+        g = p.grad
         if g is None:
-            g = np.zeros_like(p.data)
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != p.data.shape:
-            raise ShapeError(f"sgd_step: gradient shape {g.shape} vs {p.data.shape} for {name}")
+            raise TrainingError(f"no gradient for parameter {name!r}")
         if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
         v = state.velocity.get(name)
         if v is None:
             v = state.velocity[name] = np.zeros_like(p.data)
         v *= state.momentum
-        v -= state.learning_rate * g
+        g *= state.learning_rate
+        v -= g
         p.data += v
         p.grad = None
 
@@ -537,24 +528,16 @@ def init_dense(rng: np.random.Generator, in_dim: int, out_dim: int, name: str) -
     )
 
 
-def init_lstm(rng: np.random.Generator, input_dim: int, hidden: int, name: str) -> LSTMCellParams:
-    """Glorot-uniform gate matrices, zero biases, forget-gate bias +1."""
+def init_lstm(rng: np.random.Generator, input_dim: int, hidden: int, name: str) -> DenseParams:
+    """The four gates of an LSTM cell as one dense layer over [input, hidden]
+    (see ``lstm_last``): Glorot-uniform with one gate's fan-out, so each row
+    block draws as a gate of its own would; zero biases, forget-gate bias +1."""
     total = input_dim + hidden
-
-    def gate(gate_name, bias_value=0.0):
-        return DenseParams(
-            A=parameter(
-                glorot_uniform(rng, total, hidden, (hidden, total)),
-                name=f"{name}.{gate_name}.A",
-            ),
-            b=parameter(np.full(hidden, bias_value), name=f"{name}.{gate_name}.b"),
-        )
-
-    return LSTMCellParams(
-        input_gate=gate("input_gate"),
-        forget_gate=gate("forget_gate", bias_value=1.0),
-        output_gate=gate("output_gate"),
-        candidate=gate("candidate"),
+    bias = np.zeros(4 * hidden)
+    bias[hidden : 2 * hidden] = 1.0
+    return DenseParams(
+        A=parameter(glorot_uniform(rng, total, hidden, (4 * hidden, total)), name=f"{name}.A"),
+        b=parameter(bias, name=f"{name}.b"),
     )
 
 
@@ -610,8 +593,9 @@ def load_tensors(path) -> dict[str, np.ndarray]:
         return out
 
 
-def load_dense_layers(path, prefixes: list[str]) -> dict[str, DenseParams]:
-    """The named dense layers of a checkpoint, as trainable parameters."""
+def load_dense_layers(path, prefixes) -> dict[str, DenseParams]:
+    """The named dense layers of a checkpoint, as trainable parameters; each
+    ``A`` must be a matrix and its ``b`` hold one entry per row of it."""
     blobs = load_tensors(path)
     layers = {}
     for prefix in prefixes:
@@ -619,6 +603,11 @@ def load_dense_layers(path, prefixes: list[str]) -> dict[str, DenseParams]:
         for name in names:
             if name not in blobs:
                 raise TrainingError(f"{path}: checkpoint has no tensor {name!r}")
+        A, b = (blobs[name] for name in names)
+        if A.ndim != 2 or b.shape != A.shape[:1]:
+            raise TrainingError(
+                f"{path}: layer {prefix!r} has weight shape {A.shape} and bias shape {b.shape}"
+            )
         layers[prefix] = DenseParams(*(parameter(blobs[name], name=name) for name in names))
     return layers
 

@@ -18,8 +18,8 @@ import numpy as np
 from . import ndiff
 from .corpus import Corpus, Entity, Sentence
 from .embed import PAD, EmbeddingTable
-from .errors import AlignmentError, TrainingSetupError
-from .ndiff import DenseParams, LSTMCellParams, Tensor
+from .errors import AlignmentError, TrainingError, TrainingSetupError
+from .ndiff import DenseParams, Tensor
 
 
 @dataclass
@@ -66,27 +66,28 @@ class EpochRecord:
 
 
 @dataclass
-class ArgumentModel:
-    """Forward/backward LSTM cells plus a two-layer MLP head."""
+class ArgumentModel(ndiff.Layers):
+    """Forward/backward LSTM cells (fused gate layers, see ``ndiff.lstm_last``)
+    plus a two-layer MLP head."""
+
+    LAYERS = ("fwd", "bwd", "f1", "f2")
 
     arg_type: str
-    forward_cell: LSTMCellParams
-    backward_cell: LSTMCellParams
+    fwd: DenseParams
+    bwd: DenseParams
     f1: DenseParams
     f2: DenseParams
     dropout: float = 0.2
 
-    def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        out.update(self.forward_cell.params("fwd"))
-        out.update(self.backward_cell.params("bwd"))
-        out.update(self.f1.params("f1"))
-        out.update(self.f2.params("f2"))
-        return out
-
     @property
     def embedding_size(self) -> int:
         return self.f1.A.data.shape[0]
+
+    @property
+    def input_size(self) -> int:
+        """The word-vector size D of the LSTM cells, whose ``A`` is (4H, D+H)."""
+        rows, cols = self.fwd.A.data.shape
+        return cols - rows // 4
 
 
 def new_argument_model(
@@ -100,8 +101,8 @@ def new_argument_model(
     rng = rng or np.random.default_rng(0)
     return ArgumentModel(
         arg_type=arg_type,
-        forward_cell=ndiff.init_lstm(rng, embed_dim, lstm_hidden, "fwd"),
-        backward_cell=ndiff.init_lstm(rng, embed_dim, lstm_hidden, "bwd"),
+        fwd=ndiff.init_lstm(rng, embed_dim, lstm_hidden, "fwd"),
+        bwd=ndiff.init_lstm(rng, embed_dim, lstm_hidden, "bwd"),
         f1=ndiff.init_dense(rng, 2 * lstm_hidden, mlp_hidden, "f1"),
         f2=ndiff.init_dense(rng, mlp_hidden, 1, "f2"),
         dropout=dropout,
@@ -206,8 +207,8 @@ def build_argument_samples(
 
 def _encode_arrays(model: ArgumentModel, left: np.ndarray, right: np.ndarray) -> Tensor:
     """BLSTM encoding ``(B, 2H)`` of ``(B, T, dim)`` window batches."""
-    h_fwd = ndiff.lstm_last(model.forward_cell, np.moveaxis(left, 1, 0))
-    h_bwd = ndiff.lstm_last(model.backward_cell, np.moveaxis(right, 1, 0))
+    h_fwd = ndiff.lstm_last(model.fwd, np.moveaxis(left, 1, 0))
+    h_bwd = ndiff.lstm_last(model.bwd, np.moveaxis(right, 1, 0))
     return ndiff.concat([h_fwd, h_bwd], axis=-1)
 
 
@@ -309,14 +310,28 @@ def train_argument_model(
         dropout=hyper.dropout,
         rng=rng,
     )
-    params = model.parameters()
-    opt = ndiff.SGDState(learning_rate=hyper.lr, momentum=hyper.momentum)
-
     lefts = np.stack([samples[i].window.left for i in train_idx])
     rights = np.stack([samples[i].window.right for i in train_idx])
     labels = labels[train_idx, None].astype(np.float64)
-    n = train_idx.size
 
+    def batch_loss(idx):
+        enc = _encode_arrays(model, lefts[idx], rights[idx])
+        probs = _head(model, enc, training=True, rng=rng)
+        return ndiff.weighted_bce(labels[idx], probs, z, 1.0 - z), probs, labels[idx]
+
+    return model, sgd_epochs(model, hyper, train_idx.size, batch_loss, rng)
+
+
+def sgd_epochs(model: ndiff.Layers, hyper, n: int, batch_loss, rng) -> list[EpochRecord]:
+    """Mini-batch momentum SGD on ``model`` over ``n`` training rows, for
+    ``hyper.epochs`` epochs of ``hyper.batch`` rows in a fresh random order.
+
+    ``batch_loss(idx)`` returns the summed loss of the rows ``idx``, their
+    ``(B, 1)`` probabilities and labels; each step descends the mean loss,
+    and the log's accuracy and MSE score those probabilities.
+    """
+    params = model.parameters()
+    opt = ndiff.SGDState(learning_rate=hyper.lr, momentum=hyper.momentum)
     log: list[EpochRecord] = []
     for epoch in range(1, hyper.epochs + 1):
         order = rng.permutation(n)
@@ -325,10 +340,8 @@ def train_argument_model(
         sq_err = 0.0
         for start in range(0, n, hyper.batch):
             idx = order[start : start + hyper.batch]
-            enc = _encode_arrays(model, lefts[idx], rights[idx])
-            probs = _head(model, enc, training=True, rng=rng)
-            y = labels[idx]
-            loss = ndiff.mul(ndiff.weighted_bce(y, probs, z, 1.0 - z), 1.0 / len(idx))
+            loss, probs, y = batch_loss(idx)
+            loss = ndiff.mul(loss, 1.0 / len(idx))
             ndiff.backward(loss)
             ndiff.sgd_step(opt, params)
             p = probs.data
@@ -338,7 +351,7 @@ def train_argument_model(
         log.append(
             EpochRecord(epoch=epoch, loss=loss_sum / n, accuracy=correct / n, mse=sq_err / n)
         )
-    return model, log
+    return log
 
 
 def epoch_log_csv(log: list[EpochRecord]) -> str:
@@ -354,24 +367,20 @@ def epoch_log_csv(log: list[EpochRecord]) -> str:
 # Checkpoints
 
 
-def model_tensors(model: ArgumentModel) -> dict[str, np.ndarray]:
-    return {name: t.data for name, t in model.parameters().items()}
-
-
-def save_argument_model(model: ArgumentModel, path) -> None:
-    ndiff.save_tensors(path, model_tensors(model))
-
-
 def load_argument_model(path, arg_type: str) -> ArgumentModel:
     """A saved model, for inference: checkpoints hold only the weights, so the
-    dropout rate is the default."""
-    gates = ("input_gate", "forget_gate", "output_gate", "candidate")
-    cells = [f"{cell}.{gate}" for cell in ("fwd", "bwd") for gate in gates]
-    layers = ndiff.load_dense_layers(path, [*cells, "f1", "f2"])
-    return ArgumentModel(
-        arg_type=arg_type,
-        forward_cell=LSTMCellParams(*(layers[name] for name in cells[:4])),
-        backward_cell=LSTMCellParams(*(layers[name] for name in cells[4:])),
-        f1=layers["f1"],
-        f2=layers["f2"],
-    )
+    dropout rate is the default. Both LSTM layers must be ``(4H, D+H)`` and
+    the head must take their ``2H`` outputs to one probability."""
+    layers = ndiff.load_dense_layers(path, ArgumentModel.LAYERS)
+    shapes = {name: layer.A.data.shape for name, layer in layers.items()}
+    rows, cols = shapes["fwd"]
+    hidden = rows // 4
+    if (
+        rows % 4
+        or cols <= hidden
+        or shapes["bwd"] != shapes["fwd"]
+        or shapes["f1"][1] != 2 * hidden
+        or shapes["f2"] != (1, shapes["f1"][0])
+    ):
+        raise TrainingError(f"{path}: layer shapes {shapes} do not form an argument model")
+    return ArgumentModel(arg_type=arg_type, **layers)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ndiff, vecent
-from .corpus import Corpus, Entity, Event, Sentence, TaskSchema
+from .corpus import Corpus, Entity, Event, Sentence
 from .errors import ConfigurationError, DataError, TrainingSetupError
 from .ndiff import DenseParams, Tensor
 from .vecent import ArgumentModel, ContextWindow, EpochRecord
@@ -51,21 +51,15 @@ class EventHyper:
 
 
 @dataclass
-class EventModel:
+class EventModel(ndiff.Layers):
     """Existence and direction MLP heads over the composed pair vector."""
+
+    LAYERS = ("exist_f1", "exist_f2", "dir_f1", "dir_f2")
 
     exist_f1: DenseParams
     exist_f2: DenseParams
     dir_f1: DenseParams
     dir_f2: DenseParams
-
-    def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        out.update(self.exist_f1.params("exist_f1"))
-        out.update(self.exist_f2.params("exist_f2"))
-        out.update(self.dir_f1.params("dir_f1"))
-        out.update(self.dir_f2.params("dir_f2"))
-        return out
 
 
 def new_event_model(
@@ -224,39 +218,19 @@ def train_event_model(
         )
     train_idx = vecent.oversample(exists, max_ratio=hyper.oversample_ratio, rng=rng)
 
-    dim = composed.shape[1]
-    model = new_event_model(input_dim=dim, hidden=hyper.hidden, rng=rng)
-    params = model.parameters()
-    opt = ndiff.SGDState(learning_rate=hyper.lr, momentum=hyper.momentum)
-
+    model = new_event_model(input_dim=composed.shape[1], hidden=hyper.hidden, rng=rng)
     composed = composed[train_idx]
     y_exist = np.asarray(exists, dtype=np.float64)[train_idx, None]
     y_dir = np.asarray(forward, dtype=np.float64)[train_idx, None]
-    n = train_idx.size
 
-    log: list[EpochRecord] = []
-    for epoch in range(1, hyper.epochs + 1):
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        correct = 0
-        sq_err = 0.0
-        for start in range(0, n, hyper.batch):
-            idx = order[start : start + hyper.batch]
-            v = ndiff.constant(composed[idx])
-            p_exists, p_forward = _heads(model, v)
-            ye, yd = y_exist[idx], y_dir[idx]
-            loss_e = ndiff.weighted_bce(ye, p_exists, 1.0, 1.0)
-            loss_d = ndiff.weighted_bce(yd, p_forward, ye, ye)  # masked to existing events
-            loss = ndiff.mul(ndiff.add(loss_e, loss_d), 1.0 / len(idx))
-            ndiff.backward(loss)
-            ndiff.sgd_step(opt, params)
-            loss_sum += float(loss.data) * len(idx)
-            correct += int(((p_exists.data >= 0.5) == (ye == 1)).sum())
-            sq_err += float(((p_exists.data - ye) ** 2).sum())
-        log.append(
-            EpochRecord(epoch=epoch, loss=loss_sum / n, accuracy=correct / n, mse=sq_err / n)
-        )
-    return model, log
+    def batch_loss(idx):
+        p_exists, p_forward = _heads(model, ndiff.constant(composed[idx]))
+        ye = y_exist[idx]
+        loss_e = ndiff.weighted_bce(ye, p_exists, 1.0, 1.0)
+        loss_d = ndiff.weighted_bce(y_dir[idx], p_forward, ye, ye)  # masked to existing events
+        return ndiff.add(loss_e, loss_d), p_exists, ye
+
+    return model, vecent.sgd_epochs(model, hyper, train_idx.size, batch_loss, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +279,3 @@ def decode_events(
             )
         )
     return events
-
-
-def typed_filter(pairs: list[CandidatePair], schema: TaskSchema, event_type: str) -> list[int]:
-    """Optional candidate filter: indices of the pairs whose entity labels are
-    drawn from the event's role vocabulary. Only meaningful when the corpus
-    labels entities with role names; off by default."""
-    src_role, tgt_role = schema.roles(event_type)
-    allowed = {src_role, tgt_role}
-    return [i for i, p in enumerate(pairs) if {p.first.label, p.second.label} <= allowed]

@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from bioee import cli, ndiff, synth, vecent
+from bioee import cli, embed, ndiff, synth, vecent
 from bioee.cli import RunConfig, config_from_ini, config_to_ini, main
 from bioee.corpus import load_corpus_dir, load_schema
 from bioee.embed import make_hashed_table
@@ -56,7 +56,7 @@ class TestConfig:
             train_dir="/data/x",
             window=4,
             lr=0.05,
-            typed_candidates=True,
+            doc_level_cv=True,
         )
         path = tmp_path / "run.ini"
         path.write_text(config_to_ini(cfg), encoding="utf-8")
@@ -82,6 +82,12 @@ class TestConfig:
     def test_ini_jobs_key_rejected(self, tmp_path):
         path = tmp_path / "jobs.ini"
         path.write_text("[run]\njobs = 1\n", encoding="utf-8")
+        with pytest.raises(ConfigurationError):
+            config_from_ini(path)
+
+    def test_ini_typed_candidates_key_rejected(self, tmp_path):
+        path = tmp_path / "typed.ini"
+        path.write_text("[run]\ntyped_candidates = true\n", encoding="utf-8")
         with pytest.raises(ConfigurationError):
             config_from_ini(path)
 
@@ -305,14 +311,69 @@ class TestPredict:
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigurationError"
 
 
+class TestSavedArgumentModels:
+    """A train-args output used the way ``benchmarks/workloads.py`` scores it:
+    each role's checkpoint loaded by path and role, then windows scored."""
+
+    def test_load_then_predict_probs(self, bgi_dir, trained_out):
+        manifest = json.loads((trained_out / "args" / "manifest.json").read_text())
+        table = embed.EmbeddingTable(
+            dim=manifest["dim"],
+            oov_policy=manifest["embedding"]["oov"],
+            seed=manifest["embedding"]["seed"],
+        )
+        corpus = load_corpus_dir(bgi_dir, load_schema("bgi"))
+        windows = vecent.build_entity_windows(corpus, manifest["u"], table)
+        qids = sorted(windows)
+        roles = corpus.argument_roles()
+        for role in manifest["argument_types"]:
+            model = vecent.load_argument_model(trained_out / "args" / f"{role}.ckpt", role)
+            probs = vecent.predict_probs(model, [windows[q] for q in qids])
+            assert probs.shape == (len(qids),) and np.all((probs > 0) & (probs < 1)), role
+            positive = np.array([role in roles.get(q, ()) for q in qids])
+            assert probs[positive].mean() > probs[~positive].mean(), role
+
+
 def _rewrite(edit):
     return lambda path: path.write_bytes(edit(path.read_bytes()))
 
 
-def _drop_f2_b(path):
-    tensors = ndiff.load_tensors(path)
-    del tensors["f2.b"]
-    ndiff.save_tensors(path, tensors)
+def _edit_tensors(edit):
+    """Rewrite a checkpoint with ``edit(tensors)`` applied to its tensors."""
+
+    def damage(path):
+        tensors = ndiff.load_tensors(path)
+        edit(tensors)
+        ndiff.save_tensors(path, tensors)
+
+    return damage
+
+
+def _longer_fwd_bias(tensors):
+    tensors["fwd.b"] = np.append(tensors["fwd.b"], 0.0)
+
+
+def _lstm_rows_not_multiple_of_4(tensors):
+    """One extra row in both cells: 4H + 1 rows, with every other shape fitting
+    H = (4H + 1) // 4."""
+    for cell in ("fwd", "bwd"):
+        tensors[f"{cell}.A"] = np.vstack([tensors[f"{cell}.A"], tensors[f"{cell}.A"][:1]])
+        tensors[f"{cell}.b"] = np.append(tensors[f"{cell}.b"], 0.0)
+
+
+def _lstm_inputs_one_short(tensors):
+    for cell in ("fwd", "bwd"):
+        tensors[f"{cell}.A"] = tensors[f"{cell}.A"][:, 1:]
+
+
+def _per_gate_names(tensors):
+    """The layout of earlier versions: one dense layer per LSTM gate."""
+    gates = ("input_gate", "forget_gate", "output_gate", "candidate")
+    for cell in ("fwd", "bwd"):
+        for part in ("A", "b"):
+            blocks = np.split(tensors.pop(f"{cell}.{part}"), 4)
+            for gate, block in zip(gates, blocks):
+                tensors[f"{cell}.{gate}.{part}"] = block
 
 
 def _first_shape(shape):
@@ -330,20 +391,27 @@ def _first_shape(shape):
 
 class TestBadCheckpoints:
     @pytest.mark.parametrize(
-        "damage",
+        "damage, detail",
         [
-            _rewrite(lambda blob: blob[:10]),
-            _rewrite(lambda blob: blob[:14]),
-            _rewrite(lambda blob: blob[:-5]),
-            _rewrite(lambda blob: blob[:14] + b"\xff" + blob[15:]),  # first name byte
-            _drop_f2_b,
-            _first_shape((2**32 - 1, 2**32 - 1)),  # its element count wraps in int64
-            _first_shape((2**16,) * 5),  # 2**80 elements wrap to 0 in int64
+            (_rewrite(lambda blob: blob[:10]), None),
+            (_rewrite(lambda blob: blob[:14]), None),
+            (_rewrite(lambda blob: blob[:-5]), None),
+            (_rewrite(lambda blob: blob[:14] + b"\xff" + blob[15:]), None),  # first name byte
+            (_edit_tensors(lambda t: t.pop("f2.b")), "'f2.b'"),
+            (_first_shape((2**32 - 1, 2**32 - 1)), None),  # its element count wraps in int64
+            (_first_shape((2**16,) * 5), None),  # 2**80 elements wrap to 0 in int64
+            (_edit_tensors(_longer_fwd_bias), "'fwd'"),
+            (_edit_tensors(_lstm_rows_not_multiple_of_4), "argument model"),
+            (_edit_tensors(_lstm_inputs_one_short), "manifest's dim"),
+            (_edit_tensors(_per_gate_names), "'fwd.A'"),
         ],
         ids=["cut_at_10", "cut_at_14", "five_bytes_short", "name_not_utf8", "missing_f2_b",
-             "shape_2x_uint32_max", "shape_5x_2_16"],
+             "shape_2x_uint32_max", "shape_5x_2_16", "bias_one_too_long",
+             "lstm_rows_not_multiple_of_4", "lstm_input_not_manifest_dim", "per_gate_names"],
     )
-    def test_predict_reports_json_error(self, tmp_path, case_dir, trained_out, damage, capsys):
+    def test_predict_reports_json_error(
+        self, tmp_path, case_dir, trained_out, damage, detail, capsys
+    ):
         out = tmp_path / "out"
         shutil.copytree(trained_out / "args", out / "args")
         shutil.copytree(trained_out / "events", out / "events")
@@ -354,6 +422,7 @@ class TestBadCheckpoints:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "TrainingError"
         assert "Action.ckpt" in error["message"]
+        assert detail is None or detail in error["message"]
 
 
 class TestCrossval:

@@ -19,6 +19,7 @@ from bioee.ndiff import (
     concat,
     constant,
     dropout,
+    glorot_uniform,
     init_dense,
     init_lstm,
     load_tensors,
@@ -74,32 +75,38 @@ def _lstm_oracle(weights, xs):
     return h
 
 
-def _per_step_tape_lstm(cell, steps):
+def _per_step_tape_lstm(gates, steps):
     """The per-step tape formulation over ``(T, B, D)`` steps: one affine per
-    gate over [x, h] at every step, differentiated by the generic backward
-    pass."""
-    h = c = constant(np.zeros((steps.shape[1], cell.hidden_size)))
+    gate (i, f, o, g, each its own dense layer) over [x, h] at every step,
+    differentiated by the generic backward pass."""
+    gate_i, gate_f, gate_o, gate_g = gates
+    h = c = constant(np.zeros((steps.shape[1], gate_i.b.data.shape[0])))
     for x in steps:
         z = concat([constant(x), h], axis=-1)
-        i = sigmoid(affine(cell.input_gate, z))
-        f = sigmoid(affine(cell.forget_gate, z))
-        o = sigmoid(affine(cell.output_gate, z))
-        g = tanh(affine(cell.candidate, z))
+        i = sigmoid(affine(gate_i, z))
+        f = sigmoid(affine(gate_f, z))
+        o = sigmoid(affine(gate_o, z))
+        g = tanh(affine(gate_g, z))
         c = ndiff.add(mul(f, c), mul(i, g))
         h = mul(o, tanh(c))
     return h
 
 
-def _gates(cell):
-    return (cell.input_gate, cell.forget_gate, cell.output_gate, cell.candidate)
+def _hidden(cell):
+    return cell.b.data.shape[0] // 4
+
+
+def _blocks(cell):
+    """The weights and biases of gates i, f, o and g of a fused cell: gate k
+    is row block ``k*H:(k+1)*H`` of ``A`` and ``b``."""
+    H = _hidden(cell)
+    rows = [slice(k * H, (k + 1) * H) for k in range(4)]
+    return [cell.A.data[r] for r in rows] + [cell.b.data[r] for r in rows]
 
 
 def _cell_from_arrays(Wi, Wf, Wo, Wg, bi, bf, bo, bg):
-    return ndiff.LSTMCellParams(
-        input_gate=DenseParams(parameter(Wi), parameter(bi)),
-        forget_gate=DenseParams(parameter(Wf), parameter(bf)),
-        output_gate=DenseParams(parameter(Wo), parameter(bo)),
-        candidate=DenseParams(parameter(Wg), parameter(bg)),
+    return DenseParams(
+        parameter(np.concatenate([Wi, Wf, Wo, Wg])), parameter(np.concatenate([bi, bf, bo, bg]))
     )
 
 
@@ -192,33 +199,29 @@ class TestLSTM:
         cell = init_lstm(rng, 3, 4, "c")
         x = rng.standard_normal(3)
         h_last = lstm_last(cell, x[None, None, :])
-        weights = [g.A.data for g in _gates(cell)] + [g.b.data for g in _gates(cell)]
-        h_step, _ = _lstm_step_oracle(weights, x, np.zeros(4), np.zeros(4))
+        h_step, _ = _lstm_step_oracle(_blocks(cell), x, np.zeros(4), np.zeros(4))
         np.testing.assert_allclose(h_last.data[0], h_step, atol=1e-15)
 
     def test_fused_matches_per_step_tape_at_model_shape(self):
         B, T, D, H = 32, 11, 200, 128
         rng = np.random.default_rng(17)
         cell = init_lstm(rng, D, H, "c")
-        params = cell.params("c")
+        blocks = _blocks(cell)
+        gates = [DenseParams(parameter(W), parameter(b)) for W, b in zip(blocks[:4], blocks[4:])]
         steps = rng.standard_normal((T, B, D))
         weights_out = rng.standard_normal((B, H))
 
-        def grads_of(encode):
-            h = encode(cell, steps)
-            backward(sum_all(mul(h, weights_out)))
-            grads = {name: p.grad for name, p in params.items()}
-            for p in params.values():
-                p.grad = None
-            return h.data, grads
-
-        h_fused, g_fused = grads_of(lstm_last)
-        h_ref, g_ref = grads_of(_per_step_tape_lstm)
-        weights = [g.A.data for g in _gates(cell)] + [g.b.data for g in _gates(cell)]
-        np.testing.assert_allclose(h_fused, _lstm_oracle(weights, steps), rtol=1e-10)
-        np.testing.assert_allclose(h_fused, h_ref, rtol=1e-10)
-        for name in params:
-            np.testing.assert_allclose(g_fused[name], g_ref[name], rtol=1e-10, err_msg=name)
+        h_fused = lstm_last(cell, steps)
+        backward(sum_all(mul(h_fused, weights_out)))
+        h_ref = _per_step_tape_lstm(gates, steps)
+        backward(sum_all(mul(h_ref, weights_out)))
+        np.testing.assert_allclose(h_fused.data, _lstm_oracle(blocks, steps), rtol=1e-10)
+        np.testing.assert_allclose(h_fused.data, h_ref.data, rtol=1e-10)
+        for name in ("A", "b"):
+            stacked = np.concatenate([getattr(gate, name).grad for gate in gates])
+            np.testing.assert_allclose(
+                getattr(cell, name).grad, stacked, rtol=1e-10, err_msg=name
+            )
 
     def test_all_pad_inputs_bounded(self):
         rng = np.random.default_rng(4)
@@ -258,11 +261,11 @@ class TestInPlaceGateMath:
 
     @staticmethod
     def _out_of_place(cell, steps):
-        gates = _gates(cell)
-        H, D = cell.hidden_size, steps.shape[-1]
-        Wx = np.concatenate([g.A.data[:, :D] for g in gates])
-        Wh = np.concatenate([g.A.data[:, D:] for g in gates])
-        b = np.concatenate([g.b.data for g in gates])
+        blocks = _blocks(cell)
+        H, D = _hidden(cell), steps.shape[-1]
+        Wx = np.concatenate([W[:, :D] for W in blocks[:4]])
+        Wh = np.concatenate([W[:, D:] for W in blocks[:4]])
+        b = np.concatenate(blocks[4:])
         projected = (steps.reshape(-1, D) @ Wx.T + b).reshape(len(steps), -1, 4 * H)
         h = c = np.zeros((steps.shape[1], H))
         for step_input in projected:
@@ -292,12 +295,12 @@ class TestInPlaceGateMath:
 def _unpacked_lstm(cell, steps, grad_out):
     """The whole-sequence LSTM with every step of every row computed, pad
     steps included: output ``(T, B, D) -> (B, H)`` and the gradients of the
-    eight gate tensors for the upstream gradient ``grad_out``."""
-    gates = _gates(cell)
-    H, D = cell.hidden_size, steps.shape[-1]
-    Wx = np.concatenate([g.A.data[:, :D] for g in gates])
-    Wh = np.concatenate([g.A.data[:, D:] for g in gates])
-    b = np.concatenate([g.b.data for g in gates])
+    cell's ``A`` and ``b`` for the upstream gradient ``grad_out``."""
+    blocks = _blocks(cell)
+    H, D = _hidden(cell), steps.shape[-1]
+    Wx = np.concatenate([W[:, :D] for W in blocks[:4]])
+    Wh = np.concatenate([W[:, D:] for W in blocks[:4]])
+    b = np.concatenate(blocks[4:])
     X = steps.reshape(-1, D)
     half = np.repeat([0.5, 1.0], [3 * H, H])
     projected = (X @ (half[:, None] * Wx).T + half * b).reshape(len(steps), -1, 4 * H)
@@ -326,10 +329,7 @@ def _unpacked_lstm(cell, steps, grad_out):
         dc, dh = dc * f, d @ Wh
     d_pre = np.concatenate(d_pre)
     dW = d_pre.T @ np.concatenate([X, np.concatenate([e[0] for e in cache])], axis=1)
-    grads = []
-    for gate, dA, db in zip(gates, np.split(dW, 4), np.split(d_pre.sum(axis=0), 4)):
-        grads += [dA, db]
-    return h, grads
+    return h, [dW, d_pre.sum(axis=0)]
 
 
 def _assert_close(got, ref, err_msg=""):
@@ -356,9 +356,8 @@ class TestPaddedRows:
     def _tape_run(cell, steps, grad_out):
         h = lstm_last(cell, steps)
         backward(sum_all(mul(h, grad_out)))
-        grads = [p.grad for gate in _gates(cell) for p in (gate.A, gate.b)]
-        for gate in _gates(cell):
-            gate.A.grad = gate.b.grad = None
+        grads = [cell.A.grad, cell.b.grad]
+        cell.A.grad = cell.b.grad = None
         return h.data, grads
 
     def test_matches_unpacked_at_model_shape(self):
@@ -547,6 +546,12 @@ class TestSGD:
         with pytest.raises(TrainingError, match="weights"):
             sgd_step(SGDState(), {"weights": p})
 
+    def test_missing_gradient_names_parameter(self):
+        p = parameter(np.array([1.0]), name="weights")
+        with pytest.raises(TrainingError, match="no gradient for parameter 'weights'"):
+            sgd_step(SGDState(), {"weights": p})
+        np.testing.assert_array_equal(p.data, [1.0])
+
     def test_in_place_momentum_matches_reference_bit_for_bit(self):
         rng = np.random.default_rng(12)
         p = parameter(rng.standard_normal((4, 5)), name="p")
@@ -621,11 +626,19 @@ class TestInit:
     def test_glorot_bounds_and_forget_bias(self):
         rng = np.random.default_rng(0)
         cell = init_lstm(rng, 10, 6, "c")
+        assert cell.A.shape == (24, 16) and cell.b.shape == (24,)
+        # One gate's fan-out H = 6 sets the bound, not the 4H = 24 rows.
         bound = np.sqrt(6.0 / (16 + 6))
-        for gate in (cell.input_gate, cell.output_gate, cell.candidate):
-            assert np.all(np.abs(gate.A.data) <= bound)
-            np.testing.assert_array_equal(gate.b.data, np.zeros(6))
-        np.testing.assert_array_equal(cell.forget_gate.b.data, np.ones(6))
+        assert np.all(np.abs(cell.A.data) <= bound)
+        assert np.abs(cell.A.data).max() > np.sqrt(6.0 / (16 + 24))
+        np.testing.assert_array_equal(cell.b.data, np.repeat([0.0, 1.0, 0.0, 0.0], 6))
+
+    def test_matches_stacked_per_gate_draws(self):
+        rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+        cell = init_lstm(rng, 10, 6, "c")
+        per_gate = [glorot_uniform(reference, 16, 6, (6, 16)) for _ in range(4)]
+        assert np.array_equal(cell.A.data, np.concatenate(per_gate))
+        assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_dense_bias_zero(self):
         dense = init_dense(np.random.default_rng(0), 5, 3, "d")

@@ -234,7 +234,7 @@ class TestTraining:
             _separable_samples(n=20), hyper, rng=np.random.default_rng(0), arg_type="t"
         )
         assert log == []
-        assert model.forward_cell.hidden_size == 8
+        assert model.fwd.A.shape == (4 * 8, 8 + 8)  # (4H, D+H), D = 8
 
     def test_class_weight_uses_predup_distribution(self, monkeypatch):
         seen = {}

@@ -18,7 +18,6 @@ from bioee.vecom import (
     label_pairs,
     new_event_model,
     train_event_model,
-    typed_filter,
 )
 
 import fixtures
@@ -419,19 +418,3 @@ class TestBuildPairSamples:
         with pytest.raises(ConfigurationError):
             compose_pairs(embeddings, rows, bgi.task_schema.roles("ActionTarget"))
 
-
-class TestTypedFilter:
-    def test_keeps_only_role_labeled_pairs(self, table):
-        from bioee.corpus import BB_SCHEMA, corpus_from_documents
-
-        text = "Vibrio lives in water and mud."
-        a1 = (
-            "T1\tBacteria 0 6\tVibrio\n"
-            "T2\tLocation 16 21\twater\n"
-            "T3\tOther 26 29\tmud\n"
-        )
-        corpus = corpus_from_documents([("D", text, a1, "", None, None)], BB_SCHEMA)
-        doc = corpus.documents[0]
-        pairs = gen_candidates(doc.sentences[0], corpus.sentence_entities("D", 0))
-        kept = [pairs[i] for i in typed_filter(pairs, BB_SCHEMA, "Lives_In")]
-        assert {(p.first.id, p.second.id) for p in kept} == {("T1", "T2"), ("T2", "T1")}
