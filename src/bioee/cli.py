@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import dataclasses
 import json
 import logging
+import platform
 import sys
 import time
 from dataclasses import dataclass
@@ -169,51 +171,84 @@ def _outdir(cfg: RunConfig) -> Path:
     return out
 
 
+# glibc's mallopt parameters: free() gives the top of the heap back to the
+# kernel once more than M_TRIM_THRESHOLD bytes of it are free, and blocks of
+# at least M_MMAP_THRESHOLD bytes get a mapping of their own. Both would
+# otherwise adapt to the largest block freed so far, so each training step's
+# 0.5-5 MB temporaries were unmapped and faulted in again step after step.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 128 << 20))
+heap_policy = "default"  # "pinned" once pin_heap() has set _HEAP_POLICY
+
+
+def pin_heap() -> str:
+    """Fix glibc's heap thresholds so freed temporaries stay mapped (up to
+    128 MiB of them); idempotent, and a no-op off glibc. Returns the policy
+    now in force, "pinned" or "default"."""
+    global heap_policy
+    if platform.libc_ver()[0] == "glibc":
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        if all(mallopt(param, value) == 1 for param, value in _HEAP_POLICY):
+            heap_policy = "pinned"
+    return heap_policy
+
+
 def _finish(cfg: RunConfig, command: str, started: float) -> None:
     out = _outdir(cfg)
     (out / "effective.ini").write_text(config_to_ini(cfg), encoding="utf-8")
     stamp = datetime.now().isoformat(timespec="seconds")
     with open(out / "run.log", "a", encoding="utf-8") as fh:
-        fh.write(f"{stamp} {command} finished in {time.perf_counter() - started:.2f}s\n")
+        fh.write(
+            f"{stamp} {command} finished in {time.perf_counter() - started:.2f}s"
+            f" heap={heap_policy}\n"
+        )
 
 
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _load_checkpoints(cfg: RunConfig, stage: str, noun: str, load) -> tuple[dict, dict]:
-    """``load(path, name)`` of every checkpoint that ``train-<stage>`` listed
-    in ``<out>/<stage>/manifest.json`` under ``<noun>_types``, and the
-    manifest."""
+def _checkpoint_paths(
+    cfg: RunConfig, stage: str, noun: str, required: tuple[str, ...] = ()
+) -> tuple[dict[str, Path], dict]:
+    """The path of every checkpoint that ``train-<stage>`` listed in
+    ``<out>/<stage>/manifest.json`` under ``<noun>_types``, by name, and the
+    manifest, which must also hold the ``required`` entries."""
     directory = Path(cfg.out) / stage
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise ConfigurationError(
             f"no {noun} checkpoints at {directory} (run train-{stage} first)"
         )
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    models = {}
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ConfigurationError(f"{manifest_path}: not a JSON manifest ({exc})") from None
+    for key in (f"{noun}_types", *required):
+        if not isinstance(manifest, dict) or key not in manifest:
+            raise ConfigurationError(f"{manifest_path}: manifest has no {key!r} entry")
+    paths = {}
     for name in manifest[f"{noun}_types"]:
-        ckpt = directory / f"{name}.ckpt"
-        if not ckpt.exists():
-            raise ConfigurationError(f"missing {noun} checkpoint {ckpt}")
-        models[name] = load(ckpt, name)
-    return models, manifest
+        paths[name] = directory / f"{name}.ckpt"
+        if not paths[name].exists():
+            raise ConfigurationError(f"missing {noun} checkpoint {paths[name]}")
+    return paths, manifest
 
 
 def _load_argument_models(
     cfg: RunConfig, table: embed.EmbeddingTable
 ) -> tuple[dict[str, vecent.ArgumentModel], dict]:
     """The argument models and their manifest, checked against the table."""
-    models, manifest = _load_checkpoints(cfg, "args", "argument", vecent.load_argument_model)
+    paths, manifest = _checkpoint_paths(cfg, "args", "argument", required=("dim", "u"))
     dim = manifest["dim"]
     if table.dim != dim:
         raise ConfigurationError(f"embedding dim {table.dim} does not match checkpoints ({dim})")
+    models = {name: vecent.load_argument_model(path, name) for name, path in paths.items()}
     for name, model in models.items():
         if model.input_size != dim:
             raise TrainingError(
-                f"{Path(cfg.out) / 'args' / f'{name}.ckpt'}: LSTM input size "
-                f"{model.input_size} is not the manifest's dim {dim}"
+                f"{paths[name]}: LSTM input size {model.input_size} is not the manifest's dim {dim}"
             )
     return models, manifest
 
@@ -339,12 +374,16 @@ def cmd_predict(cfg: RunConfig) -> int:
     corpus = load_corpus_dir(cfg.predict_dir, schema)
     table = _resolve_table(cfg)
     arg_models, manifest = _load_argument_models(cfg, table)
-    event_models, _ = _load_checkpoints(
-        cfg,
-        "events",
-        "event",
-        lambda path, _: vecom.EventModel(**ndiff.load_dense_layers(path, vecom.EventModel.LAYERS)),
-    )
+    event_paths, _ = _checkpoint_paths(cfg, "events", "event")
+    event_models = {name: vecom.load_event_model(path) for name, path in event_paths.items()}
+    for event_type, model in event_models.items():
+        for role in set(schema.roles(event_type)) & arg_models.keys():
+            width = 2 * arg_models[role].embedding_size
+            if model.input_size != width:
+                raise TrainingError(
+                    f"{event_paths[event_type]}: event heads take {model.input_size} inputs, "
+                    f"not the {width} of two composed {role} embeddings"
+                )
     out = _outdir(cfg)
     pred_dir = out / "pred"
     pred_dir.mkdir(exist_ok=True)
@@ -501,6 +540,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    pin_heap()
     parser = argparse.ArgumentParser(
         prog="bioee",
         description="Trigger-free bottom-up biomedical event extraction pipeline",

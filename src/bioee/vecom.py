@@ -17,7 +17,7 @@ import numpy as np
 
 from . import ndiff, vecent
 from .corpus import Corpus, Entity, Event, Sentence
-from .errors import ConfigurationError, DataError, TrainingSetupError
+from .errors import ConfigurationError, DataError, TrainingError, TrainingSetupError
 from .ndiff import DenseParams, Tensor
 from .vecent import ArgumentModel, ContextWindow, EpochRecord
 
@@ -61,6 +61,11 @@ class EventModel(ndiff.Layers):
     dir_f1: DenseParams
     dir_f2: DenseParams
 
+    @property
+    def input_size(self) -> int:
+        """The width of the composed pair vector both heads read."""
+        return self.exist_f1.A.data.shape[1]
+
 
 def new_event_model(
     input_dim: int, hidden: int = 64, rng: np.random.Generator | None = None
@@ -72,6 +77,20 @@ def new_event_model(
         dir_f1=ndiff.init_dense(rng, input_dim, hidden, "dir_f1"),
         dir_f2=ndiff.init_dense(rng, hidden, 1, "dir_f2"),
     )
+
+
+def load_event_model(path) -> EventModel:
+    """A saved model: each head's f2 must take its f1's outputs to one
+    probability, and both f1 layers must read the same input width."""
+    layers = ndiff.load_dense_layers(path, EventModel.LAYERS)
+    shapes = {name: layer.A.data.shape for name, layer in layers.items()}
+    if (
+        shapes["exist_f2"] != (1, shapes["exist_f1"][0])
+        or shapes["dir_f2"] != (1, shapes["dir_f1"][0])
+        or shapes["exist_f1"][1] != shapes["dir_f1"][1]
+    ):
+        raise TrainingError(f"{path}: layer shapes {shapes} do not form an event model")
+    return EventModel(**layers)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import platform
+import resource
 import shutil
 import struct
 
@@ -376,6 +378,20 @@ def _per_gate_names(tensors):
                 tensors[f"{cell}.{gate}.{part}"] = block
 
 
+def _exist_f2_one_column_short(tensors):
+    tensors["exist_f2.A"] = tensors["exist_f2.A"][:, 1:]
+
+
+def _dir_f1_input_one_short(tensors):
+    tensors["dir_f1.A"] = tensors["dir_f1.A"][:, 1:]
+
+
+def _event_inputs_one_short(tensors):
+    """Both heads still agree, but no longer on two composed embeddings."""
+    for head in ("exist_f1", "dir_f1"):
+        tensors[f"{head}.A"] = tensors[f"{head}.A"][:, 1:]
+
+
 def _first_shape(shape):
     """Replace the first tensor's shape header with ``shape``."""
 
@@ -424,6 +440,58 @@ class TestBadCheckpoints:
         assert "Action.ckpt" in error["message"]
         assert detail is None or detail in error["message"]
 
+    @pytest.mark.parametrize(
+        "edit, detail",
+        [
+            (_exist_f2_one_column_short, "event model"),
+            (_dir_f1_input_one_short, "event model"),
+            (_event_inputs_one_short, "composed"),
+        ],
+        ids=["exist_f2_one_column_short", "dir_f1_input_one_short", "event_inputs_one_short"],
+    )
+    def test_predict_reports_bad_event_checkpoint(
+        self, tmp_path, case_dir, trained_out, edit, detail, capsys
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(trained_out / "args", out / "args")
+        shutil.copytree(trained_out / "events", out / "events")
+        _edit_tensors(edit)(out / "events" / "Interaction.ckpt")
+        rc = main(["predict", "--schema", "bgi", "--predict-dir", str(case_dir),
+                   "--out", str(out), *FIT_ARGS])
+        assert rc == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "TrainingError"
+        assert "Interaction.ckpt" in error["message"]
+        assert detail in error["message"]
+
+
+def _drop_manifest_key(key):
+    def damage(manifest):
+        manifest.pop(key)
+        return json.dumps(manifest)
+
+    return damage
+
+
+class TestBadManifest:
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda _: "{", *(_drop_manifest_key(key) for key in ("argument_types", "dim", "u"))],
+        ids=["not_json", "no_argument_types", "no_dim", "no_u"],
+    )
+    def test_predict_reports_json_error(self, tmp_path, case_dir, trained_out, damage, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(trained_out / "args", out / "args")
+        shutil.copytree(trained_out / "events", out / "events")
+        path = out / "args" / "manifest.json"
+        path.write_text(damage(json.loads(path.read_text())), encoding="utf-8")
+        rc = main(["predict", "--schema", "bgi", "--predict-dir", str(case_dir),
+                   "--out", str(out), *FIT_ARGS])
+        assert rc == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigurationError"
+        assert str(path) in error["message"]
+
 
 class TestCrossval:
     SYNTH_ARGS = [
@@ -468,6 +536,32 @@ class TestCrossval:
         for rel in ("metrics.json", "metrics.csv", "curves/event_Activation_roc.tsv",
                     "curves/arg_Activator_prc.tsv"):
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
+
+ON_GLIBC = platform.libc_ver()[0] == "glibc"
+
+
+class TestHeapPolicy:
+    def test_run_log_names_heap_policy(self, tmp_path, bgi_dir):
+        out = tmp_path / "out"
+        assert main(["ingest", "--schema", "bgi", "--train-dir", str(bgi_dir),
+                     "--out", str(out)]) == 0
+        line = (out / "run.log").read_text().splitlines()[-1]
+        assert line.endswith(" heap=pinned" if ON_GLIBC else " heap=default")
+
+    @pytest.mark.skipif(not ON_GLIBC, reason="the heap policy is set through glibc's mallopt")
+    def test_freed_arrays_stay_mapped(self):
+        assert cli.pin_heap() == cli.pin_heap() == "pinned"
+
+        def churn(rounds):
+            for _ in range(rounds):
+                arrays = [np.ones(1 << 17) for _ in range(30)]  # 30 touched 1 MiB arrays
+                del arrays
+
+        churn(2)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        churn(5)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
 
 class TestGradcheckCommand:
