@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 
-import numpy as np
-
 from . import embed, evalkit, gradcheck, ndiff, vecent, vecom
 from .corpus import Corpus, corpus_stats, load_corpus_dir, load_schema, write_standoff
 from .errors import BioeeError, ConfigurationError, TrainingError, TrainingSetupError
@@ -88,26 +86,34 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 def config_from_ini(path: str | Path, base: RunConfig | None = None) -> RunConfig:
     cfg = base or RunConfig()
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)  # values are taken literally
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"config file {path} is not an INI file ({exc})") from None
     if not read:
         raise ConfigurationError(f"config file {path} not found or unreadable")
     known = {key: section for section, keys in _INI_LAYOUT.items() for key in keys}
     for section in parser.sections():
         if section not in _INI_LAYOUT:
-            raise ConfigurationError(f"unknown config section [{section}]")
+            raise ConfigurationError(f"{path}: unknown config section [{section}]")
         for key, raw in parser.items(section):
             if known.get(key) != section:
-                raise ConfigurationError(f"unknown config key {key!r} in [{section}]")
+                raise ConfigurationError(f"{path}: unknown config key {key!r} in [{section}]")
             ftype = _FIELD_TYPES[key]
-            if ftype in ("bool", bool):
-                value = parser.getboolean(section, key)
-            elif ftype in ("int", int):
-                value = parser.getint(section, key)
-            elif ftype in ("float", float):
-                value = parser.getfloat(section, key)
-            else:
-                value = raw
+            try:
+                if ftype in ("bool", bool):
+                    value = parser.getboolean(section, key)
+                elif ftype in ("int", int):
+                    value = parser.getint(section, key)
+                elif ftype in ("float", float):
+                    value = parser.getfloat(section, key)
+                else:
+                    value = raw
+            except ValueError:
+                raise ConfigurationError(
+                    f"{path}: [{section}] {key} = {raw!r} is not a valid {ftype}"
+                ) from None
             setattr(cfg, key, value)
     return cfg
 
@@ -332,9 +338,7 @@ def cmd_train_events(cfg: RunConfig) -> int:
 
     trained, skipped = [], {}
     for event_type in corpus.task_schema.event_types:
-        labels = vecom.label_pairs(pairs, list(corpus.events.values()), event_type)
-        exists = np.array([label.exists for label in labels])
-        forward = np.array([label.forward for label in labels])
+        exists, forward = vecom.label_pairs(pairs, list(corpus.events.values()), event_type)
         composed = vecom.compose_pairs(embeddings, rows, corpus.task_schema.roles(event_type))
         rng = child_rng(cfg.seed, f"cmd/train-events/{event_type}")
         try:
@@ -412,15 +416,14 @@ def cmd_predict(cfg: RunConfig) -> int:
         for sidx, sent in enumerate(doc.sentences):
             idx = by_sentence.get((doc.id, sidx), [])
             for event_type, (pe, pf) in scores.items():
-                predictions = list(zip(pe[idx].tolist(), pf[idx].tolist()))
-                for i, (e_prob, f_prob) in zip(idx, predictions):
+                for i, e_prob, f_prob in zip(idx, pe[idx].tolist(), pf[idx].tolist()):
                     tsv_rows.append(
                         f"{sent.id}\t{pairs[i].first.id}\t{pairs[i].second.id}"
                         f"\t{e_prob:.6f}\t{f_prob:.6f}\t{event_type}"
                     )
                 doc_events.extend(
                     vecom.decode_events(
-                        [pairs[i] for i in idx], predictions, event_type, cfg.threshold
+                        [pairs[i] for i in idx], pe[idx], pf[idx], event_type, cfg.threshold
                     )
                 )
         (pred_dir / f"{doc.id}.a2").write_text(
@@ -553,9 +556,8 @@ def main(argv=None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    cfg = _build_config(args)
     try:
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](_build_config(args))
     except BioeeError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         for attr in ("file", "line"):

@@ -81,11 +81,19 @@ def load_schema(source: str | Path) -> TaskSchema:
     path = Path(source)
     if not path.exists():
         raise SchemaError(f"no builtin schema or schema file named {source!r}")
-    raw = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise SchemaError(f"schema file {source} is not JSON ({exc})") from None
+    declared = raw.get("events", {}) if isinstance(raw, dict) else None
+    if not isinstance(declared, dict):
+        raise SchemaError(f"schema file {source} is not an object with an 'events' object")
     events = {}
-    for etype, roles in raw.get("events", {}).items():
-        if len(roles) != 2:
-            raise SchemaError(f"event {etype!r} must declare exactly [source, target] roles")
+    for etype, roles in declared.items():
+        if not isinstance(roles, list) or len(roles) != 2:
+            raise SchemaError(
+                f"schema file {source}: event {etype!r} must declare exactly [source, target] roles"
+            )
         events[etype] = (str(roles[0]), str(roles[1]))
     if not events:
         raise SchemaError(f"schema file {source} declares no event types")
@@ -504,14 +512,21 @@ def load_corpus_dir(directory: str | Path, schema: TaskSchema) -> Corpus:
         items.append(
             (
                 doc_id,
-                txt.read_text(encoding="utf-8"),
-                a1.read_text(encoding="utf-8"),
-                a2.read_text(encoding="utf-8") if a2.exists() else "",
+                _read_text(txt),
+                _read_text(a1),
+                _read_text(a2) if a2.exists() else "",
                 str(a1),
                 str(a2) if a2.exists() else None,
             )
         )
     return corpus_from_documents(items, schema)
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc})", file=str(path)) from None
 
 
 # ---------------------------------------------------------------------------

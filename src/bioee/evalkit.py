@@ -241,19 +241,10 @@ def _decoded_event_metrics(
     corpus, pairs, p_exists, p_forward, event_type, threshold
 ) -> MetricsReport:
     """Strict set match of decoded events against within-sentence gold."""
-    by_sentence: dict[tuple[str, int], list[int]] = {}
-    for i, pair in enumerate(pairs):
-        by_sentence.setdefault((pair.doc_id, pair.sentence_index), []).append(i)
-    predicted = set()
-    for key in sorted(by_sentence):
-        idxs = by_sentence[key]
-        decoded = vecom.decode_events(
-            [pairs[i] for i in idxs],
-            [(p_exists[i], p_forward[i]) for i in idxs],
-            event_type,
-            threshold=threshold,
-        )
-        predicted.update((ev.doc_id, ev.source, ev.target) for ev in decoded)
+    predicted = {
+        (ev.doc_id, ev.source, ev.target)
+        for ev in vecom.decode_events(pairs, p_exists, p_forward, event_type, threshold)
+    }
     gold = {
         (ev.doc_id, ev.source, ev.target)
         for ev in corpus.events.values()
@@ -307,9 +298,9 @@ def cross_validate(
     }
     arg_labels = {role: np.array([s.label for s in ss]) for role, ss in arg_samples.items()}
     events = list(corpus.events.values())
-    pair_labels = {et: vecom.label_pairs(pairs, events, et) for et in schema.event_types}
-    exist = {et: np.array([l.exists for l in ls]) for et, ls in pair_labels.items()}
-    forward = {et: np.array([l.forward for l in ls]) for et, ls in pair_labels.items()}
+    exist, forward = {}, {}
+    for et in schema.event_types:
+        exist[et], forward[et] = vecom.label_pairs(pairs, events, et)
 
     entity_units = [entity_unit[q] for q in qids]
     pair_units = [unit(p.doc_id, p.sentence_index) for p in pairs]

@@ -1,7 +1,7 @@
 """Finite-difference verification of every differentiable operator and of
 the fully composed argument/event losses on miniature instances.
 
-Inputs are sampled away from the relu/abs kinks and the clamp bounds so
+Inputs are sampled away from the relu kink and the loss's clamp bounds so
 central differences stay valid at eps=1e-5.
 """
 
@@ -18,45 +18,37 @@ def _signed_uniform(rng, shape, lo=0.2, hi=0.9):
     return mag * sign
 
 
-def _param(rng, shape, name):
-    return ndiff.parameter(_signed_uniform(rng, shape), name=name)
+def _param(rng, shape):
+    return ndiff.parameter(_signed_uniform(rng, shape))
 
 
 def _op_checks(rng):
     checks = {}
 
-    x = _param(rng, (3, 4), "x")
-    y = _param(rng, (3, 4), "y")
+    x = _param(rng, (3, 4))
+    y = _param(rng, (3, 4))
     weights = _signed_uniform(rng, (3, 4), lo=0.5, hi=1.5)  # fixed mixing constants
     checks["add"] = (lambda: ndiff.sum_all(ndiff.mul(ndiff.add(x, y), weights)), {"x": x, "y": y})
     checks["mul"] = (lambda: ndiff.sum_all(ndiff.mul(x, y)), {"x": x, "y": y})
     checks["tanh"] = (lambda: ndiff.sum_all(ndiff.mul(ndiff.tanh(x), weights)), {"x": x})
     checks["sigmoid"] = (lambda: ndiff.sum_all(ndiff.mul(ndiff.sigmoid(x), weights)), {"x": x})
     checks["relu"] = (lambda: ndiff.sum_all(ndiff.mul(ndiff.relu(x), weights)), {"x": x})
-    checks["abs"] = (lambda: ndiff.sum_all(ndiff.mul(ndiff.absolute(x), weights)), {"x": x})
 
-    pos = ndiff.parameter(rng.uniform(0.3, 0.8, size=(2, 3)), name="pos")
-    checks["log"] = (lambda: ndiff.sum_all(ndiff.log(pos)), {"pos": pos})
-    checks["clamp"] = (
-        lambda: ndiff.sum_all(ndiff.mul(ndiff.clamp(x, -0.95, 0.95), 1.7)),
-        {"x": x},
-    )
-
-    a = _param(rng, (2, 3), "a")
-    b = _param(rng, (2, 2), "b")
+    a = _param(rng, (2, 3))
+    b = _param(rng, (2, 2))
     checks["concat"] = (
         lambda: ndiff.sum_all(ndiff.mul(ndiff.concat([a, b], axis=-1), 0.7)),
         {"a": a, "b": b},
     )
 
-    dense = ndiff.DenseParams(A=_param(rng, (3, 4), "A"), b=_param(rng, (3,), "b"))
-    xb = _param(rng, (3, 4), "xb")
+    dense = ndiff.DenseParams(A=_param(rng, (3, 4)), b=_param(rng, (3,)))
+    xb = _param(rng, (3, 4))
     checks["affine_batch"] = (
         lambda: ndiff.sum_all(ndiff.tanh(ndiff.affine(dense, xb))),
         {"A": dense.A, "b": dense.b, "xb": xb},
     )
 
-    drop_in = _param(rng, (4, 5), "drop_in")
+    drop_in = _param(rng, (4, 5))
 
     def dropout_loss():
         mask_rng = np.random.default_rng(12345)  # same mask on every call
@@ -64,7 +56,7 @@ def _op_checks(rng):
 
     checks["dropout"] = (dropout_loss, {"drop_in": drop_in})
 
-    cell = ndiff.init_lstm(rng, 3, 4, "cell")
+    cell = ndiff.init_lstm(rng, 3, 4)
     cell_params = cell.params("cell")
     # Three steps of two rows with no zero step, so no row is packed.
     unpadded = _signed_uniform(rng, (3, 2, 3))
@@ -83,7 +75,7 @@ def _op_checks(rng):
         cell_params,
     )
 
-    logits = _param(rng, (5, 1), "logits")
+    logits = _param(rng, (5, 1))
     bce_labels = np.array([[1.0], [0.0], [1.0], [1.0], [0.0]])
 
     def bce_loss():
@@ -122,7 +114,7 @@ def _composed_event_check(rng):
     y_dir = np.array([[1.0], [0.0], [0.0], [0.0]])
 
     def loss():
-        p_exists, p_forward = vecom._heads(model, ndiff.constant(composed))
+        p_exists, p_forward = vecom._heads(model, composed)
         le = ndiff.weighted_bce(y_exist, p_exists, 1.0, 1.0)
         ld = ndiff.weighted_bce(y_dir, p_forward, y_exist, y_exist)
         return ndiff.mul(ndiff.add(le, ld), 1.0 / batch)

@@ -1,11 +1,12 @@
 """Minimal dense-tensor reverse-mode automatic differentiation.
 
 Exactly the operators the models need: affine maps over row batches
-``(B, n)``, the usual pointwise nonlinearities, concatenation, dropout, a
-weighted binary cross-entropy, and a whole-sequence LSTM over a constant
-step-major batch ``(T, B, D)`` recorded as a single node (input projection
-hoisted out of the recurrence, leading all-zero steps skipped by packing the
-rows and sharing one pad-state chain, hand-written BPTT), plus momentum SGD.
+``(B, n)``, tanh, sigmoid and relu, sums, products, concatenation, dropout,
+a weighted binary cross-entropy, and a whole-sequence LSTM over a constant
+step-major batch ``(T, B, D)``, the last two each recorded as a single node
+(the LSTM hoists the input projection out of the recurrence, skips leading
+all-zero steps by packing the rows and sharing one pad-state chain, and runs
+BPTT by hand), plus momentum SGD.
 Values are float64 throughout. Inside ``with no_grad():`` no operation
 records a tape.
 """
@@ -33,13 +34,12 @@ INFERENCE_CHUNK = 256  # rows per no-grad forward pass; bounds activation memory
 class Tensor:
     """A dense array plus the recorded backward rule that produced it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, name=None, parents=(), backward_fn=None):
+    def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = None
-        self.name = name
         self._parents = tuple(parents)
         self._backward = backward_fn
 
@@ -47,17 +47,13 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def __repr__(self):
-        tag = self.name or ("param" if self.requires_grad else "tensor")
-        return f"Tensor({tag}, shape={self.data.shape})"
-
 
 def constant(data) -> Tensor:
     return Tensor(data)
 
 
-def parameter(data, name=None) -> Tensor:
-    return Tensor(np.array(data, dtype=np.float64), requires_grad=True, name=name)
+def parameter(data) -> Tensor:
+    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
 def _wants_grad(t: Tensor) -> bool:
@@ -146,16 +142,6 @@ def mul(a: Tensor, b) -> Tensor:
     return _node(a.data * factor, (a,), backward_fn)
 
 
-def rsub(c, a: Tensor) -> Tensor:
-    """Constant minus tensor, elementwise."""
-    base = np.asarray(c, dtype=np.float64)
-
-    def backward_fn(g):
-        _accumulate(a, -g)
-
-    return _node(base - a.data, (a,), backward_fn)
-
-
 def tanh(x: Tensor) -> Tensor:
     out = np.tanh(x.data)
 
@@ -181,31 +167,6 @@ def relu(x: Tensor) -> Tensor:
         _accumulate(x, g * mask)
 
     return _node(np.where(mask, x.data, 0.0), (x,), backward_fn)
-
-
-def absolute(x: Tensor) -> Tensor:
-    sign = np.sign(x.data)  # subgradient 0 at 0
-
-    def backward_fn(g):
-        _accumulate(x, g * sign)
-
-    return _node(np.abs(x.data), (x,), backward_fn)
-
-
-def log(x: Tensor) -> Tensor:
-    def backward_fn(g):
-        _accumulate(x, g / x.data)
-
-    return _node(np.log(x.data), (x,), backward_fn)
-
-
-def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
-    inside = (x.data > lo) & (x.data < hi)
-
-    def backward_fn(g):
-        _accumulate(x, g * inside)
-
-    return _node(np.clip(x.data, lo, hi), (x,), backward_fn)
 
 
 def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
@@ -427,8 +388,9 @@ def lstm_last(cell: DenseParams, X: np.ndarray) -> Tensor:
 
 def weighted_bce(y, p: Tensor, pos_weight, neg_weight, eps: float = 1e-7) -> Tensor:
     """-sum_i [w+_i y_i log p_i + w-_i (1-y_i) log(1-p_i)], probabilities
-    clamped to [eps, 1-eps]. Each weight is a scalar or an array of per-row
-    weights shaped like ``y`` (a 0/1 array masks rows out)."""
+    clamped to [eps, 1-eps], as one tape node. Each weight is a scalar or an
+    array of per-row weights shaped like ``y`` (a 0/1 array masks rows out).
+    A probability at or past a clamp bound gets no gradient."""
     labels = np.asarray(y, dtype=np.float64)
     if labels.shape != p.data.shape:
         raise ShapeError(f"weighted_bce: labels {labels.shape} vs predictions {p.data.shape}")
@@ -436,10 +398,18 @@ def weighted_bce(y, p: Tensor, pos_weight, neg_weight, eps: float = 1e-7) -> Ten
     neg_weight = np.asarray(neg_weight, dtype=np.float64)
     if (pos_weight < 0).any() or (neg_weight < 0).any():
         raise ValueError("weighted_bce: class weights must be non-negative")
-    p = clamp(p, eps, 1.0 - eps)
-    pos_term = mul(log(p), pos_weight * labels)
-    neg_term = mul(log(rsub(1.0, p)), neg_weight * (1.0 - labels))
-    return mul(sum_all(add(pos_term, neg_term)), -1.0)
+    pos = pos_weight * labels
+    neg = neg_weight * (1.0 - labels)
+    if pos.shape != labels.shape or neg.shape != labels.shape:
+        raise ShapeError(f"weighted_bce: weights do not match labels {labels.shape}")
+    q = np.clip(p.data, eps, 1.0 - eps)
+
+    def backward_fn(g):
+        G = np.full_like(q, float(g * -1.0))
+        inside = (p.data > eps) & (p.data < 1.0 - eps)
+        _accumulate(p, ((G * pos) / q - (G * neg) / (1.0 - q)) * inside, fresh=True)
+
+    return _node((np.log(q) * pos + np.log(1.0 - q) * neg).sum() * -1.0, (p,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -521,14 +491,14 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_dense(rng: np.random.Generator, in_dim: int, out_dim: int, name: str) -> DenseParams:
+def init_dense(rng: np.random.Generator, in_dim: int, out_dim: int) -> DenseParams:
     return DenseParams(
-        A=parameter(glorot_uniform(rng, in_dim, out_dim, (out_dim, in_dim)), name=f"{name}.A"),
-        b=parameter(np.zeros(out_dim), name=f"{name}.b"),
+        A=parameter(glorot_uniform(rng, in_dim, out_dim, (out_dim, in_dim))),
+        b=parameter(np.zeros(out_dim)),
     )
 
 
-def init_lstm(rng: np.random.Generator, input_dim: int, hidden: int, name: str) -> DenseParams:
+def init_lstm(rng: np.random.Generator, input_dim: int, hidden: int) -> DenseParams:
     """The four gates of an LSTM cell as one dense layer over [input, hidden]
     (see ``lstm_last``): Glorot-uniform with one gate's fan-out, so each row
     block draws as a gate of its own would; zero biases, forget-gate bias +1."""
@@ -536,8 +506,8 @@ def init_lstm(rng: np.random.Generator, input_dim: int, hidden: int, name: str) 
     bias = np.zeros(4 * hidden)
     bias[hidden : 2 * hidden] = 1.0
     return DenseParams(
-        A=parameter(glorot_uniform(rng, total, hidden, (4 * hidden, total)), name=f"{name}.A"),
-        b=parameter(bias, name=f"{name}.b"),
+        A=parameter(glorot_uniform(rng, total, hidden, (4 * hidden, total))),
+        b=parameter(bias),
     )
 
 
@@ -608,7 +578,7 @@ def load_dense_layers(path, prefixes) -> dict[str, DenseParams]:
             raise TrainingError(
                 f"{path}: layer {prefix!r} has weight shape {A.shape} and bias shape {b.shape}"
             )
-        layers[prefix] = DenseParams(*(parameter(blobs[name], name=name) for name in names))
+        layers[prefix] = DenseParams(*(parameter(blobs[name]) for name in names))
     return layers
 
 

@@ -101,10 +101,10 @@ def new_argument_model(
     rng = rng or np.random.default_rng(0)
     return ArgumentModel(
         arg_type=arg_type,
-        fwd=ndiff.init_lstm(rng, embed_dim, lstm_hidden, "fwd"),
-        bwd=ndiff.init_lstm(rng, embed_dim, lstm_hidden, "bwd"),
-        f1=ndiff.init_dense(rng, 2 * lstm_hidden, mlp_hidden, "f1"),
-        f2=ndiff.init_dense(rng, mlp_hidden, 1, "f2"),
+        fwd=ndiff.init_lstm(rng, embed_dim, lstm_hidden),
+        bwd=ndiff.init_lstm(rng, embed_dim, lstm_hidden),
+        f1=ndiff.init_dense(rng, 2 * lstm_hidden, mlp_hidden),
+        f2=ndiff.init_dense(rng, mlp_hidden, 1),
         dropout=dropout,
     )
 

@@ -35,12 +35,6 @@ class CandidatePair:
 
 
 @dataclass
-class PairLabel:
-    exists: int
-    forward: int  # 0 whenever exists is 0
-
-
-@dataclass
 class EventHyper:
     hidden: int = 64
     batch: int = 32
@@ -72,10 +66,10 @@ def new_event_model(
 ) -> EventModel:
     rng = rng or np.random.default_rng(0)
     return EventModel(
-        exist_f1=ndiff.init_dense(rng, input_dim, hidden, "exist_f1"),
-        exist_f2=ndiff.init_dense(rng, hidden, 1, "exist_f2"),
-        dir_f1=ndiff.init_dense(rng, input_dim, hidden, "dir_f1"),
-        dir_f2=ndiff.init_dense(rng, hidden, 1, "dir_f2"),
+        exist_f1=ndiff.init_dense(rng, input_dim, hidden),
+        exist_f2=ndiff.init_dense(rng, hidden, 1),
+        dir_f1=ndiff.init_dense(rng, input_dim, hidden),
+        dir_f2=ndiff.init_dense(rng, hidden, 1),
     )
 
 
@@ -121,9 +115,10 @@ def candidate_pairs(corpus: Corpus) -> list[CandidatePair]:
 
 def label_pairs(
     pairs: list[CandidatePair], events: list[Event], event_type: str
-) -> list[PairLabel]:
-    """Two-bit labels: pair (A, B) gets exists=1 iff an event of this type
-    links {A, B}; forward=1 iff that event points A -> B."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two-bit labels as ``(exists, forward)`` int arrays over ``pairs``:
+    pair (A, B) gets exists=1 iff an event of this type links {A, B};
+    forward=1 iff that event points A -> B (so forward is 0 where exists is)."""
     directed: dict[tuple[str, str, str], set[tuple[str, str]]] = {}
     for ev in events:
         if ev.type != event_type or ev.cross_sentence:
@@ -137,16 +132,15 @@ def label_pairs(
                 f"conflicting {event_type} events between {lo} and {hi} in {doc_id}: "
                 f"both directions annotated"
             )
-    labels = []
-    for pair in pairs:
+    exists = np.zeros(len(pairs), dtype=np.int64)
+    forward = np.zeros(len(pairs), dtype=np.int64)
+    for i, pair in enumerate(pairs):
         lo, hi = sorted((pair.first.id, pair.second.id))
         arrows = directed.get((pair.doc_id, lo, hi))
-        if not arrows:
-            labels.append(PairLabel(exists=0, forward=0))
-        else:
-            forward = int((pair.first.id, pair.second.id) in arrows)
-            labels.append(PairLabel(exists=1, forward=forward))
-    return labels
+        if arrows:
+            exists[i] = 1
+            forward[i] = (pair.first.id, pair.second.id) in arrows
+    return exists, forward
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +190,14 @@ def compose_pairs(
 # Forward and training
 
 
-def _heads(model: EventModel, v: Tensor) -> tuple[Tensor, Tensor]:
+def _heads(model: EventModel, composed: np.ndarray) -> tuple[Tensor, Tensor]:
+    """Existence and forward probabilities ``(B, 1)`` of composed pairs."""
+    magnitude, signed = ndiff.constant(np.abs(composed)), ndiff.constant(composed)
     p_exists = ndiff.sigmoid(
-        ndiff.affine(model.exist_f2, ndiff.relu(ndiff.affine(model.exist_f1, ndiff.absolute(v))))
+        ndiff.affine(model.exist_f2, ndiff.relu(ndiff.affine(model.exist_f1, magnitude)))
     )
     p_forward = ndiff.sigmoid(
-        ndiff.affine(model.dir_f2, ndiff.relu(ndiff.affine(model.dir_f1, v)))
+        ndiff.affine(model.dir_f2, ndiff.relu(ndiff.affine(model.dir_f1, signed)))
     )
     return p_exists, p_forward
 
@@ -210,7 +206,7 @@ def event_forward_batch(model: EventModel, composed: np.ndarray):
     """(existence, forward) probability arrays for a batch of composed pairs."""
     with ndiff.no_grad():
         chunks = [
-            _heads(model, ndiff.constant(composed[rows]))
+            _heads(model, composed[rows])
             for rows in ndiff.inference_chunks(len(composed))
         ]
     p_exists = np.concatenate([pe.data[:, 0] for pe, _ in chunks])
@@ -243,7 +239,7 @@ def train_event_model(
     y_dir = np.asarray(forward, dtype=np.float64)[train_idx, None]
 
     def batch_loss(idx):
-        p_exists, p_forward = _heads(model, ndiff.constant(composed[idx]))
+        p_exists, p_forward = _heads(model, composed[idx])
         ye = y_exist[idx]
         loss_e = ndiff.weighted_bce(ye, p_exists, 1.0, 1.0)
         loss_d = ndiff.weighted_bce(y_dir[idx], p_forward, ye, ye)  # masked to existing events
@@ -258,36 +254,35 @@ def train_event_model(
 
 def decode_events(
     pairs: list[CandidatePair],
-    predictions: list[tuple[float, float]],
+    p_exists: np.ndarray,
+    p_forward: np.ndarray,
     event_type: str,
     threshold: float = 0.5,
 ) -> list[Event]:
-    """Two-bit predictions back to directed events.
+    """Two-bit predictions, one existence and one forward probability per
+    pair, back to directed events; ``pairs`` may span any number of
+    sentences and documents.
 
     For each unordered entity pair whose best existence probability clears
     the threshold, the better-scored ordering wins and its direction bit
     orients the event; ties keep the earlier candidate.
     """
     best: dict[tuple[str, int, str, str], tuple[float, CandidatePair, float]] = {}
-    for pair, (p_exists, p_forward) in zip(pairs, predictions):
+    scores = zip(pairs, np.asarray(p_exists).tolist(), np.asarray(p_forward).tolist())
+    for pair, e_prob, f_prob in scores:
         lo, hi = sorted((pair.first.id, pair.second.id))
         key = (pair.doc_id, pair.sentence_index, lo, hi)
         kept = best.get(key)
-        if kept is None or p_exists > kept[0]:
-            best[key] = (p_exists, pair, p_forward)
+        if kept is None or e_prob > kept[0]:
+            best[key] = (e_prob, pair, f_prob)
     events = []
-    seen = set()
-    for p_exists, pair, p_forward in best.values():
-        if p_exists < threshold:
+    for e_prob, pair, f_prob in best.values():
+        if e_prob < threshold:
             continue
-        if p_forward >= 0.5:
+        if f_prob >= 0.5:
             source, target = pair.first.id, pair.second.id
         else:
             source, target = pair.second.id, pair.first.id
-        ident = (pair.doc_id, event_type, source, target)
-        if ident in seen:
-            continue
-        seen.add(ident)
         events.append(
             Event(
                 id="",

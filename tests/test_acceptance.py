@@ -86,10 +86,10 @@ class TestCriterion3LabelDecodingRoundTrip:
                     if not pairs:
                         bad += len(gold)
                         continue
-                    labels = label_pairs(pairs, list(corpus.events.values()), event_type)
-                    preds = [(float(l.exists), float(l.forward)) for l in labels]
+                    exists, forward = label_pairs(pairs, list(corpus.events.values()), event_type)
                     decoded = {
-                        (e.source, e.target) for e in decode_events(pairs, preds, event_type)
+                        (e.source, e.target)
+                        for e in decode_events(pairs, exists, forward, event_type)
                     }
                     bad += len(decoded ^ gold)
         return bad, total_gold
@@ -111,11 +111,10 @@ class TestCriterion3LabelDecodingRoundTrip:
         pairs = gen_candidates(doc.sentences[0], corpus.sentence_entities(doc.id, 0))
         decoded = set()
         for event_type in corpus.task_schema.event_types:
-            labels = label_pairs(pairs, list(corpus.events.values()), event_type)
-            preds = [(float(l.exists), float(l.forward)) for l in labels]
+            exists, forward = label_pairs(pairs, list(corpus.events.values()), event_type)
             decoded |= {
                 (e.type, e.source, e.target)
-                for e in decode_events(pairs, preds, event_type)
+                for e in decode_events(pairs, exists, forward, event_type)
             }
         expected = {
             ("ActionTarget", "T1", "T2"),

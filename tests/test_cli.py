@@ -75,6 +75,12 @@ class TestConfig:
         assert effective.schema == "bgi"
         assert effective.epochs == 3
 
+    def test_percent_sign_taken_literally(self, tmp_path):
+        cfg = RunConfig(out="runs/50%-subsample")
+        path = tmp_path / "run.ini"
+        path.write_text(config_to_ini(cfg), encoding="utf-8")
+        assert config_from_ini(path).out == "runs/50%-subsample"
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[hyper]\nwarmup = 3\n", encoding="utf-8")
@@ -155,6 +161,47 @@ class TestIngest:
         stats = json.loads((out / "stats.json").read_text())
         assert stats["events"]["Lives_In"] == 5
         assert stats["cross_sentence_events"] == 1
+
+
+# id -> (file under the test directory, its content, absent when None, the
+# flag that names it, the error reported)
+BAD_INPUTS = {
+    "missing_ini": ("run.ini", None, "--config", "ConfigurationError"),
+    "unknown_ini_key": ("run.ini", "[hyper]\nwarmup = 3\n", "--config", "ConfigurationError"),
+    "non_integer_seed": ("run.ini", "[run]\nseed = abc\n", "--config", "ConfigurationError"),
+    "no_section_header": ("run.ini", "seed = 3\n", "--config", "ConfigurationError"),
+    "schema_not_json": ("schema.json", "{", "--schema", "SchemaError"),
+    "schema_roles_not_a_list": (
+        "schema.json", '{"events": {"E": "AB"}}', "--schema", "SchemaError"
+    ),
+    "schema_not_an_object": ("schema.json", "[1, 2]", "--schema", "SchemaError"),
+    "text_not_utf8": ("corpus/GERE.txt", b"gerE \xff binds", "--train-dir", "ParseError"),
+}
+
+
+class TestBadInput:
+    """Unusable config, schema and corpus text end in the JSON error line."""
+
+    @pytest.mark.parametrize(
+        "name, content, flag, error", BAD_INPUTS.values(), ids=BAD_INPUTS.keys()
+    )
+    def test_ingest_reports_json_error(
+        self, tmp_path, bgi_dir, name, content, flag, error, capsys
+    ):
+        path = tmp_path / name
+        if flag == "--train-dir":  # one bad document in an otherwise sound corpus
+            shutil.copytree(bgi_dir, path.parent)
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content, encoding="utf-8")
+        named = path.parent if flag == "--train-dir" else path
+        rc = main(["ingest", "--schema", "bgi", "--train-dir", str(bgi_dir),
+                   "--out", str(tmp_path / "out"), flag, str(named)])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == error
+        assert str(path) in payload["message"]
 
 
 class TestTrainArgs:

@@ -12,7 +12,6 @@ from bioee.errors import ShapeError, TrainingError
 from bioee.ndiff import (
     DenseParams,
     SGDState,
-    absolute,
     affine,
     add,
     backward,
@@ -28,7 +27,6 @@ from bioee.ndiff import (
     no_grad,
     parameter,
     relu,
-    rsub,
     save_tensors,
     sgd_step,
     sigmoid,
@@ -149,19 +147,13 @@ class TestElementwise:
     def test_sigmoid_at_zero(self):
         assert sigmoid(constant([0.0])).data[0] == pytest.approx(0.5)
 
-    def test_abs_of_self_difference_is_zero(self):
-        x = constant([1.5, -2.0, 0.25])
-        np.testing.assert_array_equal(absolute(add(x, mul(x, -1.0))).data, np.zeros(3))
-
     def test_concat(self):
         got = concat([constant([1.0, 2.0]), constant([3.0])]).data
         np.testing.assert_array_equal(got, [1.0, 2.0, 3.0])
 
-    def test_relu_abs_sub_values(self):
+    def test_relu_values(self):
         x = constant([-1.0, 2.0])
         np.testing.assert_array_equal(relu(x).data, [0.0, 2.0])
-        np.testing.assert_array_equal(absolute(x).data, [1.0, 2.0])
-        np.testing.assert_array_equal(rsub(1.0, x).data, [2.0, -1.0])
 
     def test_add_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -196,7 +188,7 @@ class TestLSTM:
 
     def test_lstm_last_single_step(self):
         rng = np.random.default_rng(3)
-        cell = init_lstm(rng, 3, 4, "c")
+        cell = init_lstm(rng, 3, 4)
         x = rng.standard_normal(3)
         h_last = lstm_last(cell, x[None, None, :])
         h_step, _ = _lstm_step_oracle(_blocks(cell), x, np.zeros(4), np.zeros(4))
@@ -205,7 +197,7 @@ class TestLSTM:
     def test_fused_matches_per_step_tape_at_model_shape(self):
         B, T, D, H = 32, 11, 200, 128
         rng = np.random.default_rng(17)
-        cell = init_lstm(rng, D, H, "c")
+        cell = init_lstm(rng, D, H)
         blocks = _blocks(cell)
         gates = [DenseParams(parameter(W), parameter(b)) for W, b in zip(blocks[:4], blocks[4:])]
         steps = rng.standard_normal((T, B, D))
@@ -225,28 +217,28 @@ class TestLSTM:
 
     def test_all_pad_inputs_bounded(self):
         rng = np.random.default_rng(4)
-        cell = init_lstm(rng, 3, 4, "c")
+        cell = init_lstm(rng, 3, 4)
         h = lstm_last(cell, np.zeros((6, 1, 3)))
         assert np.all(np.abs(h.data) < 1.0)
 
     def test_output_magnitude_bounded_by_one(self):
         # h = o * tanh(c) with o in (0,1), so |h| < 1 for any inputs.
         rng = np.random.default_rng(6)
-        cell = init_lstm(rng, 5, 3, "c")
+        cell = init_lstm(rng, 5, 3)
         for _ in range(10):
             seq = 10.0 * rng.standard_normal((7, 1, 5))
             assert np.all(np.abs(lstm_last(cell, seq).data) < 1.0)
 
     def test_sequence_reversal_changes_output(self):
         rng = np.random.default_rng(5)
-        cell = init_lstm(rng, 3, 4, "c")
+        cell = init_lstm(rng, 3, 4)
         seq = rng.standard_normal((4, 1, 3))
         fwd = lstm_last(cell, seq).data
         rev = lstm_last(cell, seq[::-1]).data
         assert not np.allclose(fwd, rev)
 
     def test_empty_sequence(self):
-        cell = init_lstm(np.random.default_rng(0), 3, 4, "c")
+        cell = init_lstm(np.random.default_rng(0), 3, 4)
         with pytest.raises(ShapeError):
             lstm_last(cell, np.zeros((0, 1, 3)))
         with pytest.raises(ShapeError):  # one step of one row, not a (T, B, D) batch
@@ -282,7 +274,7 @@ class TestInPlaceGateMath:
     def test_output_bits_match_out_of_place_reference(self, grad, B, D, H):
         T = 11
         rng = np.random.default_rng(41)
-        cell = init_lstm(rng, D, H, "c")
+        cell = init_lstm(rng, D, H)
         steps = rng.standard_normal((T, B, D))
         if grad:
             h = lstm_last(cell, steps).data
@@ -363,7 +355,7 @@ class TestPaddedRows:
     def test_matches_unpacked_at_model_shape(self):
         B, T, D, H = 32, 11, 200, 128
         rng = np.random.default_rng(51)
-        cell = init_lstm(rng, D, H, "c")
+        cell = init_lstm(rng, D, H)
         leads = rng.integers(0, T + 1, size=B)
         leads[:4] = [T, 0, T - 1, 1]  # all-pad, none, all but the last, one
         steps = _padded_steps(rng, leads, T, D)
@@ -381,7 +373,7 @@ class TestPaddedRows:
     def test_vector_steps(self, lead):
         T, D, H = 4, 5, 3
         rng = np.random.default_rng(52 + lead)
-        cell = init_lstm(rng, D, H, "c")
+        cell = init_lstm(rng, D, H)
         steps = _padded_steps(rng, [lead], T, D)
         grad_out = rng.standard_normal((1, H))
         h_ref, grads_ref = _unpacked_lstm(cell, steps, grad_out)
@@ -394,7 +386,7 @@ class TestPaddedRows:
     def test_output_rows_keep_input_order(self):
         T, D, H = 6, 4, 3
         rng = np.random.default_rng(54)
-        cell = init_lstm(rng, D, H, "c")
+        cell = init_lstm(rng, D, H)
         leads = [6, 5, 3, 0, 2, 6, 1, 4]  # packing sorts these rows
         steps = _padded_steps(rng, leads, T, D)
         h = lstm_last(cell, steps).data
@@ -407,8 +399,8 @@ class TestPaddedRows:
 class TestNoGrad:
     def test_outputs_have_no_parents(self):
         rng = np.random.default_rng(30)
-        cell = init_lstm(rng, 3, 4, "c")
-        dense = init_dense(rng, 4, 2, "d")
+        cell = init_lstm(rng, 3, 4)
+        dense = init_dense(rng, 4, 2)
         with no_grad():
             h = lstm_last(cell, rng.standard_normal((3, 2, 3)))
             y = tanh(affine(dense, h))
@@ -423,7 +415,7 @@ class TestNoGrad:
 
     def test_training_after_no_grad_gets_gradients(self):
         rng = np.random.default_rng(31)
-        cell = init_lstm(rng, 3, 4, "c")
+        cell = init_lstm(rng, 3, 4)
         steps = rng.standard_normal((3, 2, 3))
         with no_grad():
             lstm_last(cell, steps)
@@ -432,7 +424,54 @@ class TestNoGrad:
             assert p.grad is not None and np.abs(p.grad).sum() > 0, name
 
 
+def _bce_chain_reference(y, p, pos_weight, neg_weight, scale, eps=1e-7):
+    """Loss and gradient wrt ``p`` of ``scale`` times weighted BCE as a chain
+    of elementwise steps (clamp, log, one-minus, weight, add, sum, negate),
+    each differentiated on its own in reverse order."""
+    pos = np.asarray(pos_weight, dtype=np.float64) * y
+    neg = np.asarray(neg_weight, dtype=np.float64) * (1.0 - y)
+    clamped = np.clip(p, eps, 1.0 - eps)
+    one_minus = np.asarray(1.0) - clamped
+    terms = np.log(clamped) * pos + np.log(one_minus) * neg
+    loss = terms.sum() * np.asarray(-1.0) * scale
+    d_terms = np.full_like(terms, float(np.ones_like(loss) * scale * np.asarray(-1.0)))
+    d_clamped = (d_terms * pos) / clamped
+    d_clamped += -((d_terms * neg) / one_minus)
+    return loss, d_clamped * ((p > eps) & (p < 1.0 - eps))
+
+
 class TestWeightedBCE:
+    @pytest.mark.parametrize("per_row", [False, True], ids=["scalar_weights", "per_row_weights"])
+    def test_matches_elementwise_chain_bit_for_bit(self, per_row):
+        rng = np.random.default_rng(16)
+        y = (rng.random((64, 1)) > 0.4).astype(float)
+        p = rng.uniform(0.0, 1.0, (64, 1))
+        p[:4, 0] = [0.0, 1e-9, 1.0 - 1e-9, 1.0]  # at and past both clamp bounds
+        if per_row:
+            pos_weight, neg_weight = rng.uniform(0.0, 2.0, (2, 64, 1))
+        else:
+            pos_weight, neg_weight = 0.7, 1.3
+        probs = parameter(p)
+        scale = 1.0 / 24  # as a batch mean scales it; not a power of two
+        loss = mul(weighted_bce(y, probs, pos_weight, neg_weight), scale)
+        backward(loss)
+        ref_loss, ref_grad = _bce_chain_reference(y, p, pos_weight, neg_weight, scale)
+        np.testing.assert_array_equal(loss.data, ref_loss)
+        np.testing.assert_array_equal(probs.grad, ref_grad)
+
+    def test_saturated_rows_finite_loss_zero_gradient(self):
+        y = np.array([[1.0], [0.0], [1.0], [0.0], [1.0]])
+        probs = parameter([[0.0], [1.0], [1.0], [0.0], [0.3]])
+        loss = weighted_bce(y, probs, 1.0, 1.0)
+        backward(loss)
+        assert np.isfinite(loss.data)
+        np.testing.assert_array_equal(probs.grad[:4], 0.0)
+        assert probs.grad[4, 0] == pytest.approx(-1.0 / 0.3, rel=1e-12)
+
+    def test_weights_not_shaped_like_labels_rejected(self):
+        with pytest.raises(ShapeError):
+            weighted_bce(np.ones((3, 1)), constant(np.full((3, 1), 0.5)), np.ones(3), 1.0)
+
     def test_perfect_prediction_is_near_zero(self):
         loss = weighted_bce(np.array([1.0]), constant([1.0]), 1.0, 0.0)
         assert 0.0 <= float(loss.data) < 1e-6
@@ -518,21 +557,21 @@ class TestBackward:
 
 class TestSGD:
     def test_plain_step_decrements(self):
-        p = parameter(np.array([3.0]), name="p")
+        p = parameter(np.array([3.0]))
         state = SGDState(learning_rate=1.0, momentum=0.0)
         p.grad = np.array([1.0])
         sgd_step(state, {"p": p})
         np.testing.assert_array_equal(p.data, [2.0])
 
     def test_zero_gradient_keeps_params(self):
-        p = parameter(np.array([3.0]), name="p")
+        p = parameter(np.array([3.0]))
         state = SGDState(learning_rate=0.5, momentum=0.0)
         p.grad = np.zeros(1)
         sgd_step(state, {"p": p})
         np.testing.assert_array_equal(p.data, [3.0])
 
     def test_quadratic_bowl_converges(self):
-        p = parameter(np.array([5.0, -3.0]), name="p")
+        p = parameter(np.array([5.0, -3.0]))
         state = SGDState(learning_rate=0.1, momentum=0.0)
         for _ in range(100):
             loss = sum_all(mul(mul(p, p), 1.0))
@@ -541,20 +580,20 @@ class TestSGD:
         assert np.all(np.abs(p.data) < 1e-3)
 
     def test_non_finite_gradient_names_parameter(self):
-        p = parameter(np.array([1.0]), name="weights")
+        p = parameter(np.array([1.0]))
         p.grad = np.array([np.nan])
         with pytest.raises(TrainingError, match="weights"):
             sgd_step(SGDState(), {"weights": p})
 
     def test_missing_gradient_names_parameter(self):
-        p = parameter(np.array([1.0]), name="weights")
+        p = parameter(np.array([1.0]))
         with pytest.raises(TrainingError, match="no gradient for parameter 'weights'"):
             sgd_step(SGDState(), {"weights": p})
         np.testing.assert_array_equal(p.data, [1.0])
 
     def test_in_place_momentum_matches_reference_bit_for_bit(self):
         rng = np.random.default_rng(12)
-        p = parameter(rng.standard_normal((4, 5)), name="p")
+        p = parameter(rng.standard_normal((4, 5)))
         expected, v = p.data.copy(), np.zeros((4, 5))
         state = SGDState(learning_rate=0.3, momentum=0.9)
         for _ in range(3):
@@ -570,7 +609,7 @@ class TestSGD:
             sgd_step(state, {"p": p})
 
     def test_momentum_accumulates_velocity(self):
-        p = parameter(np.array([0.0]), name="p")
+        p = parameter(np.array([0.0]))
         state = SGDState(learning_rate=1.0, momentum=0.5)
         for _ in range(2):
             p.grad = np.array([1.0])
@@ -604,7 +643,7 @@ class TestDropout:
 class TestDeterminism:
     def _train_once(self):
         rng = np.random.default_rng(42)
-        dense = init_dense(rng, 4, 2, "layer")
+        dense = init_dense(rng, 4, 2)
         state = SGDState(learning_rate=0.05, momentum=0.9)
         X = np.random.default_rng(1).standard_normal((8, 4))
         trajectory = []
@@ -625,7 +664,7 @@ class TestDeterminism:
 class TestInit:
     def test_glorot_bounds_and_forget_bias(self):
         rng = np.random.default_rng(0)
-        cell = init_lstm(rng, 10, 6, "c")
+        cell = init_lstm(rng, 10, 6)
         assert cell.A.shape == (24, 16) and cell.b.shape == (24,)
         # One gate's fan-out H = 6 sets the bound, not the 4H = 24 rows.
         bound = np.sqrt(6.0 / (16 + 6))
@@ -635,13 +674,13 @@ class TestInit:
 
     def test_matches_stacked_per_gate_draws(self):
         rng, reference = np.random.default_rng(5), np.random.default_rng(5)
-        cell = init_lstm(rng, 10, 6, "c")
+        cell = init_lstm(rng, 10, 6)
         per_gate = [glorot_uniform(reference, 16, 6, (6, 16)) for _ in range(4)]
         assert np.array_equal(cell.A.data, np.concatenate(per_gate))
         assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_dense_bias_zero(self):
-        dense = init_dense(np.random.default_rng(0), 5, 3, "d")
+        dense = init_dense(np.random.default_rng(0), 5, 3)
         np.testing.assert_array_equal(dense.b.data, np.zeros(3))
 
 
@@ -677,9 +716,9 @@ class TestFiniteInvariant:
     def test_check_finite_flag_catches_nan(self):
         ndiff.check_finite = True
         try:
-            x = constant(np.array([-1.0]))
+            x = constant(np.array([np.inf]))
             with np.errstate(invalid="ignore"), pytest.raises(TrainingError):
-                ndiff.log(x)  # log of a negative value
+                mul(x, 0.0)  # inf * 0 is NaN
         finally:
             ndiff.check_finite = False
 
@@ -687,7 +726,7 @@ class TestFiniteInvariant:
         ndiff.check_finite = True
         try:
             x = constant(np.linspace(-5, 5, 11))
-            for op in (tanh, sigmoid, relu, absolute):
+            for op in (tanh, sigmoid, relu):
                 assert np.isfinite(op(x).data).all()
         finally:
             ndiff.check_finite = False

@@ -75,8 +75,11 @@ class TestGenCandidates:
 class TestLabelPairs:
     def _labels(self, corpus, doc_id, event_type):
         pairs = _sentence_pairs(corpus, doc_id)
-        labels = label_pairs(pairs, list(corpus.events.values()), event_type)
-        return {(p.first.id, p.second.id): (l.exists, l.forward) for p, l in zip(pairs, labels)}
+        exists, forward = label_pairs(pairs, list(corpus.events.values()), event_type)
+        return {
+            (p.first.id, p.second.id): bits
+            for p, bits in zip(pairs, zip(exists.tolist(), forward.tolist()))
+        }
 
     def test_action_target_two_bits(self, bgi):
         got = self._labels(bgi, "PMID-10629188", "ActionTarget")
@@ -103,8 +106,8 @@ class TestLabelPairs:
         for doc in bgi.documents:
             for event_type in bgi.task_schema.event_types:
                 pairs = _sentence_pairs(bgi, doc.id)
-                for lab in label_pairs(pairs, list(bgi.events.values()), event_type):
-                    assert lab.exists >= lab.forward
+                exists, forward = label_pairs(pairs, list(bgi.events.values()), event_type)
+                assert (exists >= forward).all()
 
     def test_conflicting_directions_rejected(self, bgi):
         pairs = _sentence_pairs(bgi, "PMID-10629188")
@@ -127,11 +130,11 @@ class TestLabelPairs:
         assert pairs == []
         # sentence 1 pairs never see the cross-sentence event T1 -> T4
         pairs = _sentence_pairs(bb, "BB-2", sidx=0)
-        labels = label_pairs(pairs, list(bb.events.values()), "Lives_In")
+        exists, _ = label_pairs(pairs, list(bb.events.values()), "Lives_In")
         linked = {
             frozenset((p.first.id, p.second.id))
-            for p, l in zip(pairs, labels)
-            if l.exists
+            for p, e in zip(pairs, exists)
+            if e
         }
         assert frozenset(("T1", "T4")) not in linked
 
@@ -320,26 +323,43 @@ class TestTrainEventModel:
 class TestDecodeEvents:
     def test_forward_bit_orients_first_to_second(self):
         pairs = [_pair_stub("D", "T1", "T2"), _pair_stub("D", "T2", "T1")]
-        events = decode_events(pairs, [(1.0, 1.0), (1.0, 0.0)], "ActionTarget")
+        events = decode_events(pairs, [1.0, 1.0], [1.0, 0.0], "ActionTarget")
         assert len(events) == 1
         assert (events[0].source, events[0].target) == ("T1", "T2")
 
     def test_zero_bit_orients_second_to_first(self):
         pairs = [_pair_stub("D", "T2", "T3"), _pair_stub("D", "T3", "T2")]
-        events = decode_events(pairs, [(0.9, 0.0), (0.2, 0.9)], "Interaction")
+        events = decode_events(pairs, [0.9, 0.2], [0.0, 0.9], "Interaction")
         assert len(events) == 1
         assert (events[0].source, events[0].target) == ("T3", "T2")
 
     def test_below_threshold_yields_nothing(self):
         pairs = [_pair_stub("D", "T1", "T2"), _pair_stub("D", "T2", "T1")]
-        assert decode_events(pairs, [(0.4, 1.0), (0.3, 0.2)], "E") == []
+        assert decode_events(pairs, [0.4, 0.3], [1.0, 0.2], "E") == []
 
     def test_higher_existence_ordering_wins(self):
         pairs = [_pair_stub("D", "T1", "T2"), _pair_stub("D", "T2", "T1")]
-        events = decode_events(pairs, [(0.6, 0.9), (0.8, 0.9)], "E")
+        events = decode_events(pairs, [0.6, 0.8], [0.9, 0.9], "E")
         assert len(events) == 1
         # (T2, T1) scored higher and its forward bit points T2 -> T1
         assert (events[0].source, events[0].target) == ("T2", "T1")
+
+    def test_whole_corpus_call_equals_per_sentence_calls(self, bgi):
+        pairs = candidate_pairs(bgi)
+        rng = np.random.default_rng(17)
+        p_exists, p_forward = rng.random(len(pairs)), rng.random(len(pairs))
+        by_sentence = {}
+        for i, p in enumerate(pairs):
+            by_sentence.setdefault((p.doc_id, p.sentence_index), []).append(i)
+        assert len(by_sentence) > 1
+        for event_type in bgi.task_schema.event_types:
+            per_sentence = []
+            for idx in by_sentence.values():
+                per_sentence.extend(
+                    decode_events([pairs[i] for i in idx], p_exists[idx], p_forward[idx], event_type)
+                )
+            assert per_sentence
+            assert decode_events(pairs, p_exists, p_forward, event_type) == per_sentence
 
 
 class TestGoldRoundTrip:
@@ -352,11 +372,10 @@ class TestGoldRoundTrip:
                     continue
                 pairs = gen_candidates(sent, ents)
                 for event_type in corpus.task_schema.event_types:
-                    labels = label_pairs(pairs, list(corpus.events.values()), event_type)
-                    preds = [(float(l.exists), float(l.forward)) for l in labels]
+                    exists, forward = label_pairs(pairs, list(corpus.events.values()), event_type)
                     decoded = {
                         (e.source, e.target)
-                        for e in decode_events(pairs, preds, event_type)
+                        for e in decode_events(pairs, exists, forward, event_type)
                     }
                     gold = {
                         (e.source, e.target)
@@ -380,9 +399,8 @@ class TestGoldRoundTrip:
         pairs = gen_candidates(doc.sentences[0], ents)
         decoded = []
         for event_type in bgi.task_schema.event_types:
-            labels = label_pairs(pairs, list(bgi.events.values()), event_type)
-            preds = [(float(l.exists), float(l.forward)) for l in labels]
-            decoded.extend(decode_events(pairs, preds, event_type))
+            exists, forward = label_pairs(pairs, list(bgi.events.values()), event_type)
+            decoded.extend(decode_events(pairs, exists, forward, event_type))
         got = {(e.type, e.source, e.target) for e in decoded}
         assert got == {
             ("ActionTarget", "T1", "T2"),
@@ -405,8 +423,8 @@ class TestBuildPairSamples:
         pairs = candidate_pairs(bgi)
         embeddings, rows = embed_pair_entities(pairs, arg_models, windows)
         composed = compose_pairs(embeddings, rows, bgi.task_schema.roles("ActionTarget"))
-        labels = label_pairs(pairs, list(bgi.events.values()), "ActionTarget")
-        positive = [p for p, l in zip(pairs, labels) if l.exists]
+        exists, _ = label_pairs(pairs, list(bgi.events.values()), "ActionTarget")
+        positive = [p for p, e in zip(pairs, exists) if e]
         assert len(positive) == 2  # both orderings of (T1, T2) in the case doc
         assert {p.doc_id for p in positive} == {"PMID-10629188"}
         assert composed.shape == (len(pairs), 10)
