@@ -4,7 +4,8 @@ Pre-recognized entities get bi-directional LSTM context embeddings; a
 one-vs-all classifier per argument role supplies role-conditioned entity
 embeddings, which compose (by subtraction) into directed-event classifiers
 with separate existence and direction heads. Includes standoff-format I/O,
-a tiny autodiff/SGD core, and a cross-validation harness.
+a small numpy core with hand-written gradients and SGD, and a
+cross-validation harness.
 """
 
 from .corpus import (

@@ -15,6 +15,7 @@ import ctypes
 import dataclasses
 import json
 import logging
+import math
 import platform
 import sys
 import time
@@ -260,7 +261,7 @@ def _load_argument_models(
 
 
 def _save_model(model: ndiff.Layers, path: Path) -> None:
-    ndiff.save_tensors(path, {name: t.data for name, t in model.parameters().items()})
+    ndiff.save_tensors(path, model.parameters())
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +522,24 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--verbose", action="store_true")
 
 
+# Field -> (test, wording) of its valid values; every test fails on NaN. A
+# threshold above 1 stays valid: it decodes no event.
+_RANGES = {
+    **{
+        name: (lambda v: v >= 1, ">= 1")
+        for name in ("dim", "window", "lstm_hidden", "arg_mlp_hidden", "event_mlp_hidden",
+                     "batch", "epochs")
+    },
+    "dropout": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    "lr": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    "momentum": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    "oversample_ratio": (lambda v: v >= 1.0, ">= 1"),
+    "threshold": (lambda v: v >= 0.0, ">= 0"),
+}
+
+
 def _build_config(args: argparse.Namespace) -> RunConfig:
+    """The INI file's config with the flags' overrides, range-checked."""
     cfg = RunConfig()
     if args.config:
         cfg = config_from_ini(args.config, cfg)
@@ -529,6 +547,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, field.name, None)
         if value is not None:
             setattr(cfg, field.name, value)
+    for name, (valid, wording) in _RANGES.items():
+        if not valid(getattr(cfg, name)):
+            raise ConfigurationError(f"{name} must be {wording}, got {getattr(cfg, name)}")
     return cfg
 
 

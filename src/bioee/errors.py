@@ -39,7 +39,7 @@ class FormatError(BioeeError):
 
 
 class ShapeError(BioeeError):
-    """Tensor operands have incompatible shapes."""
+    """Array operands have incompatible shapes."""
 
 
 class TrainingError(BioeeError):

@@ -19,7 +19,7 @@ from . import ndiff
 from .corpus import Corpus, Entity, Sentence
 from .embed import PAD, EmbeddingTable
 from .errors import AlignmentError, TrainingError, TrainingSetupError
-from .ndiff import DenseParams, Tensor
+from .ndiff import DenseParams
 
 
 @dataclass
@@ -67,8 +67,8 @@ class EpochRecord:
 
 @dataclass
 class ArgumentModel(ndiff.Layers):
-    """Forward/backward LSTM cells (fused gate layers, see ``ndiff.lstm_last``)
-    plus a two-layer MLP head."""
+    """Left-to-right and right-to-left LSTM cells (fused gate layers, see
+    ``ndiff.lstm_last``) plus a two-layer MLP head with dropout between."""
 
     LAYERS = ("fwd", "bwd", "f1", "f2")
 
@@ -81,12 +81,12 @@ class ArgumentModel(ndiff.Layers):
 
     @property
     def embedding_size(self) -> int:
-        return self.f1.A.data.shape[0]
+        return self.f1.A.shape[0]
 
     @property
     def input_size(self) -> int:
         """The word-vector size D of the LSTM cells, whose ``A`` is (4H, D+H)."""
-        rows, cols = self.fwd.A.data.shape
+        rows, cols = self.fwd.A.shape
         return cols - rows // 4
 
 
@@ -205,28 +205,31 @@ def build_argument_samples(
 # Forward passes
 
 
-def _encode_arrays(model: ArgumentModel, left: np.ndarray, right: np.ndarray) -> Tensor:
-    """BLSTM encoding ``(B, 2H)`` of ``(B, T, dim)`` window batches."""
-    h_fwd = ndiff.lstm_last(model.fwd, np.moveaxis(left, 1, 0))
-    h_bwd = ndiff.lstm_last(model.bwd, np.moveaxis(right, 1, 0))
-    return ndiff.concat([h_fwd, h_bwd], axis=-1)
+def _encode(model: ArgumentModel, left: np.ndarray, right: np.ndarray, caches=(None, None)):
+    """BLSTM encoding ``(B, 2H)`` of ``(B, T, dim)`` window batches; training
+    passes two empty ``caches`` for the two LSTMs' BPTT."""
+    h_fwd = ndiff.lstm_last(model.fwd, np.moveaxis(left, 1, 0), caches[0])
+    h_bwd = ndiff.lstm_last(model.bwd, np.moveaxis(right, 1, 0), caches[1])
+    return np.concatenate([h_fwd, h_bwd], axis=-1)
 
 
-def _head(model: ArgumentModel, enc: Tensor, training: bool, rng) -> Tensor:
-    hidden = ndiff.tanh(ndiff.affine(model.f1, enc))
-    hidden = ndiff.dropout(hidden, model.dropout, training, rng or np.random.default_rng(0))
-    return ndiff.sigmoid(ndiff.affine(model.f2, hidden))
+def _head(model: ArgumentModel, enc: np.ndarray, keep=None):
+    """The head's hidden layer, that layer after dropout and the ``(B, 1)``
+    probabilities. ``keep`` is the training dropout mask, already scaled by
+    1/(1-rate); inference passes none."""
+    hidden = np.tanh(ndiff.affine(model.f1, enc))
+    dropped = hidden if keep is None else hidden * keep
+    return hidden, dropped, ndiff.logistic(ndiff.affine(model.f2, dropped))
 
 
 def _infer(model: ArgumentModel, windows: list[ContextWindow], head) -> np.ndarray:
-    """``head(encoding)`` over the windows, in bounded chunks, with no tape."""
+    """``head(encoding)`` over the windows, in bounded chunks."""
     parts = []
-    with ndiff.no_grad():
-        for rows in ndiff.inference_chunks(len(windows)):
-            chunk = windows[rows]
-            left = np.stack([w.left for w in chunk])
-            right = np.stack([w.right for w in chunk])
-            parts.append(head(_encode_arrays(model, left, right)).data)
+    for rows in ndiff.inference_chunks(len(windows)):
+        chunk = windows[rows]
+        left = np.stack([w.left for w in chunk])
+        right = np.stack([w.right for w in chunk])
+        parts.append(head(_encode(model, left, right)))
     return np.concatenate(parts)
 
 
@@ -242,7 +245,34 @@ def predict_probs(model: ArgumentModel, windows: list[ContextWindow]) -> np.ndar
     """Inference-mode probabilities for a batch of windows."""
     if not windows:
         return np.zeros(0)
-    return _infer(model, windows, lambda enc: _head(model, enc, training=False, rng=None))[:, 0]
+    return _infer(model, windows, lambda enc: _head(model, enc)[2])[:, 0]
+
+
+def argument_loss_and_grads(
+    model: ArgumentModel, left: np.ndarray, right: np.ndarray, labels: np.ndarray, z: float, rng
+):
+    """The mean weighted BCE of a training batch (positives weighted ``z``,
+    negatives ``1 - z``) under a dropout mask drawn from ``rng``, the
+    gradient of each of ``model.parameters()``, and the ``(B, 1)``
+    probabilities."""
+    caches = ({}, {})
+    enc = _encode(model, left, right, caches)
+    keep = ndiff.dropout_mask(model.dropout, (len(enc), model.embedding_size), rng)
+    hidden, dropped, probs = _head(model, enc, keep)
+    scale = 1.0 / len(labels)
+    loss, g = ndiff.weighted_bce(labels, probs, z, 1.0 - z, scale)
+    g = g * probs * (1.0 - probs)
+    grads = ndiff.dense_grads("f2", g, dropped)
+    g = g @ model.f2.A
+    if keep is not None:
+        g = g * keep
+    g = g * (1.0 - hidden * hidden)
+    grads.update(ndiff.dense_grads("f1", g, enc))
+    g = g @ model.f1.A
+    width = g.shape[1] // 2
+    for name, cache, part in (("fwd", caches[0], g[:, :width]), ("bwd", caches[1], g[:, width:])):
+        grads[f"{name}.A"], grads[f"{name}.b"] = ndiff.lstm_bptt(getattr(model, name), cache, part)
+    return loss * scale, grads, probs
 
 
 # ---------------------------------------------------------------------------
@@ -314,24 +344,24 @@ def train_argument_model(
     rights = np.stack([samples[i].window.right for i in train_idx])
     labels = labels[train_idx, None].astype(np.float64)
 
-    def batch_loss(idx):
-        enc = _encode_arrays(model, lefts[idx], rights[idx])
-        probs = _head(model, enc, training=True, rng=rng)
-        return ndiff.weighted_bce(labels[idx], probs, z, 1.0 - z), probs, labels[idx]
+    def loss_and_grads(idx):
+        return argument_loss_and_grads(model, lefts[idx], rights[idx], labels[idx], z, rng)
 
-    return model, sgd_epochs(model, hyper, train_idx.size, batch_loss, rng)
+    return model, sgd_epochs(model, hyper, labels, loss_and_grads, rng)
 
 
-def sgd_epochs(model: ndiff.Layers, hyper, n: int, batch_loss, rng) -> list[EpochRecord]:
-    """Mini-batch momentum SGD on ``model`` over ``n`` training rows, for
-    ``hyper.epochs`` epochs of ``hyper.batch`` rows in a fresh random order.
+def sgd_epochs(model: ndiff.Layers, hyper, labels, loss_and_grads, rng) -> list[EpochRecord]:
+    """Mini-batch momentum SGD on ``model`` over the training rows of the
+    ``(n, 1)`` ``labels``, for ``hyper.epochs`` epochs of ``hyper.batch``
+    rows in a fresh random order.
 
-    ``batch_loss(idx)`` returns the summed loss of the rows ``idx``, their
-    ``(B, 1)`` probabilities and labels; each step descends the mean loss,
-    and the log's accuracy and MSE score those probabilities.
+    ``loss_and_grads(idx)`` returns the mean loss of the rows ``idx``, the
+    gradient of each of ``model.parameters()`` and the rows' ``(B, 1)``
+    probabilities; the log's accuracy and MSE score those against ``labels``.
     """
     params = model.parameters()
     opt = ndiff.SGDState(learning_rate=hyper.lr, momentum=hyper.momentum)
+    n = len(labels)
     log: list[EpochRecord] = []
     for epoch in range(1, hyper.epochs + 1):
         order = rng.permutation(n)
@@ -340,12 +370,10 @@ def sgd_epochs(model: ndiff.Layers, hyper, n: int, batch_loss, rng) -> list[Epoc
         sq_err = 0.0
         for start in range(0, n, hyper.batch):
             idx = order[start : start + hyper.batch]
-            loss, probs, y = batch_loss(idx)
-            loss = ndiff.mul(loss, 1.0 / len(idx))
-            ndiff.backward(loss)
-            ndiff.sgd_step(opt, params)
-            p = probs.data
-            loss_sum += float(loss.data) * len(idx)
+            loss, grads, p = loss_and_grads(idx)
+            ndiff.sgd_step(opt, params, grads)
+            y = labels[idx]
+            loss_sum += float(loss) * len(idx)
             correct += int(((p >= 0.5) == (y == 1)).sum())
             sq_err += float(((p - y) ** 2).sum())
         log.append(
@@ -372,7 +400,7 @@ def load_argument_model(path, arg_type: str) -> ArgumentModel:
     dropout rate is the default. Both LSTM layers must be ``(4H, D+H)`` and
     the head must take their ``2H`` outputs to one probability."""
     layers = ndiff.load_dense_layers(path, ArgumentModel.LAYERS)
-    shapes = {name: layer.A.data.shape for name, layer in layers.items()}
+    shapes = {name: layer.A.shape for name, layer in layers.items()}
     rows, cols = shapes["fwd"]
     hidden = rows // 4
     if (

@@ -18,7 +18,7 @@ import numpy as np
 from . import ndiff, vecent
 from .corpus import Corpus, Entity, Event, Sentence
 from .errors import ConfigurationError, DataError, TrainingError, TrainingSetupError
-from .ndiff import DenseParams, Tensor
+from .ndiff import DenseParams
 from .vecent import ArgumentModel, ContextWindow, EpochRecord
 
 
@@ -58,7 +58,7 @@ class EventModel(ndiff.Layers):
     @property
     def input_size(self) -> int:
         """The width of the composed pair vector both heads read."""
-        return self.exist_f1.A.data.shape[1]
+        return self.exist_f1.A.shape[1]
 
 
 def new_event_model(
@@ -77,7 +77,7 @@ def load_event_model(path) -> EventModel:
     """A saved model: each head's f2 must take its f1's outputs to one
     probability, and both f1 layers must read the same input width."""
     layers = ndiff.load_dense_layers(path, EventModel.LAYERS)
-    shapes = {name: layer.A.data.shape for name, layer in layers.items()}
+    shapes = {name: layer.A.shape for name, layer in layers.items()}
     if (
         shapes["exist_f2"] != (1, shapes["exist_f1"][0])
         or shapes["dir_f2"] != (1, shapes["dir_f1"][0])
@@ -190,28 +190,53 @@ def compose_pairs(
 # Forward and training
 
 
-def _heads(model: EventModel, composed: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Existence and forward probabilities ``(B, 1)`` of composed pairs."""
-    magnitude, signed = ndiff.constant(np.abs(composed)), ndiff.constant(composed)
-    p_exists = ndiff.sigmoid(
-        ndiff.affine(model.exist_f2, ndiff.relu(ndiff.affine(model.exist_f1, magnitude)))
+def _relu_head(f1: DenseParams, f2: DenseParams, x: np.ndarray):
+    """One head over ``x``: its input, relu hidden layer and ``(B, 1)``
+    probabilities."""
+    hidden = ndiff.affine(f1, x)
+    hidden = np.where(hidden > 0, hidden, 0.0)
+    return x, hidden, ndiff.logistic(ndiff.affine(f2, hidden))
+
+
+def _heads(model: EventModel, composed: np.ndarray):
+    """The existence head over ``|composed|`` and the direction head over
+    ``composed`` (see ``_relu_head``)."""
+    return (
+        _relu_head(model.exist_f1, model.exist_f2, np.abs(composed)),
+        _relu_head(model.dir_f1, model.dir_f2, composed),
     )
-    p_forward = ndiff.sigmoid(
-        ndiff.affine(model.dir_f2, ndiff.relu(ndiff.affine(model.dir_f1, signed)))
-    )
-    return p_exists, p_forward
 
 
 def event_forward_batch(model: EventModel, composed: np.ndarray):
     """(existence, forward) probability arrays for a batch of composed pairs."""
-    with ndiff.no_grad():
-        chunks = [
-            _heads(model, composed[rows])
-            for rows in ndiff.inference_chunks(len(composed))
-        ]
-    p_exists = np.concatenate([pe.data[:, 0] for pe, _ in chunks])
-    p_forward = np.concatenate([pf.data[:, 0] for _, pf in chunks])
+    chunks = [  # only the probabilities of each chunk are kept
+        [p[:, 0] for _, _, p in _heads(model, composed[rows])]
+        for rows in ndiff.inference_chunks(len(composed))
+    ]
+    p_exists, p_forward = (np.concatenate(head) for head in zip(*chunks))
     return p_exists, p_forward
+
+
+def event_loss_and_grads(
+    model: EventModel, composed: np.ndarray, y_exist: np.ndarray, y_dir: np.ndarray
+):
+    """The mean joint loss of a training batch, the gradient of each of
+    ``model.parameters()``, and the ``(B, 1)`` existence probabilities. The
+    direction term is masked to pairs where the event exists (non-events
+    carry no direction information)."""
+    scale = 1.0 / len(composed)
+    heads = _heads(model, composed)
+    losses, grads = [], {}
+    for prefix, (x, hidden, p), (y, weight) in zip(
+        ("exist", "dir"), heads, ((y_exist, 1.0), (y_dir, y_exist))
+    ):
+        loss, g = ndiff.weighted_bce(y, p, weight, weight, scale)
+        losses.append(loss)
+        g = g * p * (1.0 - p)
+        grads.update(ndiff.dense_grads(f"{prefix}_f2", g, hidden))
+        g = (g @ getattr(model, f"{prefix}_f2").A) * (hidden > 0)
+        grads.update(ndiff.dense_grads(f"{prefix}_f1", g, x))
+    return (losses[0] + losses[1]) * scale, grads, heads[0][2]
 
 
 def train_event_model(
@@ -223,8 +248,7 @@ def train_event_model(
     rng: np.random.Generator | None = None,
 ) -> tuple[EventModel, list[EpochRecord]]:
     """Joint SGD over the two heads on composed pairs and their two-bit
-    labels; the direction term is masked to pairs where the event exists
-    (non-events carry no direction information)."""
+    labels (see ``event_loss_and_grads``)."""
     hyper = hyper or EventHyper()
     rng = rng or np.random.default_rng(0)
     if np.unique(exists).size < 2:
@@ -238,14 +262,10 @@ def train_event_model(
     y_exist = np.asarray(exists, dtype=np.float64)[train_idx, None]
     y_dir = np.asarray(forward, dtype=np.float64)[train_idx, None]
 
-    def batch_loss(idx):
-        p_exists, p_forward = _heads(model, composed[idx])
-        ye = y_exist[idx]
-        loss_e = ndiff.weighted_bce(ye, p_exists, 1.0, 1.0)
-        loss_d = ndiff.weighted_bce(y_dir[idx], p_forward, ye, ye)  # masked to existing events
-        return ndiff.add(loss_e, loss_d), p_exists, ye
+    def loss_and_grads(idx):
+        return event_loss_and_grads(model, composed[idx], y_exist[idx], y_dir[idx])
 
-    return model, vecent.sgd_epochs(model, hyper, train_idx.size, batch_loss, rng)
+    return model, vecent.sgd_epochs(model, hyper, y_exist, loss_and_grads, rng)
 
 
 # ---------------------------------------------------------------------------

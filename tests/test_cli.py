@@ -119,6 +119,52 @@ class TestConfig:
         assert effective.seed == 7
 
 
+# Field -> (flag, a value out of its range); each once reproduced a traceback
+# or a run that exited 0 without training or decoding anything meaningful.
+BAD_VALUES = {
+    "dim": ("--dim", "0"),
+    "window": ("--window", "0"),
+    "lstm_hidden": ("--lstm-hidden", "0"),
+    "arg_mlp_hidden": ("--arg-mlp-hidden", "-1"),
+    "event_mlp_hidden": ("--event-mlp-hidden", "0"),
+    "batch": ("--batch", "0"),
+    "epochs": ("--epochs", "0"),
+    "dropout": ("--dropout", "1.5"),
+    "lr": ("--lr", "0"),
+    "momentum": ("--momentum", "1.0"),
+    "oversample_ratio": ("--oversample-ratio", "0"),
+    "threshold": ("--threshold", "nan"),
+}
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("field, flag, value", [(k, *v) for k, v in BAD_VALUES.items()],
+                             ids=BAD_VALUES.keys())
+    def test_flag_out_of_range_is_json_error(self, tmp_path, bgi_dir, field, flag, value, capsys):
+        rc = main(["ingest", "--schema", "bgi", "--train-dir", str(bgi_dir),
+                   "--out", str(tmp_path / "out"), flag, value])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigurationError"
+        assert payload["message"].startswith(f"{field} must be")
+        assert not (tmp_path / "out").exists()  # stopped before any work
+
+    def test_ini_value_out_of_range_is_json_error(self, tmp_path, bgi_dir, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text("[hyper]\nbatch = 0\n", encoding="utf-8")
+        rc = main(["ingest", "--config", str(path), "--schema", "bgi",
+                   "--train-dir", str(bgi_dir), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "ConfigurationError", "message": "batch must be >= 1, got 0"}
+
+    def test_bounds_themselves_accepted(self, tmp_path, bgi_dir):
+        assert main(["ingest", "--schema", "bgi", "--train-dir", str(bgi_dir),
+                     "--out", str(tmp_path / "out"), "--window", "1", "--batch", "1",
+                     "--dropout", "0", "--momentum", "0", "--oversample-ratio", "1",
+                     "--threshold", "0", "--epochs", "1"]) == 0
+
+
 class TestIngest:
     def test_stats_written(self, tmp_path, bgi_dir, capsys):
         out = tmp_path / "out"
@@ -617,3 +663,16 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "composed_argument_loss" in out
         assert "worst" in out
+
+    def test_wrong_gradient_exits_one(self, monkeypatch, capsys):
+        bptt = ndiff.lstm_bptt
+
+        def off_by_a_thousandth(cell, cache, grad):
+            dA, db = bptt(cell, cache, grad)
+            return dA * 1.001, db
+
+        monkeypatch.setattr(ndiff, "lstm_bptt", off_by_a_thousandth)
+        assert main(["gradcheck"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = {line.split()[1] for line in lines if line.startswith("FAIL")}
+        assert failed == {"lstm_last_batch", "lstm_last_padded", "composed_argument_loss"}

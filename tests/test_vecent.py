@@ -92,7 +92,7 @@ class TestEncode:
         model = new_argument_model("t", table.dim, lstm_hidden=16, mlp_hidden=8,
                                    rng=np.random.default_rng(0))
         w = build_context(_gere_sentence(bgi), bgi.entity("GERE", "T4"), 3, table)
-        assert model.f1.A.data.shape == (8, 32)  # f1 reads the encoding
+        assert model.f1.A.shape == (8, 32)  # f1 reads the encoding
         assert argument_embeddings(model, [w]).shape == (1, 8)
 
     def test_all_pad_windows_encode_identically(self, table):
@@ -130,7 +130,7 @@ class TestArgForward:
     def test_zero_weight_model_gives_half(self, bgi, table):
         model = new_argument_model("t", table.dim, 8, 4, rng=np.random.default_rng(4))
         for t in model.parameters().values():
-            t.data[...] = 0.0
+            t[...] = 0.0
         w = build_context(_gere_sentence(bgi), bgi.entity("GERE", "T4"), 3, table)
         assert predict_probs(model, [w])[0] == pytest.approx(0.5)
 
@@ -281,7 +281,7 @@ class TestArgumentEmbedding:
     def test_zero_weight_model_gives_zero_vector(self, bgi, table):
         model = new_argument_model("t", table.dim, 8, 5, rng=np.random.default_rng(7))
         for t in model.parameters().values():
-            t.data[...] = 0.0
+            t[...] = 0.0
         w = build_context(_gere_sentence(bgi), bgi.entity("GERE", "T4"), 3, table)
         np.testing.assert_array_equal(argument_embeddings(model, [w]), np.zeros((1, 5)))
 
@@ -296,7 +296,7 @@ class TestArgumentEmbedding:
     def test_embedding_is_preactivation(self, bgi, table):
         # Values outside (-1, 1) prove no tanh was applied.
         model = new_argument_model("t", table.dim, 8, 5, rng=np.random.default_rng(9))
-        model.f1.A.data *= 50.0
+        model.f1.A *= 50.0
         w = build_context(_gere_sentence(bgi), bgi.entity("GERE", "T4"), 3, table)
         assert np.abs(argument_embeddings(model, [w])).max() > 1.0
 

@@ -248,7 +248,7 @@ class TestEventForward:
     def test_zero_weight_model_gives_half_half(self):
         model = new_event_model(input_dim=8, hidden=4, rng=np.random.default_rng(14))
         for t in model.parameters().values():
-            t.data[...] = 0.0
+            t[...] = 0.0
         p_exists, p_forward = event_forward_batch(model, np.ones((1, 8)))
         assert p_exists[0] == pytest.approx(0.5)
         assert p_forward[0] == pytest.approx(0.5)
