@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import struct
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError
+from .ndiff import DTYPE
 
 logger = logging.getLogger(__name__)
 
@@ -30,7 +30,8 @@ def _hash_seed(seed: int, word: str) -> int:
 
 
 class EmbeddingTable:
-    """Immutable word-vector table; lookups are total functions.
+    """Immutable word-vector table of ``DTYPE`` vectors, the models' input;
+    lookups are total functions.
 
     The pad token maps to the all-zero vector. Unknown words follow the
     out-of-vocabulary policy: ``zero`` or ``hashed`` (a unit-variance vector
@@ -45,8 +46,8 @@ class EmbeddingTable:
         self.dim = int(dim)
         self.vocab: dict[str, int] = dict(vocab or {})
         if matrix is None:
-            matrix = np.zeros((0, self.dim))
-        self.matrix = np.asarray(matrix, dtype=np.float64)
+            matrix = np.zeros((0, self.dim), dtype=DTYPE)
+        self.matrix = np.asarray(matrix, dtype=DTYPE)
         if self.matrix.shape != (len(self.vocab), self.dim):
             raise FormatError(
                 f"matrix shape {self.matrix.shape} does not match "
@@ -55,7 +56,7 @@ class EmbeddingTable:
         if self.matrix.size and not np.isfinite(self.matrix).all():
             raise FormatError("embedding matrix contains non-finite values")
         self.matrix.setflags(write=False)
-        self.pad_vector = np.zeros(self.dim)
+        self.pad_vector = np.zeros(self.dim, dtype=DTYPE)
         self.pad_vector.setflags(write=False)
         self.oov_policy = oov_policy
         self.seed = int(seed)
@@ -68,7 +69,7 @@ class EmbeddingTable:
         vec = self._oov_vectors.get(word)
         if vec is None:  # a sha256 plus a fresh PCG64 per word: draw each once
             rng = np.random.Generator(np.random.PCG64(_hash_seed(self.seed, word)))
-            vec = rng.standard_normal(self.dim)
+            vec = rng.standard_normal(self.dim).astype(DTYPE)  # float64 draws, then rounded
             vec.setflags(write=False)
             self._oov_vectors[word] = vec
         return vec
@@ -89,7 +90,9 @@ class EmbeddingTable:
         return self._oov(word)
 
     def lookup_all(self, words: list[str]) -> np.ndarray:
-        return np.stack([self.lookup(w) for w in words]) if words else np.zeros((0, self.dim))
+        if not words:
+            return np.zeros((0, self.dim), dtype=DTYPE)
+        return np.stack([self.lookup(w) for w in words])
 
 
 def make_hashed_table(dim: int, seed: int = 0) -> EmbeddingTable:
@@ -122,9 +125,12 @@ def _read_text(stream, count: int, dim: int):
                 f"row for {parts[0]!r} has {len(parts) - 1} values, expected {dim}"
             )
         try:
-            vec = np.array([float(v) for v in parts[1:]])
+            with np.errstate(over="raise"):
+                vec = np.array(parts[1:]).astype(DTYPE)
         except ValueError:
             raise FormatError(f"non-numeric value in row {row} ({parts[0]!r})") from None
+        except FloatingPointError:
+            raise FormatError(f"value beyond float32 range in row {row} ({parts[0]!r})") from None
         yield parts[0], vec
 
 
@@ -144,7 +150,7 @@ def _read_binary(stream, count: int, dim: int):
         raw = stream.read(row_bytes)
         if len(raw) != row_bytes:
             raise FormatError(f"truncated vector for {bytes(word_bytes)!r}")
-        yield bytes(word_bytes), np.array(struct.unpack(f"<{dim}f", raw), dtype=np.float64)
+        yield bytes(word_bytes), np.frombuffer(raw, dtype="<f4")
 
 
 def _build_table(records, dim: int, oov_policy, seed) -> EmbeddingTable:

@@ -1,6 +1,7 @@
 """Finite-difference verification of the hand-written gradients: the LSTM's
 BPTT, the loss, and both full model losses on miniature instances, each
-through the same function training calls.
+through the same function training calls. The models are cast to float64,
+which every op then computes in, so central differences resolve.
 
 Inputs are sampled away from the relu kink and the loss's clamp bounds so
 central differences stay valid at eps=1e-5.
@@ -34,7 +35,7 @@ def _lstm_check(cell: ndiff.DenseParams, X: np.ndarray):
 def checks(rng) -> dict:
     """Name -> (loss_and_grads, parameters) of every check."""
     out = {}
-    cell = ndiff.init_lstm(rng, 3, 4)
+    cell = ndiff.init_lstm(rng, 3, 4).astype(np.float64)
     # Three steps of two rows with no zero step, so no row is packed.
     out["lstm_last_batch"] = _lstm_check(cell, _signed_uniform(rng, (3, 2, 3)))
     # Constant steps whose rows have 1, T-1, 0 and T leading zero steps
@@ -58,7 +59,7 @@ def checks(rng) -> dict:
     u, dim, hidden, mlp_hidden = 3, 4, 6, 5
     arg_model = vecent.new_argument_model(
         "check", embed_dim=dim, lstm_hidden=hidden, mlp_hidden=mlp_hidden, dropout=0.25, rng=rng
-    )
+    ).astype(np.float64)
     left = rng.standard_normal((3, u + 1, dim))
     right = rng.standard_normal((3, u + 1, dim))
     arg_labels = np.array([[1.0], [0.0], [1.0]])
@@ -70,7 +71,7 @@ def checks(rng) -> dict:
     )
 
     # The full event-classifier loss (existence + masked direction heads).
-    event_model = vecom.new_event_model(input_dim=6, hidden=4, rng=rng)
+    event_model = vecom.new_event_model(input_dim=6, hidden=4, rng=rng).astype(np.float64)
     composed = _signed_uniform(rng, (4, 6), lo=0.3, hi=1.2)
     y_exist = np.array([[1.0], [0.0], [1.0], [0.0]])
     y_dir = np.array([[1.0], [0.0], [0.0], [0.0]])

@@ -7,11 +7,17 @@ SGD, finite-difference gradient checking and checkpoints. The LSTM hoists
 the input projection out of the recurrence and skips leading all-zero steps
 by packing the rows and sharing one pad-state chain. Each model composes
 these into one loss-and-gradient function; nothing records a graph.
-Values are float64 throughout.
+
+The models hold ``DTYPE`` (float32) parameters, and every op computes in the
+dtype of the parameters it is given, so a float64 model (as the gradient
+checks build) runs the same code in float64. Only the loss and its clamp are
+computed in float64 whatever the dtype. Checkpoints store float64, which
+holds float32 values exactly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import struct
@@ -21,6 +27,7 @@ import numpy as np
 
 from .errors import ShapeError, TrainingError
 
+DTYPE = np.float32  # of model parameters, word vectors and activations
 INFERENCE_CHUNK = 256  # rows per inference forward pass; bounds activation memory
 
 
@@ -35,14 +42,15 @@ def logistic(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def dropout_mask(rate: float, shape, rng: np.random.Generator) -> np.ndarray | None:
-    """Inverted-dropout multipliers for a training batch: 0 for a dropped
-    unit, 1/(1-rate) for a survivor. None at rate 0, which draws nothing."""
+def dropout_mask(rate: float, shape, rng: np.random.Generator, dtype=np.float64):
+    """Inverted-dropout multipliers of ``dtype`` for a training batch: 0 for a
+    dropped unit, 1/(1-rate) for a survivor. None at rate 0, which draws
+    nothing. The draws are float64 whatever ``dtype``."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return None
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    return ((rng.random(shape) >= rate) / (1.0 - rate)).astype(dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +67,9 @@ class DenseParams:
     def params(self, prefix: str) -> dict[str, np.ndarray]:
         return {f"{prefix}.A": self.A, f"{prefix}.b": self.b}
 
+    def astype(self, dtype) -> DenseParams:
+        return DenseParams(self.A.astype(dtype), self.b.astype(dtype))
+
 
 class Layers:
     """A model made of named dense layers, the fields listed in ``LAYERS``.
@@ -73,13 +84,22 @@ class Layers:
             out.update(getattr(self, layer).params(layer))
         return out
 
+    def astype(self, dtype):
+        """A copy of the model with every layer's parameters in ``dtype``."""
+        return dataclasses.replace(
+            self, **{layer: getattr(self, layer).astype(dtype) for layer in self.LAYERS}
+        )
+
 
 def affine(params: DenseParams, x: np.ndarray) -> np.ndarray:
-    """``x A^T + b`` over a batch of rows ``(B, in) -> (B, out)``."""
+    """``x A^T + b`` over a batch of rows ``(B, in) -> (B, out)``, in the
+    dtype of ``A``."""
     A, b = params.A, params.b
     if x.ndim != 2 or x.shape[1] != A.shape[1]:
         raise ShapeError(f"affine: input {x.shape} vs weight {A.shape}")
-    return x @ A.T + b
+    out = np.asarray(x, dtype=A.dtype) @ A.T
+    out += b
+    return out
 
 
 def dense_grads(prefix: str, g: np.ndarray, x: np.ndarray) -> dict[str, np.ndarray]:
@@ -119,6 +139,7 @@ def lstm_last(cell: DenseParams, X: np.ndarray, cache: dict | None = None) -> np
     projection ``Wx = A[:, :D]`` is a single GEMM, and each step adds only
     ``h @ Wh.T`` with ``Wh = A[:, D:]``. Training passes an empty ``cache``,
     which this fills with what ``lstm_bptt`` needs; inference keeps nothing.
+    ``X``, the state and the output take the dtype of ``A``.
 
     No row's leading all-zero steps (window padding) are computed. From the
     zero state, zero inputs take every row through one shared state
@@ -132,7 +153,8 @@ def lstm_last(cell: DenseParams, X: np.ndarray, cache: dict | None = None) -> np
     A, b = cell.A, cell.b
     hidden = len(b) // 4
     in_dim = A.shape[1] - hidden
-    X = np.asarray(X, dtype=np.float64)
+    dtype = A.dtype
+    X = np.asarray(X, dtype=dtype)
     if X.ndim != 3 or X.shape[2] != in_dim:
         raise ShapeError(f"lstm_last: input shape {X.shape} vs input size {in_dim}")
     steps, batch = X.shape[:2]
@@ -160,14 +182,14 @@ def lstm_last(cell: DenseParams, X: np.ndarray, cache: dict | None = None) -> np
     # the three sigmoid gates halves their pre-activations exactly (scaling by
     # a power of two rounds the same way unless a value is subnormal), so the
     # forward runs no halving pass; BPTT keeps the unscaled weights.
-    half = np.repeat([0.5, 1.0], [3 * hidden, hidden])
+    half = np.repeat(np.array([0.5, 1.0], dtype=dtype), [3 * hidden, hidden])
     projected = X @ (half[:, None] * Wx).T
     projected += half * b
     Wh_half = half[:, None] * Wh
     gate_cols = _gate_cols(hidden)
 
     trace = []  # per step, only when training: h_prev, c_prev, activations, tanh(c)
-    h = c = np.zeros((widths[0], hidden))
+    h = c = np.zeros((widths[0], hidden), dtype=dtype)
     end = 0
     for t, width in enumerate(widths):
         act = projected[end : end + width]  # this step's rows become its activations
@@ -186,7 +208,7 @@ def lstm_last(cell: DenseParams, X: np.ndarray, cache: dict | None = None) -> np
         if cache is not None:
             trace.append((h, c, act, tanh_c))
         h, c = o * tanh_c, c_next
-    out = np.empty((batch, hidden))
+    out = np.empty((batch, hidden), dtype=dtype)
     out[order] = _grow(h, chain + batch)[chain:]  # all-zero rows end on the chain
     if cache is not None:
         cache.update(trace=trace, X=X, order=order, chain=chain, widths=widths)
@@ -205,7 +227,7 @@ def lstm_bptt(cell: DenseParams, cache: dict, grad: np.ndarray) -> tuple[np.ndar
     hidden = len(cell.b) // 4
     Wh = cell.A[:, cell.A.shape[1] - hidden :]
     gate_cols = _gate_cols(hidden)
-    dh = np.zeros((chain + len(order), hidden))
+    dh = np.zeros((chain + len(order), hidden), dtype=cell.A.dtype)
     dh[chain:] = grad[order]
     dh = _fold(dh, widths[-1])
     dc = 0.0
@@ -241,8 +263,13 @@ def weighted_bce(y, p: np.ndarray, pos_weight, neg_weight, scale: float = 1.0, e
     clamped to [eps, 1-eps], and the gradient with respect to ``p`` of
     ``scale`` times it (a batch mean passes 1/B). Each weight is a scalar or
     an array of per-row weights shaped like ``y`` (a 0/1 array masks rows
-    out). A probability at or past a clamp bound gets no gradient."""
+    out). A probability at or past a clamp bound gets no gradient.
+
+    The loss and the clamp are computed in float64 whatever the dtype of
+    ``p`` (1 - 1e-7 rounds to 1 - 1.2e-7 in float32); the gradient is
+    returned in the dtype of ``p``."""
     labels = np.asarray(y, dtype=np.float64)
+    dtype, p = p.dtype, np.asarray(p, dtype=np.float64)
     if labels.shape != p.shape:
         raise ShapeError(f"weighted_bce: labels {labels.shape} vs predictions {p.shape}")
     pos_weight = np.asarray(pos_weight, dtype=np.float64)
@@ -257,7 +284,8 @@ def weighted_bce(y, p: np.ndarray, pos_weight, neg_weight, scale: float = 1.0, e
     G = np.full_like(q, float(scale * -1.0))
     inside = (p > eps) & (p < 1.0 - eps)
     dp = ((G * pos) / q - (G * neg) / (1.0 - q)) * inside
-    return (np.log(q) * pos + np.log(1.0 - q) * neg).sum() * -1.0, dp
+    loss = (np.log(q) * pos + np.log(1.0 - q) * neg).sum() * -1.0
+    return loss, dp.astype(dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +329,15 @@ def sgd_step(state: SGDState, params: dict[str, np.ndarray], grads: dict[str, np
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
+    """Float64 draws, whatever dtype the caller then casts them to, so the
+    generator's stream does not depend on it."""
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 
 
 def init_dense(rng: np.random.Generator, in_dim: int, out_dim: int) -> DenseParams:
-    return DenseParams(
-        A=glorot_uniform(rng, in_dim, out_dim, (out_dim, in_dim)), b=np.zeros(out_dim)
-    )
+    A = glorot_uniform(rng, in_dim, out_dim, (out_dim, in_dim))
+    return DenseParams(A=A.astype(DTYPE), b=np.zeros(out_dim, dtype=DTYPE))
 
 
 def init_lstm(rng: np.random.Generator, input_dim: int, hidden: int) -> DenseParams:
@@ -316,9 +345,10 @@ def init_lstm(rng: np.random.Generator, input_dim: int, hidden: int) -> DensePar
     (see ``lstm_last``): Glorot-uniform with one gate's fan-out, so each row
     block draws as a gate of its own would; zero biases, forget-gate bias +1."""
     total = input_dim + hidden
-    bias = np.zeros(4 * hidden)
+    bias = np.zeros(4 * hidden, dtype=DTYPE)
     bias[hidden : 2 * hidden] = 1.0
-    return DenseParams(A=glorot_uniform(rng, total, hidden, (4 * hidden, total)), b=bias)
+    A = glorot_uniform(rng, total, hidden, (4 * hidden, total))
+    return DenseParams(A=A.astype(DTYPE), b=bias)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +359,8 @@ _VERSION = 1
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
-    """Versioned little-endian blob of named float64 arrays."""
+    """Versioned little-endian blob of named float64 arrays; float32 arrays
+    are stored exactly."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(tensors)))
@@ -374,8 +405,8 @@ def load_tensors(path) -> dict[str, np.ndarray]:
 
 
 def load_dense_layers(path, prefixes) -> dict[str, DenseParams]:
-    """The named dense layers of a checkpoint; each
-    ``A`` must be a matrix and its ``b`` hold one entry per row of it."""
+    """The named dense layers of a checkpoint, in ``DTYPE``; each ``A`` must
+    be a matrix and its ``b`` hold one entry per row of it."""
     blobs = load_tensors(path)
     layers = {}
     for prefix in prefixes:
@@ -388,7 +419,7 @@ def load_dense_layers(path, prefixes) -> dict[str, DenseParams]:
             raise TrainingError(
                 f"{path}: layer {prefix!r} has weight shape {A.shape} and bias shape {b.shape}"
             )
-        layers[prefix] = DenseParams(A, b)
+        layers[prefix] = DenseParams(A, b).astype(DTYPE)
     return layers
 
 

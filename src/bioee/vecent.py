@@ -237,14 +237,14 @@ def argument_embeddings(model: ArgumentModel, windows: list[ContextWindow]) -> n
     """First dense-layer output over the BLSTM encoding, one row per window;
     no activation, no dropout, deterministic."""
     if not windows:
-        return np.zeros((0, model.embedding_size))
+        return np.zeros((0, model.embedding_size), dtype=model.f1.A.dtype)
     return _infer(model, windows, lambda enc: ndiff.affine(model.f1, enc))
 
 
 def predict_probs(model: ArgumentModel, windows: list[ContextWindow]) -> np.ndarray:
     """Inference-mode probabilities for a batch of windows."""
     if not windows:
-        return np.zeros(0)
+        return np.zeros(0, dtype=model.f2.A.dtype)
     return _infer(model, windows, lambda enc: _head(model, enc)[2])[:, 0]
 
 
@@ -257,7 +257,7 @@ def argument_loss_and_grads(
     probabilities."""
     caches = ({}, {})
     enc = _encode(model, left, right, caches)
-    keep = ndiff.dropout_mask(model.dropout, (len(enc), model.embedding_size), rng)
+    keep = ndiff.dropout_mask(model.dropout, (len(enc), model.embedding_size), rng, enc.dtype)
     hidden, dropped, probs = _head(model, enc, keep)
     scale = 1.0 / len(labels)
     loss, g = ndiff.weighted_bce(labels, probs, z, 1.0 - z, scale)

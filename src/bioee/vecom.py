@@ -191,30 +191,24 @@ def compose_pairs(
 
 
 def _relu_head(f1: DenseParams, f2: DenseParams, x: np.ndarray):
-    """One head over ``x``: its input, relu hidden layer and ``(B, 1)``
+    """One head over ``x``: its relu hidden layer and ``(B, 1)``
     probabilities."""
     hidden = ndiff.affine(f1, x)
-    hidden = np.where(hidden > 0, hidden, 0.0)
-    return x, hidden, ndiff.logistic(ndiff.affine(f2, hidden))
-
-
-def _heads(model: EventModel, composed: np.ndarray):
-    """The existence head over ``|composed|`` and the direction head over
-    ``composed`` (see ``_relu_head``)."""
-    return (
-        _relu_head(model.exist_f1, model.exist_f2, np.abs(composed)),
-        _relu_head(model.dir_f1, model.dir_f2, composed),
-    )
+    np.maximum(hidden, 0.0, out=hidden)
+    return hidden, ndiff.logistic(ndiff.affine(f2, hidden))
 
 
 def event_forward_batch(model: EventModel, composed: np.ndarray):
-    """(existence, forward) probability arrays for a batch of composed pairs."""
-    chunks = [  # only the probabilities of each chunk are kept
-        [p[:, 0] for _, _, p in _heads(model, composed[rows])]
-        for rows in ndiff.inference_chunks(len(composed))
-    ]
-    p_exists, p_forward = (np.concatenate(head) for head in zip(*chunks))
-    return p_exists, p_forward
+    """(existence, forward) probability arrays for a batch of composed pairs:
+    the existence head over ``|composed|`` and the direction head over
+    ``composed``. Only each head's probabilities are kept, so the existence
+    head's input and hidden layer are freed before the direction head runs."""
+    p_exists, p_forward = [], []
+    for rows in ndiff.inference_chunks(len(composed)):
+        chunk = composed[rows]
+        p_exists.append(_relu_head(model.exist_f1, model.exist_f2, np.abs(chunk))[1][:, 0])
+        p_forward.append(_relu_head(model.dir_f1, model.dir_f2, chunk)[1][:, 0])
+    return np.concatenate(p_exists), np.concatenate(p_forward)
 
 
 def event_loss_and_grads(
@@ -222,21 +216,24 @@ def event_loss_and_grads(
 ):
     """The mean joint loss of a training batch, the gradient of each of
     ``model.parameters()``, and the ``(B, 1)`` existence probabilities. The
-    direction term is masked to pairs where the event exists (non-events
-    carry no direction information)."""
+    heads are those of ``event_forward_batch``; the direction term is masked
+    to pairs where the event exists (non-events carry no direction
+    information)."""
     scale = 1.0 / len(composed)
-    heads = _heads(model, composed)
-    losses, grads = [], {}
-    for prefix, (x, hidden, p), (y, weight) in zip(
-        ("exist", "dir"), heads, ((y_exist, 1.0), (y_dir, y_exist))
+    losses, probs, grads = [], [], {}
+    for prefix, x, (y, weight) in zip(
+        ("exist", "dir"), (np.abs(composed), composed), ((y_exist, 1.0), (y_dir, y_exist))
     ):
+        f2 = getattr(model, f"{prefix}_f2")
+        hidden, p = _relu_head(getattr(model, f"{prefix}_f1"), f2, x)
         loss, g = ndiff.weighted_bce(y, p, weight, weight, scale)
         losses.append(loss)
+        probs.append(p)
         g = g * p * (1.0 - p)
         grads.update(ndiff.dense_grads(f"{prefix}_f2", g, hidden))
-        g = (g @ getattr(model, f"{prefix}_f2").A) * (hidden > 0)
+        g = (g @ f2.A) * (hidden > 0)
         grads.update(ndiff.dense_grads(f"{prefix}_f1", g, x))
-    return (losses[0] + losses[1]) * scale, grads, heads[0][2]
+    return (losses[0] + losses[1]) * scale, grads, probs[0]
 
 
 def train_event_model(
@@ -258,7 +255,7 @@ def train_event_model(
     train_idx = vecent.oversample(exists, max_ratio=hyper.oversample_ratio, rng=rng)
 
     model = new_event_model(input_dim=composed.shape[1], hidden=hyper.hidden, rng=rng)
-    composed = composed[train_idx]
+    composed = np.asarray(composed[train_idx], dtype=model.exist_f1.A.dtype)
     y_exist = np.asarray(exists, dtype=np.float64)[train_idx, None]
     y_dir = np.asarray(forward, dtype=np.float64)[train_idx, None]
 

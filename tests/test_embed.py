@@ -31,6 +31,10 @@ class TestLoadText:
         assert len(table.vocab) == 3
         assert table.dim == 4
         np.testing.assert_allclose(table.lookup("beta"), [0, 0, 0, 1])
+        # Parsed straight to float32: 0.1 is the float32 nearest to 1/10.
+        table = load_table(_text_stream(["1 2", "alpha 0.1 -1e-3"]))
+        assert table.matrix.dtype == np.float32
+        assert table.matrix.tobytes() == np.array([[0.1, -1e-3]], dtype=np.float32).tobytes()
 
     def test_declared_count_exceeds_rows(self):
         with pytest.raises(FormatError, match="header declares 5"):
@@ -43,6 +47,8 @@ class TestLoadText:
     def test_non_finite_value(self):
         with pytest.raises(FormatError, match="non-finite"):
             load_table(_text_stream(["1 2", "a 1 inf"]))
+        with pytest.raises(FormatError, match="beyond float32 range in row 1"):
+            load_table(_text_stream(["1 2", "a 1 -4e38"]))
 
     def test_non_numeric_value(self):
         with pytest.raises(FormatError, match="non-numeric value in row 2"):
@@ -79,10 +85,22 @@ class TestLoadBinary:
         np.testing.assert_allclose(table.lookup("cotB"), [1.5, -2.0])
         np.testing.assert_allclose(table.lookup("gerE"), [0.25, 4.0])
 
+    def test_rows_are_the_written_float32_bits(self):
+        f32 = np.finfo(np.float32)
+        rows = np.random.default_rng(5).standard_normal((3, 6)).astype(np.float32)
+        rows[0, :4] = [f32.max, f32.smallest_subnormal, -0.0, 1.0 + f32.eps]
+        stream = self._binary_stream(list(zip(("cotB", "gerE", "sigK"), rows)), dim=6)
+        table = load_table(stream, format="binary")
+        assert table.matrix.dtype == np.float32
+        assert table.matrix.tobytes() == rows.tobytes()
+
     def test_truncated_file(self):
         stream = self._binary_stream([("a", [1.0, 2.0])], dim=2, header_count=2)
         with pytest.raises(FormatError):
             load_table(stream, format="binary")
+        whole = self._binary_stream([("a", [1.0, 2.0])], dim=2).getvalue()
+        with pytest.raises(FormatError, match="truncated vector"):
+            load_table(io.BytesIO(whole[:-4]), format="binary")  # ends inside the vector
 
     def test_word_not_utf8(self):
         records = [b"ok " + struct.pack("<f", 1.0), b"\xff " + struct.pack("<f", 2.0)]
@@ -113,6 +131,7 @@ class TestLookup:
         table = make_hashed_table(dim=16, seed=7)
         first, again = table.lookup("cotB"), table.lookup("cotB")
         drawn = np.random.Generator(np.random.PCG64(_hash_seed(7, "cotB"))).standard_normal(16)
+        drawn = drawn.astype(np.float32)  # drawn in float64, stored rounded
         assert first.tobytes() == again.tobytes() == drawn.tobytes()
         for vec in (first, again):
             assert not vec.flags.writeable

@@ -27,7 +27,10 @@ from bioee.ndiff import (
     sgd_step,
     weighted_bce,
 )
+from bioee.embed import make_hashed_table
 from bioee.vecent import ArgSample, ContextWindow
+
+import fixtures
 
 
 def _matmul_oracle(A, x):
@@ -177,7 +180,7 @@ class TestElementwise:
 
     def test_relu_values(self):
         identity = DenseParams(np.eye(2), np.zeros(2))
-        _, hidden, _ = vecom._relu_head(identity, DenseParams(np.ones((1, 2)), np.zeros(1)),
+        hidden, _ = vecom._relu_head(identity, DenseParams(np.ones((1, 2)), np.zeros(1)),
                                         np.array([[-1.0, 2.0]]))
         np.testing.assert_array_equal(hidden, [[0.0, 2.0]])
 
@@ -210,7 +213,7 @@ class TestLSTM:
 
     def test_lstm_last_single_step(self):
         rng = np.random.default_rng(3)
-        cell = init_lstm(rng, 3, 4)
+        cell = init_lstm(rng, 3, 4).astype(np.float64)
         x = rng.standard_normal(3)
         h_last = lstm_last(cell, x[None, None, :])
         h_step, _ = _lstm_step_oracle(_blocks(cell), x, np.zeros(4), np.zeros(4))
@@ -219,7 +222,7 @@ class TestLSTM:
     def test_fused_matches_per_gate_oracle_at_model_shape(self):
         B, T, D, H = 32, 11, 200, 128
         rng = np.random.default_rng(17)
-        cell = init_lstm(rng, D, H)
+        cell = init_lstm(rng, D, H).astype(np.float64)
         steps = rng.standard_normal((T, B, D))
         grad_out = rng.standard_normal((B, H))
 
@@ -291,7 +294,7 @@ class TestInPlaceGateMath:
     def test_output_bits_match_out_of_place_reference(self, training, B, D, H):
         T = 11
         rng = np.random.default_rng(41)
-        cell = init_lstm(rng, D, H)
+        cell = init_lstm(rng, D, H).astype(np.float64)
         steps = rng.standard_normal((T, B, D))
         h = lstm_last(cell, steps, {} if training else None)
         assert np.array_equal(h, self._out_of_place(cell, steps))
@@ -366,7 +369,7 @@ class TestPaddedRows:
     def test_matches_unpacked_at_model_shape(self):
         B, T, D, H = 32, 11, 200, 128
         rng = np.random.default_rng(51)
-        cell = init_lstm(rng, D, H)
+        cell = init_lstm(rng, D, H).astype(np.float64)
         leads = rng.integers(0, T + 1, size=B)
         leads[:4] = [T, 0, T - 1, 1]  # all-pad, none, all but the last, one
         steps = _padded_steps(rng, leads, T, D)
@@ -382,7 +385,7 @@ class TestPaddedRows:
     def test_vector_steps(self, lead):
         T, D, H = 4, 5, 3
         rng = np.random.default_rng(52 + lead)
-        cell = init_lstm(rng, D, H)
+        cell = init_lstm(rng, D, H).astype(np.float64)
         steps = _padded_steps(rng, [lead], T, D)
         grad_out = rng.standard_normal((1, H))
         h_ref, grads_ref = _unpacked_lstm(cell, steps, grad_out)
@@ -544,7 +547,7 @@ class TestBackward:
         # Two rows with the same padded window share the pad chain and every
         # step, so their gradients add up to twice one row's.
         rng = np.random.default_rng(36)
-        cell = init_lstm(rng, 3, 4)
+        cell = init_lstm(rng, 3, 4).astype(np.float64)
         one = _padded_steps(rng, [2], 5, 3)
         grad_out = rng.standard_normal((1, 4))
         cache_one, cache_two = {}, {}
@@ -701,7 +704,7 @@ class TestInit:
         rng, reference = np.random.default_rng(5), np.random.default_rng(5)
         cell = init_lstm(rng, 10, 6)
         per_gate = [glorot_uniform(reference, 16, 6, (6, 16)) for _ in range(4)]
-        assert np.array_equal(cell.A, np.concatenate(per_gate))
+        assert np.array_equal(cell.A, np.concatenate(per_gate).astype(ndiff.DTYPE))
         assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_dense_bias_zero(self):
@@ -770,3 +773,146 @@ class TestFiniteInvariant:
         hyper = vecent.ArgHyper(lstm_hidden=4, mlp_hidden=3, batch=4, epochs=1)
         with pytest.raises(TrainingError, match="non-finite gradient for parameter 'fwd.A'"):
             vecent.train_argument_model(samples, hyper, rng=rng)
+
+
+def _record_training_arrays(monkeypatch, module, loss_name) -> dict[str, np.ndarray]:
+    """Wrap ``module.loss_name`` (a model's loss-and-gradient function), the
+    optimizer step and the LSTM's BPTT so that a training run records every
+    array they see, by name: probabilities, LSTM cache entries, gradients,
+    velocities and parameters."""
+    seen: dict[str, np.ndarray] = {}
+    loss_fn, step, bptt = getattr(module, loss_name), ndiff.sgd_step, ndiff.lstm_bptt
+
+    def loss_and_grads(*args):
+        loss, grads, probs = loss_fn(*args)
+        seen["probabilities"] = probs
+        return loss, grads, probs
+
+    def lstm_bptt_recorded(cell, cache, grad):
+        run = sum(name.endswith(" X") for name in seen)
+        seen[f"lstm {run} X"] = cache["X"]
+        for t, entry in enumerate(cache["trace"]):
+            for name, arr in zip(("h_prev", "c_prev", "act", "tanh_c"), entry):
+                seen[f"lstm {run} step {t} {name}"] = arr
+        return bptt(cell, cache, grad)
+
+    def sgd_step_recorded(state, params, grads):
+        seen.update({f"gradient {name}": g for name, g in grads.items()})
+        step(state, params, grads)
+        seen.update({f"velocity {name}": v for name, v in state.velocity.items()})
+        seen.update({f"parameter {name}": p for name, p in params.items()})
+
+    monkeypatch.setattr(module, loss_name, loss_and_grads)
+    monkeypatch.setattr(ndiff, "lstm_bptt", lstm_bptt_recorded)
+    monkeypatch.setattr(ndiff, "sgd_step", sgd_step_recorded)
+    return seen
+
+
+def _assert_production_dtype(arrays: dict[str, np.ndarray]):
+    wrong = {name: arr.dtype for name, arr in arrays.items() if arr.dtype != ndiff.DTYPE}
+    assert not wrong, wrong
+
+
+class TestFloat32:
+    """The models train and infer in ``ndiff.DTYPE``, float32. One float64
+    array in a step would upcast all work that depends on it, silently and
+    at about twice the cost, so every array a step makes is checked."""
+
+    @staticmethod
+    def _windows():
+        corpus = fixtures.bgi_corpus()
+        return corpus, vecent.build_entity_windows(corpus, 4, make_hashed_table(dim=12, seed=3))
+
+    def test_argument_training_step(self, monkeypatch):
+        _, windows = self._windows()
+        samples = [ArgSample(w, k % 2, qid) for k, (qid, w) in enumerate(windows.items())]
+        seen = _record_training_arrays(monkeypatch, vecent, "argument_loss_and_grads")
+        # One batch holds every row, so one epoch is one step; the default
+        # dropout draws a mask.
+        hyper = vecent.ArgHyper(u=4, lstm_hidden=6, mlp_hidden=5, batch=1000, epochs=1)
+        model, _ = vecent.train_argument_model(samples, hyper, rng=np.random.default_rng(0))
+
+        names = model.parameters().keys()
+        assert {f"gradient {n}" for n in names} | {f"velocity {n}" for n in names} <= seen.keys()
+        assert sum(name.endswith(" X") for name in seen) == 2  # both directions' caches
+        assert any(not w.left[0].any() for w in windows.values())  # the pad chain ran
+        _assert_production_dtype(seen)
+        _assert_production_dtype({qid: w.left for qid, w in windows.items()})
+        inputs = list(windows.values())
+        _assert_production_dtype(
+            {
+                "embeddings": vecent.argument_embeddings(model, inputs),
+                "probabilities": vecent.predict_probs(model, inputs),
+                "no embeddings": vecent.argument_embeddings(model, []),
+            }
+        )
+
+    def test_event_training_step(self, monkeypatch):
+        corpus, windows = self._windows()
+        rng = np.random.default_rng(1)
+        models = {role: vecent.new_argument_model(role, 12, 6, 5, rng=rng) for role in "ST"}
+        pairs = vecom.candidate_pairs(corpus)
+        embeddings, rows = vecom.embed_pair_entities(pairs, models, windows)
+        composed = vecom.compose_pairs(embeddings, rows, ("S", "T"))
+        exists = np.arange(len(pairs)) % 2
+        seen = _record_training_arrays(monkeypatch, vecom, "event_loss_and_grads")
+        hyper = vecom.EventHyper(hidden=4, batch=10_000, epochs=1)
+        model, _ = vecom.train_event_model(composed, exists, exists, "E", hyper, rng=rng)
+
+        names = model.parameters().keys()
+        assert {f"gradient {n}" for n in names} | {f"velocity {n}" for n in names} <= seen.keys()
+        _assert_production_dtype(seen)
+        p_exists, p_forward = vecom.event_forward_batch(model, composed)
+        _assert_production_dtype(
+            {"composed": composed, "existence": p_exists, "forward": p_forward}
+        )
+
+    def test_checkpoint_round_trip_bit_for_bit(self, tmp_path):
+        model = vecent.new_argument_model("t", 7, 5, 4, rng=np.random.default_rng(3))
+        f32 = np.finfo(np.float32)
+        model.f1.A[0, :4] = [f32.max, f32.smallest_subnormal, -0.0, 1.0 + f32.eps]
+        path = tmp_path / "arg.ckpt"
+        save_tensors(path, model.parameters())
+        assert {t.dtype for t in load_tensors(path).values()} == {np.dtype(np.float64)}
+        loaded = ndiff.load_dense_layers(path, vecent.ArgumentModel.LAYERS)
+        for name, layer in loaded.items():
+            for field in ("A", "b"):
+                got, saved = getattr(layer, field), getattr(getattr(model, name), field)
+                assert got.dtype == ndiff.DTYPE
+                assert got.tobytes() == saved.tobytes(), f"{name}.{field}"
+
+    def test_float64_checkpoint_loads_rounded(self, tmp_path):
+        rng = np.random.default_rng(4)
+        A, b = rng.standard_normal((3, 4)), rng.standard_normal(3)
+        save_tensors(tmp_path / "old.ckpt", {"layer.A": A, "layer.b": b})
+        layer = ndiff.load_dense_layers(tmp_path / "old.ckpt", ["layer"])["layer"]
+        assert layer.A.tobytes() == A.astype(np.float32).tobytes()
+        assert layer.b.tobytes() == b.astype(np.float32).tobytes()
+
+    def test_lstm_matches_float64_oracle_at_model_shape(self):
+        # The float64 per-gate oracle on the same (float32-exact) weights and
+        # inputs. Each step adds a (D+H)-term dot product, each of whose
+        # float32 roundings is within eps of its partial sum; with rounding
+        # errors of random sign the error grows like the square root of the
+        # T * (D+H) terms behind an output, relative to its largest entry.
+        B, T, D, H = 32, 11, 200, 128
+        rng = np.random.default_rng(61)
+        cell = init_lstm(rng, D, H)
+        assert cell.A.dtype == cell.b.dtype == ndiff.DTYPE
+        leads = rng.integers(0, T + 1, size=B)
+        leads[:2] = [T, 0]
+        steps = _padded_steps(rng, leads, T, D).astype(ndiff.DTYPE)
+        grad_out = rng.standard_normal((B, H)).astype(ndiff.DTYPE)
+
+        cache = {}
+        h = lstm_last(cell, steps, cache)
+        grads = lstm_bptt(cell, cache, grad_out)
+        h_ref, *grads_ref = _per_gate_bptt_oracle(
+            _blocks(cell.astype(np.float64)), steps.astype(np.float64), grad_out.astype(np.float64)
+        )
+        bound = math.sqrt(T * (D + H)) * np.finfo(np.float32).eps
+        for name, got, ref in zip(("h", "A", "b"), (h, *grads), (h_ref, *grads_ref)):
+            assert got.dtype == ndiff.DTYPE, name
+            np.testing.assert_allclose(
+                got, ref, rtol=0, atol=bound * np.abs(ref).max(), err_msg=name
+            )

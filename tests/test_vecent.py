@@ -302,6 +302,7 @@ class TestArgumentEmbedding:
 
     def test_batch_matches_single(self, bgi, table):
         model = new_argument_model("t", table.dim, 8, 5, rng=np.random.default_rng(10))
+        model = model.astype(np.float64)
         windows = [
             build_context(_gere_sentence(bgi), bgi.entity("GERE", tid), 3, table)
             for tid in ("T1", "T4", "T5")
@@ -313,6 +314,7 @@ class TestArgumentEmbedding:
     def test_chunked_inference_matches_row_by_row(self, bgi, table, monkeypatch):
         monkeypatch.setattr(ndiff, "INFERENCE_CHUNK", 4)
         model = new_argument_model("t", table.dim, 8, 5, rng=np.random.default_rng(11))
+        model = model.astype(np.float64)
         windows = list(build_entity_windows(bgi, 3, table).values())[:10]
         assert len(ndiff.inference_chunks(len(windows))) == 3
         emb = vecent.argument_embeddings(model, windows)

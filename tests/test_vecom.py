@@ -1,9 +1,11 @@
 """Candidate pairs, two-bit labels, event heads, and decoding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from bioee import vecent, vecom
+from bioee import ndiff, vecent, vecom
 from bioee.embed import make_hashed_table
 from bioee.errors import ConfigurationError, DataError, TrainingSetupError
 from bioee.vecom import (
@@ -168,7 +170,7 @@ class TestPairInput:
         assert {e.shape for e in embeddings.values()} == {(4, 5)}  # four distinct entities
 
     def test_half_layout_matches_role_models(self, bgi, table):
-        models = _role_models(table, 2, 3)
+        models = {role: m.astype(np.float64) for role, m in _role_models(table, 2, 3).items()}
         pairs, embeddings, rows, composed = self._composed(bgi, table, models)
         i = next(k for k, p in enumerate(pairs) if (p.first.id, p.second.id) == ("T1", "T2"))
         pair = pairs[i]
@@ -260,6 +262,25 @@ class TestEventForward:
         _, f1 = event_forward_batch(model, v[None, :])
         _, f2 = event_forward_batch(model, -v[None, :])
         assert f1[0] != pytest.approx(f2[0])
+
+    def test_existence_head_freed_before_direction_head(self):
+        # One inference chunk at the default sizes (E = 128, hidden 64). The
+        # direction head reads the caller's array; the existence head makes
+        # |composed|. Holding that and both hidden layers at once is the bound.
+        E, hidden = 128, 64
+        rng = np.random.default_rng(16)
+        model = new_event_model(input_dim=2 * E, hidden=hidden, rng=rng)
+        dtype = model.exist_f1.A.dtype
+        composed = rng.standard_normal((ndiff.INFERENCE_CHUNK, 2 * E)).astype(dtype)
+        both_at_once = composed.nbytes + 2 * ndiff.INFERENCE_CHUNK * hidden * dtype.itemsize
+        tracemalloc.start()
+        try:
+            p_exists, p_forward = event_forward_batch(model, composed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p_exists.shape == p_forward.shape == (ndiff.INFERENCE_CHUNK,)
+        assert peak < both_at_once, (peak, both_at_once)
 
 
 def _pair_stub(doc_id, first_id, second_id):
