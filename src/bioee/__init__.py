@@ -25,7 +25,7 @@ from .corpus import (
     tokenize,
     write_standoff,
 )
-from .embed import PAD, EmbeddingTable, load_table, make_hashed_table
+from .embed import PAD, EmbeddingTable, load_table
 from .errors import BioeeError
 
 __version__ = "0.1.0"
@@ -47,7 +47,6 @@ __all__ = [
     "load_corpus_dir",
     "load_schema",
     "load_table",
-    "make_hashed_table",
     "parse_standoff",
     "split_sentences",
     "tokenize",

@@ -19,6 +19,7 @@ import math
 import platform
 import sys
 import time
+import typing
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -27,8 +28,7 @@ from . import embed, evalkit, gradcheck, ndiff, vecent, vecom
 from .corpus import Corpus, corpus_stats, load_corpus_dir, load_schema, write_standoff
 from .errors import BioeeError, ConfigurationError, TrainingError, TrainingSetupError
 from .evalkit import child_rng
-from .vecent import ArgHyper
-from .vecom import EventHyper
+from .vecent import Hyper
 
 logger = logging.getLogger(__name__)
 
@@ -38,7 +38,11 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass
-class RunConfig:
+class RunConfig(Hyper):
+    """Every setting of a run: the training settings of ``Hyper`` plus the
+    task, embedding and run settings. Each field is one INI key and one
+    ``--field-name`` flag."""
+
     schema: str = "bb"
     train_dir: str = ""
     predict_dir: str = ""
@@ -47,17 +51,6 @@ class RunConfig:
     oov: str = "hashed"
     oov_seed: int = 0
     dim: int = 200
-    window: int = 10
-    lstm_hidden: int = 128
-    arg_mlp_hidden: int = 128
-    event_mlp_hidden: int = 64
-    batch: int = 32
-    epochs: int = 10
-    dropout: float = 0.2
-    lr: float = 0.01
-    momentum: float = 0.9
-    oversample_ratio: float = 5.0
-    threshold: float = 0.5
     seed: int = 7
     out: str = "out"
     doc_level_cv: bool = False
@@ -66,23 +59,11 @@ class RunConfig:
 _INI_LAYOUT = {
     "task": ("schema", "train_dir", "predict_dir"),
     "embedding": ("embedding", "embedding_format", "oov", "oov_seed", "dim"),
-    "hyper": (
-        "window",
-        "lstm_hidden",
-        "arg_mlp_hidden",
-        "event_mlp_hidden",
-        "batch",
-        "epochs",
-        "dropout",
-        "lr",
-        "momentum",
-        "oversample_ratio",
-        "threshold",
-    ),
+    "hyper": tuple(f.name for f in dataclasses.fields(Hyper)),
     "run": ("seed", "out", "doc_level_cv"),
 }
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_FIELD_TYPE = typing.get_type_hints(RunConfig)  # field -> int, float, str or bool
 
 
 def config_from_ini(path: str | Path, base: RunConfig | None = None) -> RunConfig:
@@ -101,19 +82,12 @@ def config_from_ini(path: str | Path, base: RunConfig | None = None) -> RunConfi
         for key, raw in parser.items(section):
             if known.get(key) != section:
                 raise ConfigurationError(f"{path}: unknown config key {key!r} in [{section}]")
-            ftype = _FIELD_TYPES[key]
+            ftype = _FIELD_TYPE[key]
             try:
-                if ftype in ("bool", bool):
-                    value = parser.getboolean(section, key)
-                elif ftype in ("int", int):
-                    value = parser.getint(section, key)
-                elif ftype in ("float", float):
-                    value = parser.getfloat(section, key)
-                else:
-                    value = raw
+                value = parser.getboolean(section, key) if ftype is bool else ftype(raw)
             except ValueError:
                 raise ConfigurationError(
-                    f"{path}: [{section}] {key} = {raw!r} is not a valid {ftype}"
+                    f"{path}: [{section}] {key} = {raw!r} is not a valid {ftype.__name__}"
                 ) from None
             setattr(cfg, key, value)
     return cfg
@@ -127,31 +101,6 @@ def config_to_ini(cfg: RunConfig) -> str:
             lines.append(f"{key} = {getattr(cfg, key)}")
         lines.append("")
     return "\n".join(lines)
-
-
-def _arg_hyper(cfg: RunConfig) -> ArgHyper:
-    return ArgHyper(
-        u=cfg.window,
-        lstm_hidden=cfg.lstm_hidden,
-        mlp_hidden=cfg.arg_mlp_hidden,
-        batch=cfg.batch,
-        epochs=cfg.epochs,
-        dropout=cfg.dropout,
-        lr=cfg.lr,
-        momentum=cfg.momentum,
-        oversample_ratio=cfg.oversample_ratio,
-    )
-
-
-def _event_hyper(cfg: RunConfig) -> EventHyper:
-    return EventHyper(
-        hidden=cfg.event_mlp_hidden,
-        batch=cfg.batch,
-        epochs=cfg.epochs,
-        lr=cfg.lr,
-        momentum=cfg.momentum,
-        oversample_ratio=cfg.oversample_ratio,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +233,16 @@ def cmd_train_args(cfg: RunConfig) -> int:
     started = time.perf_counter()
     corpus = _train_corpus(cfg)
     table = _resolve_table(cfg)
-    hyper = _arg_hyper(cfg)
     out = _outdir(cfg)
     args_dir = out / "args"
     args_dir.mkdir(exist_ok=True)
 
-    windows = vecent.build_entity_windows(corpus, hyper.u, table)
+    windows = vecent.build_entity_windows(corpus, cfg.window, table)
     trained = corpus.task_schema.argument_types
     for arg_type in trained:
         samples = vecent.build_argument_samples(corpus, arg_type, windows)
         rng = child_rng(cfg.seed, f"cmd/train-args/{arg_type}")
-        model, log = vecent.train_argument_model(samples, hyper, rng=rng, arg_type=arg_type)
+        model, log = vecent.train_argument_model(samples, cfg, rng=rng, arg_type=arg_type)
         _save_model(model, args_dir / f"{arg_type}.ckpt")
         (args_dir / f"{arg_type}.log.csv").write_text(
             vecent.epoch_log_csv(log), encoding="utf-8"
@@ -305,11 +253,11 @@ def cmd_train_args(cfg: RunConfig) -> int:
         {
             "task": cfg.schema,
             "argument_types": trained,
-            "u": hyper.u,
+            "u": cfg.window,
             "dim": table.dim,
-            "lstm_hidden": hyper.lstm_hidden,
-            "mlp_hidden": hyper.mlp_hidden,
-            "dropout": hyper.dropout,
+            "lstm_hidden": cfg.lstm_hidden,
+            "mlp_hidden": cfg.arg_mlp_hidden,
+            "dropout": cfg.dropout,
             "embedding": {
                 "source": cfg.embedding,
                 "format": cfg.embedding_format,
@@ -328,7 +276,6 @@ def cmd_train_events(cfg: RunConfig) -> int:
     corpus = _train_corpus(cfg)
     table = _resolve_table(cfg)
     arg_models, manifest = _load_argument_models(cfg, table)
-    hyper = _event_hyper(cfg)
     out = _outdir(cfg)
     events_dir = out / "events"
     events_dir.mkdir(exist_ok=True)
@@ -344,7 +291,7 @@ def cmd_train_events(cfg: RunConfig) -> int:
         rng = child_rng(cfg.seed, f"cmd/train-events/{event_type}")
         try:
             model, log = vecom.train_event_model(
-                composed, exists, forward, event_type, hyper, rng=rng
+                composed, exists, forward, event_type, cfg, rng=rng
             )
         except TrainingSetupError as exc:
             logger.warning("skipping %s: %s", event_type, exc)
@@ -363,7 +310,7 @@ def cmd_train_events(cfg: RunConfig) -> int:
             "task": cfg.schema,
             "event_types": trained,
             "skipped": skipped,
-            "hidden": hyper.hidden,
+            "hidden": cfg.event_mlp_hidden,
         },
     )
     print(f"trained {len(trained)} event models -> {events_dir}")
@@ -441,13 +388,7 @@ def cmd_crossval(cfg: RunConfig) -> int:
     corpus = _train_corpus(cfg)
     table = _resolve_table(cfg)
     report = evalkit.cross_validate(
-        corpus,
-        table,
-        arg_hyper=_arg_hyper(cfg),
-        event_hyper=_event_hyper(cfg),
-        threshold=cfg.threshold,
-        seed=cfg.seed,
-        doc_level=cfg.doc_level_cv,
+        corpus, table, hyper=cfg, seed=cfg.seed, doc_level=cfg.doc_level_cv
     )
     out = _outdir(cfg)
     cv_dir = out / "crossval"
@@ -490,34 +431,28 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
 # Argument parsing
 
 
+# Field -> its valid values; they are checked with the ranges below.
+_CHOICES = {"embedding_format": embed.FORMATS, "oov": embed.OOV_POLICIES}
+
+_HELP = {
+    "schema": "builtin task name (bb, bgi) or schema JSON path",
+    "embedding": "'hashed' or a word2vec file path",
+}
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    """One ``--field-name`` flag per config field, in INI order; a flag left
+    out keeps the INI file's value."""
     parser.add_argument("--config", help="INI config file; flags override it")
-    parser.add_argument("--schema", help="builtin task name (bb, bgi) or schema JSON path")
-    parser.add_argument("--train-dir", dest="train_dir")
-    parser.add_argument("--predict-dir", dest="predict_dir")
-    parser.add_argument("--embedding", help="'hashed' or a word2vec file path")
-    parser.add_argument("--embedding-format", dest="embedding_format", choices=["text", "binary"])
-    parser.add_argument("--oov", choices=[embed.OOV_ZERO, embed.OOV_HASHED])
-    parser.add_argument("--oov-seed", dest="oov_seed", type=int)
-    parser.add_argument("--dim", type=int)
-    parser.add_argument("--window", type=int)
-    parser.add_argument("--lstm-hidden", dest="lstm_hidden", type=int)
-    parser.add_argument("--arg-mlp-hidden", dest="arg_mlp_hidden", type=int)
-    parser.add_argument("--event-mlp-hidden", dest="event_mlp_hidden", type=int)
-    parser.add_argument("--batch", type=int)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--dropout", type=float)
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--momentum", type=float)
-    parser.add_argument("--oversample-ratio", dest="oversample_ratio", type=float)
-    parser.add_argument("--threshold", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out")
+    for name in (key for keys in _INI_LAYOUT.values() for key in keys):
+        flag, ftype = "--" + name.replace("_", "-"), _FIELD_TYPE[name]
+        if ftype is bool:
+            parser.add_argument(flag, action=argparse.BooleanOptionalAction)
+        else:
+            metavar = "{" + ",".join(_CHOICES[name]) + "}" if name in _CHOICES else None
+            parser.add_argument(flag, type=ftype, metavar=metavar, help=_HELP.get(name))
     parser.add_argument(
         "--jobs", type=int, choices=[1], help="accepted for old command lines; no effect"
-    )
-    parser.add_argument(
-        "--doc-level-cv", dest="doc_level_cv", action=argparse.BooleanOptionalAction
     )
     parser.add_argument("--verbose", action="store_true")
 
@@ -525,6 +460,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 # Field -> (test, wording) of its valid values; every test fails on NaN. A
 # threshold above 1 stays valid: it decodes no event.
 _RANGES = {
+    **{
+        name: (choices.__contains__, "one of " + ", ".join(choices))
+        for name, choices in _CHOICES.items()
+    },
     **{
         name: (lambda v: v >= 1, ">= 1")
         for name in ("dim", "window", "lstm_hidden", "arg_mlp_hidden", "event_mlp_hidden",
@@ -563,8 +502,7 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    pin_heap()
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bioee",
         description="Trigger-free bottom-up biomedical event extraction pipeline",
@@ -572,7 +510,12 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         _add_common(sub.add_parser(name))
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    pin_heap()
+    args = _parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

@@ -8,6 +8,7 @@ prefix is accepted with the same grammar) per document.
 
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 import re
@@ -244,7 +245,7 @@ def tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # Sentence splitting
 
-_SENT_PUNCT = frozenset(".!?")
+_SENT_PUNCT = re.compile(r"[.!?]")
 
 
 def split_sentences(
@@ -255,13 +256,18 @@ def split_sentences(
     Splits after ``. ! ?`` followed by whitespace and an uppercase letter or
     digit, but never inside any protected (entity) span.
     """
+    # One sweep: the marks come in text order, the spans by start, and a
+    # mark is protected iff a span started at or before it ends after it.
     protected = sorted(protected_spans or [])
+    next_span, reach = 0, -1
     n = len(text)
     cuts = []
-    for i, ch in enumerate(text):
-        if ch not in _SENT_PUNCT:
-            continue
-        if any(s <= i < e for s, e in protected):
+    for mark in _SENT_PUNCT.finditer(text):
+        i = mark.start()
+        while next_span < len(protected) and protected[next_span][0] <= i:
+            reach = max(reach, protected[next_span][1])
+            next_span += 1
+        if i < reach:
             continue
         j = i + 1
         if j >= n or not text[j].isspace():
@@ -290,6 +296,10 @@ def split_sentences(
 
 def align_entities(sentence: Sentence, entities: list[Entity]) -> None:
     """Fill token_span with the minimal inclusive token range covering each span."""
+    # Tokens are disjoint and in text order, so both their starts and their
+    # ends ascend, and the tokens covering [s, e) are one bisected slice.
+    starts = [t.span[0] for t in sentence.tokens]
+    ends = [t.span[1] for t in sentence.tokens]
     for ent in entities:
         s, e = ent.span
         if s < sentence.span[0] or e > sentence.span[1]:
@@ -297,7 +307,7 @@ def align_entities(sentence: Sentence, entities: list[Entity]) -> None:
                 f"entity {ent.id} span {ent.span} crosses sentence {sentence.id} "
                 f"bounds {sentence.span}"
             )
-        covering = [t for t in sentence.tokens if t.span[0] < e and t.span[1] > s]
+        covering = sentence.tokens[bisect.bisect_right(ends, s) : bisect.bisect_left(starts, e)]
         if not covering:
             raise AlignmentError(f"entity {ent.id} span {ent.span} covers no token")
         ent.token_span = (covering[0].index, covering[-1].index)
@@ -439,19 +449,20 @@ def parse_standoff(
             )
         doc.sentences.append(sent)
 
+    # Sentences are disjoint and in text order: the only one that can hold an
+    # entity is the last one starting at or before it.
+    sentence_starts = [s for s, _ in intervals]
+    in_sentence: dict[int, list[Entity]] = {}
     for ent in entities.values():
-        home = None
-        for idx, sent in enumerate(doc.sentences):
-            if ent.span[0] >= sent.span[0] and ent.span[1] <= sent.span[1]:
-                home = idx
-                break
-        if home is None:
+        home = bisect.bisect_right(sentence_starts, ent.span[0]) - 1
+        if home < 0 or ent.span[1] > intervals[home][1]:
             raise AlignmentError(
                 f"entity {ent.id} span {ent.span} lies in no sentence of {doc_id}"
             )
         ent.sentence_index = home
+        in_sentence.setdefault(home, []).append(ent)
     for idx, sent in enumerate(doc.sentences):
-        align_entities(sent, [e for e in entities.values() if e.sentence_index == idx])
+        align_entities(sent, in_sentence.get(idx, []))
 
     events: dict[str, Event] = {}
     for lineno, line in enumerate(event_lines.splitlines(), start=1):

@@ -22,6 +22,8 @@ PAD = "<pad>"
 
 OOV_ZERO = "zero"
 OOV_HASHED = "hashed"
+OOV_POLICIES = (OOV_ZERO, OOV_HASHED)
+FORMATS = ("text", "binary")  # word2vec file formats
 
 
 def _hash_seed(seed: int, word: str) -> int:
@@ -41,7 +43,7 @@ class EmbeddingTable:
     def __init__(self, dim, vocab=None, matrix=None, oov_policy=OOV_HASHED, seed=0):
         if dim < 1:
             raise FormatError(f"embedding dimension must be >= 1, got {dim}")
-        if oov_policy not in (OOV_ZERO, OOV_HASHED):
+        if oov_policy not in OOV_POLICIES:
             raise FormatError(f"unknown OOV policy {oov_policy!r}")
         self.dim = int(dim)
         self.vocab: dict[str, int] = dict(vocab or {})
@@ -93,11 +95,6 @@ class EmbeddingTable:
         if not words:
             return np.zeros((0, self.dim), dtype=DTYPE)
         return np.stack([self.lookup(w) for w in words])
-
-
-def make_hashed_table(dim: int, seed: int = 0) -> EmbeddingTable:
-    """Empty-vocabulary table where every word hashes to a stable vector."""
-    return EmbeddingTable(dim=dim, oov_policy=OOV_HASHED, seed=seed)
 
 
 def _read_header(line: bytes) -> tuple[int, int]:
@@ -190,7 +187,7 @@ def load_table(source, format: str = "text", oov_policy: str = OOV_HASHED, seed:
     values per record). Duplicate words keep the first occurrence; the skip
     count is reported on the table.
     """
-    if format not in ("text", "binary"):
+    if format not in FORMATS:
         raise FormatError(f"unknown embedding format {format!r}")
     reader = _read_text if format == "text" else _read_binary
 

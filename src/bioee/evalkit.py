@@ -21,8 +21,7 @@ from . import vecent, vecom
 from .corpus import Corpus
 from .embed import EmbeddingTable
 from .errors import PlanningError
-from .vecent import ArgHyper
-from .vecom import EventHyper
+from .vecent import Hyper
 
 
 def child_seed(seed: int, label: str) -> int:
@@ -263,9 +262,7 @@ def _decoded_event_metrics(
 def cross_validate(
     corpus: Corpus,
     table: EmbeddingTable,
-    arg_hyper: ArgHyper | None = None,
-    event_hyper: EventHyper | None = None,
-    threshold: float = 0.5,
+    hyper: Hyper | None = None,
     default_k: int = 10,
     small_k: int = 5,
     small_threshold: int = 20,
@@ -276,11 +273,11 @@ def cross_validate(
     ``doc_level``) for every class; per fold, oversampled training of one
     argument model per role on the training sentences' entities, frozen,
     then each event type's heads on the training pairs; evaluation pools the
-    untouched test scores across folds."""
-    arg_hyper = arg_hyper or ArgHyper()
-    event_hyper = event_hyper or EventHyper()
+    untouched test scores across folds, decoding events at
+    ``hyper.threshold``."""
+    hyper = hyper or Hyper()
     schema = corpus.task_schema
-    windows = vecent.build_entity_windows(corpus, arg_hyper.u, table)
+    windows = vecent.build_entity_windows(corpus, hyper.window, table)
     pairs = vecom.candidate_pairs(corpus)
 
     def unit(doc_id, sentence_index):
@@ -343,7 +340,7 @@ def cross_validate(
             t0 = time.perf_counter()
             arg_models[role], _ = vecent.train_argument_model(
                 [samples[i] for i in train_ents],
-                arg_hyper,
+                hyper,
                 rng=child_rng(seed, f"train/arg/{role}/{fold}"),
                 arg_type=role,
             )
@@ -363,7 +360,7 @@ def cross_validate(
                 exist[et][train_pairs],
                 forward[et][train_pairs],
                 et,
-                event_hyper,
+                hyper,
                 rng=child_rng(seed, f"train/evt/{et}/{fold}/heads"),
             )
             t1 = time.perf_counter()
@@ -384,12 +381,12 @@ def cross_validate(
             n_samples=labels.size,
         )
     for et, labels in exist.items():
-        pair_metrics = binary_metrics(labels, exist_scores[et] >= threshold)
+        pair_metrics = binary_metrics(labels, exist_scores[et] >= hyper.threshold)
         pair_metrics.train_time, pair_metrics.test_time = event_times[et]
         report.events[et] = EventResult(
             pair_metrics=pair_metrics,
             event_metrics=_decoded_event_metrics(
-                corpus, pairs, exist_scores[et], forward_scores[et], et, threshold
+                corpus, pairs, exist_scores[et], forward_scores[et], et, hyper.threshold
             ),
             curves=micro_curves(exist_scores[et], labels),
             k=plan.k,

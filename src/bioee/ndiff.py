@@ -295,7 +295,7 @@ def weighted_bce(y, p: np.ndarray, pos_weight, neg_weight, scale: float = 1.0, e
 class SGDState:
     """Momentum SGD: v <- mu v - lr g; p <- p + v."""
 
-    def __init__(self, learning_rate: float = 0.01, momentum: float = 0.9):
+    def __init__(self, learning_rate: float, momentum: float):
         if learning_rate <= 0:
             raise ValueError(f"learning rate must be positive, got {learning_rate}")
         if not 0.0 <= momentum < 1.0:

@@ -45,16 +45,21 @@ class ArgSample:
 
 
 @dataclass
-class ArgHyper:
-    u: int = 10
+class Hyper:
+    """The training settings of both stages, the ``[hyper]`` section of a
+    run config, under their config names and with the paper's defaults."""
+
+    window: int = 10  # u, the context tokens on each side of the anchor
     lstm_hidden: int = 128
-    mlp_hidden: int = 128
+    arg_mlp_hidden: int = 128
+    event_mlp_hidden: int = 64
     batch: int = 32
     epochs: int = 10
     dropout: float = 0.2
     lr: float = 0.01
     momentum: float = 0.9
-    oversample_ratio: float = 5.0
+    oversample_ratio: float = 5.0  # bound on majority/minority after oversampling
+    threshold: float = 0.5  # existence probability that decodes an event
 
 
 @dataclass
@@ -77,7 +82,7 @@ class ArgumentModel(ndiff.Layers):
     bwd: DenseParams
     f1: DenseParams
     f2: DenseParams
-    dropout: float = 0.2
+    dropout: float
 
     @property
     def embedding_size(self) -> int:
@@ -93,9 +98,9 @@ class ArgumentModel(ndiff.Layers):
 def new_argument_model(
     arg_type: str,
     embed_dim: int,
-    lstm_hidden: int = 128,
-    mlp_hidden: int = 128,
-    dropout: float = 0.2,
+    lstm_hidden: int,
+    mlp_hidden: int,
+    dropout: float,
     rng: np.random.Generator | None = None,
 ) -> ArgumentModel:
     rng = rng or np.random.default_rng(0)
@@ -291,7 +296,7 @@ def class_weight(labels) -> float:
     return 1.0 - n_pos / total
 
 
-def oversample(labels, max_ratio: float = 5.0, rng=None) -> np.ndarray:
+def oversample(labels, max_ratio: float, rng=None) -> np.ndarray:
     """Training-set indices that duplicate minority-class samples until
     majority/minority <= max_ratio.
 
@@ -314,7 +319,7 @@ def oversample(labels, max_ratio: float = 5.0, rng=None) -> np.ndarray:
 
 def train_argument_model(
     samples: list[ArgSample],
-    hyper: ArgHyper | None = None,
+    hyper: Hyper | None = None,
     rng: np.random.Generator | None = None,
     arg_type: str = "",
 ) -> tuple[ArgumentModel, list[EpochRecord]]:
@@ -323,7 +328,7 @@ def train_argument_model(
     The positive-class weight comes from the original (pre-duplication)
     label distribution; oversampling then bounds the class ratio.
     """
-    hyper = hyper or ArgHyper()
+    hyper = hyper or Hyper()
     rng = rng or np.random.default_rng(0)
     if not samples:
         raise TrainingSetupError("no training samples")
@@ -336,7 +341,7 @@ def train_argument_model(
         arg_type or "argument",
         embed_dim=dim,
         lstm_hidden=hyper.lstm_hidden,
-        mlp_hidden=hyper.mlp_hidden,
+        mlp_hidden=hyper.arg_mlp_hidden,
         dropout=hyper.dropout,
         rng=rng,
     )
@@ -350,7 +355,9 @@ def train_argument_model(
     return model, sgd_epochs(model, hyper, labels, loss_and_grads, rng)
 
 
-def sgd_epochs(model: ndiff.Layers, hyper, labels, loss_and_grads, rng) -> list[EpochRecord]:
+def sgd_epochs(
+    model: ndiff.Layers, hyper: Hyper, labels, loss_and_grads, rng
+) -> list[EpochRecord]:
     """Mini-batch momentum SGD on ``model`` over the training rows of the
     ``(n, 1)`` ``labels``, for ``hyper.epochs`` epochs of ``hyper.batch``
     rows in a fresh random order.
@@ -397,8 +404,9 @@ def epoch_log_csv(log: list[EpochRecord]) -> str:
 
 def load_argument_model(path, arg_type: str) -> ArgumentModel:
     """A saved model, for inference: checkpoints hold only the weights, so the
-    dropout rate is the default. Both LSTM layers must be ``(4H, D+H)`` and
-    the head must take their ``2H`` outputs to one probability."""
+    dropout rate, which inference does not apply, is the default. Both LSTM
+    layers must be ``(4H, D+H)`` and the head must take their ``2H`` outputs
+    to one probability."""
     layers = ndiff.load_dense_layers(path, ArgumentModel.LAYERS)
     shapes = {name: layer.A.shape for name, layer in layers.items()}
     rows, cols = shapes["fwd"]
@@ -411,4 +419,4 @@ def load_argument_model(path, arg_type: str) -> ArgumentModel:
         or shapes["f2"] != (1, shapes["f1"][0])
     ):
         raise TrainingError(f"{path}: layer shapes {shapes} do not form an argument model")
-    return ArgumentModel(arg_type=arg_type, **layers)
+    return ArgumentModel(arg_type=arg_type, dropout=Hyper.dropout, **layers)

@@ -19,7 +19,7 @@ from . import ndiff, vecent
 from .corpus import Corpus, Entity, Event, Sentence
 from .errors import ConfigurationError, DataError, TrainingError, TrainingSetupError
 from .ndiff import DenseParams
-from .vecent import ArgumentModel, ContextWindow, EpochRecord
+from .vecent import ArgumentModel, ContextWindow, EpochRecord, Hyper
 
 
 @dataclass
@@ -32,16 +32,6 @@ class CandidatePair:
     @property
     def sentence_index(self) -> int:
         return self.first.sentence_index
-
-
-@dataclass
-class EventHyper:
-    hidden: int = 64
-    batch: int = 32
-    epochs: int = 10
-    lr: float = 0.01
-    momentum: float = 0.9
-    oversample_ratio: float = 5.0
 
 
 @dataclass
@@ -62,7 +52,7 @@ class EventModel(ndiff.Layers):
 
 
 def new_event_model(
-    input_dim: int, hidden: int = 64, rng: np.random.Generator | None = None
+    input_dim: int, hidden: int, rng: np.random.Generator | None = None
 ) -> EventModel:
     rng = rng or np.random.default_rng(0)
     return EventModel(
@@ -241,12 +231,12 @@ def train_event_model(
     exists: np.ndarray,
     forward: np.ndarray,
     event_type: str,
-    hyper: EventHyper | None = None,
+    hyper: Hyper | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[EventModel, list[EpochRecord]]:
     """Joint SGD over the two heads on composed pairs and their two-bit
     labels (see ``event_loss_and_grads``)."""
-    hyper = hyper or EventHyper()
+    hyper = hyper or Hyper()
     rng = rng or np.random.default_rng(0)
     if np.unique(exists).size < 2:
         raise TrainingSetupError(
@@ -254,7 +244,7 @@ def train_event_model(
         )
     train_idx = vecent.oversample(exists, max_ratio=hyper.oversample_ratio, rng=rng)
 
-    model = new_event_model(input_dim=composed.shape[1], hidden=hyper.hidden, rng=rng)
+    model = new_event_model(input_dim=composed.shape[1], hidden=hyper.event_mlp_hidden, rng=rng)
     composed = np.asarray(composed[train_idx], dtype=model.exist_f1.A.dtype)
     y_exist = np.asarray(exists, dtype=np.float64)[train_idx, None]
     y_dir = np.asarray(forward, dtype=np.float64)[train_idx, None]
@@ -274,7 +264,7 @@ def decode_events(
     p_exists: np.ndarray,
     p_forward: np.ndarray,
     event_type: str,
-    threshold: float = 0.5,
+    threshold: float,
 ) -> list[Event]:
     """Two-bit predictions, one existence and one forward probability per
     pair, back to directed events; ``pairs`` may span any number of

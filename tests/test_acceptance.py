@@ -16,10 +16,10 @@ import pytest
 from bioee import evalkit, gradcheck, synth, vecent, vecom
 from bioee.cli import main
 from bioee.corpus import BB_SCHEMA, corpus_stats, load_corpus_dir
-from bioee.embed import PAD, load_table, make_hashed_table
+from bioee.embed import PAD, EmbeddingTable, load_table
 from bioee.evalkit import binary_metrics, cross_validate, micro_curves, plan_folds
-from bioee.vecent import ArgHyper, build_context, oversample
-from bioee.vecom import EventHyper, decode_events, gen_candidates, label_pairs
+from bioee.vecent import Hyper, build_context, oversample
+from bioee.vecom import decode_events, gen_candidates, label_pairs
 
 import fixtures
 
@@ -47,7 +47,7 @@ class TestCriterion2WindowFidelity:
     def test_worked_example_u3(self):
         corpus = fixtures.bgi_corpus()
         doc = next(d for d in corpus.documents if d.id == "GERE")
-        table = make_hashed_table(dim=8, seed=0)
+        table = EmbeddingTable(8, seed=0)
         w4 = build_context(doc.sentences[0], corpus.entity("GERE", "T4"), 3, table)
         w5 = build_context(doc.sentences[0], corpus.entity("GERE", "T5"), 3, table)
         ok = (
@@ -89,7 +89,7 @@ class TestCriterion3LabelDecodingRoundTrip:
                     exists, forward = label_pairs(pairs, list(corpus.events.values()), event_type)
                     decoded = {
                         (e.source, e.target)
-                        for e in decode_events(pairs, exists, forward, event_type)
+                        for e in decode_events(pairs, exists, forward, event_type, 0.5)
                     }
                     bad += len(decoded ^ gold)
         return bad, total_gold
@@ -114,7 +114,7 @@ class TestCriterion3LabelDecodingRoundTrip:
             exists, forward = label_pairs(pairs, list(corpus.events.values()), event_type)
             decoded |= {
                 (e.type, e.source, e.target)
-                for e in decode_events(pairs, exists, forward, event_type)
+                for e in decode_events(pairs, exists, forward, event_type, 0.5)
             }
         expected = {
             ("ActionTarget", "T1", "T2"),
@@ -163,12 +163,12 @@ class TestCriterion5SyntheticEndToEnd:
     def test_planted_patterns_reach_f090(self):
         start = time.perf_counter()
         corpus = synth.make_synthetic_corpus(n_sentences=500, seed=21)
-        table = make_hashed_table(dim=200, seed=21)
+        table = EmbeddingTable(200, seed=21)
         report = cross_validate(
             corpus,
             table,
-            arg_hyper=ArgHyper(),  # full-size defaults: u=10, 128/128, batch 32, 10 epochs
-            event_hyper=EventHyper(),  # 64 hidden, batch 32, 10 epochs
+            # full-size defaults: u=10, LSTM 128, MLPs 128/64, batch 32, 10 epochs
+            hyper=Hyper(),
             seed=21,
         )
         elapsed = time.perf_counter() - start

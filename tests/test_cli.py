@@ -1,12 +1,15 @@
 """End-to-end command tests: config handling, artifacts, determinism."""
 
+import argparse
 import dataclasses
 import json
 import math
 import platform
+import re
 import resource
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +17,9 @@ import pytest
 from bioee import cli, embed, ndiff, synth, vecent
 from bioee.cli import RunConfig, config_from_ini, config_to_ini, main
 from bioee.corpus import load_corpus_dir, load_schema
-from bioee.embed import make_hashed_table
+from bioee.embed import EmbeddingTable
 from bioee.errors import ConfigurationError
+from bioee.vecent import Hyper
 
 import fixtures
 
@@ -165,6 +169,141 @@ class TestConfigRanges:
                      "--threshold", "0", "--epochs", "1"]) == 0
 
 
+# The effective.ini of a run with every default; a change to it changes what
+# every run writes.
+DEFAULT_INI = """\
+[task]
+schema = bb
+train_dir = 
+predict_dir = 
+
+[embedding]
+embedding = hashed
+embedding_format = text
+oov = hashed
+oov_seed = 0
+dim = 200
+
+[hyper]
+window = 10
+lstm_hidden = 128
+arg_mlp_hidden = 128
+event_mlp_hidden = 64
+batch = 32
+epochs = 10
+dropout = 0.2
+lr = 0.01
+momentum = 0.9
+oversample_ratio = 5.0
+threshold = 0.5
+
+[run]
+seed = 7
+out = out
+doc_level_cv = False
+"""
+
+# Field -> a valid value other than its default.
+NON_DEFAULT = {
+    "window": 3,
+    "lstm_hidden": 12,
+    "arg_mlp_hidden": 9,
+    "event_mlp_hidden": 5,
+    "batch": 8,
+    "epochs": 2,
+    "dropout": 0.3,
+    "lr": 0.05,
+    "momentum": 0.5,
+    "oversample_ratio": 2.5,
+    "threshold": 0.7,
+    "schema": "bgi",
+    "train_dir": "corpus/train",
+    "predict_dir": "corpus/new",
+    "embedding": "vectors.bin",
+    "embedding_format": "binary",
+    "oov": "zero",
+    "oov_seed": 4,
+    "dim": 24,
+    "seed": 11,
+    "out": "runs/a",
+    "doc_level_cv": True,
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+class TestConfigSurface:
+    def test_default_ini_text(self):
+        assert config_to_ini(RunConfig()) == DEFAULT_INI
+
+    def test_option_strings(self):
+        parser = argparse.ArgumentParser()
+        cli._add_common(parser)
+        options = {opt for action in parser._actions for opt in action.option_strings}
+        fields = {_flag(f.name) for f in dataclasses.fields(RunConfig)}
+        assert len(fields) == 22
+        assert options == {
+            "-h", "--help", "--config", "--jobs", "--verbose", "--no-doc-level-cv", *fields
+        }
+
+    def test_every_field_has_a_test_value(self):
+        assert NON_DEFAULT.keys() == {f.name for f in dataclasses.fields(RunConfig)}
+        for name, value in NON_DEFAULT.items():
+            assert value != getattr(RunConfig(), name)
+
+    @pytest.mark.parametrize("name", NON_DEFAULT)
+    def test_flag_and_ini_set_field_alike(self, tmp_path, name):
+        value = NON_DEFAULT[name]
+        flags = [_flag(name)] if value is True else [_flag(name), str(value)]
+        by_flag = cli._build_config(cli._parser().parse_args(["ingest", *flags]))
+        section = next(sec for sec, keys in cli._INI_LAYOUT.items() if name in keys)
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n{name} = {value}\n", encoding="utf-8")
+        by_ini = cli._build_config(cli._parser().parse_args(["ingest", "--config", str(path)]))
+        assert by_flag == by_ini == RunConfig(**{name: value})
+
+    def test_hyper_defaults_are_the_readme_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = dict(re.findall(r"^\| `(\w+)` +\| ([^ |]+) +\|", readme, flags=re.M))
+        hyper = Hyper()
+        assert list(table) == [f.name for f in dataclasses.fields(Hyper)]
+        for name, text in table.items():
+            default = getattr(hyper, name)
+            assert type(default)(text) == default, name
+
+
+# (field, a value outside its choices)
+BAD_CHOICES = [("oov", "bogus"), ("embedding_format", "csv")]
+
+
+class TestConfigChoices:
+    @pytest.mark.parametrize("name, value", BAD_CHOICES)
+    @pytest.mark.parametrize("source", ["flag", "ini"])
+    def test_bad_choice_is_json_error(self, tmp_path, bgi_dir, capsys, name, value, source):
+        argv = ["ingest", "--schema", "bgi", "--train-dir", str(bgi_dir),
+                "--out", str(tmp_path / "out")]
+        if source == "flag":
+            argv += [_flag(name), value]
+        else:
+            path = tmp_path / "run.ini"
+            path.write_text(f"[embedding]\n{name} = {value}\n", encoding="utf-8")
+            argv += ["--config", str(path)]
+        assert main(argv) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigurationError"
+        assert payload["message"].startswith(f"{name} must be one of ")
+        assert payload["message"].endswith(f"got {value}")
+        assert not (tmp_path / "out").exists()  # stopped before any work
+
+    def test_every_choice_accepted(self, tmp_path, bgi_dir):
+        for name, choices in cli._CHOICES.items():
+            for value in choices:
+                assert main(["ingest", "--schema", "bgi", "--train-dir", str(bgi_dir),
+                             "--out", str(tmp_path / "out"), _flag(name), value]) == 0
+
+
 class TestIngest:
     def test_stats_written(self, tmp_path, bgi_dir, capsys):
         out = tmp_path / "out"
@@ -181,7 +320,7 @@ class TestIngest:
                      "--out", str(out)]) == 0
         padding = json.loads((out / "stats.json").read_text())["window_padding"]
         corpus = load_corpus_dir(bgi_dir, load_schema("bgi"))
-        windows = vecent.build_entity_windows(corpus, 3, make_hashed_table(dim=4))
+        windows = vecent.build_entity_windows(corpus, 3, EmbeddingTable(4))
         halves = [w for win in windows.values() for w in (win.left, win.right)]
         lead = sum(int((~np.logical_or.accumulate(w.any(axis=1))).sum()) for w in halves)
         assert padding == {

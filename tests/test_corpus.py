@@ -86,6 +86,9 @@ class TestSplitSentences:
         for ent in corpus.doc_entities("GERE"):
             assert lo <= ent.span[0] and ent.span[1] <= hi
 
+    def test_mark_right_after_entity_splits(self):
+        assert split_sentences("Gene cotB. Then", [(5, 9)]) == [(0, 10), (11, 15)]
+
     def test_digit_starts_new_sentence(self):
         assert len(split_sentences("Done already. 12 strains grew.")) == 2
 
@@ -199,6 +202,116 @@ class TestParseStandoff:
         corpus = fixtures.bb_corpus()
         assert corpus.events[Corpus.qualify("BB-2", "R2")].cross_sentence
         assert not corpus.events[Corpus.qualify("BB-2", "R1")].cross_sentence
+
+
+# The sentence splitting and entity placement of parse_standoff as they were
+# before they became sweeps: a scan of every protected span per punctuation
+# mark, of every sentence per entity, and of every token per entity. The
+# tests below hold the sweeps to them.
+
+
+def _split_sentences_scan(text, protected_spans):
+    protected = sorted(protected_spans)
+    n = len(text)
+    cuts = []
+    for i, ch in enumerate(text):
+        if ch not in ".!?":
+            continue
+        if any(s <= i < e for s, e in protected):
+            continue
+        j = i + 1
+        if j >= n or not text[j].isspace():
+            continue
+        while j < n and text[j].isspace():
+            j += 1
+        if j < n and (text[j].isupper() or text[j].isdigit()):
+            cuts.append(i + 1)
+    intervals = []
+    start = 0
+    for cut in cuts + [n]:
+        s, e = start, cut
+        while s < e and text[s].isspace():
+            s += 1
+        while e > s and text[e - 1].isspace():
+            e -= 1
+        if e > s:
+            intervals.append((s, e))
+        start = cut
+    return intervals
+
+
+def _place_entities_scan(text, spans):
+    """(sentence intervals, id -> (sentence_index, token_span,
+    partial_tokens)), or the AlignmentError message."""
+    intervals = _split_sentences_scan(text, spans)
+    sentences = [
+        [(t.span[0] + s, t.span[1] + s, t.index) for t in tokenize(text[s:e])]
+        for s, e in intervals
+    ]
+    home = {}
+    for n, (s, e) in enumerate(spans, start=1):
+        for idx, (ss, se) in enumerate(intervals):
+            if s >= ss and e <= se:
+                home[f"T{n}"] = idx
+                break
+        else:
+            return f"entity T{n} span {(s, e)} lies in no sentence of doc"
+    placed = {}
+    for idx, tokens in enumerate(sentences):
+        for n, (s, e) in enumerate(spans, start=1):
+            if home[f"T{n}"] != idx:
+                continue
+            covering = [t for t in tokens if t[0] < e and t[1] > s]
+            if not covering:
+                return f"entity T{n} span {(s, e)} covers no token"
+            partial = covering[0][0] < s or covering[-1][1] > e
+            placed[f"T{n}"] = (idx, (covering[0][2], covering[-1][2]), partial)
+    return intervals, placed
+
+
+_PIECES = ["ab", "Ab", "B", "1", "a.b", ".", "!", "?", " ", "\n", "(", ")", "-", ". B", "? 1", "!\nAb"]
+
+
+@st.composite
+def _texts_and_spans(draw):
+    """A text of word-like pieces, and entity spans that mostly start and
+    end at piece boundaries, so they often end right before a mark."""
+    pieces = draw(st.lists(st.sampled_from(_PIECES), max_size=40))
+    text = "".join(pieces)
+    bounds = sorted({0, *(len("".join(pieces[:k])) for k in range(1, len(pieces) + 1))})
+    offsets = st.sampled_from(bounds) | st.integers(0, len(text))
+    spans = []
+    for _ in range(draw(st.integers(0, 8)) if text else 0):
+        s, e = sorted((draw(offsets), draw(offsets)))
+        if s < e and "\n" not in text[s:e]:  # a surface holds no line break
+            spans.append((s, e))
+    return text, spans
+
+
+class TestSweepsMatchScans:
+    @given(_texts_and_spans(), st.lists(st.tuples(st.integers(-3, 90), st.integers(-3, 90))))
+    @settings(max_examples=300, deadline=None)
+    def test_split_sentences(self, doc, extra_spans):
+        text, spans = doc
+        protected = spans + extra_spans  # overlapping, empty and out-of-range spans too
+        assert split_sentences(text, protected) == _split_sentences_scan(text, protected)
+
+    @given(_texts_and_spans())
+    @settings(max_examples=300, deadline=None)
+    def test_parse_standoff_places_entities(self, doc):
+        text, spans = doc
+        a1 = "".join(f"T{n}\tGene {s} {e}\t{text[s:e]}\n" for n, (s, e) in enumerate(spans, 1))
+        expected = _place_entities_scan(text, spans)
+        if isinstance(expected, str):
+            with pytest.raises(AlignmentError) as err:
+                parse_standoff(text, a1, "", BB_SCHEMA)
+            assert str(err.value) == expected
+            return
+        parsed, entities, _ = parse_standoff(text, a1, "", BB_SCHEMA)
+        assert [sent.span for sent in parsed.sentences] == expected[0]
+        assert {
+            tid: (e.sentence_index, e.token_span, e.partial_tokens) for tid, e in entities.items()
+        } == expected[1]
 
 
 class TestWriteStandoff:

@@ -14,7 +14,6 @@ from bioee.embed import (
     EmbeddingTable,
     _hash_seed,
     load_table,
-    make_hashed_table,
 )
 from bioee.errors import FormatError
 
@@ -115,20 +114,20 @@ class TestLoadBinary:
 
 class TestLookup:
     def test_pad_is_zero(self):
-        table = make_hashed_table(dim=16, seed=7)
+        table = EmbeddingTable(16, seed=7)
         np.testing.assert_array_equal(table.lookup(PAD), np.zeros(16))
 
     def test_oov_hashed_is_deterministic(self):
-        table = make_hashed_table(dim=16, seed=7)
+        table = EmbeddingTable(16, seed=7)
         np.testing.assert_array_equal(table.lookup("cotB"), table.lookup("cotB"))
 
     def test_different_seeds_differ(self):
-        a = make_hashed_table(dim=16, seed=1).lookup("cotB")
-        b = make_hashed_table(dim=16, seed=2).lookup("cotB")
+        a = EmbeddingTable(16, seed=1).lookup("cotB")
+        b = EmbeddingTable(16, seed=2).lookup("cotB")
         assert not np.allclose(a, b)
 
     def test_repeated_oov_lookups_share_one_read_only_vector(self):
-        table = make_hashed_table(dim=16, seed=7)
+        table = EmbeddingTable(16, seed=7)
         first, again = table.lookup("cotB"), table.lookup("cotB")
         drawn = np.random.Generator(np.random.PCG64(_hash_seed(7, "cotB"))).standard_normal(16)
         drawn = drawn.astype(np.float32)  # drawn in float64, stored rounded
@@ -137,7 +136,7 @@ class TestLookup:
             assert not vec.flags.writeable
             with pytest.raises(ValueError):
                 vec[0] = 1.0
-        assert not np.allclose(make_hashed_table(dim=16, seed=8).lookup("cotB"), first)
+        assert not np.allclose(EmbeddingTable(16, seed=8).lookup("cotB"), first)
 
     def test_zero_policy(self):
         table = EmbeddingTable(dim=8, oov_policy=OOV_ZERO)
@@ -149,10 +148,10 @@ class TestLookup:
         np.testing.assert_allclose(table.lookup("COTB"), [2, 2])  # falls back to lowercase
 
     def test_same_seed_same_vector_across_processes(self):
-        table = make_hashed_table(dim=4, seed=11)
+        table = EmbeddingTable(4, seed=11)
         code = (
-            "import numpy as np; from bioee.embed import make_hashed_table; "
-            "print(repr(make_hashed_table(dim=4, seed=11).lookup('gerE').tolist()))"
+            "import numpy as np; from bioee.embed import EmbeddingTable; "
+            "print(repr(EmbeddingTable(4, seed=11).lookup('gerE').tolist()))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
@@ -162,20 +161,20 @@ class TestLookup:
 
 class TestHashedTable:
     def test_total_lookup_function(self):
-        table = make_hashed_table(dim=16, seed=7)
+        table = EmbeddingTable(16, seed=7)
         for word in ["cotB", "", "x" * 100, "UPPER", "with space"]:
             vec = table.lookup(word)
             assert vec.shape == (16,)
             assert np.isfinite(vec).all()
 
     def test_component_moments_over_10k_words(self):
-        table = make_hashed_table(dim=8, seed=3)
+        table = EmbeddingTable(8, seed=3)
         vals = np.concatenate([table.lookup(f"word{i}") for i in range(10_000)])
         assert abs(vals.mean()) < 0.05
         assert abs(vals.var() - 1.0) < 0.05
 
     def test_collision_rate_under_one_in_a_thousand(self):
-        table = make_hashed_table(dim=8, seed=3)
+        table = EmbeddingTable(8, seed=3)
         keys = {tuple(np.round(table.lookup(f"word{i}"), 12)) for i in range(10_000)}
         assert len(keys) >= 10_000 * 0.999
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bioee import evalkit, synth, vecent, vecom
-from bioee.embed import make_hashed_table
+from bioee.embed import EmbeddingTable
 from bioee.errors import PlanningError
 from bioee.evalkit import (
     binary_metrics,
@@ -18,8 +18,7 @@ from bioee.evalkit import (
     plan_folds,
     report_json,
 )
-from bioee.vecent import ArgHyper
-from bioee.vecom import EventHyper
+from bioee.vecent import Hyper
 
 
 def _labels(n_pos, n_neg, seed=0):
@@ -349,9 +348,9 @@ class TestMicroCurves:
 
 
 def _tiny_settings():
-    arg_hyper = ArgHyper(u=2, lstm_hidden=4, mlp_hidden=4, batch=16, epochs=2)
-    event_hyper = EventHyper(hidden=4, batch=16, epochs=2)
-    return arg_hyper, event_hyper
+    return Hyper(
+        window=2, lstm_hidden=4, arg_mlp_hidden=4, event_mlp_hidden=4, batch=16, epochs=2
+    )
 
 
 @pytest.fixture(scope="module")
@@ -361,12 +360,11 @@ def small_corpus():
 
 @pytest.fixture(scope="module")
 def report(small_corpus):
-    arg_hyper, event_hyper = _tiny_settings()
+    hyper = _tiny_settings()
     return cross_validate(
         small_corpus,
-        make_hashed_table(dim=8, seed=2),
-        arg_hyper=arg_hyper,
-        event_hyper=event_hyper,
+        EmbeddingTable(8, seed=2),
+        hyper=hyper,
         seed=99,
     )
 
@@ -389,12 +387,11 @@ class TestCrossValidate:
         assert report.micro_events is not None
 
     def test_deterministic_given_seed(self, small_corpus, report):
-        arg_hyper, event_hyper = _tiny_settings()
+        hyper = _tiny_settings()
         again = cross_validate(
             small_corpus,
-            make_hashed_table(dim=8, seed=2),
-            arg_hyper=arg_hyper,
-            event_hyper=event_hyper,
+            EmbeddingTable(8, seed=2),
+            hyper=hyper,
             seed=99,
         )
         assert report_json(again) == report_json(report)
@@ -409,12 +406,11 @@ class TestCrossValidate:
             return train(samples, hyper, rng=rng, arg_type=arg_type)
 
         monkeypatch.setattr(vecent, "train_argument_model", spy)
-        arg_hyper, event_hyper = _tiny_settings()
+        hyper = _tiny_settings()
         report = cross_validate(
             corpus,
-            make_hashed_table(dim=8, seed=2),
-            arg_hyper=arg_hyper,
-            event_hyper=event_hyper,
+            EmbeddingTable(8, seed=2),
+            hyper=hyper,
             default_k=5,
             seed=99,
         )
@@ -430,12 +426,11 @@ class TestCrossValidate:
 
 
 def _doc_level_report(corpus):
-    arg_hyper, event_hyper = _tiny_settings()
+    hyper = _tiny_settings()
     return cross_validate(
         corpus,
-        make_hashed_table(dim=8, seed=2),
-        arg_hyper=arg_hyper,
-        event_hyper=event_hyper,
+        EmbeddingTable(8, seed=2),
+        hyper=hyper,
         seed=99,
         doc_level=True,
         default_k=10,

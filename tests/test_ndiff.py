@@ -27,7 +27,7 @@ from bioee.ndiff import (
     sgd_step,
     weighted_bce,
 )
-from bioee.embed import make_hashed_table
+from bioee.embed import EmbeddingTable
 from bioee.vecent import ArgSample, ContextWindow
 
 import fixtures
@@ -170,7 +170,7 @@ class TestElementwise:
     def test_concat(self):
         # The BLSTM encoding is the left-to-right state, then the right-to-left.
         rng = np.random.default_rng(35)
-        model = vecent.new_argument_model("t", 3, 4, 2, rng=rng)
+        model = vecent.new_argument_model("t", 3, 4, 2, dropout=0.2, rng=rng)
         left, right = rng.standard_normal((2, 2, 5, 3))
         np.testing.assert_array_equal(
             vecent._encode(model, left, right),
@@ -611,12 +611,16 @@ class TestSGD:
 
     def test_non_finite_gradient_names_parameter(self):
         with pytest.raises(TrainingError, match="weights"):
-            sgd_step(SGDState(), {"weights": np.array([1.0])}, {"weights": np.array([np.nan])})
+            sgd_step(
+                SGDState(learning_rate=0.01, momentum=0.9),
+                {"weights": np.array([1.0])},
+                {"weights": np.array([np.nan])},
+            )
 
     def test_missing_gradient_names_parameter(self):
         p = np.array([1.0])
         with pytest.raises(TrainingError, match="no gradient for parameter 'weights'"):
-            sgd_step(SGDState(), {"weights": p}, {})
+            sgd_step(SGDState(learning_rate=0.01, momentum=0.9), {"weights": p}, {})
         np.testing.assert_array_equal(p, [1.0])
 
     def test_in_place_momentum_matches_reference_bit_for_bit(self):
@@ -770,7 +774,7 @@ class TestFiniteInvariant:
             left, right = rng.standard_normal((2, 4, 6))
             samples.append(ArgSample(ContextWindow([], [], left, right), k % 3 == 0, f"E{k}"))
         samples[5].window.left[2, 1] = np.nan
-        hyper = vecent.ArgHyper(lstm_hidden=4, mlp_hidden=3, batch=4, epochs=1)
+        hyper = vecent.Hyper(lstm_hidden=4, arg_mlp_hidden=3, batch=4, epochs=1)
         with pytest.raises(TrainingError, match="non-finite gradient for parameter 'fwd.A'"):
             vecent.train_argument_model(samples, hyper, rng=rng)
 
@@ -821,7 +825,7 @@ class TestFloat32:
     @staticmethod
     def _windows():
         corpus = fixtures.bgi_corpus()
-        return corpus, vecent.build_entity_windows(corpus, 4, make_hashed_table(dim=12, seed=3))
+        return corpus, vecent.build_entity_windows(corpus, 4, EmbeddingTable(12, seed=3))
 
     def test_argument_training_step(self, monkeypatch):
         _, windows = self._windows()
@@ -829,7 +833,7 @@ class TestFloat32:
         seen = _record_training_arrays(monkeypatch, vecent, "argument_loss_and_grads")
         # One batch holds every row, so one epoch is one step; the default
         # dropout draws a mask.
-        hyper = vecent.ArgHyper(u=4, lstm_hidden=6, mlp_hidden=5, batch=1000, epochs=1)
+        hyper = vecent.Hyper(window=4, lstm_hidden=6, arg_mlp_hidden=5, batch=1000, epochs=1)
         model, _ = vecent.train_argument_model(samples, hyper, rng=np.random.default_rng(0))
 
         names = model.parameters().keys()
@@ -850,13 +854,15 @@ class TestFloat32:
     def test_event_training_step(self, monkeypatch):
         corpus, windows = self._windows()
         rng = np.random.default_rng(1)
-        models = {role: vecent.new_argument_model(role, 12, 6, 5, rng=rng) for role in "ST"}
+        models = {
+            role: vecent.new_argument_model(role, 12, 6, 5, dropout=0.2, rng=rng) for role in "ST"
+        }
         pairs = vecom.candidate_pairs(corpus)
         embeddings, rows = vecom.embed_pair_entities(pairs, models, windows)
         composed = vecom.compose_pairs(embeddings, rows, ("S", "T"))
         exists = np.arange(len(pairs)) % 2
         seen = _record_training_arrays(monkeypatch, vecom, "event_loss_and_grads")
-        hyper = vecom.EventHyper(hidden=4, batch=10_000, epochs=1)
+        hyper = vecent.Hyper(event_mlp_hidden=4, batch=10_000, epochs=1)
         model, _ = vecom.train_event_model(composed, exists, exists, "E", hyper, rng=rng)
 
         names = model.parameters().keys()
@@ -868,7 +874,7 @@ class TestFloat32:
         )
 
     def test_checkpoint_round_trip_bit_for_bit(self, tmp_path):
-        model = vecent.new_argument_model("t", 7, 5, 4, rng=np.random.default_rng(3))
+        model = vecent.new_argument_model("t", 7, 5, 4, dropout=0.2, rng=np.random.default_rng(3))
         f32 = np.finfo(np.float32)
         model.f1.A[0, :4] = [f32.max, f32.smallest_subnormal, -0.0, 1.0 + f32.eps]
         path = tmp_path / "arg.ckpt"

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bioee import ndiff, vecent
-from bioee.embed import PAD, make_hashed_table
+from bioee.embed import PAD, EmbeddingTable
 from bioee.errors import TrainingSetupError
 from bioee.vecent import (
-    ArgHyper,
     ArgSample,
     ContextWindow,
+    Hyper,
     argument_embeddings,
     build_argument_samples,
     build_context,
@@ -33,7 +33,7 @@ def bgi():
 
 @pytest.fixture(scope="module")
 def table():
-    return make_hashed_table(dim=12, seed=5)
+    return EmbeddingTable(12, seed=5)
 
 
 def _gere_sentence(corpus):
@@ -90,14 +90,14 @@ class TestEncode:
 
     def test_output_is_twice_hidden(self, bgi, table):
         model = new_argument_model("t", table.dim, lstm_hidden=16, mlp_hidden=8,
-                                   rng=np.random.default_rng(0))
+                                   dropout=0.2, rng=np.random.default_rng(0))
         w = build_context(_gere_sentence(bgi), bgi.entity("GERE", "T4"), 3, table)
         assert model.f1.A.shape == (8, 32)  # f1 reads the encoding
         assert argument_embeddings(model, [w]).shape == (1, 8)
 
     def test_all_pad_windows_encode_identically(self, table):
         model = new_argument_model("t", table.dim, lstm_hidden=8, mlp_hidden=4,
-                                   rng=np.random.default_rng(1))
+                                   dropout=0.2, rng=np.random.default_rng(1))
         pad_vec = np.zeros((4, table.dim))
         w1 = ContextWindow([PAD] * 4, [PAD] * 4, pad_vec, pad_vec)
         w2 = ContextWindow([PAD] * 4, [PAD] * 4, pad_vec.copy(), pad_vec.copy())
@@ -108,7 +108,7 @@ class TestEncode:
 
     def test_swapping_halves_changes_encoding(self, bgi, table):
         model = new_argument_model("t", table.dim, lstm_hidden=8, mlp_hidden=4,
-                                   rng=np.random.default_rng(2))
+                                   dropout=0.2, rng=np.random.default_rng(2))
         w = build_context(_gere_sentence(bgi), bgi.entity("GERE", "T4"), 3, table)
         swapped = ContextWindow(w.right_tokens, w.left_tokens, w.right, w.left)
         assert not np.allclose(
@@ -120,7 +120,7 @@ class TestArgForward:
     """Argument-role probabilities from ``predict_probs``."""
 
     def test_probability_range(self, bgi, table):
-        model = new_argument_model("t", table.dim, 8, 4, rng=np.random.default_rng(3))
+        model = new_argument_model("t", table.dim, 8, 4, dropout=0.2, rng=np.random.default_rng(3))
         windows = [build_context(_gere_sentence(bgi), ent, 3, table)
                    for ent in bgi.doc_entities("GERE")]
         probs = predict_probs(model, windows)
@@ -128,7 +128,7 @@ class TestArgForward:
         assert np.all((0.0 < probs) & (probs < 1.0))
 
     def test_zero_weight_model_gives_half(self, bgi, table):
-        model = new_argument_model("t", table.dim, 8, 4, rng=np.random.default_rng(4))
+        model = new_argument_model("t", table.dim, 8, 4, dropout=0.2, rng=np.random.default_rng(4))
         for t in model.parameters().values():
             t[...] = 0.0
         w = build_context(_gere_sentence(bgi), bgi.entity("GERE", "T4"), 3, table)
@@ -221,7 +221,7 @@ def _separable_samples(n=200, dim=8, u=2, seed=0):
 
 class TestTraining:
     def test_separable_data_reaches_95_accuracy(self):
-        hyper = ArgHyper(u=2, lstm_hidden=8, mlp_hidden=6, batch=16, epochs=10, lr=0.05)
+        hyper = Hyper(window=2, lstm_hidden=8, arg_mlp_hidden=6, batch=16, epochs=10, lr=0.05)
         model, log = train_argument_model(
             _separable_samples(), hyper, rng=np.random.default_rng(0), arg_type="t"
         )
@@ -229,7 +229,7 @@ class TestTraining:
         assert log[-1].loss < log[0].loss  # monotone improvement on separable data
 
     def test_zero_epochs_returns_initialized_model(self):
-        hyper = ArgHyper(u=2, lstm_hidden=8, mlp_hidden=6, epochs=0)
+        hyper = Hyper(window=2, lstm_hidden=8, arg_mlp_hidden=6, epochs=0)
         model, log = train_argument_model(
             _separable_samples(n=20), hyper, rng=np.random.default_rng(0), arg_type="t"
         )
@@ -248,13 +248,13 @@ class TestTraining:
         samples = _separable_samples(n=40)[:30]  # 15 pos / 15 neg
         # Drop positives to force oversampling: keep 3 positives.
         samples = [s for s in samples if s.label == 0] + [s for s in samples if s.label == 1][:3]
-        hyper = ArgHyper(u=2, lstm_hidden=4, mlp_hidden=4, epochs=1)
+        hyper = Hyper(window=2, lstm_hidden=4, arg_mlp_hidden=4, epochs=1)
         train_argument_model(samples, hyper, rng=np.random.default_rng(0), arg_type="t")
         assert seen["labels"] == [s.label for s in samples]  # not the duplicated set
 
     def test_bgi_fixture_trains_one_model_per_argument_type(self, bgi, table):
-        hyper = ArgHyper(u=3, lstm_hidden=6, mlp_hidden=4, batch=8, epochs=1)
-        windows = build_entity_windows(bgi, hyper.u, table)
+        hyper = Hyper(window=3, lstm_hidden=6, arg_mlp_hidden=4, batch=8, epochs=1)
+        windows = build_entity_windows(bgi, hyper.window, table)
         models = {}
         for arg_type in bgi.task_schema.argument_types:
             samples = build_argument_samples(bgi, arg_type, windows)
@@ -274,12 +274,12 @@ class TestTraining:
 
 class TestArgumentEmbedding:
     def test_dimension_is_mlp_hidden(self, bgi, table):
-        model = new_argument_model("t", table.dim, 8, 5, rng=np.random.default_rng(6))
+        model = new_argument_model("t", table.dim, 8, 5, dropout=0.2, rng=np.random.default_rng(6))
         w = build_context(_gere_sentence(bgi), bgi.entity("GERE", "T4"), 3, table)
         assert argument_embeddings(model, [w]).shape == (1, 5)
 
     def test_zero_weight_model_gives_zero_vector(self, bgi, table):
-        model = new_argument_model("t", table.dim, 8, 5, rng=np.random.default_rng(7))
+        model = new_argument_model("t", table.dim, 8, 5, dropout=0.2, rng=np.random.default_rng(7))
         for t in model.parameters().values():
             t[...] = 0.0
         w = build_context(_gere_sentence(bgi), bgi.entity("GERE", "T4"), 3, table)
@@ -295,13 +295,13 @@ class TestArgumentEmbedding:
 
     def test_embedding_is_preactivation(self, bgi, table):
         # Values outside (-1, 1) prove no tanh was applied.
-        model = new_argument_model("t", table.dim, 8, 5, rng=np.random.default_rng(9))
+        model = new_argument_model("t", table.dim, 8, 5, dropout=0.2, rng=np.random.default_rng(9))
         model.f1.A *= 50.0
         w = build_context(_gere_sentence(bgi), bgi.entity("GERE", "T4"), 3, table)
         assert np.abs(argument_embeddings(model, [w])).max() > 1.0
 
     def test_batch_matches_single(self, bgi, table):
-        model = new_argument_model("t", table.dim, 8, 5, rng=np.random.default_rng(10))
+        model = new_argument_model("t", table.dim, 8, 5, dropout=0.2, rng=np.random.default_rng(10))
         model = model.astype(np.float64)
         windows = [
             build_context(_gere_sentence(bgi), bgi.entity("GERE", tid), 3, table)
@@ -313,7 +313,7 @@ class TestArgumentEmbedding:
 
     def test_chunked_inference_matches_row_by_row(self, bgi, table, monkeypatch):
         monkeypatch.setattr(ndiff, "INFERENCE_CHUNK", 4)
-        model = new_argument_model("t", table.dim, 8, 5, rng=np.random.default_rng(11))
+        model = new_argument_model("t", table.dim, 8, 5, dropout=0.2, rng=np.random.default_rng(11))
         model = model.astype(np.float64)
         windows = list(build_entity_windows(bgi, 3, table).values())[:10]
         assert len(ndiff.inference_chunks(len(windows))) == 3

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from bioee import ndiff, vecent, vecom
-from bioee.embed import make_hashed_table
+from bioee.embed import EmbeddingTable
 from bioee.errors import ConfigurationError, DataError, TrainingSetupError
+from bioee.vecent import Hyper
 from bioee.vecom import (
     CandidatePair,
-    EventHyper,
     candidate_pairs,
     compose_pairs,
     decode_events,
@@ -32,7 +32,7 @@ def bgi():
 
 @pytest.fixture(scope="module")
 def table():
-    return make_hashed_table(dim=10, seed=9)
+    return EmbeddingTable(10, seed=9)
 
 
 def _sentence_pairs(corpus, doc_id, sidx=0):
@@ -144,10 +144,10 @@ class TestLabelPairs:
 def _role_models(table, seed_s, seed_t):
     return {
         "Action": vecent.new_argument_model(
-            "Action", table.dim, 6, 5, rng=np.random.default_rng(seed_s)
+            "Action", table.dim, 6, 5, dropout=0.2, rng=np.random.default_rng(seed_s)
         ),
         "Target": vecent.new_argument_model(
-            "Target", table.dim, 6, 5, rng=np.random.default_rng(seed_t)
+            "Target", table.dim, 6, 5, dropout=0.2, rng=np.random.default_rng(seed_t)
         ),
     }
 
@@ -309,14 +309,14 @@ def _separable_pairs(n=160, dim=12, seed=0):
 
 class TestTrainEventModel:
     def test_separable_pairs_reach_95_accuracy(self):
-        hyper = EventHyper(hidden=8, batch=16, epochs=10, lr=0.05)
+        hyper = Hyper(event_mlp_hidden=8, batch=16, epochs=10, lr=0.05)
         model, log = train_event_model(
             *_separable_pairs(), "E", hyper, rng=np.random.default_rng(0)
         )
         assert log[-1].accuracy >= 0.95
 
     def test_zero_epochs_returns_initialized_model(self):
-        hyper = EventHyper(hidden=8, epochs=0)
+        hyper = Hyper(event_mlp_hidden=8, epochs=0)
         model, log = train_event_model(
             *_separable_pairs(n=20), "E", hyper, rng=np.random.default_rng(0)
         )
@@ -327,12 +327,12 @@ class TestTrainEventModel:
         keep = exists == 1
         with pytest.raises(TrainingSetupError):
             train_event_model(
-                composed[keep], exists[keep], forward[keep], "E", EventHyper(),
+                composed[keep], exists[keep], forward[keep], "E", Hyper(),
                 np.random.default_rng(0),
             )
 
     def test_direction_learned_on_separable_pairs(self):
-        hyper = EventHyper(hidden=8, batch=16, epochs=12, lr=0.05)
+        hyper = Hyper(event_mlp_hidden=8, batch=16, epochs=12, lr=0.05)
         composed, exists, forward = _separable_pairs()
         model, _ = train_event_model(
             composed, exists, forward, "E", hyper, rng=np.random.default_rng(0)
@@ -344,23 +344,23 @@ class TestTrainEventModel:
 class TestDecodeEvents:
     def test_forward_bit_orients_first_to_second(self):
         pairs = [_pair_stub("D", "T1", "T2"), _pair_stub("D", "T2", "T1")]
-        events = decode_events(pairs, [1.0, 1.0], [1.0, 0.0], "ActionTarget")
+        events = decode_events(pairs, [1.0, 1.0], [1.0, 0.0], "ActionTarget", 0.5)
         assert len(events) == 1
         assert (events[0].source, events[0].target) == ("T1", "T2")
 
     def test_zero_bit_orients_second_to_first(self):
         pairs = [_pair_stub("D", "T2", "T3"), _pair_stub("D", "T3", "T2")]
-        events = decode_events(pairs, [0.9, 0.2], [0.0, 0.9], "Interaction")
+        events = decode_events(pairs, [0.9, 0.2], [0.0, 0.9], "Interaction", 0.5)
         assert len(events) == 1
         assert (events[0].source, events[0].target) == ("T3", "T2")
 
     def test_below_threshold_yields_nothing(self):
         pairs = [_pair_stub("D", "T1", "T2"), _pair_stub("D", "T2", "T1")]
-        assert decode_events(pairs, [0.4, 0.3], [1.0, 0.2], "E") == []
+        assert decode_events(pairs, [0.4, 0.3], [1.0, 0.2], "E", 0.5) == []
 
     def test_higher_existence_ordering_wins(self):
         pairs = [_pair_stub("D", "T1", "T2"), _pair_stub("D", "T2", "T1")]
-        events = decode_events(pairs, [0.6, 0.8], [0.9, 0.9], "E")
+        events = decode_events(pairs, [0.6, 0.8], [0.9, 0.9], "E", 0.5)
         assert len(events) == 1
         # (T2, T1) scored higher and its forward bit points T2 -> T1
         assert (events[0].source, events[0].target) == ("T2", "T1")
@@ -377,10 +377,12 @@ class TestDecodeEvents:
             per_sentence = []
             for idx in by_sentence.values():
                 per_sentence.extend(
-                    decode_events([pairs[i] for i in idx], p_exists[idx], p_forward[idx], event_type)
+                    decode_events(
+                        [pairs[i] for i in idx], p_exists[idx], p_forward[idx], event_type, 0.5
+                    )
                 )
             assert per_sentence
-            assert decode_events(pairs, p_exists, p_forward, event_type) == per_sentence
+            assert decode_events(pairs, p_exists, p_forward, event_type, 0.5) == per_sentence
 
 
 class TestGoldRoundTrip:
@@ -396,7 +398,7 @@ class TestGoldRoundTrip:
                     exists, forward = label_pairs(pairs, list(corpus.events.values()), event_type)
                     decoded = {
                         (e.source, e.target)
-                        for e in decode_events(pairs, exists, forward, event_type)
+                        for e in decode_events(pairs, exists, forward, event_type, 0.5)
                     }
                     gold = {
                         (e.source, e.target)
@@ -421,7 +423,7 @@ class TestGoldRoundTrip:
         decoded = []
         for event_type in bgi.task_schema.event_types:
             exists, forward = label_pairs(pairs, list(bgi.events.values()), event_type)
-            decoded.extend(decode_events(pairs, exists, forward, event_type))
+            decoded.extend(decode_events(pairs, exists, forward, event_type, 0.5))
         got = {(e.type, e.source, e.target) for e in decoded}
         assert got == {
             ("ActionTarget", "T1", "T2"),
@@ -437,7 +439,7 @@ class TestBuildPairSamples:
     def test_features_and_labels_align(self, bgi, table):
         rng = np.random.default_rng(0)
         arg_models = {
-            role: vecent.new_argument_model(role, table.dim, 6, 5, rng=rng)
+            role: vecent.new_argument_model(role, table.dim, 6, 5, dropout=0.2, rng=rng)
             for role in ("Action", "Target")
         }
         windows = vecent.build_entity_windows(bgi, 3, table)
