@@ -170,7 +170,7 @@ def _checkpoint_paths(
 ) -> tuple[dict[str, Path], dict]:
     """The path of every checkpoint that ``train-<stage>`` listed in
     ``<out>/<stage>/manifest.json`` under ``<noun>_types``, by name, and the
-    manifest, which must also hold the ``required`` entries."""
+    manifest, which must also hold the ``required`` entries, each an int >= 1."""
     directory = Path(cfg.out) / stage
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -184,8 +184,19 @@ def _checkpoint_paths(
     for key in (f"{noun}_types", *required):
         if not isinstance(manifest, dict) or key not in manifest:
             raise ConfigurationError(f"{manifest_path}: manifest has no {key!r} entry")
+    names = manifest[f"{noun}_types"]
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise ConfigurationError(
+            f"{manifest_path}: manifest entry '{noun}_types' must be a list of names, got {names!r}"
+        )
+    for key in required:
+        if type(manifest[key]) is not int or manifest[key] < 1:  # bool is an int subclass
+            raise ConfigurationError(
+                f"{manifest_path}: manifest entry {key!r} must be an int >= 1, "
+                f"got {manifest[key]!r}"
+            )
     paths = {}
-    for name in manifest[f"{noun}_types"]:
+    for name in names:
         paths[name] = directory / f"{name}.ckpt"
         if not paths[name].exists():
             raise ConfigurationError(f"missing {noun} checkpoint {paths[name]}")
@@ -238,16 +249,17 @@ def cmd_train_args(cfg: RunConfig) -> int:
     args_dir.mkdir(exist_ok=True)
 
     windows = vecent.build_entity_windows(corpus, cfg.window, table)
+    qids = sorted(windows)
+    ordered = [windows[q] for q in qids]
     trained = corpus.task_schema.argument_types
-    for arg_type in trained:
-        samples = vecent.build_argument_samples(corpus, arg_type, windows)
+    for arg_type, labels in vecent.argument_labels(corpus, qids).items():
         rng = child_rng(cfg.seed, f"cmd/train-args/{arg_type}")
-        model, log = vecent.train_argument_model(samples, cfg, rng=rng, arg_type=arg_type)
+        model, log = vecent.train_argument_model(ordered, labels, cfg, rng=rng, arg_type=arg_type)
         _save_model(model, args_dir / f"{arg_type}.ckpt")
         (args_dir / f"{arg_type}.log.csv").write_text(
             vecent.epoch_log_csv(log), encoding="utf-8"
         )
-        logger.info("trained argument model %s on %d samples", arg_type, len(samples))
+        logger.info("trained argument model %s on %d samples", arg_type, len(ordered))
     _write_json(
         args_dir / "manifest.json",
         {

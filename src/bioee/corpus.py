@@ -117,6 +117,7 @@ class Sentence:
     id: str
     span: tuple[int, int]
     tokens: list[Token] = field(default_factory=list)
+    entities: list[Entity] = field(default_factory=list)  # by span, then id
 
 
 @dataclass
@@ -155,37 +156,10 @@ class Corpus:
     documents: list[Document] = field(default_factory=list)
     entities: dict[str, Entity] = field(default_factory=dict)  # "doc/T1" -> Entity
     events: dict[str, Event] = field(default_factory=dict)  # "doc/R1" -> Event
-    # Entity lists per document (by span) and per (document, sentence index)
-    # (by span, then id), built once by index_entities.
-    _by_doc: dict[str, list[Entity]] = field(default_factory=dict, init=False, repr=False)
-    _by_sentence: dict[tuple[str, int], list[Entity]] = field(
-        default_factory=dict, init=False, repr=False
-    )
 
     @staticmethod
     def qualify(doc_id: str, local_id: str) -> str:
         return f"{doc_id}/{local_id}"
-
-    def index_entities(self) -> None:
-        """Build the lookups of doc_entities and sentence_entities from
-        ``entities``; call again after changing it."""
-        self._by_doc, self._by_sentence = {}, {}
-        for e in self.entities.values():
-            self._by_doc.setdefault(e.doc_id, []).append(e)
-            self._by_sentence.setdefault((e.doc_id, e.sentence_index), []).append(e)
-        for out in self._by_doc.values():
-            out.sort(key=lambda e: e.span)
-        for out in self._by_sentence.values():
-            out.sort(key=lambda e: (e.span, e.id))
-
-    def doc_entities(self, doc_id: str) -> list[Entity]:
-        return list(self._by_doc.get(doc_id, ()))
-
-    def sentence_entities(self, doc_id: str, sentence_index: int) -> list[Entity]:
-        return list(self._by_sentence.get((doc_id, sentence_index), ()))
-
-    def entity(self, doc_id: str, local_id: str) -> Entity:
-        return self.entities[self.qualify(doc_id, local_id)]
 
     def argument_roles(self) -> dict[str, set[str]]:
         """Qualified entity id -> set of roles it plays in gold events."""
@@ -452,7 +426,6 @@ def parse_standoff(
     # Sentences are disjoint and in text order: the only one that can hold an
     # entity is the last one starting at or before it.
     sentence_starts = [s for s, _ in intervals]
-    in_sentence: dict[int, list[Entity]] = {}
     for ent in entities.values():
         home = bisect.bisect_right(sentence_starts, ent.span[0]) - 1
         if home < 0 or ent.span[1] > intervals[home][1]:
@@ -460,9 +433,10 @@ def parse_standoff(
                 f"entity {ent.id} span {ent.span} lies in no sentence of {doc_id}"
             )
         ent.sentence_index = home
-        in_sentence.setdefault(home, []).append(ent)
-    for idx, sent in enumerate(doc.sentences):
-        align_entities(sent, in_sentence.get(idx, []))
+        doc.sentences[home].entities.append(ent)
+    for sent in doc.sentences:
+        align_entities(sent, sent.entities)  # in file order: the first bad one is reported
+        sent.entities.sort(key=lambda e: (e.span, e.id))
 
     events: dict[str, Event] = {}
     for lineno, line in enumerate(event_lines.splitlines(), start=1):
@@ -498,7 +472,6 @@ def corpus_from_documents(items, schema: TaskSchema) -> Corpus:
         for ev in events.values():
             corpus.events[Corpus.qualify(doc_id, ev.id)] = ev
     corpus.documents.sort(key=lambda d: d.id)
-    corpus.index_entities()
     n_cross = sum(1 for ev in corpus.events.values() if ev.cross_sentence)
     if n_cross:
         logger.info(

@@ -8,6 +8,7 @@ substitute when no pre-trained table is available).
 from __future__ import annotations
 
 import hashlib
+import io
 import logging
 from pathlib import Path
 
@@ -132,8 +133,13 @@ def _read_text(stream, count: int, dim: int):
 
 
 def _read_binary(stream, count: int, dim: int):
-    """(word bytes, vector) of each ``word `` + d float32 record."""
+    """(word bytes, vector) of each ``word `` + d float32 record. Each
+    vector's size is checked against the bytes left before it is read, so a
+    header cannot ask for more memory than the source holds."""
     row_bytes = 4 * dim
+    here = stream.tell()
+    end = stream.seek(0, io.SEEK_END)
+    stream.seek(here)
     for row in range(count):
         word_bytes = bytearray()
         while True:
@@ -144,10 +150,13 @@ def _read_binary(stream, count: int, dim: int):
                 break
             if ch != b"\n":  # tolerate newline between records
                 word_bytes.extend(ch)
-        raw = stream.read(row_bytes)
-        if len(raw) != row_bytes:
-            raise FormatError(f"truncated vector for {bytes(word_bytes)!r}")
-        yield bytes(word_bytes), np.frombuffer(raw, dtype="<f4")
+        left = end - stream.tell()
+        if row_bytes > left:
+            raise FormatError(
+                f"truncated vector for {bytes(word_bytes)!r}: {dim} values need "
+                f"{row_bytes} bytes, {left} left"
+            )
+        yield bytes(word_bytes), np.frombuffer(stream.read(row_bytes), dtype="<f4")
 
 
 def _build_table(records, dim: int, oov_policy, seed) -> EmbeddingTable:
@@ -180,7 +189,7 @@ def _build_table(records, dim: int, oov_policy, seed) -> EmbeddingTable:
 
 
 def load_table(source, format: str = "text", oov_policy: str = OOV_HASHED, seed: int = 0):
-    """Load a word2vec table from a path or binary stream.
+    """Load a word2vec table from a path or seekable binary stream.
 
     ``format`` is ``text`` (``word v1 .. vd`` lines after an ``N d`` header)
     or ``binary`` (same header, then ``word `` + d little-endian float32

@@ -283,23 +283,15 @@ def cross_validate(
     def unit(doc_id, sentence_index):
         return doc_id if doc_level else (doc_id, sentence_index)
 
-    qids = sorted(windows)  # the sample order of build_argument_samples
-    entity_unit = {
-        Corpus.qualify(doc.id, e.id): unit(doc.id, e.sentence_index)
-        for doc in corpus.documents
-        for e in corpus.doc_entities(doc.id)
-    }
-    arg_samples = {
-        role: vecent.build_argument_samples(corpus, role, windows)
-        for role in schema.argument_types
-    }
-    arg_labels = {role: np.array([s.label for s in ss]) for role, ss in arg_samples.items()}
+    qids = sorted(windows)
+    ordered = [windows[q] for q in qids]
+    arg_labels = vecent.argument_labels(corpus, qids)
     events = list(corpus.events.values())
     exist, forward = {}, {}
     for et in schema.event_types:
         exist[et], forward[et] = vecom.label_pairs(pairs, events, et)
 
-    entity_units = [entity_unit[q] for q in qids]
+    entity_units = [unit(e.doc_id, e.sentence_index) for e in (corpus.entities[q] for q in qids)]
     pair_units = [unit(p.doc_id, p.sentence_index) for p in pairs]
     plan = plan_folds(
         {
@@ -318,10 +310,10 @@ def cross_validate(
         for p in pairs
     ]
 
-    arg_scores = {role: np.zeros(len(qids)) for role in arg_samples}
+    arg_scores = {role: np.zeros(len(qids)) for role in arg_labels}
     exist_scores = {et: np.zeros(len(pairs)) for et in exist}
     forward_scores = {et: np.zeros(len(pairs)) for et in exist}
-    arg_times = {role: [0.0, 0.0] for role in arg_samples}  # train, test seconds
+    arg_times = {role: [0.0, 0.0] for role in arg_labels}  # train, test seconds
     event_times = {et: [0.0, 0.0] for et in exist}
     seen = 0
     for fold in range(plan.k):
@@ -336,18 +328,19 @@ def cross_validate(
         # entities, scores this fold's test entities and then, frozen,
         # embeds the pairs of every event type.
         arg_models = {}
-        for role, samples in arg_samples.items():
+        train_windows = [ordered[i] for i in train_ents]
+        test_windows = [ordered[i] for i in test_ents]
+        for role, labels in arg_labels.items():
             t0 = time.perf_counter()
             arg_models[role], _ = vecent.train_argument_model(
-                [samples[i] for i in train_ents],
+                train_windows,
+                labels[train_ents],
                 hyper,
                 rng=child_rng(seed, f"train/arg/{role}/{fold}"),
                 arg_type=role,
             )
             t1 = time.perf_counter()
-            arg_scores[role][test_ents] = vecent.predict_probs(
-                arg_models[role], [windows[qids[i]] for i in test_ents]
-            )
+            arg_scores[role][test_ents] = vecent.predict_probs(arg_models[role], test_windows)
             arg_times[role][0] += t1 - t0
             arg_times[role][1] += time.perf_counter() - t1
 

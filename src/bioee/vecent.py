@@ -38,13 +38,6 @@ class ContextWindow:
 
 
 @dataclass
-class ArgSample:
-    window: ContextWindow
-    label: int
-    entity_id: str
-
-
-@dataclass
 class Hyper:
     """The training settings of both stages, the ``[hyper]`` section of a
     run config, under their config names and with the paper's defaults."""
@@ -162,8 +155,9 @@ def build_context(
 def _entity_sentences(corpus: Corpus):
     """(qualified id, sentence, entity) for every entity, in document order."""
     for doc in corpus.documents:
-        for ent in corpus.doc_entities(doc.id):
-            yield Corpus.qualify(doc.id, ent.id), doc.sentences[ent.sentence_index], ent
+        for sent in doc.sentences:
+            for ent in sent.entities:
+                yield Corpus.qualify(doc.id, ent.id), sent, ent
 
 
 def build_entity_windows(
@@ -191,19 +185,15 @@ def window_padding(corpus: Corpus, u: int) -> dict:
     }
 
 
-def build_argument_samples(
-    corpus: Corpus,
-    arg_type: str,
-    windows: dict[str, ContextWindow],
-) -> list[ArgSample]:
-    """One-vs-all samples: label 1 iff the entity plays the role in any gold
-    event; every other annotated entity is a negative."""
+def argument_labels(corpus: Corpus, qids: list[str]) -> dict[str, np.ndarray]:
+    """One-vs-all labels of the entities ``qids`` (qualified ids), per
+    argument role: 1 iff the entity plays the role in any gold event; every
+    other annotated entity is a negative."""
     roles = corpus.argument_roles()
-    samples = []
-    for qid in sorted(windows):
-        label = 1 if arg_type in roles.get(qid, ()) else 0
-        samples.append(ArgSample(window=windows[qid], label=label, entity_id=qid))
-    return samples
+    return {
+        role: np.array([role in roles.get(q, ()) for q in qids], dtype=np.int64)
+        for role in corpus.task_schema.argument_types
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -318,25 +308,26 @@ def oversample(labels, max_ratio: float, rng=None) -> np.ndarray:
 
 
 def train_argument_model(
-    samples: list[ArgSample],
+    windows: list[ContextWindow],
+    labels: np.ndarray,
     hyper: Hyper | None = None,
     rng: np.random.Generator | None = None,
     arg_type: str = "",
 ) -> tuple[ArgumentModel, list[EpochRecord]]:
-    """Mini-batch SGD on the weighted binary cross-entropy.
+    """Mini-batch SGD on the weighted binary cross-entropy over the windows
+    and their 0/1 ``labels``.
 
     The positive-class weight comes from the original (pre-duplication)
     label distribution; oversampling then bounds the class ratio.
     """
     hyper = hyper or Hyper()
     rng = rng or np.random.default_rng(0)
-    if not samples:
+    if not windows:
         raise TrainingSetupError("no training samples")
-    labels = np.array([s.label for s in samples])
     z = class_weight(labels)
     train_idx = oversample(labels, max_ratio=hyper.oversample_ratio, rng=rng)
 
-    dim = samples[0].window.left.shape[1]
+    dim = windows[0].left.shape[1]
     model = new_argument_model(
         arg_type or "argument",
         embed_dim=dim,
@@ -345,8 +336,8 @@ def train_argument_model(
         dropout=hyper.dropout,
         rng=rng,
     )
-    lefts = np.stack([samples[i].window.left for i in train_idx])
-    rights = np.stack([samples[i].window.right for i in train_idx])
+    lefts = np.stack([windows[i].left for i in train_idx])
+    rights = np.stack([windows[i].right for i in train_idx])
     labels = labels[train_idx, None].astype(np.float64)
 
     def loss_and_grads(idx):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ndiff, vecent
-from .corpus import Corpus, Entity, Event, Sentence
+from .corpus import Corpus, Entity, Event
 from .errors import ConfigurationError, DataError, TrainingError, TrainingSetupError
 from .ndiff import DenseParams
 from .vecent import ArgumentModel, ContextWindow, EpochRecord, Hyper
@@ -25,7 +25,6 @@ from .vecent import ArgumentModel, ContextWindow, EpochRecord, Hyper
 @dataclass
 class CandidatePair:
     doc_id: str
-    sentence: Sentence
     first: Entity
     second: Entity
 
@@ -81,14 +80,14 @@ def load_event_model(path) -> EventModel:
 # Candidates and labels
 
 
-def gen_candidates(sentence: Sentence, entities: list[Entity]) -> list[CandidatePair]:
+def gen_candidates(entities: list[Entity]) -> list[CandidatePair]:
     """All ordered pairs of distinct entities from one sentence: n(n-1)."""
     pairs = []
     for a in entities:
         for b in entities:
             if a is b:
                 continue
-            pairs.append(CandidatePair(doc_id=a.doc_id, sentence=sentence, first=a, second=b))
+            pairs.append(CandidatePair(doc_id=a.doc_id, first=a, second=b))
     return pairs
 
 
@@ -96,10 +95,9 @@ def candidate_pairs(corpus: Corpus) -> list[CandidatePair]:
     """Every ordered pair of each sentence, in document and sentence order."""
     pairs = []
     for doc in corpus.documents:
-        for sidx, sent in enumerate(doc.sentences):
-            ents = corpus.sentence_entities(doc.id, sidx)
-            if len(ents) >= 2:
-                pairs.extend(gen_candidates(sent, ents))
+        for sent in doc.sentences:
+            if len(sent.entities) >= 2:
+                pairs.extend(gen_candidates(sent.entities))
     return pairs
 
 

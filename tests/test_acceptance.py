@@ -15,7 +15,7 @@ import pytest
 
 from bioee import evalkit, gradcheck, synth, vecent, vecom
 from bioee.cli import main
-from bioee.corpus import BB_SCHEMA, corpus_stats, load_corpus_dir
+from bioee.corpus import BB_SCHEMA, Corpus, corpus_stats, load_corpus_dir
 from bioee.embed import PAD, EmbeddingTable, load_table
 from bioee.evalkit import binary_metrics, cross_validate, micro_curves, plan_folds
 from bioee.vecent import Hyper, build_context, oversample
@@ -48,8 +48,9 @@ class TestCriterion2WindowFidelity:
         corpus = fixtures.bgi_corpus()
         doc = next(d for d in corpus.documents if d.id == "GERE")
         table = EmbeddingTable(8, seed=0)
-        w4 = build_context(doc.sentences[0], corpus.entity("GERE", "T4"), 3, table)
-        w5 = build_context(doc.sentences[0], corpus.entity("GERE", "T5"), 3, table)
+        t4, t5 = (corpus.entities[Corpus.qualify("GERE", tid)] for tid in ("T4", "T5"))
+        w4 = build_context(doc.sentences[0], t4, 3, table)
+        w5 = build_context(doc.sentences[0], t5, 3, table)
         ok = (
             w4.left_tokens == ["adheres", "to", "the", "promoters"]
             and w4.right_tokens == ["and", "cotB", "for", "promoters"]
@@ -71,8 +72,7 @@ class TestCriterion3LabelDecodingRoundTrip:
         total_gold = 0
         for doc in corpus.documents:
             for sidx, sent in enumerate(doc.sentences):
-                ents = corpus.sentence_entities(doc.id, sidx)
-                pairs = gen_candidates(sent, ents) if len(ents) >= 2 else []
+                pairs = gen_candidates(sent.entities)
                 for event_type in corpus.task_schema.event_types:
                     gold = {
                         (e.source, e.target)
@@ -80,7 +80,8 @@ class TestCriterion3LabelDecodingRoundTrip:
                         if e.doc_id == doc.id
                         and e.type == event_type
                         and not e.cross_sentence
-                        and corpus.entity(doc.id, e.source).sentence_index == sidx
+                        and corpus.entities[Corpus.qualify(doc.id, e.source)].sentence_index
+                        == sidx
                     }
                     total_gold += len(gold)
                     if not pairs:
@@ -108,7 +109,7 @@ class TestCriterion3LabelDecodingRoundTrip:
     def test_case_study_sentence_three_events(self):
         corpus = fixtures.bgi_corpus()
         doc = next(d for d in corpus.documents if d.id == "PMID-10629188")
-        pairs = gen_candidates(doc.sentences[0], corpus.sentence_entities(doc.id, 0))
+        pairs = gen_candidates(doc.sentences[0].entities)
         decoded = set()
         for event_type in corpus.task_schema.event_types:
             exists, forward = label_pairs(pairs, list(corpus.events.values()), event_type)

@@ -523,10 +523,10 @@ class TestPredict:
         corpus = load_corpus_dir(bgi_dir, load_schema("bgi"))
         schema = corpus.task_schema
         n = sum(
-            len(ents)
+            len(sent.entities)
             for doc in corpus.documents
-            for sidx in range(len(doc.sentences))
-            if len(ents := corpus.sentence_entities(doc.id, sidx)) >= 2
+            for sent in doc.sentences
+            if len(sent.entities) >= 2
         )
         assert len(corpus.documents) > 1 and n > 0
         assert set(calls) == {r for et in schema.event_types for r in schema.roles(et)}
@@ -723,6 +723,36 @@ class TestBadManifest:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "ConfigurationError"
         assert str(path) in error["message"]
+
+    @pytest.mark.parametrize(
+        "stage, key, value",
+        [
+            ("args", "u", 0),
+            ("args", "u", "10"),
+            ("args", "u", 2.5),
+            ("args", "dim", True),
+            ("args", "argument_types", 5),
+            ("events", "event_types", 5),
+        ],
+        ids=["u_zero", "u_string", "u_float", "dim_bool", "argument_types_int",
+             "event_types_int"],
+    )
+    def test_bad_values_report_json_error(
+        self, tmp_path, case_dir, trained_out, stage, key, value, capsys
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(trained_out / "args", out / "args")
+        shutil.copytree(trained_out / "events", out / "events")
+        path = out / stage / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest[key] = value
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        rc = main(["predict", "--schema", "bgi", "--predict-dir", str(case_dir),
+                   "--out", str(out), *FIT_ARGS])
+        assert rc == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigurationError"
+        assert str(path) in error["message"] and repr(key) in error["message"]
 
 
 class TestCrossval:

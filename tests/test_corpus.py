@@ -1,7 +1,7 @@
 """Standoff parsing, tokenization, alignment, and serialization."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bioee.corpus import (
@@ -10,6 +10,7 @@ from bioee.corpus import (
     Corpus,
     Event,
     align_entities,
+    corpus_from_documents,
     corpus_stats,
     load_corpus_dir,
     load_schema,
@@ -18,7 +19,10 @@ from bioee.corpus import (
     tokenize,
     write_standoff,
 )
+from bioee.embed import EmbeddingTable
 from bioee.errors import AlignmentError, IntegrityError, ParseError, SchemaError
+from bioee.vecent import argument_labels, build_entity_windows
+from bioee.vecom import candidate_pairs
 
 import fixtures
 
@@ -83,8 +87,9 @@ class TestSplitSentences:
         doc = next(d for d in corpus.documents if d.id == "GERE")
         assert len(doc.sentences) == 1
         lo, hi = doc.sentences[0].span
-        for ent in corpus.doc_entities("GERE"):
-            assert lo <= ent.span[0] and ent.span[1] <= hi
+        for ent in corpus.entities.values():
+            if ent.doc_id == "GERE":
+                assert lo <= ent.span[0] and ent.span[1] <= hi
 
     def test_mark_right_after_entity_splits(self):
         assert split_sentences("Gene cotB. Then", [(5, 9)]) == [(0, 10), (11, 15)]
@@ -100,13 +105,13 @@ class TestAlignEntities:
 
     def test_phrase_entity_covers_four_tokens(self):
         corpus = fixtures.bgi_corpus()
-        ent = corpus.entity("GERE", "T1")  # "purified product of gerE"
+        ent = corpus.entities[Corpus.qualify("GERE", "T1")]  # "purified product of gerE"
         first, last = ent.token_span
         assert last - first + 1 == 4
 
     def test_single_token_entity(self):
         corpus = fixtures.bgi_corpus()
-        ent = corpus.entity("GERE", "T4")  # "promoters"
+        ent = corpus.entities[Corpus.qualify("GERE", "T4")]  # "promoters"
         first, last = ent.token_span
         assert first == last
 
@@ -123,7 +128,7 @@ class TestAlignEntities:
     def test_span_outside_sentence_raises(self):
         corpus = fixtures.bgi_corpus()
         sent = self._sentence(corpus, "GERE")
-        bad = corpus.entity("GERE", "T4")
+        bad = corpus.entities[Corpus.qualify("GERE", "T4")]
         bad = type(bad)(id="TX", label="Gene", span=(sent.span[1] + 1, sent.span[1] + 4))
         with pytest.raises(AlignmentError):
             align_entities(sent, [bad])
@@ -192,7 +197,7 @@ class TestParseStandoff:
 
     def test_discontinuous_entity_takes_covering_hull(self):
         corpus = fixtures.bb_corpus()
-        ent = corpus.entity("BB-2", "T3")
+        ent = corpus.entities[Corpus.qualify("BB-2", "T3")]
         assert ent.discontinuous
         doc = next(d for d in corpus.documents if d.id == "BB-2")
         assert "dairy" in doc.text[ent.span[0] : ent.span[1]]
@@ -314,6 +319,85 @@ class TestSweepsMatchScans:
         } == expected[1]
 
 
+# The entity grouping of the corpus before sentences held their entities: one
+# list per (document, sentence index), sorted by span, then id, and the
+# one-vs-all argument samples over the sorted qualified ids. The tests below
+# hold Sentence.entities, the candidate pairs built from them and
+# argument_labels to it.
+
+
+def _group_entities_scan(corpus):
+    groups = {}
+    for e in corpus.entities.values():
+        groups.setdefault((e.doc_id, e.sentence_index), []).append(e)
+    for out in groups.values():
+        out.sort(key=lambda e: (e.span, e.id))
+    return groups
+
+
+def _candidate_pairs_scan(corpus):
+    groups = _group_entities_scan(corpus)
+    pairs = []
+    for doc in corpus.documents:
+        for sidx in range(len(doc.sentences)):
+            ents = groups.get((doc.id, sidx), [])
+            pairs.extend((doc.id, sidx, a.id, b.id) for a in ents for b in ents if a is not b)
+    return pairs
+
+
+def _one_vs_all_scan(corpus, arg_type, windows):
+    roles = corpus.argument_roles()
+    return [(qid, 1 if arg_type in roles.get(qid, ()) else 0) for qid in sorted(windows)]
+
+
+@st.composite
+def _documents(draw):
+    """One to three parseable documents whose entity lines list their spans
+    in a shuffled order under ids drawn from T1..T30, some spans twice, so
+    file order, id order and span order all differ."""
+    docs = []
+    for n in range(draw(st.integers(1, 3))):
+        text, spans = draw(_texts_and_spans())
+        if spans:
+            twice = draw(st.lists(st.sampled_from(spans), max_size=4))
+            spans = draw(st.permutations(spans + twice))
+        ids = draw(st.lists(st.integers(1, 30), min_size=len(spans), max_size=len(spans),
+                            unique=True))
+        a1 = "".join(f"T{i}\tGene {s} {e}\t{text[s:e]}\n" for i, (s, e) in zip(ids, spans))
+        try:
+            parse_standoff(text, a1, "", BB_SCHEMA)
+        except AlignmentError:
+            assume(False)
+        docs.append((f"d{n}", text, a1, "", None, None))
+    return docs
+
+
+class TestGroupingMatchesIndex:
+    @given(_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_sentence_entities_and_candidate_pairs(self, docs):
+        corpus = corpus_from_documents(docs, BB_SCHEMA)
+        groups = _group_entities_scan(corpus)
+        for doc in corpus.documents:
+            for idx, sent in enumerate(doc.sentences):
+                expected = groups.pop((doc.id, idx), [])
+                assert [e.id for e in sent.entities] == [e.id for e in expected]
+                assert all(a is b for a, b in zip(sent.entities, expected))
+        assert groups == {}  # no entity outside a sentence
+        got = [(p.doc_id, p.sentence_index, p.first.id, p.second.id)
+               for p in candidate_pairs(corpus)]
+        assert got == _candidate_pairs_scan(corpus)
+
+    def test_argument_labels_match_one_vs_all_samples(self):
+        for corpus in (fixtures.bgi_corpus(), fixtures.bb_corpus()):
+            windows = build_entity_windows(corpus, 3, EmbeddingTable(4, seed=0))
+            qids = sorted(windows)
+            labels = argument_labels(corpus, qids)
+            assert list(labels) == corpus.task_schema.argument_types
+            for role, y in labels.items():
+                assert list(zip(qids, y.tolist())) == _one_vs_all_scan(corpus, role, windows)
+
+
 class TestWriteStandoff:
     def test_lives_in_line(self):
         line = write_standoff(
@@ -372,7 +456,7 @@ class TestCorpusAssembly:
     def test_entity_token_coverage(self):
         corpus = fixtures.bgi_corpus()
         for doc in corpus.documents:
-            for ent in corpus.doc_entities(doc.id):
+            for ent in (e for s in doc.sentences for e in s.entities):
                 sent = doc.sentences[ent.sentence_index]
                 first, last = ent.token_span
                 assert sent.tokens[first].span[0] <= ent.span[0]
@@ -383,15 +467,14 @@ class TestCorpusAssembly:
             entities = list(corpus.entities.values())
             for doc in corpus.documents:
                 scan = sorted((e for e in entities if e.doc_id == doc.id), key=lambda e: e.span)
-                assert [e.id for e in corpus.doc_entities(doc.id)] == [e.id for e in scan]
-                for idx in range(len(doc.sentences) + 1):
+                in_doc = [e for sent in doc.sentences for e in sent.entities]
+                assert [e.id for e in in_doc] == [e.id for e in scan]
+                for idx, sent in enumerate(doc.sentences):
                     scan = sorted(
                         (e for e in entities if e.doc_id == doc.id and e.sentence_index == idx),
                         key=lambda e: (e.span, e.id),
                     )
-                    got = corpus.sentence_entities(doc.id, idx)
-                    assert [e.id for e in got] == [e.id for e in scan]
-            assert corpus.doc_entities("no-such-doc") == []
+                    assert [e.id for e in sent.entities] == [e.id for e in scan]
 
     def test_stats_shape(self):
         stats = corpus_stats(fixtures.bgi_corpus())

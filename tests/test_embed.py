@@ -101,6 +101,12 @@ class TestLoadBinary:
         with pytest.raises(FormatError, match="truncated vector"):
             load_table(io.BytesIO(whole[:-4]), format="binary")  # ends inside the vector
 
+    def test_oversized_header_dim_is_refused_before_reading(self, tmp_path):
+        path = tmp_path / "huge.bin"
+        path.write_bytes(b"1 1000000000000\ncotB " + struct.pack("<2f", 1.0, 2.0))
+        with pytest.raises(FormatError, match="need 4000000000000 bytes, 8 left"):
+            load_table(path, format="binary")
+
     def test_word_not_utf8(self):
         records = [b"ok " + struct.pack("<f", 1.0), b"\xff " + struct.pack("<f", 2.0)]
         stream = io.BytesIO(b"2 1\n" + b"\n".join(records))

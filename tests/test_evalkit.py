@@ -401,9 +401,9 @@ class TestCrossValidate:
         calls = []
         train = vecent.train_argument_model
 
-        def spy(samples, hyper=None, rng=None, arg_type=""):
+        def spy(windows, labels, hyper=None, rng=None, arg_type=""):
             calls.append(arg_type)
-            return train(samples, hyper, rng=rng, arg_type=arg_type)
+            return train(windows, labels, hyper, rng=rng, arg_type=arg_type)
 
         monkeypatch.setattr(vecent, "train_argument_model", spy)
         hyper = _tiny_settings()

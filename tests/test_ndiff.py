@@ -28,7 +28,7 @@ from bioee.ndiff import (
     weighted_bce,
 )
 from bioee.embed import EmbeddingTable
-from bioee.vecent import ArgSample, ContextWindow
+from bioee.vecent import ContextWindow
 
 import fixtures
 
@@ -769,14 +769,12 @@ class TestFiniteInvariant:
 
     def test_nan_input_stops_training_naming_a_parameter(self):
         rng = np.random.default_rng(34)
-        samples = []
-        for k in range(12):
-            left, right = rng.standard_normal((2, 4, 6))
-            samples.append(ArgSample(ContextWindow([], [], left, right), k % 3 == 0, f"E{k}"))
-        samples[5].window.left[2, 1] = np.nan
+        windows = [ContextWindow([], [], *rng.standard_normal((2, 4, 6))) for _ in range(12)]
+        labels = (np.arange(12) % 3 == 0).astype(int)
+        windows[5].left[2, 1] = np.nan
         hyper = vecent.Hyper(lstm_hidden=4, arg_mlp_hidden=3, batch=4, epochs=1)
         with pytest.raises(TrainingError, match="non-finite gradient for parameter 'fwd.A'"):
-            vecent.train_argument_model(samples, hyper, rng=rng)
+            vecent.train_argument_model(windows, labels, hyper, rng=rng)
 
 
 def _record_training_arrays(monkeypatch, module, loss_name) -> dict[str, np.ndarray]:
@@ -829,12 +827,14 @@ class TestFloat32:
 
     def test_argument_training_step(self, monkeypatch):
         _, windows = self._windows()
-        samples = [ArgSample(w, k % 2, qid) for k, (qid, w) in enumerate(windows.items())]
+        labels = np.arange(len(windows)) % 2
         seen = _record_training_arrays(monkeypatch, vecent, "argument_loss_and_grads")
         # One batch holds every row, so one epoch is one step; the default
         # dropout draws a mask.
         hyper = vecent.Hyper(window=4, lstm_hidden=6, arg_mlp_hidden=5, batch=1000, epochs=1)
-        model, _ = vecent.train_argument_model(samples, hyper, rng=np.random.default_rng(0))
+        model, _ = vecent.train_argument_model(
+            list(windows.values()), labels, hyper, rng=np.random.default_rng(0)
+        )
 
         names = model.parameters().keys()
         assert {f"gradient {n}" for n in names} | {f"velocity {n}" for n in names} <= seen.keys()

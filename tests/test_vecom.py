@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bioee import ndiff, vecent, vecom
+from bioee.corpus import Corpus
 from bioee.embed import EmbeddingTable
 from bioee.errors import ConfigurationError, DataError, TrainingSetupError
 from bioee.vecent import Hyper
@@ -37,8 +38,7 @@ def table():
 
 def _sentence_pairs(corpus, doc_id, sidx=0):
     doc = next(d for d in corpus.documents if d.id == doc_id)
-    ents = corpus.sentence_entities(doc_id, sidx)
-    return gen_candidates(doc.sentences[sidx], ents)
+    return gen_candidates(doc.sentences[sidx].entities)
 
 
 class TestGenCandidates:
@@ -55,8 +55,8 @@ class TestGenCandidates:
 
     def test_single_entity_yields_nothing(self, bgi):
         doc = next(d for d in bgi.documents if d.id == "PMID-10629188")
-        only = bgi.sentence_entities("PMID-10629188", 0)[:1]
-        assert gen_candidates(doc.sentences[0], only) == []
+        only = doc.sentences[0].entities[:1]
+        assert gen_candidates(only) == []
 
     def test_gere_sentence_has_thirty_pairs(self, bgi):
         assert len(_sentence_pairs(bgi, "GERE")) == 30
@@ -174,8 +174,10 @@ class TestPairInput:
         pairs, embeddings, rows, composed = self._composed(bgi, table, models)
         i = next(k for k, p in enumerate(pairs) if (p.first.id, p.second.id) == ("T1", "T2"))
         pair = pairs[i]
-        w_first = vecent.build_context(pair.sentence, pair.first, 3, table)
-        w_second = vecent.build_context(pair.sentence, pair.second, 3, table)
+        doc = next(d for d in bgi.documents if d.id == pair.doc_id)
+        sentence = doc.sentences[pair.sentence_index]
+        w_first = vecent.build_context(sentence, pair.first, 3, table)
+        w_second = vecent.build_context(sentence, pair.second, 3, table)
 
         def emb(role, w):
             return vecent.argument_embeddings(models[role], [w])[0]
@@ -284,11 +286,10 @@ class TestEventForward:
 
 
 def _pair_stub(doc_id, first_id, second_id):
-    from bioee.corpus import Entity, Sentence
+    from bioee.corpus import Entity
 
-    sent = Sentence(id=f"{doc_id}-S1", span=(0, 10))
     mk = lambda tid: Entity(id=tid, label="X", span=(0, 1), doc_id=doc_id, sentence_index=0)
-    return CandidatePair(doc_id=doc_id, sentence=sent, first=mk(first_id), second=mk(second_id))
+    return CandidatePair(doc_id=doc_id, first=mk(first_id), second=mk(second_id))
 
 
 def _separable_pairs(n=160, dim=12, seed=0):
@@ -390,10 +391,9 @@ class TestGoldRoundTrip:
         """Gold labels as hard predictions must decode to the gold events."""
         for doc in corpus.documents:
             for sidx, sent in enumerate(doc.sentences):
-                ents = corpus.sentence_entities(doc.id, sidx)
-                if len(ents) < 2:
+                if len(sent.entities) < 2:
                     continue
-                pairs = gen_candidates(sent, ents)
+                pairs = gen_candidates(sent.entities)
                 for event_type in corpus.task_schema.event_types:
                     exists, forward = label_pairs(pairs, list(corpus.events.values()), event_type)
                     decoded = {
@@ -406,7 +406,8 @@ class TestGoldRoundTrip:
                         if e.doc_id == doc.id
                         and e.type == event_type
                         and not e.cross_sentence
-                        and corpus.entity(doc.id, e.source).sentence_index == sidx
+                        and corpus.entities[Corpus.qualify(doc.id, e.source)].sentence_index
+                        == sidx
                     }
                     assert decoded == gold, (doc.id, event_type)
 
@@ -418,8 +419,7 @@ class TestGoldRoundTrip:
 
     def test_case_study_sentence_three_events(self, bgi):
         doc = next(d for d in bgi.documents if d.id == "PMID-10629188")
-        ents = bgi.sentence_entities("PMID-10629188", 0)
-        pairs = gen_candidates(doc.sentences[0], ents)
+        pairs = gen_candidates(doc.sentences[0].entities)
         decoded = []
         for event_type in bgi.task_schema.event_types:
             exists, forward = label_pairs(pairs, list(bgi.events.values()), event_type)
