@@ -64,18 +64,6 @@ class EmbeddingTable:
         self.oov_policy = oov_policy
         self.seed = int(seed)
         self.duplicate_words = 0
-        self._oov_vectors: dict[str, np.ndarray] = {}
-
-    def _oov(self, word: str) -> np.ndarray:
-        if self.oov_policy == OOV_ZERO:
-            return self.pad_vector
-        vec = self._oov_vectors.get(word)
-        if vec is None:  # a sha256 plus a fresh PCG64 per word: draw each once
-            rng = np.random.Generator(np.random.PCG64(_hash_seed(self.seed, word)))
-            vec = rng.standard_normal(self.dim).astype(DTYPE)  # float64 draws, then rounded
-            vec.setflags(write=False)
-            self._oov_vectors[word] = vec
-        return vec
 
     def lookup(self, word: str) -> np.ndarray:
         """Vector for a word: stored row, pad vector, or OOV-policy vector.
@@ -90,12 +78,10 @@ class EmbeddingTable:
             idx = self.vocab.get(word.lower())
         if idx is not None:
             return self.matrix[idx]
-        return self._oov(word)
-
-    def lookup_all(self, words: list[str]) -> np.ndarray:
-        if not words:
-            return np.zeros((0, self.dim), dtype=DTYPE)
-        return np.stack([self.lookup(w) for w in words])
+        if self.oov_policy == OOV_ZERO:
+            return self.pad_vector
+        rng = np.random.Generator(np.random.PCG64(_hash_seed(self.seed, word)))
+        return rng.standard_normal(self.dim).astype(DTYPE)  # float64 draws, then rounded
 
 
 def _read_header(line: bytes) -> tuple[int, int]:

@@ -60,12 +60,12 @@ def checks(rng) -> dict:
     arg_model = vecent.new_argument_model(
         "check", embed_dim=dim, lstm_hidden=hidden, mlp_hidden=mlp_hidden, dropout=0.25, rng=rng
     ).astype(np.float64)
-    left = rng.standard_normal((3, u + 1, dim))
-    right = rng.standard_normal((3, u + 1, dim))
+    # Three windows, (3, 2, u+1, dim): all left halves are drawn, then all right.
+    batch = np.stack([rng.standard_normal((3, u + 1, dim)) for _ in range(2)], axis=1)
     arg_labels = np.array([[1.0], [0.0], [1.0]])
     out["composed_argument_loss"] = (
         lambda: vecent.argument_loss_and_grads(
-            arg_model, left, right, arg_labels, 0.7, np.random.default_rng(999)
+            arg_model, batch, arg_labels, 0.7, np.random.default_rng(999)
         )[:2],
         arg_model.parameters(),
     )

@@ -24,17 +24,17 @@ from .ndiff import DenseParams
 
 @dataclass
 class ContextWindow:
-    """Word vectors around one entity: u context slots plus the anchor.
+    """Word vectors around one entity, u context slots plus the anchor per
+    half: row ``ids[k, t]`` of ``vectors``.
 
-    ``left`` reads toward the anchor from the left; ``right`` holds the u
+    ``ids[0]`` reads toward the anchor from the left; ``ids[1]`` holds the u
     tokens after the anchor in reversed order. Both end with the anchor and
-    both have exactly u+1 rows, padded at the far end with the pad vector.
+    are padded at the far end with id 0, the zero row. The windows of one
+    ``build_entity_windows`` call share one ``vectors`` matrix.
     """
 
-    left_tokens: list[str]
-    right_tokens: list[str]
-    left: np.ndarray  # (u+1, dim)
-    right: np.ndarray  # (u+1, dim)
+    ids: np.ndarray  # (2, u+1) int32
+    vectors: np.ndarray  # (V, dim)
 
 
 @dataclass
@@ -132,26 +132,6 @@ def _window_halves(sentence: Sentence, entity: Entity, u: int) -> tuple[list[str
     return left, right
 
 
-def build_context(
-    sentence: Sentence, entity: Entity, u: int, table: EmbeddingTable
-) -> ContextWindow:
-    """Closed-boundary window of u tokens on each side ending at the anchor.
-
-    The anchor is the last token of the entity's span. The right half is
-    emitted in reversed order so that the anchor is again the final element;
-    missing context at the far end is padded.
-    """
-    left, right = _window_halves(sentence, entity, u)
-    left_tokens = [PAD] * (u + 1 - len(left)) + left
-    right_tokens = [PAD] * (u + 1 - len(right)) + right
-    return ContextWindow(
-        left_tokens=left_tokens,
-        right_tokens=right_tokens,
-        left=table.lookup_all(left_tokens),
-        right=table.lookup_all(right_tokens),
-    )
-
-
 def _entity_sentences(corpus: Corpus):
     """(qualified id, sentence, entity) for every entity, in document order."""
     for doc in corpus.documents:
@@ -163,10 +143,22 @@ def _entity_sentences(corpus: Corpus):
 def build_entity_windows(
     corpus: Corpus, u: int, table: EmbeddingTable
 ) -> dict[str, ContextWindow]:
-    """One window per entity, keyed by qualified id."""
-    return {
-        qid: build_context(sent, ent, u, table) for qid, sent, ent in _entity_sentences(corpus)
-    }
+    """One closed-boundary window per entity, keyed by qualified id: u tokens
+    on each side, each half ending at the anchor, the last token of the
+    entity's span.
+
+    The windows share one matrix: the pad vector, then one ``table.lookup``
+    per distinct token, in first-seen order.
+    """
+    row = {PAD: 0}
+    ids = {}
+    for qid, sent, ent in _entity_sentences(corpus):
+        window = np.zeros((2, u + 1), dtype=np.int32)
+        for half, tokens in zip(window, _window_halves(sent, ent, u)):
+            half[u + 1 - len(tokens) :] = [row.setdefault(t, len(row)) for t in tokens]
+        ids[qid] = window
+    vectors = np.stack([table.lookup(t) for t in row])
+    return {qid: ContextWindow(window, vectors) for qid, window in ids.items()}
 
 
 def window_padding(corpus: Corpus, u: int) -> dict:
@@ -200,11 +192,18 @@ def argument_labels(corpus: Corpus, qids: list[str]) -> dict[str, np.ndarray]:
 # Forward passes
 
 
-def _encode(model: ArgumentModel, left: np.ndarray, right: np.ndarray, caches=(None, None)):
-    """BLSTM encoding ``(B, 2H)`` of ``(B, T, dim)`` window batches; training
+def _gather(windows: list[ContextWindow]) -> np.ndarray:
+    """The ``(B, 2, u+1, dim)`` word vectors of a window batch."""
+    return np.stack([w.vectors[w.ids] for w in windows])
+
+
+def _encode(model: ArgumentModel, batch: np.ndarray, caches=(None, None)):
+    """BLSTM encoding ``(B, 2H)`` of a ``(B, 2, T, dim)`` window batch, the
+    left halves through ``fwd`` and the right through ``bwd``; training
     passes two empty ``caches`` for the two LSTMs' BPTT."""
-    h_fwd = ndiff.lstm_last(model.fwd, np.moveaxis(left, 1, 0), caches[0])
-    h_bwd = ndiff.lstm_last(model.bwd, np.moveaxis(right, 1, 0), caches[1])
+    left, right = np.moveaxis(batch, 0, 2)  # each (T, B, dim), step-major
+    h_fwd = ndiff.lstm_last(model.fwd, left, caches[0])
+    h_bwd = ndiff.lstm_last(model.bwd, right, caches[1])
     return np.concatenate([h_fwd, h_bwd], axis=-1)
 
 
@@ -219,13 +218,8 @@ def _head(model: ArgumentModel, enc: np.ndarray, keep=None):
 
 def _infer(model: ArgumentModel, windows: list[ContextWindow], head) -> np.ndarray:
     """``head(encoding)`` over the windows, in bounded chunks."""
-    parts = []
-    for rows in ndiff.inference_chunks(len(windows)):
-        chunk = windows[rows]
-        left = np.stack([w.left for w in chunk])
-        right = np.stack([w.right for w in chunk])
-        parts.append(head(_encode(model, left, right)))
-    return np.concatenate(parts)
+    chunks = ndiff.inference_chunks(len(windows))
+    return np.concatenate([head(_encode(model, _gather(windows[rows]))) for rows in chunks])
 
 
 def argument_embeddings(model: ArgumentModel, windows: list[ContextWindow]) -> np.ndarray:
@@ -244,14 +238,14 @@ def predict_probs(model: ArgumentModel, windows: list[ContextWindow]) -> np.ndar
 
 
 def argument_loss_and_grads(
-    model: ArgumentModel, left: np.ndarray, right: np.ndarray, labels: np.ndarray, z: float, rng
+    model: ArgumentModel, batch: np.ndarray, labels: np.ndarray, z: float, rng
 ):
-    """The mean weighted BCE of a training batch (positives weighted ``z``,
-    negatives ``1 - z``) under a dropout mask drawn from ``rng``, the
-    gradient of each of ``model.parameters()``, and the ``(B, 1)``
-    probabilities."""
+    """The mean weighted BCE of a ``(B, 2, T, dim)`` training batch of windows
+    (positives weighted ``z``, negatives ``1 - z``) under a dropout mask drawn
+    from ``rng``, the gradient of each of ``model.parameters()``, and the
+    ``(B, 1)`` probabilities."""
     caches = ({}, {})
-    enc = _encode(model, left, right, caches)
+    enc = _encode(model, batch, caches)
     keep = ndiff.dropout_mask(model.dropout, (len(enc), model.embedding_size), rng, enc.dtype)
     hidden, dropped, probs = _head(model, enc, keep)
     scale = 1.0 / len(labels)
@@ -327,21 +321,19 @@ def train_argument_model(
     z = class_weight(labels)
     train_idx = oversample(labels, max_ratio=hyper.oversample_ratio, rng=rng)
 
-    dim = windows[0].left.shape[1]
     model = new_argument_model(
         arg_type or "argument",
-        embed_dim=dim,
+        embed_dim=windows[0].vectors.shape[1],
         lstm_hidden=hyper.lstm_hidden,
         mlp_hidden=hyper.arg_mlp_hidden,
         dropout=hyper.dropout,
         rng=rng,
     )
-    lefts = np.stack([windows[i].left for i in train_idx])
-    rights = np.stack([windows[i].right for i in train_idx])
     labels = labels[train_idx, None].astype(np.float64)
 
     def loss_and_grads(idx):
-        return argument_loss_and_grads(model, lefts[idx], rights[idx], labels[idx], z, rng)
+        batch = _gather([windows[i] for i in train_idx[idx]])
+        return argument_loss_and_grads(model, batch, labels[idx], z, rng)
 
     return model, sgd_epochs(model, hyper, labels, loss_and_grads, rng)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from bioee.corpus import BB_SCHEMA, BGI_SCHEMA, Corpus, corpus_from_documents
+from bioee.embed import PAD
 
 GERE_TEXT = (
     "We now report that the purified product of gerE (GerE) is a DNA-binding "
@@ -231,3 +232,21 @@ def write_corpus_dir(directory: Path, documents: list[tuple[str, str, str, str]]
         (directory / f"{doc_id}.a1").write_text(a1, encoding="utf-8")
         (directory / f"{doc_id}.a2").write_text(a2, encoding="utf-8")
     return directory
+
+
+def window_holds(window, table, left: list[str], right: list[str]) -> bool:
+    """Whether ``window`` holds the tokens ``left`` and ``right``, each half
+    read toward the anchor with ``PAD`` for padding: a pad slot is id 0 on
+    the zero row, and every other slot's row is ``table.lookup`` of its
+    token, bit for bit."""
+    if window.vectors[0].any() or len(window.ids) != 2:
+        return False
+    for ids, tokens in zip(window.ids, (left, right)):
+        if len(ids) != len(tokens):
+            return False
+        for i, token in zip(ids, tokens):
+            if (i == 0) != (token == PAD):
+                return False
+            if window.vectors[i].tobytes() != table.lookup(token).tobytes():
+                return False
+    return True

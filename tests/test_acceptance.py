@@ -18,7 +18,7 @@ from bioee.cli import main
 from bioee.corpus import BB_SCHEMA, Corpus, corpus_stats, load_corpus_dir
 from bioee.embed import PAD, EmbeddingTable, load_table
 from bioee.evalkit import binary_metrics, cross_validate, micro_curves, plan_folds
-from bioee.vecent import Hyper, build_context, oversample
+from bioee.vecent import Hyper, build_entity_windows, oversample
 from bioee.vecom import decode_events, gen_candidates, label_pairs
 
 import fixtures
@@ -46,16 +46,13 @@ class TestCriterion1GradientCorrectness:
 class TestCriterion2WindowFidelity:
     def test_worked_example_u3(self):
         corpus = fixtures.bgi_corpus()
-        doc = next(d for d in corpus.documents if d.id == "GERE")
         table = EmbeddingTable(8, seed=0)
-        t4, t5 = (corpus.entities[Corpus.qualify("GERE", tid)] for tid in ("T4", "T5"))
-        w4 = build_context(doc.sentences[0], t4, 3, table)
-        w5 = build_context(doc.sentences[0], t5, 3, table)
-        ok = (
-            w4.left_tokens == ["adheres", "to", "the", "promoters"]
-            and w4.right_tokens == ["and", "cotB", "for", "promoters"]
-            and w5.left_tokens == ["the", "promoters", "for", "cotB"]
-            and w5.right_tokens == [PAD, "cotC", "and", "cotB"]
+        windows = build_entity_windows(corpus, 3, table)
+        w4, w5 = (windows[Corpus.qualify("GERE", tid)] for tid in ("T4", "T5"))
+        ok = fixtures.window_holds(
+            w4, table, ["adheres", "to", "the", "promoters"], ["and", "cotB", "for", "promoters"]
+        ) and fixtures.window_holds(
+            w5, table, ["the", "promoters", "for", "cotB"], [PAD, "cotC", "and", "cotB"]
         )
         _line(
             2,

@@ -321,8 +321,8 @@ class TestIngest:
         padding = json.loads((out / "stats.json").read_text())["window_padding"]
         corpus = load_corpus_dir(bgi_dir, load_schema("bgi"))
         windows = vecent.build_entity_windows(corpus, 3, EmbeddingTable(4))
-        halves = [w for win in windows.values() for w in (win.left, win.right)]
-        lead = sum(int((~np.logical_or.accumulate(w.any(axis=1))).sum()) for w in halves)
+        halves = [half for win in windows.values() for half in win.ids]
+        lead = sum(int((~np.logical_or.accumulate(half != 0)).sum()) for half in halves)
         assert padding == {
             "u": 3,
             "steps": 4 * len(halves),

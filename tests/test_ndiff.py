@@ -171,11 +171,11 @@ class TestElementwise:
         # The BLSTM encoding is the left-to-right state, then the right-to-left.
         rng = np.random.default_rng(35)
         model = vecent.new_argument_model("t", 3, 4, 2, dropout=0.2, rng=rng)
-        left, right = rng.standard_normal((2, 2, 5, 3))
+        batch = rng.standard_normal((2, 2, 5, 3))  # two windows' (left, right) halves
         np.testing.assert_array_equal(
-            vecent._encode(model, left, right),
-            np.hstack([lstm_last(model.fwd, left.swapaxes(0, 1)),
-                       lstm_last(model.bwd, right.swapaxes(0, 1))]),
+            vecent._encode(model, batch),
+            np.hstack([lstm_last(model.fwd, batch[:, 0].swapaxes(0, 1)),
+                       lstm_last(model.bwd, batch[:, 1].swapaxes(0, 1))]),
         )
 
     def test_relu_values(self):
@@ -751,14 +751,14 @@ class TestFiniteInvariant:
     def test_ops_finite_on_sane_inputs(self):
         rng = np.random.default_rng(33)
         arg_model = vecent.new_argument_model("t", 6, 5, 4, dropout=0.3, rng=rng)
-        left, right = rng.standard_normal((2, 7, 4, 6))
-        left[:3, :2] = 0.0  # leading padding, so the pad chain runs
+        batch = rng.standard_normal((7, 2, 4, 6))
+        batch[:3, 0, :2] = 0.0  # leading padding of left halves, so the pad chain runs
         labels = (np.arange(7) % 2).astype(float)[:, None]
         event_model = vecom.new_event_model(input_dim=8, hidden=4, rng=rng)
         composed = 5.0 * rng.standard_normal((9, 8))
         y_exist = (np.arange(9) % 3 == 0).astype(float)[:, None]
         results = [
-            vecent.argument_loss_and_grads(arg_model, left, right, labels, 0.3, rng),
+            vecent.argument_loss_and_grads(arg_model, batch, labels, 0.3, rng),
             vecom.event_loss_and_grads(event_model, composed, y_exist, y_exist),
         ]
         for loss, grads, probs in results:
@@ -769,9 +769,10 @@ class TestFiniteInvariant:
 
     def test_nan_input_stops_training_naming_a_parameter(self):
         rng = np.random.default_rng(34)
-        windows = [ContextWindow([], [], *rng.standard_normal((2, 4, 6))) for _ in range(12)]
+        ids = np.arange(8).reshape(2, 4)  # each window's own eight rows
+        windows = [ContextWindow(ids, rng.standard_normal((8, 6))) for _ in range(12)]
         labels = (np.arange(12) % 3 == 0).astype(int)
-        windows[5].left[2, 1] = np.nan
+        windows[5].vectors[ids[0, 2], 1] = np.nan  # in a left half
         hyper = vecent.Hyper(lstm_hidden=4, arg_mlp_hidden=3, batch=4, epochs=1)
         with pytest.raises(TrainingError, match="non-finite gradient for parameter 'fwd.A'"):
             vecent.train_argument_model(windows, labels, hyper, rng=rng)
@@ -839,9 +840,10 @@ class TestFloat32:
         names = model.parameters().keys()
         assert {f"gradient {n}" for n in names} | {f"velocity {n}" for n in names} <= seen.keys()
         assert sum(name.endswith(" X") for name in seen) == 2  # both directions' caches
-        assert any(not w.left[0].any() for w in windows.values())  # the pad chain ran
+        assert any(w.ids[0, 0] == 0 for w in windows.values())  # the pad chain ran
         _assert_production_dtype(seen)
-        _assert_production_dtype({qid: w.left for qid, w in windows.items()})
+        _assert_production_dtype({qid: w.vectors for qid, w in windows.items()})
+        assert {w.ids.dtype for w in windows.values()} == {np.dtype(np.int32)}
         inputs = list(windows.values())
         _assert_production_dtype(
             {

@@ -1,11 +1,13 @@
 """Context windows, argument classifiers, and their training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bioee import ndiff, vecent
+from bioee import ndiff, synth, vecent
 from bioee.corpus import Corpus
 from bioee.embed import PAD, EmbeddingTable
 from bioee.errors import TrainingSetupError
@@ -14,7 +16,6 @@ from bioee.vecent import (
     Hyper,
     argument_embeddings,
     argument_labels,
-    build_context,
     build_entity_windows,
     class_weight,
     new_argument_model,
@@ -41,52 +42,75 @@ def _gere_sentence(corpus):
     return doc.sentences[0]
 
 
-def _gere_entity(corpus, tid):
-    return corpus.entities[Corpus.qualify("GERE", tid)]
+def _gere_window(corpus, tid, table, u=3):
+    return build_entity_windows(corpus, u, table)[Corpus.qualify("GERE", tid)]
 
 
 class TestBuildContext:
     def test_promoters_window_u3(self, bgi, table):
-        w = build_context(_gere_sentence(bgi), _gere_entity(bgi, "T4"), 3, table)
-        assert w.left_tokens == ["adheres", "to", "the", "promoters"]
-        assert w.right_tokens == ["and", "cotB", "for", "promoters"]
+        w = _gere_window(bgi, "T4", table)
+        assert fixtures.window_holds(
+            w, table, ["adheres", "to", "the", "promoters"], ["and", "cotB", "for", "promoters"]
+        )
 
     def test_cotb_window_has_pad_slot(self, bgi, table):
-        w = build_context(_gere_sentence(bgi), _gere_entity(bgi, "T5"), 3, table)
-        assert w.left_tokens == ["the", "promoters", "for", "cotB"]
-        assert w.right_tokens == [PAD, "cotC", "and", "cotB"]
+        w = _gere_window(bgi, "T5", table)
+        assert fixtures.window_holds(
+            w, table, ["the", "promoters", "for", "cotB"], [PAD, "cotC", "and", "cotB"]
+        )
 
     def test_sentence_start_pads_left(self, bgi, table):
         # "expression" is the second token of the case-study sentence.
-        corpus = bgi
-        ent = corpus.entities[Corpus.qualify("PMID-10629188", "T1")]
-        doc = next(d for d in corpus.documents if d.id == "PMID-10629188")
-        w = build_context(doc.sentences[0], ent, 2, table)
-        assert w.left_tokens == [PAD, "The", "expression"]
-        assert w.right_tokens == ["rsfA", "of", "expression"]
+        w = build_entity_windows(bgi, 2, table)[Corpus.qualify("PMID-10629188", "T1")]
+        assert fixtures.window_holds(
+            w, table, [PAD, "The", "expression"], ["rsfA", "of", "expression"]
+        )
 
     def test_anchor_is_last_in_both_halves(self, bgi, table):
         windows = build_entity_windows(bgi, 4, table)
         for qid, w in windows.items():
-            assert w.left_tokens[-1] == w.right_tokens[-1]
-            assert len(w.left_tokens) == len(w.right_tokens) == 5
+            assert w.ids.shape == (2, 5)
+            assert w.ids[0, -1] == w.ids[1, -1] != 0
 
     def test_window_vectors_match_lookup(self, bgi, table):
-        w = build_context(_gere_sentence(bgi), _gere_entity(bgi, "T5"), 3, table)
-        np.testing.assert_array_equal(w.right[0], np.zeros(table.dim))  # pad slot
-        np.testing.assert_array_equal(w.left[3], table.lookup("cotB"))
+        w = _gere_window(bgi, "T5", table)
+        assert w.ids[1, 0] == 0  # pad slot
+        np.testing.assert_array_equal(w.vectors[w.ids[1, 0]], np.zeros(table.dim))
+        np.testing.assert_array_equal(w.vectors[w.ids[0, 3]], table.lookup("cotB"))
+
+    def test_windows_share_one_matrix_of_distinct_words(self, bgi, table):
+        windows = build_entity_windows(bgi, 3, table)
+        vectors = next(iter(windows.values())).vectors
+        assert all(w.vectors is vectors for w in windows.values())
+        assert vectors.dtype == ndiff.DTYPE and vectors.shape[1] == table.dim
+        used = np.unique(np.concatenate([w.ids.ravel() for w in windows.values()]))
+        np.testing.assert_array_equal(used, np.arange(len(vectors)))  # no unused row
+        assert len(np.unique(vectors[1:], axis=0)) == len(vectors) - 1  # one row per word
 
     def test_window_size_must_be_positive(self, bgi, table):
         with pytest.raises(ValueError):
-            build_context(_gere_sentence(bgi), _gere_entity(bgi, "T4"), 0, table)
+            build_entity_windows(bgi, 0, table)
 
-    def test_punctuation_tokens_skipped(self, table):
+    def test_punctuation_tokens_skipped(self, bgi, table):
         # The terminal period is a token but never occupies a window slot.
-        corpus = fixtures.bgi_corpus()
-        ent = corpus.entities[Corpus.qualify("GERE", "T6")]  # "cotC", last word before "."
-        doc = next(d for d in corpus.documents if d.id == "GERE")
-        w = build_context(doc.sentences[0], ent, 2, table)
-        assert w.right_tokens == [PAD, PAD, "cotC"]
+        w = _gere_window(bgi, "T6", table, u=2)  # "cotC", last word before "."
+        assert fixtures.window_holds(w, table, ["cotB", "and", "cotC"], [PAD, PAD, "cotC"])
+
+
+class TestWindowMemory:
+    def test_windows_hold_under_2kb_per_entity(self):
+        # The benchmark's window and embedding size. Each window is 2(u+1)
+        # token ids; the word vectors are held once per distinct word.
+        corpus = synth.make_synthetic_corpus(n_sentences=2000, seed=3)
+        table = EmbeddingTable(200, seed=1)
+        tracemalloc.start()
+        try:
+            windows = build_entity_windows(corpus, 10, table)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(windows) == len(corpus.entities)
+        assert held / len(windows) < 2048
 
 
 class TestEncode:
@@ -95,16 +119,16 @@ class TestEncode:
     def test_output_is_twice_hidden(self, bgi, table):
         model = new_argument_model("t", table.dim, lstm_hidden=16, mlp_hidden=8,
                                    dropout=0.2, rng=np.random.default_rng(0))
-        w = build_context(_gere_sentence(bgi), _gere_entity(bgi, "T4"), 3, table)
+        w = _gere_window(bgi, "T4", table)
         assert model.f1.A.shape == (8, 32)  # f1 reads the encoding
         assert argument_embeddings(model, [w]).shape == (1, 8)
 
     def test_all_pad_windows_encode_identically(self, table):
         model = new_argument_model("t", table.dim, lstm_hidden=8, mlp_hidden=4,
                                    dropout=0.2, rng=np.random.default_rng(1))
-        pad_vec = np.zeros((4, table.dim))
-        w1 = ContextWindow([PAD] * 4, [PAD] * 4, pad_vec, pad_vec)
-        w2 = ContextWindow([PAD] * 4, [PAD] * 4, pad_vec.copy(), pad_vec.copy())
+        pads = np.zeros((2, 4), dtype=np.int32)
+        w1 = ContextWindow(pads, np.zeros((1, table.dim)))
+        w2 = ContextWindow(pads.copy(), np.zeros((3, table.dim), dtype=np.float32))
         np.testing.assert_array_equal(
             argument_embeddings(model, [w1]), argument_embeddings(model, [w2])
         )
@@ -113,8 +137,8 @@ class TestEncode:
     def test_swapping_halves_changes_encoding(self, bgi, table):
         model = new_argument_model("t", table.dim, lstm_hidden=8, mlp_hidden=4,
                                    dropout=0.2, rng=np.random.default_rng(2))
-        w = build_context(_gere_sentence(bgi), _gere_entity(bgi, "T4"), 3, table)
-        swapped = ContextWindow(w.right_tokens, w.left_tokens, w.right, w.left)
+        w = _gere_window(bgi, "T4", table)
+        swapped = ContextWindow(w.ids[::-1], w.vectors)
         assert not np.allclose(
             argument_embeddings(model, [w]), argument_embeddings(model, [swapped])
         )
@@ -125,8 +149,7 @@ class TestArgForward:
 
     def test_probability_range(self, bgi, table):
         model = new_argument_model("t", table.dim, 8, 4, dropout=0.2, rng=np.random.default_rng(3))
-        windows = [build_context(_gere_sentence(bgi), ent, 3, table)
-                   for ent in _gere_sentence(bgi).entities]
+        windows = [_gere_window(bgi, ent.id, table) for ent in _gere_sentence(bgi).entities]
         probs = predict_probs(model, windows)
         assert probs.shape == (len(windows),)
         assert np.all((0.0 < probs) & (probs < 1.0))
@@ -135,13 +158,13 @@ class TestArgForward:
         model = new_argument_model("t", table.dim, 8, 4, dropout=0.2, rng=np.random.default_rng(4))
         for t in model.parameters().values():
             t[...] = 0.0
-        w = build_context(_gere_sentence(bgi), _gere_entity(bgi, "T4"), 3, table)
+        w = _gere_window(bgi, "T4", table)
         assert predict_probs(model, [w])[0] == pytest.approx(0.5)
 
     def test_inference_is_deterministic(self, bgi, table):
         model = new_argument_model("t", table.dim, 8, 4, dropout=0.5,
                                    rng=np.random.default_rng(5))
-        w = build_context(_gere_sentence(bgi), _gere_entity(bgi, "T4"), 3, table)
+        w = _gere_window(bgi, "T4", table)
         assert predict_probs(model, [w])[0] == predict_probs(model, [w])[0]
 
 
@@ -210,11 +233,8 @@ def _separable_samples(n=200, dim=8, u=2, seed=0):
     for label in labels:
         anchor = base * (2.0 if label else -2.0) + 0.1 * rng.standard_normal(dim)
         ctx = 0.1 * rng.standard_normal((u + 1, dim))
-        left = ctx.copy()
-        right = ctx.copy()
-        left[-1] = anchor
-        right[-1] = anchor
-        windows.append(ContextWindow(["w"] * (u + 1), ["w"] * (u + 1), left, right))
+        ctx[-1] = anchor  # both halves read the same context toward the anchor
+        windows.append(ContextWindow(np.tile(np.arange(u + 1), (2, 1)), ctx))
     return windows, labels
 
 
@@ -277,20 +297,20 @@ class TestTraining:
 class TestArgumentEmbedding:
     def test_dimension_is_mlp_hidden(self, bgi, table):
         model = new_argument_model("t", table.dim, 8, 5, dropout=0.2, rng=np.random.default_rng(6))
-        w = build_context(_gere_sentence(bgi), _gere_entity(bgi, "T4"), 3, table)
+        w = _gere_window(bgi, "T4", table)
         assert argument_embeddings(model, [w]).shape == (1, 5)
 
     def test_zero_weight_model_gives_zero_vector(self, bgi, table):
         model = new_argument_model("t", table.dim, 8, 5, dropout=0.2, rng=np.random.default_rng(7))
         for t in model.parameters().values():
             t[...] = 0.0
-        w = build_context(_gere_sentence(bgi), _gere_entity(bgi, "T4"), 3, table)
+        w = _gere_window(bgi, "T4", table)
         np.testing.assert_array_equal(argument_embeddings(model, [w]), np.zeros((1, 5)))
 
     def test_identical_windows_identical_embeddings(self, bgi, table):
         model = new_argument_model("t", table.dim, 8, 5, dropout=0.5,
                                    rng=np.random.default_rng(8))
-        w = build_context(_gere_sentence(bgi), _gere_entity(bgi, "T4"), 3, table)
+        w = _gere_window(bgi, "T4", table)
         np.testing.assert_array_equal(
             argument_embeddings(model, [w]), argument_embeddings(model, [w])
         )
@@ -299,16 +319,13 @@ class TestArgumentEmbedding:
         # Values outside (-1, 1) prove no tanh was applied.
         model = new_argument_model("t", table.dim, 8, 5, dropout=0.2, rng=np.random.default_rng(9))
         model.f1.A *= 50.0
-        w = build_context(_gere_sentence(bgi), _gere_entity(bgi, "T4"), 3, table)
+        w = _gere_window(bgi, "T4", table)
         assert np.abs(argument_embeddings(model, [w])).max() > 1.0
 
     def test_batch_matches_single(self, bgi, table):
         model = new_argument_model("t", table.dim, 8, 5, dropout=0.2, rng=np.random.default_rng(10))
         model = model.astype(np.float64)
-        windows = [
-            build_context(_gere_sentence(bgi), _gere_entity(bgi, tid), 3, table)
-            for tid in ("T1", "T4", "T5")
-        ]
+        windows = [_gere_window(bgi, tid, table) for tid in ("T1", "T4", "T5")]
         batch = argument_embeddings(model, windows)
         for i, w in enumerate(windows):
             np.testing.assert_allclose(batch[i], argument_embeddings(model, [w])[0], atol=1e-12)

@@ -174,10 +174,9 @@ class TestPairInput:
         pairs, embeddings, rows, composed = self._composed(bgi, table, models)
         i = next(k for k, p in enumerate(pairs) if (p.first.id, p.second.id) == ("T1", "T2"))
         pair = pairs[i]
-        doc = next(d for d in bgi.documents if d.id == pair.doc_id)
-        sentence = doc.sentences[pair.sentence_index]
-        w_first = vecent.build_context(sentence, pair.first, 3, table)
-        w_second = vecent.build_context(sentence, pair.second, 3, table)
+        windows = vecent.build_entity_windows(bgi, 3, table)
+        w_first = windows[Corpus.qualify(pair.doc_id, pair.first.id)]
+        w_second = windows[Corpus.qualify(pair.doc_id, pair.second.id)]
 
         def emb(role, w):
             return vecent.argument_embeddings(models[role], [w])[0]
