@@ -293,17 +293,19 @@ def cmd_train_events(cfg: RunConfig) -> int:
     events_dir.mkdir(exist_ok=True)
 
     windows = vecent.build_entity_windows(corpus, manifest["u"], table)
-    pairs = vecom.candidate_pairs(corpus)
-    embeddings, rows = vecom.embed_pair_entities(pairs, arg_models, windows)
+    entities, pairs = vecom.candidate_pairs(corpus)
+    embeddings = vecom.embed_pair_entities(entities, arg_models, windows)
 
     trained, skipped = [], {}
     for event_type in corpus.task_schema.event_types:
-        exists, forward = vecom.label_pairs(pairs, list(corpus.events.values()), event_type)
-        composed = vecom.compose_pairs(embeddings, rows, corpus.task_schema.roles(event_type))
+        exists, forward = vecom.label_pairs(
+            entities, pairs, list(corpus.events.values()), event_type
+        )
+        roles = corpus.task_schema.roles(event_type)
         rng = child_rng(cfg.seed, f"cmd/train-events/{event_type}")
         try:
             model, log = vecom.train_event_model(
-                composed, exists, forward, event_type, cfg, rng=rng
+                embeddings, pairs, roles, exists, forward, event_type, cfg, rng=rng
             )
         except TrainingSetupError as exc:
             logger.warning("skipping %s: %s", event_type, exc)
@@ -353,37 +355,35 @@ def cmd_predict(cfg: RunConfig) -> int:
     pred_dir.mkdir(exist_ok=True)
 
     windows = vecent.build_entity_windows(corpus, manifest["u"], table)
-    pairs = vecom.candidate_pairs(corpus)
+    entities, pairs = vecom.candidate_pairs(corpus)
     # One chunked embedding pass per role model over the whole corpus, and one
     # scoring pass per event type.
     roles = {r for event_type in event_models for r in schema.roles(event_type)}
-    embeddings, rows = vecom.embed_pair_entities(
-        pairs, {role: arg_models[role] for role in roles & arg_models.keys()}, windows
+    embeddings = vecom.embed_pair_entities(
+        entities, {role: arg_models[role] for role in roles & arg_models.keys()}, windows
     )
     scores = {  # event type -> (p_exists, p_forward), each indexed by pair
-        event_type: vecom.event_forward_batch(
-            model, vecom.compose_pairs(embeddings, rows, schema.roles(event_type))
-        )
+        event_type: vecom.event_forward_batch(model, embeddings, pairs, schema.roles(event_type))
         for event_type, model in sorted(event_models.items())
     }
-    by_sentence = {}  # (doc id, sentence index) -> indices of its pairs
-    for i, pair in enumerate(pairs):
-        by_sentence.setdefault((pair.doc_id, pair.sentence_index), []).append(i)
 
     tsv_rows = ["sentence_id\tfirst\tsecond\tp_exists\tp_forward\tevent_type"]
+    stop = 0
     for doc in corpus.documents:
         doc_events = []
-        for sidx, sent in enumerate(doc.sentences):
-            idx = by_sentence.get((doc.id, sidx), [])
+        for sent in doc.sentences:
+            start, stop = stop, stop + len(sent.entities) * (len(sent.entities) - 1)
+            idx = slice(start, stop)  # this sentence's n(n-1) pairs
             for event_type, (pe, pf) in scores.items():
-                for i, e_prob, f_prob in zip(idx, pe[idx].tolist(), pf[idx].tolist()):
+                scored = zip(pairs[idx].tolist(), pe[idx].tolist(), pf[idx].tolist())
+                for (a, b), e_prob, f_prob in scored:
                     tsv_rows.append(
-                        f"{sent.id}\t{pairs[i].first.id}\t{pairs[i].second.id}"
+                        f"{sent.id}\t{entities[a].id}\t{entities[b].id}"
                         f"\t{e_prob:.6f}\t{f_prob:.6f}\t{event_type}"
                     )
                 doc_events.extend(
                     vecom.decode_events(
-                        [pairs[i] for i in idx], pe[idx], pf[idx], event_type, cfg.threshold
+                        entities, pairs[idx], pe[idx], pf[idx], event_type, cfg.threshold
                     )
                 )
         (pred_dir / f"{doc.id}.a2").write_text(

@@ -237,12 +237,12 @@ class CrossValReport:
 
 
 def _decoded_event_metrics(
-    corpus, pairs, p_exists, p_forward, event_type, threshold
+    corpus, entities, pairs, p_exists, p_forward, event_type, threshold
 ) -> MetricsReport:
     """Strict set match of decoded events against within-sentence gold."""
     predicted = {
         (ev.doc_id, ev.source, ev.target)
-        for ev in vecom.decode_events(pairs, p_exists, p_forward, event_type, threshold)
+        for ev in vecom.decode_events(entities, pairs, p_exists, p_forward, event_type, threshold)
     }
     gold = {
         (ev.doc_id, ev.source, ev.target)
@@ -278,7 +278,7 @@ def cross_validate(
     hyper = hyper or Hyper()
     schema = corpus.task_schema
     windows = vecent.build_entity_windows(corpus, hyper.window, table)
-    pairs = vecom.candidate_pairs(corpus)
+    entities, pairs = vecom.candidate_pairs(corpus)
 
     def unit(doc_id, sentence_index):
         return doc_id if doc_level else (doc_id, sentence_index)
@@ -289,10 +289,11 @@ def cross_validate(
     events = list(corpus.events.values())
     exist, forward = {}, {}
     for et in schema.event_types:
-        exist[et], forward[et] = vecom.label_pairs(pairs, events, et)
+        exist[et], forward[et] = vecom.label_pairs(entities, pairs, events, et)
 
     entity_units = [unit(e.doc_id, e.sentence_index) for e in (corpus.entities[q] for q in qids)]
-    pair_units = [unit(p.doc_id, p.sentence_index) for p in pairs]
+    pair_entity_units = [unit(e.doc_id, e.sentence_index) for e in entities]
+    pair_units = [pair_entity_units[a] for a in pairs[:, 0].tolist()]
     plan = plan_folds(
         {
             **{f"arg:{role}": (entity_units, y) for role, y in arg_labels.items()},
@@ -305,10 +306,7 @@ def cross_validate(
     )
     entity_fold = plan.folds(entity_units)
     pair_fold = plan.folds(pair_units)
-    pair_qids = [
-        (Corpus.qualify(p.doc_id, p.first.id), Corpus.qualify(p.doc_id, p.second.id))
-        for p in pairs
-    ]
+    pair_entity_fold = plan.folds(pair_entity_units)
 
     arg_scores = {role: np.zeros(len(qids)) for role in arg_labels}
     exist_scores = {et: np.zeros(len(pairs)) for et in exist}
@@ -321,8 +319,7 @@ def cross_validate(
         test_ents = np.flatnonzero(entity_fold == fold)
         train_pairs = np.flatnonzero(pair_fold != fold)
         test_pairs = np.flatnonzero(pair_fold == fold)
-        pool = {qids[i] for i in train_ents}
-        seen += sum(q in pool for i in test_pairs for q in pair_qids[i])
+        seen += int((pair_entity_fold[pairs[test_pairs]] != fold).sum())
 
         # One argument model per role, trained on the training units'
         # entities, scores this fold's test entities and then, frozen,
@@ -344,12 +341,14 @@ def cross_validate(
             arg_times[role][0] += t1 - t0
             arg_times[role][1] += time.perf_counter() - t1
 
-        embeddings, rows = vecom.embed_pair_entities(pairs, arg_models, windows)
+        embeddings = vecom.embed_pair_entities(entities, arg_models, windows)
         for et in exist:
-            composed = vecom.compose_pairs(embeddings, rows, schema.roles(et))
+            roles = schema.roles(et)
             t0 = time.perf_counter()
             model, _ = vecom.train_event_model(
-                composed[train_pairs],
+                embeddings,
+                pairs[train_pairs],
+                roles,
                 exist[et][train_pairs],
                 forward[et][train_pairs],
                 et,
@@ -357,7 +356,7 @@ def cross_validate(
                 rng=child_rng(seed, f"train/evt/{et}/{fold}/heads"),
             )
             t1 = time.perf_counter()
-            pe, pf = vecom.event_forward_batch(model, composed[test_pairs])
+            pe, pf = vecom.event_forward_batch(model, embeddings, pairs[test_pairs], roles)
             exist_scores[et][test_pairs] = pe
             forward_scores[et][test_pairs] = pf
             event_times[et][0] += t1 - t0
@@ -379,7 +378,7 @@ def cross_validate(
         report.events[et] = EventResult(
             pair_metrics=pair_metrics,
             event_metrics=_decoded_event_metrics(
-                corpus, pairs, exist_scores[et], forward_scores[et], et, hyper.threshold
+                corpus, entities, pairs, exist_scores[et], forward_scores[et], et, hyper.threshold
             ),
             curves=micro_curves(exist_scores[et], labels),
             k=plan.k,

@@ -216,10 +216,13 @@ def _head(model: ArgumentModel, enc: np.ndarray, keep=None):
     return hidden, dropped, ndiff.logistic(ndiff.affine(model.f2, dropped))
 
 
-def _infer(model: ArgumentModel, windows: list[ContextWindow], head) -> np.ndarray:
-    """``head(encoding)`` over the windows, in bounded chunks."""
-    chunks = ndiff.inference_chunks(len(windows))
-    return np.concatenate([head(_encode(model, _gather(windows[rows]))) for rows in chunks])
+def _infer(model: ArgumentModel, windows: list[ContextWindow], head, width: int) -> np.ndarray:
+    """``head(encoding)`` over the windows, in bounded chunks, each written
+    into one ``(n, width)`` output in the model's dtype."""
+    out = np.empty((len(windows), width), dtype=model.f1.A.dtype)
+    for rows in ndiff.inference_chunks(len(windows)):
+        out[rows] = head(_encode(model, _gather(windows[rows])))
+    return out
 
 
 def argument_embeddings(model: ArgumentModel, windows: list[ContextWindow]) -> np.ndarray:
@@ -227,14 +230,14 @@ def argument_embeddings(model: ArgumentModel, windows: list[ContextWindow]) -> n
     no activation, no dropout, deterministic."""
     if not windows:
         return np.zeros((0, model.embedding_size), dtype=model.f1.A.dtype)
-    return _infer(model, windows, lambda enc: ndiff.affine(model.f1, enc))
+    return _infer(model, windows, lambda enc: ndiff.affine(model.f1, enc), model.embedding_size)
 
 
 def predict_probs(model: ArgumentModel, windows: list[ContextWindow]) -> np.ndarray:
     """Inference-mode probabilities for a batch of windows."""
     if not windows:
         return np.zeros(0, dtype=model.f2.A.dtype)
-    return _infer(model, windows, lambda enc: _head(model, enc)[2])[:, 0]
+    return _infer(model, windows, lambda enc: _head(model, enc)[2], 1)[:, 0]
 
 
 def argument_loss_and_grads(

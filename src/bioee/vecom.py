@@ -1,11 +1,14 @@
 """Directed-event classifiers composed from frozen argument embeddings.
 
-Every ordered pair of entities in a sentence is a candidate. A pair gets a
-two-bit label per event type: one bit for whether the event links the two
-entities at all, one for whether it points from the first to the second.
-The classifier input composes the pair's argument embeddings with a
-subtraction; the existence head sees the elementwise absolute value (so it
-is exactly symmetric under orientation of the composed vector), while the
+Every ordered pair of entities in a sentence is a candidate. A corpus's
+pairs are one ``(n, 2)`` int array of (first, second) rows into one entity
+order, each sentence's n(n-1) pairs one slice, in document and sentence
+order. A pair gets a two-bit label per event type: one bit for whether the
+event links the two entities at all, one for whether it points from the
+first to the second. The classifier input composes the pair's argument
+embeddings with a subtraction, one inference chunk or training mini-batch
+at a time; the existence head sees the elementwise absolute value (so it is
+exactly symmetric under orientation of the composed vector), while the
 direction head sees the signed vector.
 """
 
@@ -20,17 +23,6 @@ from .corpus import Corpus, Entity, Event
 from .errors import ConfigurationError, DataError, TrainingError, TrainingSetupError
 from .ndiff import DenseParams
 from .vecent import ArgumentModel, ContextWindow, EpochRecord, Hyper
-
-
-@dataclass
-class CandidatePair:
-    doc_id: str
-    first: Entity
-    second: Entity
-
-    @property
-    def sentence_index(self) -> int:
-        return self.first.sentence_index
 
 
 @dataclass
@@ -80,33 +72,32 @@ def load_event_model(path) -> EventModel:
 # Candidates and labels
 
 
-def gen_candidates(entities: list[Entity]) -> list[CandidatePair]:
-    """All ordered pairs of distinct entities from one sentence: n(n-1)."""
-    pairs = []
-    for a in entities:
-        for b in entities:
-            if a is b:
-                continue
-            pairs.append(CandidatePair(doc_id=a.doc_id, first=a, second=b))
-    return pairs
+def _qid(entity: Entity) -> str:
+    return Corpus.qualify(entity.doc_id, entity.id)
 
 
-def candidate_pairs(corpus: Corpus) -> list[CandidatePair]:
-    """Every ordered pair of each sentence, in document and sentence order."""
+def candidate_pairs(corpus: Corpus) -> tuple[list[Entity], np.ndarray]:
+    """The entities of every sentence with at least two, in qualified-id
+    order, and the ``(n, 2)`` rows into them of every ordered pair of
+    distinct entities of each such sentence, n(n-1) per sentence, in
+    document and sentence order."""
+    groups = [s.entities for doc in corpus.documents for s in doc.sentences if len(s.entities) > 1]
+    entities = sorted((e for group in groups for e in group), key=_qid)
+    row = {_qid(e): i for i, e in enumerate(entities)}
     pairs = []
-    for doc in corpus.documents:
-        for sent in doc.sentences:
-            if len(sent.entities) >= 2:
-                pairs.extend(gen_candidates(sent.entities))
-    return pairs
+    for group in groups:
+        rows = [row[_qid(e)] for e in group]
+        pairs.extend((a, b) for a in rows for b in rows if a != b)
+    return entities, np.array(pairs, dtype=np.intp).reshape(-1, 2)
 
 
 def label_pairs(
-    pairs: list[CandidatePair], events: list[Event], event_type: str
+    entities: list[Entity], pairs: np.ndarray, events: list[Event], event_type: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two-bit labels as ``(exists, forward)`` int arrays over ``pairs``:
-    pair (A, B) gets exists=1 iff an event of this type links {A, B};
-    forward=1 iff that event points A -> B (so forward is 0 where exists is)."""
+    """Two-bit labels as ``(exists, forward)`` int arrays over the ``(n, 2)``
+    rows ``pairs`` into ``entities``: pair (A, B) gets exists=1 iff an event
+    of this type links {A, B}; forward=1 iff that event points A -> B (so
+    forward is 0 where exists is)."""
     directed: dict[tuple[str, str, str], set[tuple[str, str]]] = {}
     for ev in events:
         if ev.type != event_type or ev.cross_sentence:
@@ -122,12 +113,13 @@ def label_pairs(
             )
     exists = np.zeros(len(pairs), dtype=np.int64)
     forward = np.zeros(len(pairs), dtype=np.int64)
-    for i, pair in enumerate(pairs):
-        lo, hi = sorted((pair.first.id, pair.second.id))
-        arrows = directed.get((pair.doc_id, lo, hi))
+    for i, (a, b) in enumerate(pairs.tolist()):
+        first, second = entities[a], entities[b]
+        lo, hi = sorted((first.id, second.id))
+        arrows = directed.get((first.doc_id, lo, hi))
         if arrows:
             exists[i] = 1
-            forward[i] = (pair.first.id, pair.second.id) in arrows
+            forward[i] = (first.id, second.id) in arrows
     return exists, forward
 
 
@@ -136,41 +128,30 @@ def label_pairs(
 
 
 def embed_pair_entities(
-    pairs: list[CandidatePair],
+    entities: list[Entity],
     models: dict[str, ArgumentModel],
     windows: dict[str, ContextWindow],
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Embed each distinct entity of ``pairs`` once under every role model.
-
-    Roles are unknown at prediction time, so each entity gets the embedding
-    of each role model. Returns role -> ``(m, E)`` embeddings of the m
-    distinct entities, in qualified-id order, and the ``(n, 2)`` rows of
-    each pair's first and second entity in them.
-    """
-    qids = [
-        (Corpus.qualify(p.doc_id, p.first.id), Corpus.qualify(p.doc_id, p.second.id))
-        for p in pairs
-    ]
-    distinct = sorted({q for pair in qids for q in pair})
-    row = {q: i for i, q in enumerate(distinct)}
-    rows = np.array([(row[a], row[b]) for a, b in qids], dtype=np.intp).reshape(-1, 2)
-    ordered = [windows[q] for q in distinct]
-    embeddings = {
+) -> dict[str, np.ndarray]:
+    """Role -> ``(m, E)`` embeddings of the m ``entities`` under that role's
+    model, one row per entity; roles are unknown at prediction time, so each
+    entity gets the embedding of each role model."""
+    ordered = [windows[_qid(e)] for e in entities]
+    return {
         role: vecent.argument_embeddings(model, ordered) for role, model in sorted(models.items())
     }
-    return embeddings, rows
 
 
 def compose_pairs(
-    embeddings: dict[str, np.ndarray], rows: np.ndarray, roles: tuple[str, str]
+    embeddings: dict[str, np.ndarray], pairs: np.ndarray, roles: tuple[str, str]
 ) -> np.ndarray:
-    """Subtract layer over a batch of pairs (a, b) of an event type with
-    roles (s, t): ``[R_s(a), R_t(a)] - [R_t(b), R_s(b)]``, shape ``(n, 2E)``."""
+    """Subtract layer over a batch of pairs (a, b), the ``(n, 2)`` rows
+    ``pairs`` into ``embeddings``, of an event type with roles (s, t):
+    ``[R_s(a), R_t(a)] - [R_t(b), R_s(b)]``, shape ``(n, 2E)``."""
     for role in roles:
         if role not in embeddings:
             raise ConfigurationError(f"no argument model for role {role}")
     emb_s, emb_t = (embeddings[role] for role in roles)
-    a, b = rows[:, 0], rows[:, 1]
+    a, b = pairs[:, 0], pairs[:, 1]
     return np.concatenate([emb_s[a] - emb_t[b], emb_t[a] - emb_s[b]], axis=1)
 
 
@@ -186,16 +167,20 @@ def _relu_head(f1: DenseParams, f2: DenseParams, x: np.ndarray):
     return hidden, ndiff.logistic(ndiff.affine(f2, hidden))
 
 
-def event_forward_batch(model: EventModel, composed: np.ndarray):
-    """(existence, forward) probability arrays for a batch of composed pairs:
-    the existence head over ``|composed|`` and the direction head over
-    ``composed``. Only each head's probabilities are kept, so the existence
-    head's input and hidden layer are freed before the direction head runs."""
+def event_forward_batch(
+    model: EventModel, embeddings: dict[str, np.ndarray], pairs: np.ndarray, roles: tuple[str, str]
+):
+    """(existence, forward) probability arrays for the ``(n, 2)`` rows
+    ``pairs`` into ``embeddings``, composed (see ``compose_pairs``) one
+    inference chunk at a time: the existence head over ``|composed|`` and
+    the direction head over ``composed``. Only each head's probabilities are
+    kept, so the existence head's input and hidden layer are freed before
+    the direction head runs."""
     p_exists, p_forward = [], []
-    for rows in ndiff.inference_chunks(len(composed)):
-        chunk = composed[rows]
-        p_exists.append(_relu_head(model.exist_f1, model.exist_f2, np.abs(chunk))[1][:, 0])
-        p_forward.append(_relu_head(model.dir_f1, model.dir_f2, chunk)[1][:, 0])
+    for rows in ndiff.inference_chunks(len(pairs)):
+        composed = compose_pairs(embeddings, pairs[rows], roles)
+        p_exists.append(_relu_head(model.exist_f1, model.exist_f2, np.abs(composed))[1][:, 0])
+        p_forward.append(_relu_head(model.dir_f1, model.dir_f2, composed)[1][:, 0])
     return np.concatenate(p_exists), np.concatenate(p_forward)
 
 
@@ -225,30 +210,36 @@ def event_loss_and_grads(
 
 
 def train_event_model(
-    composed: np.ndarray,
+    embeddings: dict[str, np.ndarray],
+    pairs: np.ndarray,
+    roles: tuple[str, str],
     exists: np.ndarray,
     forward: np.ndarray,
     event_type: str,
     hyper: Hyper | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[EventModel, list[EpochRecord]]:
-    """Joint SGD over the two heads on composed pairs and their two-bit
-    labels (see ``event_loss_and_grads``)."""
+    """Joint SGD over the two heads on the ``(n, 2)`` rows ``pairs`` into
+    ``embeddings``, each mini-batch composed under ``roles`` in the model's
+    dtype, and their two-bit labels (see ``event_loss_and_grads``)."""
     hyper = hyper or Hyper()
     rng = rng or np.random.default_rng(0)
+    # Composing no pairs checks the roles and gives the input width.
+    input_dim = compose_pairs(embeddings, pairs[:0], roles).shape[1]
     if np.unique(exists).size < 2:
         raise TrainingSetupError(
             f"event type {event_type}: existence labels are single-class"
         )
     train_idx = vecent.oversample(exists, max_ratio=hyper.oversample_ratio, rng=rng)
 
-    model = new_event_model(input_dim=composed.shape[1], hidden=hyper.event_mlp_hidden, rng=rng)
-    composed = np.asarray(composed[train_idx], dtype=model.exist_f1.A.dtype)
+    model = new_event_model(input_dim=input_dim, hidden=hyper.event_mlp_hidden, rng=rng)
+    dtype = model.exist_f1.A.dtype
     y_exist = np.asarray(exists, dtype=np.float64)[train_idx, None]
     y_dir = np.asarray(forward, dtype=np.float64)[train_idx, None]
 
     def loss_and_grads(idx):
-        return event_loss_and_grads(model, composed[idx], y_exist[idx], y_dir[idx])
+        composed = compose_pairs(embeddings, pairs[train_idx[idx]], roles).astype(dtype, copy=False)
+        return event_loss_and_grads(model, composed, y_exist[idx], y_dir[idx])
 
     return model, vecent.sgd_epochs(model, hyper, y_exist, loss_and_grads, rng)
 
@@ -258,43 +249,41 @@ def train_event_model(
 
 
 def decode_events(
-    pairs: list[CandidatePair],
+    entities: list[Entity],
+    pairs: np.ndarray,
     p_exists: np.ndarray,
     p_forward: np.ndarray,
     event_type: str,
     threshold: float,
 ) -> list[Event]:
     """Two-bit predictions, one existence and one forward probability per
-    pair, back to directed events; ``pairs`` may span any number of
-    sentences and documents.
+    row of ``pairs`` (into ``entities``), back to directed events; the pairs
+    may span any number of sentences and documents.
 
     For each unordered entity pair whose best existence probability clears
     the threshold, the better-scored ordering wins and its direction bit
-    orients the event; ties keep the earlier candidate.
+    orients the event; ties keep the earlier candidate. Events come in the
+    order of each unordered pair's first candidate.
     """
-    best: dict[tuple[str, int, str, str], tuple[float, CandidatePair, float]] = {}
-    scores = zip(pairs, np.asarray(p_exists).tolist(), np.asarray(p_forward).tolist())
-    for pair, e_prob, f_prob in scores:
-        lo, hi = sorted((pair.first.id, pair.second.id))
-        key = (pair.doc_id, pair.sentence_index, lo, hi)
+    best: dict[tuple[int, int], tuple[float, int, int, float]] = {}
+    scores = zip(pairs.tolist(), np.asarray(p_exists).tolist(), np.asarray(p_forward).tolist())
+    for (a, b), e_prob, f_prob in scores:
+        key = (min(a, b), max(a, b))
         kept = best.get(key)
         if kept is None or e_prob > kept[0]:
-            best[key] = (e_prob, pair, f_prob)
+            best[key] = (e_prob, a, b, f_prob)
     events = []
-    for e_prob, pair, f_prob in best.values():
+    for e_prob, a, b, f_prob in best.values():
         if e_prob < threshold:
             continue
-        if f_prob >= 0.5:
-            source, target = pair.first.id, pair.second.id
-        else:
-            source, target = pair.second.id, pair.first.id
+        source, target = (entities[a], entities[b]) if f_prob >= 0.5 else (entities[b], entities[a])
         events.append(
             Event(
                 id="",
                 type=event_type,
-                source=source,
-                target=target,
-                doc_id=pair.doc_id,
+                source=source.id,
+                target=target.id,
+                doc_id=source.doc_id,
             )
         )
     return events

@@ -9,7 +9,16 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from bioee.corpus import BB_SCHEMA, BGI_SCHEMA, Corpus, corpus_from_documents
+from bioee import vecom
+from bioee.corpus import (
+    BB_SCHEMA,
+    BGI_SCHEMA,
+    Corpus,
+    Document,
+    Entity,
+    Sentence,
+    corpus_from_documents,
+)
 from bioee.embed import PAD
 
 GERE_TEXT = (
@@ -232,6 +241,14 @@ def write_corpus_dir(directory: Path, documents: list[tuple[str, str, str, str]]
         (directory / f"{doc_id}.a1").write_text(a1, encoding="utf-8")
         (directory / f"{doc_id}.a2").write_text(a2, encoding="utf-8")
     return directory
+
+
+def sentence_pairs(entities: list[Entity]):
+    """``vecom.candidate_pairs`` of a corpus whose one sentence holds
+    ``entities``: those entities by qualified id and the rows of their
+    n(n-1) ordered pairs, in the order of ``entities``."""
+    sentence = Sentence("S", (0, 0), entities=list(entities))
+    return vecom.candidate_pairs(Corpus(BGI_SCHEMA, [Document("D", "", [sentence])]))
 
 
 def window_holds(window, table, left: list[str], right: list[str]) -> bool:

@@ -19,7 +19,7 @@ from bioee.corpus import BB_SCHEMA, Corpus, corpus_stats, load_corpus_dir
 from bioee.embed import PAD, EmbeddingTable, load_table
 from bioee.evalkit import binary_metrics, cross_validate, micro_curves, plan_folds
 from bioee.vecent import Hyper, build_entity_windows, oversample
-from bioee.vecom import decode_events, gen_candidates, label_pairs
+from bioee.vecom import decode_events, label_pairs
 
 import fixtures
 
@@ -69,7 +69,7 @@ class TestCriterion3LabelDecodingRoundTrip:
         total_gold = 0
         for doc in corpus.documents:
             for sidx, sent in enumerate(doc.sentences):
-                pairs = gen_candidates(sent.entities)
+                entities, pairs = fixtures.sentence_pairs(sent.entities)
                 for event_type in corpus.task_schema.event_types:
                     gold = {
                         (e.source, e.target)
@@ -81,13 +81,15 @@ class TestCriterion3LabelDecodingRoundTrip:
                         == sidx
                     }
                     total_gold += len(gold)
-                    if not pairs:
+                    if len(pairs) == 0:
                         bad += len(gold)
                         continue
-                    exists, forward = label_pairs(pairs, list(corpus.events.values()), event_type)
+                    exists, forward = label_pairs(
+                        entities, pairs, list(corpus.events.values()), event_type
+                    )
                     decoded = {
                         (e.source, e.target)
-                        for e in decode_events(pairs, exists, forward, event_type, 0.5)
+                        for e in decode_events(entities, pairs, exists, forward, event_type, 0.5)
                     }
                     bad += len(decoded ^ gold)
         return bad, total_gold
@@ -106,13 +108,15 @@ class TestCriterion3LabelDecodingRoundTrip:
     def test_case_study_sentence_three_events(self):
         corpus = fixtures.bgi_corpus()
         doc = next(d for d in corpus.documents if d.id == "PMID-10629188")
-        pairs = gen_candidates(doc.sentences[0].entities)
+        entities, pairs = fixtures.sentence_pairs(doc.sentences[0].entities)
         decoded = set()
         for event_type in corpus.task_schema.event_types:
-            exists, forward = label_pairs(pairs, list(corpus.events.values()), event_type)
+            exists, forward = label_pairs(
+                entities, pairs, list(corpus.events.values()), event_type
+            )
             decoded |= {
                 (e.type, e.source, e.target)
-                for e in decode_events(pairs, exists, forward, event_type, 0.5)
+                for e in decode_events(entities, pairs, exists, forward, event_type, 0.5)
             }
         expected = {
             ("ActionTarget", "T1", "T2"),

@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bioee import cli, embed, ndiff, synth, vecent
+from bioee import cli, embed, ndiff, synth, vecent, vecom
 from bioee.cli import RunConfig, config_from_ini, config_to_ini, main
-from bioee.corpus import load_corpus_dir, load_schema
+from bioee.corpus import load_corpus_dir, load_schema, write_standoff
 from bioee.embed import EmbeddingTable
 from bioee.errors import ConfigurationError
 from bioee.vecent import Hyper
@@ -533,6 +533,56 @@ class TestPredict:
         for role, sizes in calls.items():
             assert sum(sizes) == n, role
             assert len(sizes) <= math.ceil(n / ndiff.INFERENCE_CHUNK), role
+
+    def test_sentence_slices_match_per_sentence_decoding(self, tmp_path):
+        # BB-2's second sentence holds one entity, between sentences with pairs.
+        bb_dir = fixtures.write_corpus_dir(tmp_path / "bb", fixtures.bb_documents())
+        out = tmp_path / "out"
+        base = ["--schema", "bb", "--out", str(out), *FIT_ARGS]
+        assert main(["train-args", "--train-dir", str(bb_dir), *base, "--epochs", "30"]) == 0
+        assert main(["train-events", "--train-dir", str(bb_dir), *base, "--epochs", "40"]) == 0
+        assert main(["predict", "--predict-dir", str(bb_dir), *base]) == 0
+        corpus = load_corpus_dir(bb_dir, load_schema("bb"))
+        sizes = [len(sent.entities) for doc in corpus.documents for sent in doc.sentences]
+        assert sizes == [2, 3, 1, 2]
+
+        # The whole-corpus scores, as predict computes them.
+        table = EmbeddingTable(24, seed=3)
+        windows = vecent.build_entity_windows(corpus, 4, table)
+        roles = corpus.task_schema.roles("Lives_In")
+        arg_models = {r: vecent.load_argument_model(out / "args" / f"{r}.ckpt", r) for r in roles}
+        model = vecom.load_event_model(out / "events" / "Lives_In.ckpt")
+        entities, pairs = vecom.candidate_pairs(corpus)
+        embeddings = vecom.embed_pair_entities(entities, arg_models, windows)
+        p_exists, p_forward = vecom.event_forward_batch(model, embeddings, pairs, roles)
+
+        # pairs.tsv: n(n-1) rows per sentence, in document and sentence order.
+        rows = [r.split("\t") for r in (out / "pred" / "pairs.tsv").read_text().splitlines()[1:]]
+        assert len(rows) == sum(n * (n - 1) for n in sizes)
+        assert [(r[0], r[1], r[2], r[5]) for r in rows] == [
+            (sent.id, a.id, b.id, "Lives_In")
+            for doc in corpus.documents
+            for sent in doc.sentences
+            for a in sent.entities
+            for b in sent.entities
+            if a is not b
+        ]
+        assert [r[3] for r in rows] == [f"{p:.6f}" for p in p_exists.tolist()]
+
+        # Each .a2: the events of each of its sentences, decoded on its own.
+        sentence_of = [(entities[a].doc_id, entities[a].sentence_index) for a in pairs[:, 0]]
+        n_events = 0
+        for doc in corpus.documents:
+            events = []
+            for sidx in range(len(doc.sentences)):
+                idx = [i for i, key in enumerate(sentence_of) if key == (doc.id, sidx)]
+                events += vecom.decode_events(
+                    entities, pairs[idx], p_exists[idx], p_forward[idx], "Lives_In", 0.5
+                )
+            n_events += len(events)
+            expected = write_standoff(events, corpus.task_schema)
+            assert (out / "pred" / f"{doc.id}.a2").read_text() == expected, doc.id
+        assert n_events > 0
 
     def test_missing_event_checkpoints(self, tmp_path, bgi_dir, case_dir, capsys):
         out = tmp_path / "noevents"

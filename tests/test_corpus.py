@@ -384,8 +384,9 @@ class TestGroupingMatchesIndex:
                 assert [e.id for e in sent.entities] == [e.id for e in expected]
                 assert all(a is b for a, b in zip(sent.entities, expected))
         assert groups == {}  # no entity outside a sentence
-        got = [(p.doc_id, p.sentence_index, p.first.id, p.second.id)
-               for p in candidate_pairs(corpus)]
+        entities, pairs = candidate_pairs(corpus)
+        got = [(entities[a].doc_id, entities[a].sentence_index, entities[a].id, entities[b].id)
+               for a, b in pairs.tolist()]
         assert got == _candidate_pairs_scan(corpus)
 
     def test_argument_labels_match_one_vs_all_samples(self):

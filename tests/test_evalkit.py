@@ -234,9 +234,11 @@ class TestBinaryMetrics:
 
     def test_decoded_event_metrics_share_the_flags(self):
         corpus = synth.make_synthetic_corpus(n_sentences=10, seed=3)
-        pairs = vecom.candidate_pairs(corpus)
+        entities, pairs = vecom.candidate_pairs(corpus)
         nothing = np.zeros(len(pairs))  # no pair clears the threshold
-        m = evalkit._decoded_event_metrics(corpus, pairs, nothing, nothing, "Activation", 0.5)
+        m = evalkit._decoded_event_metrics(
+            corpus, entities, pairs, nothing, nothing, "Activation", 0.5
+        )
         assert m.flags == ["precision_zero_division", "f_zero_division", "set_match"]
         assert (m.accuracy, m.precision, m.recall, m.f_score) == (0.0, 0.0, 0.0, 0.0)
         assert m.support_pos > 0 and m.support_neg == 0

@@ -781,13 +781,14 @@ class TestFiniteInvariant:
 def _record_training_arrays(monkeypatch, module, loss_name) -> dict[str, np.ndarray]:
     """Wrap ``module.loss_name`` (a model's loss-and-gradient function), the
     optimizer step and the LSTM's BPTT so that a training run records every
-    array they see, by name: probabilities, LSTM cache entries, gradients,
-    velocities and parameters."""
+    array they see, by name: the input batch, probabilities, LSTM cache
+    entries, gradients, velocities and parameters."""
     seen: dict[str, np.ndarray] = {}
     loss_fn, step, bptt = getattr(module, loss_name), ndiff.sgd_step, ndiff.lstm_bptt
 
-    def loss_and_grads(*args):
-        loss, grads, probs = loss_fn(*args)
+    def loss_and_grads(model, batch, *rest):
+        loss, grads, probs = loss_fn(model, batch, *rest)
+        seen["input batch"] = batch
         seen["probabilities"] = probs
         return loss, grads, probs
 
@@ -859,20 +860,23 @@ class TestFloat32:
         models = {
             role: vecent.new_argument_model(role, 12, 6, 5, dropout=0.2, rng=rng) for role in "ST"
         }
-        pairs = vecom.candidate_pairs(corpus)
-        embeddings, rows = vecom.embed_pair_entities(pairs, models, windows)
-        composed = vecom.compose_pairs(embeddings, rows, ("S", "T"))
+        entities, pairs = vecom.candidate_pairs(corpus)
+        embeddings = vecom.embed_pair_entities(entities, models, windows)
         exists = np.arange(len(pairs)) % 2
         seen = _record_training_arrays(monkeypatch, vecom, "event_loss_and_grads")
         hyper = vecent.Hyper(event_mlp_hidden=4, batch=10_000, epochs=1)
-        model, _ = vecom.train_event_model(composed, exists, exists, "E", hyper, rng=rng)
+        model, _ = vecom.train_event_model(
+            embeddings, pairs, ("S", "T"), exists, exists, "E", hyper, rng=rng
+        )
 
         names = model.parameters().keys()
         assert {f"gradient {n}" for n in names} | {f"velocity {n}" for n in names} <= seen.keys()
+        # The one mini-batch, composed from the pair rows as the loss got it.
+        assert seen["input batch"].shape == (len(pairs), 2 * 5)
         _assert_production_dtype(seen)
-        p_exists, p_forward = vecom.event_forward_batch(model, composed)
+        p_exists, p_forward = vecom.event_forward_batch(model, embeddings, pairs, ("S", "T"))
         _assert_production_dtype(
-            {"composed": composed, "existence": p_exists, "forward": p_forward}
+            {**embeddings, "existence": p_exists, "forward": p_forward}
         )
 
     def test_checkpoint_round_trip_bit_for_bit(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Candidate pairs, two-bit labels, event heads, and decoding."""
+"""Candidate pair rows, two-bit labels, event heads, and decoding."""
 
 import tracemalloc
 
@@ -6,18 +6,16 @@ import numpy as np
 import pytest
 
 from bioee import ndiff, vecent, vecom
-from bioee.corpus import Corpus
+from bioee.corpus import Corpus, Entity
 from bioee.embed import EmbeddingTable
 from bioee.errors import ConfigurationError, DataError, TrainingSetupError
 from bioee.vecent import Hyper
 from bioee.vecom import (
-    CandidatePair,
     candidate_pairs,
     compose_pairs,
     decode_events,
     embed_pair_entities,
     event_forward_batch,
-    gen_candidates,
     label_pairs,
     new_event_model,
     train_event_model,
@@ -37,15 +35,21 @@ def table():
 
 
 def _sentence_pairs(corpus, doc_id, sidx=0):
+    """The entities and pair rows of one sentence (see ``fixtures.sentence_pairs``)."""
     doc = next(d for d in corpus.documents if d.id == doc_id)
-    return gen_candidates(doc.sentences[sidx].entities)
+    return fixtures.sentence_pairs(doc.sentences[sidx].entities)
 
 
-class TestGenCandidates:
+def _ids(entities, pairs):
+    """(first id, second id) of each pair row."""
+    return [(entities[a].id, entities[b].id) for a, b in pairs.tolist()]
+
+
+class TestCandidatePairs:
     def test_case_study_has_twelve_ordered_pairs(self, bgi):
-        pairs = _sentence_pairs(bgi, "PMID-10629188")
+        entities, pairs = _sentence_pairs(bgi, "PMID-10629188")
         assert len(pairs) == 12
-        keys = {(p.first.id, p.second.id) for p in pairs}
+        keys = set(_ids(entities, pairs))
         # includes the eight orderings called out for this sentence
         for a, b in [
             ("T1", "T2"), ("T2", "T1"), ("T2", "T3"), ("T3", "T2"),
@@ -56,32 +60,33 @@ class TestGenCandidates:
     def test_single_entity_yields_nothing(self, bgi):
         doc = next(d for d in bgi.documents if d.id == "PMID-10629188")
         only = doc.sentences[0].entities[:1]
-        assert gen_candidates(only) == []
+        assert _ids(*fixtures.sentence_pairs(only)) == []
 
     def test_gere_sentence_has_thirty_pairs(self, bgi):
-        assert len(_sentence_pairs(bgi, "GERE")) == 30
+        assert len(_sentence_pairs(bgi, "GERE")[1]) == 30
 
     def test_candidate_pairs_in_document_and_sentence_order(self):
         bb = fixtures.bb_corpus()
         expected = [
-            (p.doc_id, p.sentence_index, p.first.id, p.second.id)
+            (doc.id, sidx, first, second)
             for doc in bb.documents
             for sidx in range(len(doc.sentences))
-            for p in _sentence_pairs(bb, doc.id, sidx)
+            for first, second in _ids(*_sentence_pairs(bb, doc.id, sidx))
         ]
-        got = [(p.doc_id, p.sentence_index, p.first.id, p.second.id) for p in candidate_pairs(bb)]
+        entities, pairs = candidate_pairs(bb)
+        got = [
+            (entities[a].doc_id, entities[a].sentence_index, entities[a].id, entities[b].id)
+            for a, b in pairs.tolist()
+        ]
         assert got == expected
         assert len({(doc_id, sidx) for doc_id, sidx, _, _ in got}) > 1
 
 
 class TestLabelPairs:
     def _labels(self, corpus, doc_id, event_type):
-        pairs = _sentence_pairs(corpus, doc_id)
-        exists, forward = label_pairs(pairs, list(corpus.events.values()), event_type)
-        return {
-            (p.first.id, p.second.id): bits
-            for p, bits in zip(pairs, zip(exists.tolist(), forward.tolist()))
-        }
+        entities, pairs = _sentence_pairs(corpus, doc_id)
+        exists, forward = label_pairs(entities, pairs, list(corpus.events.values()), event_type)
+        return dict(zip(_ids(entities, pairs), zip(exists.tolist(), forward.tolist())))
 
     def test_action_target_two_bits(self, bgi):
         got = self._labels(bgi, "PMID-10629188", "ActionTarget")
@@ -107,12 +112,14 @@ class TestLabelPairs:
     def test_forward_implies_exists(self, bgi):
         for doc in bgi.documents:
             for event_type in bgi.task_schema.event_types:
-                pairs = _sentence_pairs(bgi, doc.id)
-                exists, forward = label_pairs(pairs, list(bgi.events.values()), event_type)
+                entities, pairs = _sentence_pairs(bgi, doc.id)
+                exists, forward = label_pairs(
+                    entities, pairs, list(bgi.events.values()), event_type
+                )
                 assert (exists >= forward).all()
 
     def test_conflicting_directions_rejected(self, bgi):
-        pairs = _sentence_pairs(bgi, "PMID-10629188")
+        entities, pairs = _sentence_pairs(bgi, "PMID-10629188")
         events = list(bgi.events.values())
         flipped = [e for e in events if e.doc_id == "PMID-10629188"][0]
         conflict = type(flipped)(
@@ -123,19 +130,19 @@ class TestLabelPairs:
             doc_id=flipped.doc_id,
         )
         with pytest.raises(DataError):
-            label_pairs(pairs, events + [conflict], flipped.type)
+            label_pairs(entities, pairs, events + [conflict], flipped.type)
 
     def test_cross_sentence_events_ignored(self):
         bb = fixtures.bb_corpus()
-        pairs = _sentence_pairs(bb, "BB-2", sidx=1)  # second sentence: T4 only + nothing else
+        pairs = _ids(*_sentence_pairs(bb, "BB-2", sidx=1))  # second sentence: T4 only
         # sentence 2 has a single entity; no pairs at all
         assert pairs == []
         # sentence 1 pairs never see the cross-sentence event T1 -> T4
-        pairs = _sentence_pairs(bb, "BB-2", sidx=0)
-        exists, _ = label_pairs(pairs, list(bb.events.values()), "Lives_In")
+        entities, pairs = _sentence_pairs(bb, "BB-2", sidx=0)
+        exists, _ = label_pairs(entities, pairs, list(bb.events.values()), "Lives_In")
         linked = {
-            frozenset((p.first.id, p.second.id))
-            for p, e in zip(pairs, exists)
+            frozenset(ids)
+            for ids, e in zip(_ids(entities, pairs), exists)
             if e
         }
         assert frozenset(("T1", "T4")) not in linked
@@ -158,30 +165,31 @@ class TestPairInput:
     ROLES = ("Action", "Target")
 
     def _composed(self, bgi, table, models):
-        pairs = _sentence_pairs(bgi, "PMID-10629188")
+        entities, pairs = _sentence_pairs(bgi, "PMID-10629188")
         windows = vecent.build_entity_windows(bgi, 3, table)
-        embeddings, rows = embed_pair_entities(pairs, models, windows)
-        return pairs, embeddings, rows, compose_pairs(embeddings, rows, self.ROLES)
+        embeddings = embed_pair_entities(entities, models, windows)
+        return entities, embeddings, pairs, compose_pairs(embeddings, pairs, self.ROLES)
 
     def test_halves_are_twice_embedding_size(self, bgi, table):
-        pairs, embeddings, rows, composed = self._composed(bgi, table, _role_models(table, 0, 1))
+        entities, embeddings, pairs, composed = self._composed(
+            bgi, table, _role_models(table, 0, 1)
+        )
         assert composed.shape == (len(pairs), 10)
-        assert rows.shape == (len(pairs), 2)
+        assert pairs.shape == (len(pairs), 2)
         assert {e.shape for e in embeddings.values()} == {(4, 5)}  # four distinct entities
 
     def test_half_layout_matches_role_models(self, bgi, table):
         models = {role: m.astype(np.float64) for role, m in _role_models(table, 2, 3).items()}
-        pairs, embeddings, rows, composed = self._composed(bgi, table, models)
-        i = next(k for k, p in enumerate(pairs) if (p.first.id, p.second.id) == ("T1", "T2"))
-        pair = pairs[i]
+        entities, embeddings, pairs, composed = self._composed(bgi, table, models)
+        i = _ids(entities, pairs).index(("T1", "T2"))
+        a, b = pairs[i]
         windows = vecent.build_entity_windows(bgi, 3, table)
-        w_first = windows[Corpus.qualify(pair.doc_id, pair.first.id)]
-        w_second = windows[Corpus.qualify(pair.doc_id, pair.second.id)]
+        w_first = windows[Corpus.qualify(entities[a].doc_id, entities[a].id)]
+        w_second = windows[Corpus.qualify(entities[b].doc_id, entities[b].id)]
 
         def emb(role, w):
             return vecent.argument_embeddings(models[role], [w])[0]
 
-        a, b = rows[i]
         np.testing.assert_allclose(embeddings["Action"][a], emb("Action", w_first), atol=1e-12)
         np.testing.assert_allclose(embeddings["Target"][a], emb("Target", w_first), atol=1e-12)
         np.testing.assert_allclose(embeddings["Target"][b], emb("Target", w_second), atol=1e-12)
@@ -237,6 +245,29 @@ class TestCompose:
         np.testing.assert_allclose(lhs, rhs, atol=1e-15)
 
 
+STUB_ROLES = ("S", "T")
+
+
+def _as_pairs(composed):
+    """Embeddings under ``STUB_ROLES`` and pair rows that compose to
+    ``composed`` exactly: pair i is (i, n), and row n of both roles is zero."""
+    n, width = composed.shape
+    zero = np.zeros((1, width // 2), dtype=composed.dtype)
+    embeddings = {
+        "S": np.concatenate([composed[:, : width // 2], zero]),
+        "T": np.concatenate([composed[:, width // 2 :], zero]),
+    }
+    return embeddings, np.stack([np.arange(n), np.full(n, n)], axis=1)
+
+
+def _forward(model, composed):
+    return event_forward_batch(model, *_as_pairs(composed), STUB_ROLES)
+
+
+def _train(composed, exists, forward, hyper, rng):
+    return train_event_model(*_as_pairs(composed), STUB_ROLES, exists, forward, "E", hyper, rng)
+
+
 class TestEventForward:
     """The event heads through ``event_forward_batch``."""
 
@@ -244,15 +275,15 @@ class TestEventForward:
         rng = np.random.default_rng(13)
         model = new_event_model(input_dim=8, hidden=4, rng=rng)
         v = rng.standard_normal(8)
-        p1, _ = event_forward_batch(model, v[None, :])
-        p2, _ = event_forward_batch(model, -v[None, :])
+        p1, _ = _forward(model, v[None, :])
+        p2, _ = _forward(model, -v[None, :])
         assert p1[0] == pytest.approx(p2[0], abs=0)
 
     def test_zero_weight_model_gives_half_half(self):
         model = new_event_model(input_dim=8, hidden=4, rng=np.random.default_rng(14))
         for t in model.parameters().values():
             t[...] = 0.0
-        p_exists, p_forward = event_forward_batch(model, np.ones((1, 8)))
+        p_exists, p_forward = _forward(model, np.ones((1, 8)))
         assert p_exists[0] == pytest.approx(0.5)
         assert p_forward[0] == pytest.approx(0.5)
 
@@ -260,23 +291,25 @@ class TestEventForward:
         rng = np.random.default_rng(15)
         model = new_event_model(input_dim=8, hidden=4, rng=rng)
         v = rng.standard_normal(8)
-        _, f1 = event_forward_batch(model, v[None, :])
-        _, f2 = event_forward_batch(model, -v[None, :])
+        _, f1 = _forward(model, v[None, :])
+        _, f2 = _forward(model, -v[None, :])
         assert f1[0] != pytest.approx(f2[0])
 
     def test_existence_head_freed_before_direction_head(self):
-        # One inference chunk at the default sizes (E = 128, hidden 64). The
-        # direction head reads the caller's array; the existence head makes
-        # |composed|. Holding that and both hidden layers at once is the bound.
+        # One inference chunk of pairs at the default sizes (E = 128, hidden
+        # 64). The forward composes the chunk, which the direction head
+        # reads, and the existence head makes |composed|. Holding those and
+        # both hidden layers at once is the bound.
         E, hidden = 128, 64
         rng = np.random.default_rng(16)
         model = new_event_model(input_dim=2 * E, hidden=hidden, rng=rng)
         dtype = model.exist_f1.A.dtype
         composed = rng.standard_normal((ndiff.INFERENCE_CHUNK, 2 * E)).astype(dtype)
-        both_at_once = composed.nbytes + 2 * ndiff.INFERENCE_CHUNK * hidden * dtype.itemsize
+        embeddings, pairs = _as_pairs(composed)
+        both_at_once = 2 * composed.nbytes + 2 * ndiff.INFERENCE_CHUNK * hidden * dtype.itemsize
         tracemalloc.start()
         try:
-            p_exists, p_forward = event_forward_batch(model, composed)
+            p_exists, p_forward = event_forward_batch(model, embeddings, pairs, STUB_ROLES)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -284,11 +317,97 @@ class TestEventForward:
         assert peak < both_at_once, (peak, both_at_once)
 
 
-def _pair_stub(doc_id, first_id, second_id):
-    from bioee.corpus import Entity
+def _traced_peak(fn, *args):
+    """The tracemalloc peak of ``fn(*args)`` above what was allocated
+    before, and its result."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start, out
+    finally:
+        tracemalloc.stop()
 
-    mk = lambda tid: Entity(id=tid, label="X", span=(0, 1), doc_id=doc_id, sentence_index=0)
-    return CandidatePair(doc_id=doc_id, first=mk(first_id), second=mk(second_id))
+
+class TestPairStageMemory:
+    """No stage holds a composed ``(n, 2E)`` matrix of all its pairs, or a
+    second copy of the argument embeddings it returns."""
+
+    E = 128
+    SIZES = (2 * ndiff.INFERENCE_CHUNK, 8 * ndiff.INFERENCE_CHUNK)  # pair counts
+
+    def test_embedding_peak_is_kept_plus_one_chunk(self):
+        rng = np.random.default_rng(18)
+        n = 8 * ndiff.INFERENCE_CHUNK
+        vectors = rng.standard_normal((50, 8)).astype(ndiff.DTYPE)
+        entities = [Entity(id=f"T{i}", label="X", span=(0, 1), doc_id="D") for i in range(n)]
+        windows = {
+            f"D/T{i}": vecent.ContextWindow(rng.integers(0, 50, (2, 4), dtype=np.int32), vectors)
+            for i in range(n)
+        }
+        models = {
+            role: vecent.new_argument_model(role, 8, 6, self.E, dropout=0.2, rng=rng)
+            for role in STUB_ROLES
+        }
+        # The working set of one chunk: what embedding one chunk holds
+        # beside its result.
+        one = list(windows.values())[: ndiff.INFERENCE_CHUNK]
+        chunk_peak, chunk = _traced_peak(vecent.argument_embeddings, models["S"], one)
+        working_set = chunk_peak - chunk.nbytes
+        peak, embeddings = _traced_peak(embed_pair_entities, entities, models, windows)
+        kept = sum(e.nbytes for e in embeddings.values())
+        assert kept == 2 * n * self.E * ndiff.DTYPE().itemsize
+        # Beside those, only the window list handed to the role models (8
+        # bytes per entity) and its bookkeeping.
+        assert peak <= kept + working_set + 64 * n, (peak, kept, working_set)
+
+    def _pairs(self, n, rng):
+        embeddings = {
+            role: rng.standard_normal((64, self.E)).astype(ndiff.DTYPE) for role in STUB_ROLES
+        }
+        return embeddings, rng.integers(0, 64, (n, 2))
+
+    def _growth(self, run):
+        """How much the peak of ``run(n)`` grows between the two ``SIZES``
+        of n, and a quarter of the growth of an ``(n, 2E)`` composed matrix."""
+        small, large = self.SIZES
+        run(small)  # one-off allocations of a first call stay out of the peaks
+        peaks = [_traced_peak(run, n)[0] for n in (small, large)]
+        return peaks[1] - peaks[0], (large - small) * 2 * self.E * ndiff.DTYPE().itemsize // 4
+
+    def test_forward_peak_does_not_grow_by_a_composed_matrix(self):
+        rng = np.random.default_rng(19)
+        model = new_event_model(input_dim=2 * self.E, hidden=64, rng=rng)
+        inputs = {n: self._pairs(n, rng) for n in self.SIZES}
+
+        def run(n):
+            return event_forward_batch(model, *inputs[n], STUB_ROLES)
+
+        growth, bound = self._growth(run)
+        assert growth < bound, (growth, bound)
+
+    def test_training_peak_does_not_grow_by_a_composed_matrix(self):
+        rng = np.random.default_rng(20)
+        hyper = Hyper(event_mlp_hidden=64, epochs=1)
+        inputs = {}
+        for n in self.SIZES:
+            embeddings, pairs = self._pairs(n, rng)
+            inputs[n] = (embeddings, pairs, np.arange(n) % 2, rng.integers(0, 2, n))
+
+        def run(n):
+            embeddings, pairs, exists, forward = inputs[n]
+            return train_event_model(
+                embeddings, pairs, STUB_ROLES, exists, forward * exists, "E", hyper,
+                np.random.default_rng(0),
+            )
+
+        growth, bound = self._growth(run)
+        assert growth < bound, (growth, bound)
+
+
+def _stub_entities(*ids):
+    """Entities of one sentence of document D, for pair rows to index."""
+    return [Entity(id=tid, label="X", span=(0, 1), doc_id="D", sentence_index=0) for tid in ids]
 
 
 def _separable_pairs(n=160, dim=12, seed=0):
@@ -310,94 +429,104 @@ def _separable_pairs(n=160, dim=12, seed=0):
 class TestTrainEventModel:
     def test_separable_pairs_reach_95_accuracy(self):
         hyper = Hyper(event_mlp_hidden=8, batch=16, epochs=10, lr=0.05)
-        model, log = train_event_model(
-            *_separable_pairs(), "E", hyper, rng=np.random.default_rng(0)
-        )
+        model, log = _train(*_separable_pairs(), hyper, np.random.default_rng(0))
         assert log[-1].accuracy >= 0.95
 
     def test_zero_epochs_returns_initialized_model(self):
         hyper = Hyper(event_mlp_hidden=8, epochs=0)
-        model, log = train_event_model(
-            *_separable_pairs(n=20), "E", hyper, rng=np.random.default_rng(0)
-        )
+        model, log = _train(*_separable_pairs(n=20), hyper, np.random.default_rng(0))
         assert log == []
 
     def test_single_class_existence_rejected(self):
         composed, exists, forward = _separable_pairs(n=40)
         keep = exists == 1
         with pytest.raises(TrainingSetupError):
-            train_event_model(
-                composed[keep], exists[keep], forward[keep], "E", Hyper(),
-                np.random.default_rng(0),
-            )
+            _train(composed[keep], exists[keep], forward[keep], Hyper(), np.random.default_rng(0))
 
     def test_direction_learned_on_separable_pairs(self):
         hyper = Hyper(event_mlp_hidden=8, batch=16, epochs=12, lr=0.05)
         composed, exists, forward = _separable_pairs()
-        model, _ = train_event_model(
-            composed, exists, forward, "E", hyper, rng=np.random.default_rng(0)
-        )
-        _, pf = event_forward_batch(model, composed[exists == 1])
+        model, _ = _train(composed, exists, forward, hyper, np.random.default_rng(0))
+        _, pf = _forward(model, composed[exists == 1])
         assert np.mean((pf >= 0.5) == (forward[exists == 1] == 1)) >= 0.95
 
 
 class TestDecodeEvents:
+    ONE_PAIR = np.array([[0, 1], [1, 0]])  # both orderings of two entities
+
     def test_forward_bit_orients_first_to_second(self):
-        pairs = [_pair_stub("D", "T1", "T2"), _pair_stub("D", "T2", "T1")]
-        events = decode_events(pairs, [1.0, 1.0], [1.0, 0.0], "ActionTarget", 0.5)
+        entities = _stub_entities("T1", "T2")
+        events = decode_events(entities, self.ONE_PAIR, [1.0, 1.0], [1.0, 0.0], "ActionTarget", 0.5)
         assert len(events) == 1
         assert (events[0].source, events[0].target) == ("T1", "T2")
 
     def test_zero_bit_orients_second_to_first(self):
-        pairs = [_pair_stub("D", "T2", "T3"), _pair_stub("D", "T3", "T2")]
-        events = decode_events(pairs, [0.9, 0.2], [0.0, 0.9], "Interaction", 0.5)
+        entities = _stub_entities("T2", "T3")
+        events = decode_events(entities, self.ONE_PAIR, [0.9, 0.2], [0.0, 0.9], "Interaction", 0.5)
         assert len(events) == 1
         assert (events[0].source, events[0].target) == ("T3", "T2")
 
     def test_below_threshold_yields_nothing(self):
-        pairs = [_pair_stub("D", "T1", "T2"), _pair_stub("D", "T2", "T1")]
-        assert decode_events(pairs, [0.4, 0.3], [1.0, 0.2], "E", 0.5) == []
+        entities = _stub_entities("T1", "T2")
+        assert decode_events(entities, self.ONE_PAIR, [0.4, 0.3], [1.0, 0.2], "E", 0.5) == []
 
     def test_higher_existence_ordering_wins(self):
-        pairs = [_pair_stub("D", "T1", "T2"), _pair_stub("D", "T2", "T1")]
-        events = decode_events(pairs, [0.6, 0.8], [0.9, 0.9], "E", 0.5)
+        entities = _stub_entities("T1", "T2")
+        events = decode_events(entities, self.ONE_PAIR, [0.6, 0.8], [0.9, 0.9], "E", 0.5)
         assert len(events) == 1
         # (T2, T1) scored higher and its forward bit points T2 -> T1
         assert (events[0].source, events[0].target) == ("T2", "T1")
 
+    def test_tie_keeps_earlier_candidate(self):
+        entities = _stub_entities("T1", "T2")
+        for pairs, expected in ((self.ONE_PAIR, ("T1", "T2")), (self.ONE_PAIR[::-1], ("T2", "T1"))):
+            events = decode_events(entities, pairs, [0.7, 0.7], [1.0, 1.0], "E", 0.5)
+            assert [(e.source, e.target) for e in events] == [expected]
+
+    def test_events_in_first_candidate_order(self):
+        entities = _stub_entities("T1", "T2", "T3")
+        # Unordered pairs first seen in the order {T2, T3}, {T1, T3}, {T1, T2}.
+        pairs = np.array([[1, 2], [0, 2], [2, 1], [0, 1], [1, 0], [2, 0]])
+        p_exists = [0.6, 0.7, 0.9, 0.8, 0.95, 0.5]
+        events = decode_events(entities, pairs, p_exists, [1.0] * 6, "E", 0.5)
+        assert [(e.source, e.target) for e in events] == [("T3", "T2"), ("T1", "T3"), ("T2", "T1")]
+
     def test_whole_corpus_call_equals_per_sentence_calls(self, bgi):
-        pairs = candidate_pairs(bgi)
+        entities, pairs = candidate_pairs(bgi)
         rng = np.random.default_rng(17)
         p_exists, p_forward = rng.random(len(pairs)), rng.random(len(pairs))
-        by_sentence = {}
-        for i, p in enumerate(pairs):
-            by_sentence.setdefault((p.doc_id, p.sentence_index), []).append(i)
-        assert len(by_sentence) > 1
+        sentences = {}
+        for i, a in enumerate(pairs[:, 0].tolist()):
+            sentences.setdefault((entities[a].doc_id, entities[a].sentence_index), []).append(i)
+        assert len(sentences) > 1
         for event_type in bgi.task_schema.event_types:
             per_sentence = []
-            for idx in by_sentence.values():
+            for idx in sentences.values():
                 per_sentence.extend(
                     decode_events(
-                        [pairs[i] for i in idx], p_exists[idx], p_forward[idx], event_type, 0.5
+                        entities, pairs[idx], p_exists[idx], p_forward[idx], event_type, 0.5
                     )
                 )
             assert per_sentence
-            assert decode_events(pairs, p_exists, p_forward, event_type, 0.5) == per_sentence
+            assert decode_events(entities, pairs, p_exists, p_forward, event_type, 0.5) == (
+                per_sentence
+            )
 
 
 class TestGoldRoundTrip:
     def _round_trip(self, corpus):
         """Gold labels as hard predictions must decode to the gold events."""
+        events = list(corpus.events.values())
         for doc in corpus.documents:
             for sidx, sent in enumerate(doc.sentences):
                 if len(sent.entities) < 2:
                     continue
-                pairs = gen_candidates(sent.entities)
+                entities, pairs = fixtures.sentence_pairs(sent.entities)
                 for event_type in corpus.task_schema.event_types:
-                    exists, forward = label_pairs(pairs, list(corpus.events.values()), event_type)
+                    exists, forward = label_pairs(entities, pairs, events, event_type)
                     decoded = {
                         (e.source, e.target)
-                        for e in decode_events(pairs, exists, forward, event_type, 0.5)
+                        for e in decode_events(entities, pairs, exists, forward, event_type, 0.5)
                     }
                     gold = {
                         (e.source, e.target)
@@ -417,12 +546,11 @@ class TestGoldRoundTrip:
         self._round_trip(fixtures.bb_corpus())
 
     def test_case_study_sentence_three_events(self, bgi):
-        doc = next(d for d in bgi.documents if d.id == "PMID-10629188")
-        pairs = gen_candidates(doc.sentences[0].entities)
+        entities, pairs = _sentence_pairs(bgi, "PMID-10629188")
         decoded = []
         for event_type in bgi.task_schema.event_types:
-            exists, forward = label_pairs(pairs, list(bgi.events.values()), event_type)
-            decoded.extend(decode_events(pairs, exists, forward, event_type, 0.5))
+            exists, forward = label_pairs(entities, pairs, list(bgi.events.values()), event_type)
+            decoded.extend(decode_events(entities, pairs, exists, forward, event_type, 0.5))
         got = {(e.type, e.source, e.target) for e in decoded}
         assert got == {
             ("ActionTarget", "T1", "T2"),
@@ -432,7 +560,7 @@ class TestGoldRoundTrip:
 
 
 class TestBuildPairSamples:
-    """The corpus-wide pair batch of one event type: pairs, composed
+    """The corpus-wide pairs of one event type: pair rows, composed
     features and two-bit labels, aligned by index."""
 
     def test_features_and_labels_align(self, bgi, table):
@@ -442,19 +570,26 @@ class TestBuildPairSamples:
             for role in ("Action", "Target")
         }
         windows = vecent.build_entity_windows(bgi, 3, table)
-        pairs = candidate_pairs(bgi)
-        embeddings, rows = embed_pair_entities(pairs, arg_models, windows)
-        composed = compose_pairs(embeddings, rows, bgi.task_schema.roles("ActionTarget"))
-        exists, _ = label_pairs(pairs, list(bgi.events.values()), "ActionTarget")
-        positive = [p for p, e in zip(pairs, exists) if e]
+        entities, pairs = candidate_pairs(bgi)
+        embeddings = embed_pair_entities(entities, arg_models, windows)
+        composed = compose_pairs(embeddings, pairs, bgi.task_schema.roles("ActionTarget"))
+        exists, _ = label_pairs(entities, pairs, list(bgi.events.values()), "ActionTarget")
+        positive = [entities[a] for a, e in zip(pairs[:, 0].tolist(), exists) if e]
         assert len(positive) == 2  # both orderings of (T1, T2) in the case doc
         assert {p.doc_id for p in positive} == {"PMID-10629188"}
         assert composed.shape == (len(pairs), 10)
 
     def test_missing_model_is_configuration_error(self, bgi, table):
         windows = vecent.build_entity_windows(bgi, 3, table)
-        pairs = candidate_pairs(bgi)
-        embeddings, rows = embed_pair_entities(pairs, {}, windows)
+        entities, pairs = candidate_pairs(bgi)
+        embeddings = embed_pair_entities(entities, {}, windows)
+        roles = bgi.task_schema.roles("ActionTarget")
         with pytest.raises(ConfigurationError):
-            compose_pairs(embeddings, rows, bgi.task_schema.roles("ActionTarget"))
-
+            compose_pairs(embeddings, pairs, roles)
+        model = new_event_model(input_dim=10, hidden=4)
+        with pytest.raises(ConfigurationError):
+            event_forward_batch(model, embeddings, pairs, roles)
+        # A missing role is reported before single-class labels are.
+        no_events = np.zeros(len(pairs), dtype=np.int64)
+        with pytest.raises(ConfigurationError):
+            train_event_model(embeddings, pairs, roles, no_events, no_events, "ActionTarget")
