@@ -493,14 +493,15 @@ def load_corpus_dir(directory: str | Path, schema: TaskSchema) -> Corpus:
         a2 = txt.with_suffix(".a2")
         if not a1.exists():
             raise ParseError(f"missing entity file {a1}")
+        has_a2 = a2.exists()
         items.append(
             (
                 doc_id,
                 _read_text(txt),
                 _read_text(a1),
-                _read_text(a2) if a2.exists() else "",
+                _read_text(a2) if has_a2 else "",
                 str(a1),
-                str(a2) if a2.exists() else None,
+                str(a2) if has_a2 else None,
             )
         )
     return corpus_from_documents(items, schema)

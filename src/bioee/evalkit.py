@@ -3,10 +3,12 @@ ROC/PRC curves.
 
 Every class is cross-validated on one fold plan over sentences (or
 documents), so no test sentence's entities reach training. Per fold, one
-argument model per role is trained and its embeddings feed every event
-type's heads. A corpus where some class has few positives drops from
-10-fold to 5-fold. Scores are pooled across folds before metrics and curves
-are computed (micro-averaging).
+argument model per role is trained and runs one inference pass, over the
+candidate pairs' entities and the fold's test entities: the test entities
+are scored from the embeddings that feed every event type's heads. A corpus
+where some class has few positives drops from 10-fold to 5-fold. Scores are
+pooled across folds before metrics and curves are computed
+(micro-averaging).
 """
 
 from __future__ import annotations
@@ -290,6 +292,13 @@ def cross_validate(
     exist, forward = {}, {}
     for et in schema.event_types:
         exist[et], forward[et] = vecom.label_pairs(entities, pairs, events, et)
+    # The entities of ``qids`` that the rows of ``pairs`` point at, in their
+    # order, and those in no pair (alone in their sentence).
+    position = {q: i for i, q in enumerate(qids)}
+    pair_ents = np.array(
+        [position[Corpus.qualify(e.doc_id, e.id)] for e in entities], dtype=np.intp
+    )
+    unpaired = np.setdiff1d(np.arange(len(qids)), pair_ents)
 
     entity_units = [unit(e.doc_id, e.sentence_index) for e in (corpus.entities[q] for q in qids)]
     pair_entity_units = [unit(e.doc_id, e.sentence_index) for e in entities]
@@ -322,14 +331,19 @@ def cross_validate(
         seen += int((pair_entity_fold[pairs[test_pairs]] != fold).sum())
 
         # One argument model per role, trained on the training units'
-        # entities, scores this fold's test entities and then, frozen,
-        # embeds the pairs of every event type.
-        arg_models = {}
+        # entities, then one inference pass over the pair entities and this
+        # fold's test entities in no pair: its test rows are scored and its
+        # pair rows, the first len(entities), feed every event type's heads.
+        pass_ents = np.concatenate([pair_ents, unpaired[entity_fold[unpaired] == fold]])
+        row_of = np.empty(len(qids), dtype=np.intp)
+        row_of[pass_ents] = np.arange(len(pass_ents))
+        test_rows = row_of[test_ents]
         train_windows = [ordered[i] for i in train_ents]
-        test_windows = [ordered[i] for i in test_ents]
+        pass_windows = [ordered[i] for i in pass_ents]
+        embeddings = {}
         for role, labels in arg_labels.items():
             t0 = time.perf_counter()
-            arg_models[role], _ = vecent.train_argument_model(
+            model, _ = vecent.train_argument_model(
                 train_windows,
                 labels[train_ents],
                 hyper,
@@ -337,11 +351,11 @@ def cross_validate(
                 arg_type=role,
             )
             t1 = time.perf_counter()
-            arg_scores[role][test_ents] = vecent.predict_probs(arg_models[role], test_windows)
+            embeddings[role] = vecent.argument_embeddings(model, pass_windows)
+            arg_scores[role][test_ents] = vecent.embedding_probs(model, embeddings[role][test_rows])
             arg_times[role][0] += t1 - t0
             arg_times[role][1] += time.perf_counter() - t1
 
-        embeddings = vecom.embed_pair_entities(entities, arg_models, windows)
         for et in exist:
             roles = schema.roles(et)
             t0 = time.perf_counter()

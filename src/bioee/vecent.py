@@ -210,34 +210,32 @@ def _encode(model: ArgumentModel, batch: np.ndarray, caches=(None, None)):
 def _head(model: ArgumentModel, enc: np.ndarray, keep=None):
     """The head's hidden layer, that layer after dropout and the ``(B, 1)``
     probabilities. ``keep`` is the training dropout mask, already scaled by
-    1/(1-rate); inference passes none."""
+    1/(1-rate), or None at rate 0."""
     hidden = np.tanh(ndiff.affine(model.f1, enc))
     dropped = hidden if keep is None else hidden * keep
     return hidden, dropped, ndiff.logistic(ndiff.affine(model.f2, dropped))
 
 
-def _infer(model: ArgumentModel, windows: list[ContextWindow], head, width: int) -> np.ndarray:
-    """``head(encoding)`` over the windows, in bounded chunks, each written
-    into one ``(n, width)`` output in the model's dtype."""
-    out = np.empty((len(windows), width), dtype=model.f1.A.dtype)
-    for rows in ndiff.inference_chunks(len(windows)):
-        out[rows] = head(_encode(model, _gather(windows[rows])))
+def argument_embeddings(model: ArgumentModel, windows: list[ContextWindow]) -> np.ndarray:
+    """First dense-layer output over the BLSTM encoding, one row per window,
+    in bounded chunks; no activation, no dropout, deterministic. This is the
+    one inference pass of the encoder: ``embedding_probs`` scores its rows."""
+    out = np.empty((len(windows), model.embedding_size), dtype=model.f1.A.dtype)
+    if windows:
+        for rows in ndiff.inference_chunks(len(windows)):
+            out[rows] = ndiff.affine(model.f1, _encode(model, _gather(windows[rows])))
     return out
 
 
-def argument_embeddings(model: ArgumentModel, windows: list[ContextWindow]) -> np.ndarray:
-    """First dense-layer output over the BLSTM encoding, one row per window;
-    no activation, no dropout, deterministic."""
-    if not windows:
-        return np.zeros((0, model.embedding_size), dtype=model.f1.A.dtype)
-    return _infer(model, windows, lambda enc: ndiff.affine(model.f1, enc), model.embedding_size)
+def embedding_probs(model: ArgumentModel, embeddings: np.ndarray) -> np.ndarray:
+    """The role probabilities of ``argument_embeddings`` rows: the head's
+    tanh, then its output layer, without dropout."""
+    return ndiff.logistic(ndiff.affine(model.f2, np.tanh(embeddings)))[:, 0]
 
 
 def predict_probs(model: ArgumentModel, windows: list[ContextWindow]) -> np.ndarray:
     """Inference-mode probabilities for a batch of windows."""
-    if not windows:
-        return np.zeros(0, dtype=model.f2.A.dtype)
-    return _infer(model, windows, lambda enc: _head(model, enc)[2], 1)[:, 0]
+    return embedding_probs(model, argument_embeddings(model, windows))
 
 
 def argument_loss_and_grads(

@@ -849,6 +849,29 @@ class TestCrossval:
                     "curves/arg_Activator_prc.tsv"):
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
+    def test_one_embedding_pass_per_fold_and_role(self, tmp_path, synth_dir, monkeypatch):
+        calls = {}
+        embed_windows = vecent.argument_embeddings
+
+        def counting(model, windows):
+            calls.setdefault(model.arg_type, []).append(len(windows))
+            return embed_windows(model, windows)
+
+        def scoring_windows(model, windows):
+            raise AssertionError("crossval scores the embeddings it already has")
+
+        monkeypatch.setattr(vecent, "argument_embeddings", counting)
+        monkeypatch.setattr(vecent, "predict_probs", scoring_windows)
+        corpus_dir, schema_path = synth_dir
+        out = tmp_path / "out"
+        assert self._run(corpus_dir, schema_path, out) == 0
+        payload = json.loads((out / "crossval" / "metrics.json").read_text())
+        assert set(calls) == set(payload["arguments"]) == {"Activator", "Target"}
+        for role, sizes in calls.items():
+            assert len(sizes) == payload["arguments"][role]["k"], role
+            # Every synthetic sentence holds a pair, so each pass is the pair entities.
+            assert set(sizes) == {payload["arguments"][role]["n_samples"]}, role
+
 
 ON_GLIBC = platform.libc_ver()[0] == "glibc"
 

@@ -1,5 +1,7 @@
 """Standoff parsing, tokenization, alignment, and serialization."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -504,6 +506,17 @@ class TestCorpusAssembly:
         (tmp_path / "d.a1").write_text("T1\tBacteria 0 8\tBacteria\n", encoding="utf-8")
         corpus = load_corpus_dir(tmp_path, BB_SCHEMA)
         assert corpus.events == {}
+
+    def test_one_existence_check_per_standoff_file(self, tmp_path, monkeypatch):
+        fixtures.write_corpus_dir(tmp_path / "bb", fixtures.bb_documents())
+        (tmp_path / "bb" / "BB-1.a2").unlink()  # one document without events
+        checked = []
+        exists = Path.exists
+        monkeypatch.setattr(Path, "exists", lambda path: checked.append(path.name) or exists(path))
+        corpus = load_corpus_dir(tmp_path / "bb", BB_SCHEMA)
+        docs = [doc.id for doc in corpus.documents]
+        assert len(docs) == 3
+        assert sorted(checked) == sorted(f"{d}.{ext}" for d in docs for ext in ("a1", "a2"))
 
 
 class TestSchema:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bioee import evalkit, synth, vecent, vecom
+from bioee.corpus import Corpus, corpus_from_documents
 from bioee.embed import EmbeddingTable
 from bioee.errors import PlanningError
 from bioee.evalkit import (
@@ -465,6 +466,88 @@ class TestDocumentLevelCrossValidate:
         assert sorted(classes) == ["arg:Activator", "arg:Target", "event:Activation"]
         assert plan.k == 10
         assert sorted(plan.fold_of) == sorted(doc.id for doc in small_corpus.documents)
+
+
+def _corpus_with_unpaired_entities():
+    """The 50-sentence synthetic corpus with a one-entity sentence appended to
+    every fifth document: those entities are in no candidate pair."""
+    items = []
+    for i, (doc_id, text, a1, a2) in enumerate(synth.generate_documents(50, seed=13)):
+        if i % 5 == 0:
+            start = len(text) + len(" Later ")
+            text += " Later gene07 was measured."
+            a1 += f"T9\tGene {start} {start + len('gene07')}\tgene07\n"
+        items.append((doc_id, text, a1, a2, None, None))
+    return corpus_from_documents(items, synth.SYNTH_SCHEMA)
+
+
+@pytest.fixture(scope="module")
+def unpaired_corpus():
+    return _corpus_with_unpaired_entities()
+
+
+class TestOneEncoderPass:
+    """Per fold and role, crossval runs the argument encoder once, over the
+    pair entities and the fold's test entities, and scores the test rows of
+    that pass. Its pooled scores are what ``predict_probs`` gives the fold's
+    test windows."""
+
+    @staticmethod
+    def _pooled_and_expected(monkeypatch, corpus, doc_level):
+        qids = sorted(corpus.entities)
+        roles = corpus.task_schema.argument_types
+        expected = {role: np.full(len(qids), np.nan) for role in roles}
+        windows = {}
+        build, train = vecent.build_entity_windows, vecent.train_argument_model
+
+        def keep_windows(*args):
+            windows.update(build(*args))
+            return windows
+
+        def spy(train_windows, labels, hyper=None, rng=None, arg_type=""):
+            model, log = train(train_windows, labels, hyper, rng=rng, arg_type=arg_type)
+            trained_on = {id(w) for w in train_windows}
+            test = [i for i, q in enumerate(qids) if id(windows[q]) not in trained_on]
+            expected[arg_type][test] = vecent.predict_probs(model, [windows[qids[i]] for i in test])
+            return model, log
+
+        pooled = []
+        curves = evalkit.micro_curves
+
+        def keep_scores(scores, labels):
+            pooled.append(np.array(scores))
+            return curves(scores, labels)
+
+        monkeypatch.setattr(vecent, "build_entity_windows", keep_windows)
+        monkeypatch.setattr(vecent, "train_argument_model", spy)
+        monkeypatch.setattr(evalkit, "micro_curves", keep_scores)
+        cross_validate(
+            corpus, EmbeddingTable(8, seed=2), hyper=_tiny_settings(), seed=99, doc_level=doc_level
+        )
+        # micro_curves scores the roles first, in schema order.
+        return dict(zip(roles, pooled)), expected, qids
+
+    @pytest.mark.parametrize("doc_level", [False, True], ids=["sentences", "documents"])
+    def test_pooled_scores_match_predict_probs(self, monkeypatch, small_corpus, doc_level):
+        pooled, expected, _ = self._pooled_and_expected(monkeypatch, small_corpus, doc_level)
+        for role, scores in pooled.items():
+            assert not np.isnan(expected[role]).any(), role  # every entity tested once
+            np.testing.assert_allclose(scores, expected[role], rtol=0, atol=1e-6, err_msg=role)
+
+    @pytest.mark.parametrize("doc_level", [False, True], ids=["sentences", "documents"])
+    def test_entity_in_no_pair_is_scored(self, monkeypatch, unpaired_corpus, doc_level):
+        entities, _ = vecom.candidate_pairs(unpaired_corpus)
+        paired = {Corpus.qualify(e.doc_id, e.id) for e in entities}
+        pooled, expected, qids = self._pooled_and_expected(
+            monkeypatch, unpaired_corpus, doc_level
+        )
+        unpaired = [i for i, q in enumerate(qids) if q not in paired]
+        assert len(unpaired) == 10
+        for role, scores in pooled.items():
+            assert np.all(scores[unpaired] > 0.0), role
+            np.testing.assert_allclose(
+                scores[unpaired], expected[role][unpaired], rtol=0, atol=1e-6, err_msg=role
+            )
 
 
 class TestTrainTestOverlap:

@@ -395,6 +395,34 @@ class TestPaddedRows:
         for name, got, ref in zip(cell.params("c"), grads, grads_ref):
             _assert_close(got, ref, err_msg=name)
 
+    def test_float32_narrow_steps_and_late_joins(self):
+        # Two chain-only steps, then one row joining at each of three
+        # consecutive steps, two at the last step and one all-pad row, so the
+        # recurrent products run on 1, 2 and 3 packed rows and the state
+        # buffers take in rows at every step but the first.
+        T, D, H = 6, 200, 128
+        rng = np.random.default_rng(55)
+        cell = init_lstm(rng, D, H)
+        cell.b[:] = rng.standard_normal(4 * H)  # so the pad chain's state is not zero
+        leads = [4, 2, 6, 5, 3, 5]
+        steps = _padded_steps(rng, leads, T, D).astype(ndiff.DTYPE)
+        grad_out = rng.standard_normal((len(leads), H)).astype(ndiff.DTYPE)
+        cache = {}
+        h = lstm_last(cell, steps, cache)
+        grads = lstm_bptt(cell, cache, grad_out)
+        assert cache["widths"].tolist() == [1, 1, 2, 3, 4, 6]
+        h_ref, grads_ref = _unpacked_lstm(
+            cell.astype(np.float64), steps.astype(np.float64), grad_out.astype(np.float64)
+        )
+        # The float32 rounding bound of test_lstm_matches_float64_oracle_at_model_shape.
+        bound = math.sqrt(T * (D + H)) * np.finfo(np.float32).eps
+        for name, got, ref in zip(("h", "A", "b"), (h, *grads), (h_ref, *grads_ref)):
+            assert got.dtype == ndiff.DTYPE, name
+            np.testing.assert_allclose(
+                got, ref, rtol=0, atol=bound * np.abs(ref).max(), err_msg=name
+            )
+        np.testing.assert_array_equal(lstm_last(cell, steps), h)
+
     def test_output_rows_keep_input_order(self):
         T, D, H = 6, 4, 3
         rng = np.random.default_rng(54)
