@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 
-from . import embed, evalkit, gradcheck, ndiff, vecent, vecom
+from . import embed, evalkit, gradcheck, ndiff, pool, vecent, vecom
 from .corpus import Corpus, corpus_stats, load_corpus_dir, load_schema, write_standoff
 from .errors import BioeeError, ConfigurationError, TrainingError, TrainingSetupError
 from .evalkit import child_rng
@@ -132,15 +132,23 @@ def _outdir(cfg: RunConfig) -> Path:
 # at least M_MMAP_THRESHOLD bytes get a mapping of their own. Both would
 # otherwise adapt to the largest block freed so far, so each training step's
 # 0.5-5 MB temporaries were unmapped and faulted in again step after step.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_HEAP_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 128 << 20))
+# M_ARENA_MAX = 1 gives every thread the main heap: the worker pool's result
+# thread unpickles train-args' models, and in an arena of its own that
+# memory stayed resident where the main thread could not reuse it.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
+_HEAP_POLICY = (
+    (_M_MMAP_THRESHOLD, 32 << 20),
+    (_M_TRIM_THRESHOLD, 128 << 20),
+    (_M_ARENA_MAX, 1),
+)
 heap_policy = "default"  # "pinned" once pin_heap() has set _HEAP_POLICY
 
 
 def pin_heap() -> str:
     """Fix glibc's heap thresholds so freed temporaries stay mapped (up to
-    128 MiB of them); idempotent, and a no-op off glibc. Returns the policy
-    now in force, "pinned" or "default"."""
+    128 MiB of them), and give every thread the main heap; idempotent, and a
+    no-op off glibc. Returns the policy now in force, "pinned" or
+    "default"."""
     global heap_policy
     if platform.libc_ver()[0] == "glibc":
         mallopt = ctypes.CDLL(None).mallopt
@@ -150,15 +158,17 @@ def pin_heap() -> str:
     return heap_policy
 
 
-def _finish(cfg: RunConfig, command: str, started: float) -> None:
+def _finish(cfg: RunConfig, command: str, started: float, workers: int | None = None) -> None:
+    """Write the effective config and append the run-log line, which ends
+    with ``workers=N`` for a command that runs its jobs in worker processes."""
     out = _outdir(cfg)
     (out / "effective.ini").write_text(config_to_ini(cfg), encoding="utf-8")
     stamp = datetime.now().isoformat(timespec="seconds")
+    line = f"{stamp} {command} finished in {time.perf_counter() - started:.2f}s heap={heap_policy}"
+    if workers is not None:
+        line += f" workers={workers}"
     with open(out / "run.log", "a", encoding="utf-8") as fh:
-        fh.write(
-            f"{stamp} {command} finished in {time.perf_counter() - started:.2f}s"
-            f" heap={heap_policy}\n"
-        )
+        fh.write(line + "\n")
 
 
 def _write_json(path: Path, payload) -> None:
@@ -252,9 +262,18 @@ def cmd_train_args(cfg: RunConfig) -> int:
     qids = sorted(windows)
     ordered = [windows[q] for q in qids]
     trained = corpus.task_schema.argument_types
-    for arg_type, labels in vecent.argument_labels(corpus, qids).items():
+    labels = vecent.argument_labels(corpus, qids)
+
+    def train(arg_type):
         rng = child_rng(cfg.seed, f"cmd/train-args/{arg_type}")
-        model, log = vecent.train_argument_model(ordered, labels, cfg, rng=rng, arg_type=arg_type)
+        return vecent.train_argument_model(
+            ordered, labels[arg_type], cfg, rng=rng, arg_type=arg_type
+        )
+
+    # The roles train in worker processes; this process writes every file.
+    workers = pool.worker_count(len(labels))
+    results = pool.map_in_workers(train, list(labels), workers)
+    for arg_type, (model, log) in zip(labels, results):
         _save_model(model, args_dir / f"{arg_type}.ckpt")
         (args_dir / f"{arg_type}.log.csv").write_text(
             vecent.epoch_log_csv(log), encoding="utf-8"
@@ -279,7 +298,7 @@ def cmd_train_args(cfg: RunConfig) -> int:
         },
     )
     print(f"trained {len(trained)} argument models -> {args_dir}")
-    _finish(cfg, "train-args", started)
+    _finish(cfg, "train-args", started, workers=workers)
     return 0
 
 
@@ -423,7 +442,7 @@ def cmd_crossval(cfg: RunConfig) -> int:
                 evalkit.curve_tsv(getattr(curves, kind)), encoding="utf-8"
             )
     print((cv_dir / "metrics.csv").read_text(encoding="utf-8"))
-    _finish(cfg, "crossval", started)
+    _finish(cfg, "crossval", started, workers=report.workers)
     return 0
 
 

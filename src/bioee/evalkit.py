@@ -9,6 +9,11 @@ are scored from the embeddings that feed every event type's heads. A corpus
 where some class has few positives drops from 10-fold to 5-fold. Scores are
 pooled across folds before metrics and curves are computed
 (micro-averaging).
+
+The folds are independent, and each draws from its own seeded generators,
+so ``pool.map_in_workers`` runs them in forked worker processes, one per
+usable CPU; the parent merges their scores in fold order, and the reports
+are the same whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import vecent, vecom
+from . import pool, vecent, vecom
 from .corpus import Corpus
 from .embed import EmbeddingTable
 from .errors import PlanningError
@@ -236,6 +241,7 @@ class CrossValReport:
     seed: int
     micro_arguments: Curves | None = None  # pooled across argument types
     micro_events: Curves | None = None  # pooled across event types
+    workers: int = 1  # processes the folds ran in
 
 
 def _decoded_event_metrics(
@@ -276,7 +282,12 @@ def cross_validate(
     argument model per role on the training sentences' entities, frozen,
     then each event type's heads on the training pairs; evaluation pools the
     untouched test scores across folds, decoding events at
-    ``hyper.threshold``."""
+    ``hyper.threshold``.
+
+    The folds run in ``pool.worker_count(k)`` forked processes, which
+    inherit the windows, pairs and labels and send back only their scores
+    and seconds; the parent merges them in fold order. The class timings
+    therefore sum worker seconds that overlap in wall time."""
     hyper = hyper or Hyper()
     schema = corpus.task_schema
     windows = vecent.build_entity_windows(corpus, hyper.window, table)
@@ -317,18 +328,16 @@ def cross_validate(
     pair_fold = plan.folds(pair_units)
     pair_entity_fold = plan.folds(pair_entity_units)
 
-    arg_scores = {role: np.zeros(len(qids)) for role in arg_labels}
-    exist_scores = {et: np.zeros(len(pairs)) for et in exist}
-    forward_scores = {et: np.zeros(len(pairs)) for et in exist}
-    arg_times = {role: [0.0, 0.0] for role in arg_labels}  # train, test seconds
-    event_times = {et: [0.0, 0.0] for et in exist}
-    seen = 0
-    for fold in range(plan.k):
+    def run_fold(fold):
+        """The fold's test-entity probabilities per role, and (p_exists,
+        p_forward) over its test pairs per event type, each with its
+        training and test seconds; and how many test-pair entity occurrences
+        are in training."""
         train_ents = np.flatnonzero(entity_fold != fold)
         test_ents = np.flatnonzero(entity_fold == fold)
         train_pairs = np.flatnonzero(pair_fold != fold)
         test_pairs = np.flatnonzero(pair_fold == fold)
-        seen += int((pair_entity_fold[pairs[test_pairs]] != fold).sum())
+        seen = int((pair_entity_fold[pairs[test_pairs]] != fold).sum())
 
         # One argument model per role, trained on the training units'
         # entities, then one inference pass over the pair entities and this
@@ -340,7 +349,7 @@ def cross_validate(
         test_rows = row_of[test_ents]
         train_windows = [ordered[i] for i in train_ents]
         pass_windows = [ordered[i] for i in pass_ents]
-        embeddings = {}
+        embeddings, arg_out, event_out = {}, {}, {}
         for role, labels in arg_labels.items():
             t0 = time.perf_counter()
             model, _ = vecent.train_argument_model(
@@ -352,9 +361,8 @@ def cross_validate(
             )
             t1 = time.perf_counter()
             embeddings[role] = vecent.argument_embeddings(model, pass_windows)
-            arg_scores[role][test_ents] = vecent.embedding_probs(model, embeddings[role][test_rows])
-            arg_times[role][0] += t1 - t0
-            arg_times[role][1] += time.perf_counter() - t1
+            probs = vecent.embedding_probs(model, embeddings[role][test_rows])
+            arg_out[role] = (probs, t1 - t0, time.perf_counter() - t1)
 
         for et in exist:
             roles = schema.roles(et)
@@ -371,12 +379,33 @@ def cross_validate(
             )
             t1 = time.perf_counter()
             pe, pf = vecom.event_forward_batch(model, embeddings, pairs[test_pairs], roles)
+            event_out[et] = (pe, pf, t1 - t0, time.perf_counter() - t1)
+        return arg_out, event_out, seen
+
+    arg_scores = {role: np.zeros(len(qids)) for role in arg_labels}
+    exist_scores = {et: np.zeros(len(pairs)) for et in exist}
+    forward_scores = {et: np.zeros(len(pairs)) for et in exist}
+    arg_times = {role: [0.0, 0.0] for role in arg_labels}  # train, test seconds
+    event_times = {et: [0.0, 0.0] for et in exist}
+    seen = 0
+    workers = pool.worker_count(plan.k)
+    for fold, (arg_out, event_out, fold_seen) in enumerate(
+        pool.map_in_workers(run_fold, range(plan.k), workers)
+    ):
+        test_ents = np.flatnonzero(entity_fold == fold)
+        test_pairs = np.flatnonzero(pair_fold == fold)
+        for role, (probs, train_s, test_s) in arg_out.items():
+            arg_scores[role][test_ents] = probs
+            arg_times[role][0] += train_s
+            arg_times[role][1] += test_s
+        for et, (pe, pf, train_s, test_s) in event_out.items():
             exist_scores[et][test_pairs] = pe
             forward_scores[et][test_pairs] = pf
-            event_times[et][0] += t1 - t0
-            event_times[et][1] += time.perf_counter() - t1
+            event_times[et][0] += train_s
+            event_times[et][1] += test_s
+        seen += fold_seen
 
-    report = CrossValReport(arguments={}, events={}, seed=seed)
+    report = CrossValReport(arguments={}, events={}, seed=seed, workers=workers)
     for role, labels in arg_labels.items():
         metrics = binary_metrics(labels, arg_scores[role] >= 0.5)
         metrics.train_time, metrics.test_time = arg_times[role]

@@ -3,7 +3,10 @@
 import argparse
 import dataclasses
 import json
+import logging
 import math
+import multiprocessing
+import os
 import platform
 import re
 import resource
@@ -14,11 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bioee import cli, embed, ndiff, synth, vecent, vecom
+from bioee import cli, embed, evalkit, ndiff, pool, synth, vecent, vecom
 from bioee.cli import RunConfig, config_from_ini, config_to_ini, main
 from bioee.corpus import load_corpus_dir, load_schema, write_standoff
 from bioee.embed import EmbeddingTable
-from bioee.errors import ConfigurationError
+from bioee.errors import ConfigurationError, TrainingError
 from bioee.vecent import Hyper
 
 import fixtures
@@ -412,6 +415,27 @@ class TestTrainArgs:
         a = (outs[0] / "args" / "Target.ckpt").read_bytes()
         b = (outs[1] / "args" / "Target.ckpt").read_bytes()
         assert a == b
+
+    def test_worker_pool_matches_in_process(self, tmp_path, bgi_dir, monkeypatch, caplog):
+        caplog.set_level(logging.INFO, logger="bioee.cli")
+        outs, lines = {}, {}
+        for workers in (1, 2):
+            monkeypatch.setattr(pool, "worker_count", lambda n_jobs, w=workers: w)
+            caplog.clear()
+            out = tmp_path / f"workers{workers}"
+            assert main(["train-args", "--schema", "bgi", "--train-dir", str(bgi_dir),
+                         "--out", str(out), "--epochs", "2", *FIT_ARGS]) == 0
+            run_log = (out / "run.log").read_text().splitlines()[-1]
+            assert run_log.endswith(f" workers={workers}")
+            outs[workers] = out / "args"
+            lines[workers] = [r.getMessage() for r in caplog.records]  # this process's only
+        names = sorted(p.name for p in outs[1].iterdir())
+        assert names == sorted(p.name for p in outs[2].iterdir())
+        assert len(names) == 2 * 11 + 1  # a checkpoint and an epoch log per role, the manifest
+        for name in names:
+            assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+        assert len(lines[2]) == 11 and lines[2] == lines[1]
+        assert multiprocessing.active_children() == []
 
     def test_malformed_embedding_file_is_json_error(self, tmp_path, bgi_dir, capsys):
         vectors = tmp_path / "vectors.txt"
@@ -817,9 +841,9 @@ class TestCrossval:
         schema_path = synth.write_synthetic_corpus(tmp_path / "synth", n_sentences=50, seed=13)
         return tmp_path / "synth", schema_path
 
-    def _run(self, corpus_dir, schema_path, out):
+    def _run(self, corpus_dir, schema_path, out, *extra):
         return main(["crossval", "--schema", str(schema_path), "--train-dir", str(corpus_dir),
-                     "--out", str(out), *self.SYNTH_ARGS])
+                     "--out", str(out), *self.SYNTH_ARGS, *extra])
 
     def test_artifacts_written(self, tmp_path, synth_dir):
         corpus_dir, schema_path = synth_dir
@@ -849,6 +873,7 @@ class TestCrossval:
                     "curves/arg_Activator_prc.tsv"):
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
+    @pytest.mark.usefixtures("in_process")
     def test_one_embedding_pass_per_fold_and_role(self, tmp_path, synth_dir, monkeypatch):
         calls = {}
         embed_windows = vecent.argument_embeddings
@@ -871,6 +896,72 @@ class TestCrossval:
             assert len(sizes) == payload["arguments"][role]["k"], role
             # Every synthetic sentence holds a pair, so each pass is the pair entities.
             assert set(sizes) == {payload["arguments"][role]["n_samples"]}, role
+
+
+    @pytest.mark.parametrize("extra", [(), ("--doc-level-cv",)], ids=["sentences", "documents"])
+    def test_worker_pool_matches_in_process(self, tmp_path, synth_dir, monkeypatch, extra):
+        corpus_dir, schema_path = synth_dir
+        outs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(pool, "worker_count", lambda n_jobs, w=workers: w)
+            out = tmp_path / f"workers{workers}"
+            assert self._run(corpus_dir, schema_path, out, *extra) == 0
+            run_log = (out / "run.log").read_text().splitlines()[-1]
+            assert run_log.endswith(f" workers={workers}")
+            outs[workers] = out / "crossval"
+        # timings.csv holds wall seconds, the one file that may differ.
+        files = sorted(
+            str(p.relative_to(outs[1])) for p in outs[1].rglob("*")
+            if p.is_file() and p.name != "timings.csv"
+        )
+        assert files == sorted(
+            str(p.relative_to(outs[2])) for p in outs[2].rglob("*")
+            if p.is_file() and p.name != "timings.csv"
+        )
+        assert {"metrics.json", "metrics.csv", "overlap.json"} < set(files)
+        assert len([f for f in files if f.startswith("curves")]) == 10
+        for rel in files:
+            assert (outs[1] / rel).read_bytes() == (outs[2] / rel).read_bytes(), rel
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def _act_in_fold_3(monkeypatch, act):
+        """``train_argument_model`` calls ``act()`` when it trains a role of
+        fold 3, which it tells by the fold's generator; the patch is made
+        before the fork, so the workers inherit it."""
+        train = vecent.train_argument_model
+
+        def spy(windows, labels, hyper=None, rng=None, arg_type=""):
+            fold_3 = evalkit.child_rng(11, f"train/arg/{arg_type}/3")  # SYNTH_ARGS' seed
+            if rng.bit_generator.state == fold_3.bit_generator.state:
+                act()
+            return train(windows, labels, hyper, rng=rng, arg_type=arg_type)
+
+        monkeypatch.setattr(vecent, "train_argument_model", spy)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_in_a_fold_is_json_error(self, tmp_path, synth_dir, monkeypatch, capsys,
+                                           workers):
+        def diverge():
+            raise TrainingError("fold 3 diverged")
+
+        monkeypatch.setattr(pool, "worker_count", lambda n_jobs: workers)
+        self._act_in_fold_3(monkeypatch, diverge)
+        corpus_dir, schema_path = synth_dir
+        assert self._run(corpus_dir, schema_path, tmp_path / "out") == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "TrainingError", "message": "fold 3 diverged"}
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_json_error(self, tmp_path, synth_dir, monkeypatch, capsys):
+        monkeypatch.setattr(pool, "worker_count", lambda n_jobs: 2)
+        self._act_in_fold_3(monkeypatch, lambda: os._exit(3))
+        corpus_dir, schema_path = synth_dir
+        assert self._run(corpus_dir, schema_path, tmp_path / "out") == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "TrainingError"
+        assert "worker process died" in error["message"]
+        assert multiprocessing.active_children() == []
 
 
 ON_GLIBC = platform.libc_ver()[0] == "glibc"

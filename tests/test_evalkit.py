@@ -399,6 +399,7 @@ class TestCrossValidate:
         )
         assert report_json(again) == report_json(report)
 
+    @pytest.mark.usefixtures("in_process")
     def test_one_argument_model_per_fold_and_role(self, monkeypatch):
         corpus = synth.make_synthetic_corpus(n_sentences=30, seed=13)
         calls = []
@@ -486,6 +487,7 @@ def unpaired_corpus():
     return _corpus_with_unpaired_entities()
 
 
+@pytest.mark.usefixtures("in_process")
 class TestOneEncoderPass:
     """Per fold and role, crossval runs the argument encoder once, over the
     pair entities and the fold's test entities, and scores the test rows of
@@ -576,3 +578,4 @@ class TestSeeds:
         assert child_seed(7, "a") == child_seed(7, "a")
         assert child_seed(7, "a") != child_seed(7, "b")
         assert child_seed(7, "a") != child_seed(8, "a")
+
