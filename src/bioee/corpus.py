@@ -480,31 +480,36 @@ def corpus_from_documents(items, schema: TaskSchema) -> Corpus:
     return corpus
 
 
-def load_corpus_dir(directory: str | Path, schema: TaskSchema) -> Corpus:
-    """Assemble a corpus from ``*.txt`` / ``*.a1`` / optional ``*.a2`` files."""
+def list_corpus_dir(directory: str | Path) -> list[tuple[str, Path, Path, Path | None]]:
+    """The ``(doc id, .txt, .a1, .a2 or None)`` files of each document under
+    ``directory``, sorted by doc id, the order of ``Corpus.documents``; every
+    ``.txt`` must have its ``.a1``. Nothing is read."""
     directory = Path(directory)
     txt_files = sorted(directory.glob("*.txt"))
     if not txt_files:
         raise ParseError(f"no .txt documents under {directory}")
-    items = []
+    files = []
     for txt in txt_files:
-        doc_id = txt.stem
         a1 = txt.with_suffix(".a1")
         a2 = txt.with_suffix(".a2")
         if not a1.exists():
             raise ParseError(f"missing entity file {a1}")
-        has_a2 = a2.exists()
-        items.append(
-            (
-                doc_id,
-                _read_text(txt),
-                _read_text(a1),
-                _read_text(a2) if has_a2 else "",
-                str(a1),
-                str(a2) if has_a2 else None,
-            )
-        )
+        files.append((txt.stem, txt, a1, a2 if a2.exists() else None))
+    return sorted(files, key=lambda f: f[0])
+
+
+def read_corpus_files(files, schema: TaskSchema) -> Corpus:
+    """Read and parse the documents ``list_corpus_dir`` listed into a corpus."""
+    items = []
+    for doc_id, txt, a1, a2 in files:
+        a2_text = _read_text(a2) if a2 else ""
+        items.append((doc_id, _read_text(txt), _read_text(a1), a2_text, str(a1), a2 and str(a2)))
     return corpus_from_documents(items, schema)
+
+
+def load_corpus_dir(directory: str | Path, schema: TaskSchema) -> Corpus:
+    """Assemble a corpus from ``*.txt`` / ``*.a1`` / optional ``*.a2`` files."""
+    return read_corpus_files(list_corpus_dir(directory), schema)
 
 
 def _read_text(path: Path) -> str:

@@ -1,9 +1,11 @@
 """Independent jobs in forked worker processes, one per usable CPU.
 
-``crossval``'s folds and ``train-args``' roles are independent, and each
-draws from its own seeded generator, so they run in worker processes forked
-from the command: the workers inherit its corpus, windows and labels
-copy-on-write, and only the items and the results cross between processes.
+``crossval``'s folds, ``train-args``' roles and ``predict``'s document shards
+are independent, each fold and role draws from its own seeded generator, and
+the shard layout does not follow the CPU count, so they run in worker
+processes forked from the command, with results that do not depend on the
+worker count. The workers inherit the command's state copy-on-write; only the
+items and the results cross between processes.
 """
 
 from __future__ import annotations

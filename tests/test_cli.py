@@ -19,7 +19,7 @@ import pytest
 
 from bioee import cli, embed, evalkit, ndiff, pool, synth, vecent, vecom
 from bioee.cli import RunConfig, config_from_ini, config_to_ini, main
-from bioee.corpus import load_corpus_dir, load_schema, write_standoff
+from bioee.corpus import list_corpus_dir, load_corpus_dir, load_schema, write_standoff
 from bioee.embed import EmbeddingTable
 from bioee.errors import ConfigurationError, TrainingError
 from bioee.vecent import Hyper
@@ -533,30 +533,104 @@ class TestPredict:
         }
         assert first == second
 
-    def test_one_chunked_embedding_pass_per_role(self, bgi_dir, trained_out, monkeypatch):
-        calls = {}
-        embed_windows = vecent.argument_embeddings
+    def test_one_chunked_embedding_pass_per_role(
+        self, bgi_dir, trained_out, monkeypatch, in_process
+    ):
+        # Run in this process, so the spies see every shard.
+        events = []  # ("shard", corpus) or (role, rows encoded in one pass)
+        read, encode = cli.read_corpus_files, vecent._encode
 
-        def counting(model, windows):
-            calls.setdefault(model.arg_type, []).append(len(windows))
-            return embed_windows(model, windows)
+        def reading(files, schema):
+            corpus = read(files, schema)
+            events.append(("shard", corpus))
+            return corpus
 
-        monkeypatch.setattr(vecent, "argument_embeddings", counting)
+        def encoding(model, batch, caches=(None, None)):
+            events.append((model.arg_type, len(batch)))
+            return encode(model, batch, caches)
+
+        monkeypatch.setattr(cli, "read_corpus_files", reading)
+        monkeypatch.setattr(vecent, "_encode", encoding)
         assert main(["predict", "--schema", "bgi", "--predict-dir", str(bgi_dir),
                      "--out", str(trained_out), *FIT_ARGS]) == 0
-        corpus = load_corpus_dir(bgi_dir, load_schema("bgi"))
-        schema = corpus.task_schema
-        n = sum(
-            len(sent.entities)
-            for doc in corpus.documents
-            for sent in doc.sentences
-            if len(sent.entities) >= 2
-        )
-        assert len(corpus.documents) > 1 and n > 0
-        assert set(calls) == {r for et in schema.event_types for r in schema.roles(et)}
-        for role, sizes in calls.items():
-            assert sum(sizes) == n, role
-            assert len(sizes) <= math.ceil(n / ndiff.INFERENCE_CHUNK), role
+        shards = []  # (corpus, role -> rows per encoder pass)
+        for kind, value in events:
+            if kind == "shard":
+                shards.append((value, {}))
+            else:
+                shards[-1][1].setdefault(kind, []).append(value)
+        whole = load_corpus_dir(bgi_dir, load_schema("bgi"))
+        assert len(shards) == min(cli._PREDICT_SHARDS, len(whole.documents)) > 1
+        assert [d.id for corpus, _ in shards for d in corpus.documents] == [
+            d.id for d in whole.documents
+        ]
+        roles = {r for et in whole.task_schema.event_types for r in whole.task_schema.roles(et)}
+        for corpus, passes in shards:
+            n = sum(
+                len(sent.entities)
+                for doc in corpus.documents
+                for sent in doc.sentences
+                if len(sent.entities) >= 2
+            )
+            assert set(passes) == (roles if n else set())
+            for role, sizes in passes.items():
+                assert sum(sizes) == n, role
+                assert len(sizes) <= math.ceil(n / ndiff.INFERENCE_CHUNK), role
+
+    @pytest.fixture(scope="class")
+    def many_dir(self, tmp_path_factory):
+        """The BGI fixture documents twice over, so that shards hold several
+        documents."""
+        docs = fixtures.bgi_documents()
+        docs += [(f"{doc_id}-copy", *rest) for doc_id, *rest in docs]
+        return fixtures.write_corpus_dir(tmp_path_factory.mktemp("many") / "many", docs)
+
+    @staticmethod
+    def _fresh_out(trained_out, out):
+        for stage in ("args", "events"):
+            shutil.copytree(trained_out / stage, out / stage)
+        return out
+
+    def test_worker_count_leaves_outputs_unchanged(self, tmp_path, many_dir, trained_out,
+                                                   monkeypatch):
+        outs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(pool, "worker_count", lambda n_jobs, w=workers: w)
+            out = self._fresh_out(trained_out, tmp_path / f"workers{workers}")
+            assert main(["predict", "--schema", "bgi", "--predict-dir", str(many_dir),
+                         "--out", str(out), *FIT_ARGS]) == 0
+            run_log = (out / "run.log").read_text().splitlines()[-1]
+            assert run_log.endswith(f" workers={workers}")
+            outs[workers] = out / "pred"
+        names = sorted(p.name for p in outs[1].iterdir())
+        assert names == sorted(p.name for p in outs[2].iterdir())
+        assert len(names) == 2 * len(fixtures.bgi_documents()) + 1  # .a2 files, pairs.tsv
+        for name in names:
+            assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_document_in_last_shard_is_json_error(self, tmp_path, many_dir, trained_out,
+                                                      monkeypatch, capsys, workers):
+        bad_dir = tmp_path / "bad"
+        shutil.copytree(many_dir, bad_dir)
+        last = list_corpus_dir(bad_dir)[-1][2]  # the .a1 of the last document by id
+        last.write_text(last.read_text() + "T99\tGene 0\n", encoding="utf-8")
+        monkeypatch.setattr(pool, "worker_count", lambda n_jobs: workers)
+        out = self._fresh_out(trained_out, tmp_path / "out")
+        assert main(["predict", "--schema", "bgi", "--predict-dir", str(bad_dir),
+                     "--out", str(out), *FIT_ARGS]) == 1
+        error = json.loads(capsys.readouterr().err)
+        n_lines = len(last.read_text().splitlines())
+        message = "entity line must have 3 tab-separated columns, got 2"
+        assert error == {
+            "error": "ParseError",
+            "message": f"{last}:line {n_lines}: {message}",
+            "file": str(last),
+            "line": n_lines,
+        }
+        assert not (out / "pred").exists() or list((out / "pred").iterdir()) == []
+        assert multiprocessing.active_children() == []
 
     def test_sentence_slices_match_per_sentence_decoding(self, tmp_path):
         # BB-2's second sentence holds one entity, between sentences with pairs.

@@ -14,9 +14,11 @@ from bioee.corpus import (
     align_entities,
     corpus_from_documents,
     corpus_stats,
+    list_corpus_dir,
     load_corpus_dir,
     load_schema,
     parse_standoff,
+    read_corpus_files,
     split_sentences,
     tokenize,
     write_standoff,
@@ -491,6 +493,21 @@ class TestCorpusAssembly:
         corpus = load_corpus_dir(tmp_path / "bb", BB_SCHEMA)
         assert len(corpus.documents) == 3
         assert corpus_stats(corpus)["events"]["Lives_In"] == 5
+
+    def test_listing_reads_nothing_and_follows_doc_ids(self, tmp_path):
+        # "a-b.txt" sorts before "a.txt", but doc id "a" before "a-b".
+        for doc_id in ("a-b", "a"):
+            (tmp_path / f"{doc_id}.txt").write_text("Bacteria live in soil.", encoding="utf-8")
+            (tmp_path / f"{doc_id}.a1").write_text("T1\tBacteria 0 8\tBacteria\n", encoding="utf-8")
+        (tmp_path / "a.a2").write_bytes(b"\xff not UTF-8")
+        files = list_corpus_dir(tmp_path)
+        assert [(f[0], f[3]) for f in files] == [("a", tmp_path / "a.a2"), ("a-b", None)]
+        with pytest.raises(ParseError, match="not UTF-8") as err:
+            read_corpus_files(files, BB_SCHEMA)
+        assert err.value.file == str(tmp_path / "a.a2")
+        (tmp_path / "a.a2").unlink()
+        corpus = read_corpus_files(list_corpus_dir(tmp_path), BB_SCHEMA)
+        assert [doc.id for doc in corpus.documents] == ["a", "a-b"]
 
     def test_missing_entity_file(self, tmp_path):
         (tmp_path / "d.txt").write_text("Some text.", encoding="utf-8")
