@@ -364,7 +364,8 @@ def cmd_predict(cfg: RunConfig) -> int:
     if not cfg.predict_dir:
         raise ConfigurationError("no prediction corpus directory configured (predict_dir)")
     schema = load_schema(cfg.schema)
-    files = list_corpus_dir(cfg.predict_dir)
+    # Predictions need no gold events, so no document's .a2 is read.
+    files = [(doc_id, txt, a1, None) for doc_id, txt, a1, _ in list_corpus_dir(cfg.predict_dir)]
     table = _resolve_table(cfg)
     arg_models, manifest = _load_argument_models(cfg, table)
     event_paths, _ = _checkpoint_paths(cfg, "events", "event")

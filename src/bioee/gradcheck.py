@@ -20,12 +20,13 @@ def _signed_uniform(rng, shape, lo=0.2, hi=0.9):
     return mag * sign
 
 
-def _lstm_check(cell: ndiff.DenseParams, X: np.ndarray):
-    """1.1 times the sum of ``lstm_last``'s output, against the cell."""
+def _lstm_check(cell: ndiff.DenseParams, *inputs: np.ndarray):
+    """1.1 times the sum of ``lstm_last``'s output over ``inputs``, against
+    the cell."""
 
     def loss_and_grads():
         cache = {}
-        h = ndiff.lstm_last(cell, X, cache)
+        h = ndiff.lstm_last(cell, *inputs, cache=cache)
         grads = ndiff.lstm_bptt(cell, cache, np.full_like(h, 1.1))
         return (h * 1.1).sum(), dict(zip(("cell.A", "cell.b"), grads))
 
@@ -60,12 +61,15 @@ def checks(rng) -> dict:
     arg_model = vecent.new_argument_model(
         "check", embed_dim=dim, lstm_hidden=hidden, mlp_hidden=mlp_hidden, dropout=0.25, rng=rng
     ).astype(np.float64)
-    # Three windows, (3, 2, u+1, dim): all left halves are drawn, then all right.
-    batch = np.stack([rng.standard_normal((3, u + 1, dim)) for _ in range(2)], axis=1)
+    # Three windows, each slot its own word: the identity id map into the
+    # (3, 2, u+1, dim) vectors, of which all left halves are drawn, then all right.
+    slots = np.stack([rng.standard_normal((3, u + 1, dim)) for _ in range(2)], axis=1)
+    window_ids = np.arange(slots.size // dim).reshape(slots.shape[:3])
+    window_vectors = slots.reshape(-1, dim)
     arg_labels = np.array([[1.0], [0.0], [1.0]])
     out["composed_argument_loss"] = (
         lambda: vecent.argument_loss_and_grads(
-            arg_model, batch, arg_labels, 0.7, np.random.default_rng(999)
+            arg_model, window_ids, window_vectors, arg_labels, 0.7, np.random.default_rng(999)
         )[:2],
         arg_model.parameters(),
     )
@@ -79,6 +83,15 @@ def checks(rng) -> dict:
         lambda: vecom.event_loss_and_grads(event_model, composed, y_exist, y_dir)[:2],
         event_model.parameters(),
     )
+
+    # The LSTM over ids into five word vectors: 0 is the pad and 4 a word
+    # whose vector is zero (the oov=zero case), which pads as id 0 does. The
+    # rows have leads 2, T (all pad), 0 and 1 and repeat ids, and row 3 reads
+    # word 4 again after its lead, as a zero input.
+    word_vectors = _signed_uniform(rng, (5, 3))
+    word_vectors[[0, 4]] = 0.0
+    ids = np.array([[0, 4, 1, 2], [0, 0, 0, 0], [1, 2, 1, 3], [4, 3, 4, 2]]).T
+    out["lstm_last_ids"] = _lstm_check(cell, ids, word_vectors)
     return out
 
 

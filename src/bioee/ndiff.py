@@ -1,12 +1,13 @@
 """Numpy building blocks of the two models and their hand-written gradients.
 
 Dense layers over row batches ``(B, n)``, a whole-sequence LSTM over a
-constant step-major batch ``(T, B, D)`` with its backpropagation through
-time, a weighted binary cross-entropy that returns its gradient, momentum
-SGD, finite-difference gradient checking and checkpoints. The LSTM hoists
-the input projection out of the recurrence and skips leading all-zero steps
-by packing the rows and sharing one pad-state chain. Each model composes
-these into one loss-and-gradient function; nothing records a graph.
+constant step-major batch of word ids ``(T, B)`` into one word-vector matrix
+with its backpropagation through time, a weighted binary cross-entropy that
+returns its gradient, momentum SGD, finite-difference gradient checking and
+checkpoints. The LSTM hoists the input projection out of the recurrence,
+projects each distinct word once, and skips leading all-zero steps by
+packing the rows and sharing one pad-state chain. Each model composes these
+into one loss-and-gradient function; nothing records a graph.
 
 The models hold ``DTYPE`` (float32) parameters, and every op computes in the
 dtype of the parameters it is given, so a float64 model (as the gradient
@@ -121,53 +122,71 @@ def _gate_cols(hidden: int) -> list[slice]:
     return [slice(k * hidden, (k + 1) * hidden) for k in range(4)]
 
 
-def lstm_last(cell: DenseParams, X: np.ndarray, cache: dict | None = None) -> np.ndarray:
+def lstm_last(
+    cell: DenseParams, X: np.ndarray, vectors: np.ndarray | None = None, cache: dict | None = None
+) -> np.ndarray:
     """Final hidden states ``(B, H)`` of a forget-gate LSTM run from the zero
-    state over ``X``, a constant step-major batch ``(T, B, D)``.
+    state over a constant step-major batch: ``X`` is ``(T, B)`` int ids into
+    the rows of the word-vector matrix ``vectors`` ``(V, D)``. With no
+    ``vectors``, ``X`` is a ``(T, B, D)`` batch of input rows, read as the
+    identity id map into its own rows.
 
     ``cell`` is one dense layer over ``[x, h]`` for all four gates: ``A`` is
     ``(4H, D+H)`` and ``b`` is ``(4H,)``, in row blocks i, f, o, g. The input
-    projection ``Wx = A[:, :D]`` is a single GEMM, and each step adds only
-    ``h @ Wh.T`` with ``Wh = A[:, D:]``, from one ``(H, 4H)`` C-contiguous
-    copy of ``Wh.T`` made per call. Training passes an empty ``cache``,
-    which this fills with what ``lstm_bptt`` needs; inference keeps nothing.
-    ``X``, the state and the output take the dtype of ``A``.
+    projection ``Wx = A[:, :D]`` is a single GEMM over the distinct ids of the
+    batch, one row per word however many slots it fills, and each step
+    gathers its projected rows and adds only ``h @ Wh.T`` with
+    ``Wh = A[:, D:]``, from one ``(H, 4H)`` C-contiguous copy of ``Wh.T``
+    made per call. Training passes an empty ``cache``, which this fills with
+    what ``lstm_bptt`` needs, the packed input rows included; inference keeps
+    nothing. The input rows, the state and the output take the dtype of
+    ``A``.
 
-    No row's leading all-zero steps (window padding) are computed. From the
-    zero state, zero inputs take every row through one shared state
-    sequence, the pad chain. Rows are sorted stably by their count of leading
-    zero steps, so the rows past their padding at step t are a prefix, and
-    only those are gathered, step-major, and projected. The chain runs as
-    packed row 0 on zero input; a row joins at its first non-zero step from
-    the chain's state there, and an all-zero row ends in the chain's final
-    state.
+    No row's leading all-zero steps (window padding, and words whose vector
+    is zero) are computed. From the zero state, zero inputs take every row
+    through one shared state sequence, the pad chain. Rows are sorted stably
+    by their count of leading zero steps, so the rows past their padding at
+    step t are a prefix, and only those are packed, step-major. The chain
+    runs as packed row 0 on zero input; a row joins at its first non-zero
+    step from the chain's state there, and an all-zero row ends in the
+    chain's final state.
     """
     A, b = cell.A, cell.b
     hidden = len(b) // 4
     in_dim = A.shape[1] - hidden
     dtype = A.dtype
-    X = np.asarray(X, dtype=dtype)
-    if X.ndim != 3 or X.shape[2] != in_dim:
-        raise ShapeError(f"lstm_last: input shape {X.shape} vs input size {in_dim}")
-    steps, batch = X.shape[:2]
+    if vectors is None:  # dense steps: the identity id map into their own rows
+        vectors = np.asarray(X)
+        if vectors.ndim != 3:
+            raise ShapeError(f"lstm_last: input shape {vectors.shape} is not (T, B, D)")
+        X = np.arange(math.prod(vectors.shape[:2])).reshape(vectors.shape[:2])
+        vectors = vectors.reshape(-1, vectors.shape[2])
+    if X.ndim != 2 or vectors.ndim != 2 or vectors.shape[1] != in_dim:
+        raise ShapeError(
+            f"lstm_last: ids {X.shape} into vectors {vectors.shape} vs input size {in_dim}"
+        )
+    steps, batch = X.shape
     if not steps:
         raise ShapeError("lstm_last: empty sequence")
 
+    # Each distinct id once; slots (step-major) index these rows by ``inv``.
+    used, inv = np.unique(X.reshape(-1), return_inverse=True)
+    distinct = np.asarray(vectors[used], dtype=dtype)
+    pad = (~distinct.any(axis=1))[inv].reshape(steps, batch)  # zero input slots
     lead = np.zeros(batch, dtype=np.int64)  # leading all-zero steps per row
-    padded = np.flatnonzero(~X[0].any(axis=1))
+    padded = np.flatnonzero(pad[0])
     if len(padded):  # only rows whose first step is zeros have any
-        lead[padded] = (~np.logical_or.accumulate(X[:, padded].any(axis=2))).sum(axis=0)
+        lead[padded] = np.logical_and.accumulate(pad[:, padded]).sum(axis=0)
     order = np.argsort(lead, kind="stable")
     chain = int(lead.any())  # 1 when some row has padding: packed row 0 is the chain
     step_col = np.arange(steps)[:, None]
     live = lead[order] <= step_col  # (T, B) past its padding: a prefix of each step's rows
     widths = chain + live.sum(axis=1)  # packed rows per step
-    X = X.reshape(-1, in_dim)
     if chain:  # else the packing is the identity
         # Each step packs the chain, which reads step 0 of the row with the
         # longest lead (zeros), then the sorted rows past their padding.
         source = np.column_stack([np.full(steps, order[-1]), step_col * batch + order])
-        X = X.take(source[np.column_stack([np.ones(steps, dtype=bool), live])], axis=0)
+        inv = inv[source[np.column_stack([np.ones(steps, dtype=bool), live])]]
 
     Wx, Wh = A[:, :in_dim], A[:, in_dim:]
     # sigmoid(x) = (1 + tanh(x/2)) / 2. Halving the weight rows and biases of
@@ -175,8 +194,9 @@ def lstm_last(cell: DenseParams, X: np.ndarray, cache: dict | None = None) -> np
     # a power of two rounds the same way unless a value is subnormal), so the
     # forward runs no halving pass; BPTT keeps the unscaled weights.
     half = np.repeat(np.array([0.5, 1.0], dtype=dtype), [3 * hidden, hidden])
-    projected = X @ (half[:, None] * Wx).T
+    projected = distinct @ (half[:, None] * Wx).T
     projected += half * b
+    projected = projected[inv]  # the packed slots' rows, step-major
     # The recurrent weight is one C-contiguous (H, 4H) copy per call: each
     # step's product has only the rows past their padding, and at such widths
     # OpenBLAS runs it up to three times faster in this layout than through
@@ -215,7 +235,7 @@ def lstm_last(cell: DenseParams, X: np.ndarray, cache: dict | None = None) -> np
     out = np.empty((batch, hidden), dtype=dtype)
     out[order] = h[chain:]  # all-zero rows end on the chain
     if cache is not None:
-        cache.update(trace=trace, X=X, order=order, chain=chain, widths=widths)
+        cache.update(trace=trace, X=distinct[inv], order=order, chain=chain, widths=widths)
     return out
 
 

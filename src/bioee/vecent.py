@@ -192,18 +192,27 @@ def argument_labels(corpus: Corpus, qids: list[str]) -> dict[str, np.ndarray]:
 # Forward passes
 
 
-def _gather(windows: list[ContextWindow]) -> np.ndarray:
-    """The ``(B, 2, u+1, dim)`` word vectors of a window batch."""
-    return np.stack([w.vectors[w.ids] for w in windows])
+def _gather(windows: list[ContextWindow]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(B, 2, u+1)`` ids of a window batch and the word-vector matrix
+    they index: the windows' shared matrix, or, for windows of several
+    ``build_entity_windows`` calls, their distinct matrices stacked, with
+    each window's ids offset to its own matrix's rows."""
+    matrices = {id(w.vectors): w.vectors for w in windows}
+    starts = dict(zip(matrices, np.cumsum([0, *map(len, matrices.values())]).tolist()))
+    ids = np.stack([w.ids + starts[id(w.vectors)] for w in windows])
+    if len(matrices) == 1:
+        return ids, windows[0].vectors
+    return ids, np.concatenate(list(matrices.values()))
 
 
-def _encode(model: ArgumentModel, batch: np.ndarray, caches=(None, None)):
-    """BLSTM encoding ``(B, 2H)`` of a ``(B, 2, T, dim)`` window batch, the
-    left halves through ``fwd`` and the right through ``bwd``; training
-    passes two empty ``caches`` for the two LSTMs' BPTT."""
-    left, right = np.moveaxis(batch, 0, 2)  # each (T, B, dim), step-major
-    h_fwd = ndiff.lstm_last(model.fwd, left, caches[0])
-    h_bwd = ndiff.lstm_last(model.bwd, right, caches[1])
+def _encode(model: ArgumentModel, ids: np.ndarray, vectors: np.ndarray, caches=(None, None)):
+    """BLSTM encoding ``(B, 2H)`` of a ``(B, 2, T)`` batch of window ids into
+    the rows of ``vectors``, the left halves through ``fwd`` and the right
+    through ``bwd``; training passes two empty ``caches`` for the two LSTMs'
+    BPTT."""
+    left, right = np.moveaxis(ids, 0, 2)  # each (T, B), step-major
+    h_fwd = ndiff.lstm_last(model.fwd, left, vectors, caches[0])
+    h_bwd = ndiff.lstm_last(model.bwd, right, vectors, caches[1])
     return np.concatenate([h_fwd, h_bwd], axis=-1)
 
 
@@ -223,7 +232,7 @@ def argument_embeddings(model: ArgumentModel, windows: list[ContextWindow]) -> n
     out = np.empty((len(windows), model.embedding_size), dtype=model.f1.A.dtype)
     if windows:
         for rows in ndiff.inference_chunks(len(windows)):
-            out[rows] = ndiff.affine(model.f1, _encode(model, _gather(windows[rows])))
+            out[rows] = ndiff.affine(model.f1, _encode(model, *_gather(windows[rows])))
     return out
 
 
@@ -239,14 +248,14 @@ def predict_probs(model: ArgumentModel, windows: list[ContextWindow]) -> np.ndar
 
 
 def argument_loss_and_grads(
-    model: ArgumentModel, batch: np.ndarray, labels: np.ndarray, z: float, rng
+    model: ArgumentModel, ids: np.ndarray, vectors: np.ndarray, labels: np.ndarray, z: float, rng
 ):
-    """The mean weighted BCE of a ``(B, 2, T, dim)`` training batch of windows
-    (positives weighted ``z``, negatives ``1 - z``) under a dropout mask drawn
-    from ``rng``, the gradient of each of ``model.parameters()``, and the
-    ``(B, 1)`` probabilities."""
+    """The mean weighted BCE of a training batch of windows, ``(B, 2, T)``
+    ids into the rows of ``vectors`` (positives weighted ``z``, negatives
+    ``1 - z``), under a dropout mask drawn from ``rng``, the gradient of each
+    of ``model.parameters()``, and the ``(B, 1)`` probabilities."""
     caches = ({}, {})
-    enc = _encode(model, batch, caches)
+    enc = _encode(model, ids, vectors, caches)
     keep = ndiff.dropout_mask(model.dropout, (len(enc), model.embedding_size), rng, enc.dtype)
     hidden, dropped, probs = _head(model, enc, keep)
     scale = 1.0 / len(labels)
@@ -333,8 +342,8 @@ def train_argument_model(
     labels = labels[train_idx, None].astype(np.float64)
 
     def loss_and_grads(idx):
-        batch = _gather([windows[i] for i in train_idx[idx]])
-        return argument_loss_and_grads(model, batch, labels[idx], z, rng)
+        ids, vectors = _gather([windows[i] for i in train_idx[idx]])
+        return argument_loss_and_grads(model, ids, vectors, labels[idx], z, rng)
 
     return model, sgd_epochs(model, hyper, labels, loss_and_grads, rng)
 

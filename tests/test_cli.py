@@ -21,7 +21,7 @@ from bioee import cli, embed, evalkit, ndiff, pool, synth, vecent, vecom
 from bioee.cli import RunConfig, config_from_ini, config_to_ini, main
 from bioee.corpus import list_corpus_dir, load_corpus_dir, load_schema, write_standoff
 from bioee.embed import EmbeddingTable
-from bioee.errors import ConfigurationError, TrainingError
+from bioee.errors import ConfigurationError, ParseError, TrainingError
 from bioee.vecent import Hyper
 
 import fixtures
@@ -545,9 +545,9 @@ class TestPredict:
             events.append(("shard", corpus))
             return corpus
 
-        def encoding(model, batch, caches=(None, None)):
-            events.append((model.arg_type, len(batch)))
-            return encode(model, batch, caches)
+        def encoding(model, ids, vectors, caches=(None, None)):
+            events.append((model.arg_type, len(ids)))
+            return encode(model, ids, vectors, caches)
 
         monkeypatch.setattr(cli, "read_corpus_files", reading)
         monkeypatch.setattr(vecent, "_encode", encoding)
@@ -631,6 +631,28 @@ class TestPredict:
         }
         assert not (out / "pred").exists() or list((out / "pred").iterdir()) == []
         assert multiprocessing.active_children() == []
+
+    def test_gold_events_are_not_read(self, tmp_path, many_dir, trained_out):
+        # A corrupt gold .a2 next to each document changes nothing: pred/ is
+        # byte-identical to that of the same documents without .a2 files.
+        preds = {}
+        for variant in ("corrupt", "none"):
+            corpus_dir = tmp_path / variant
+            shutil.copytree(many_dir, corpus_dir)
+            for a2 in corpus_dir.glob("*.a2"):
+                if variant == "none":
+                    a2.unlink()
+                else:
+                    a2.write_bytes(b"R1\tActivation Source:T404\n\xff\n")
+            if variant == "corrupt":
+                with pytest.raises(ParseError):
+                    load_corpus_dir(corpus_dir, load_schema("bgi"))
+            out = self._fresh_out(trained_out, tmp_path / f"out-{variant}")
+            assert main(["predict", "--schema", "bgi", "--predict-dir", str(corpus_dir),
+                         "--out", str(out), *FIT_ARGS]) == 0
+            preds[variant] = {p.name: p.read_bytes() for p in (out / "pred").iterdir()}
+        assert len(preds["none"]) == 2 * len(fixtures.bgi_documents()) + 1
+        assert preds["corrupt"] == preds["none"]
 
     def test_sentence_slices_match_per_sentence_decoding(self, tmp_path):
         # BB-2's second sentence holds one entity, between sentences with pairs.
@@ -1082,4 +1104,6 @@ class TestGradcheckCommand:
         assert main(["gradcheck"]) == 1
         lines = capsys.readouterr().out.splitlines()
         failed = {line.split()[1] for line in lines if line.startswith("FAIL")}
-        assert failed == {"lstm_last_batch", "lstm_last_padded", "composed_argument_loss"}
+        assert failed == {
+            "lstm_last_batch", "lstm_last_padded", "lstm_last_ids", "composed_argument_loss"
+        }

@@ -111,6 +111,13 @@ def _per_gate_bptt_oracle(weights, steps, grad_out):
     return h, np.concatenate(dWs), np.concatenate(dbs)
 
 
+def _identity_ids(slots):
+    """A batch of word vectors ``(..., D)`` as ids ``(...)`` into its own rows
+    ``(n, D)``, each slot its own word."""
+    ids = np.arange(slots.size // slots.shape[-1]).reshape(slots.shape[:-1])
+    return ids, slots.reshape(-1, slots.shape[-1])
+
+
 def _hidden(cell):
     return cell.b.shape[0] // 4
 
@@ -173,7 +180,7 @@ class TestElementwise:
         model = vecent.new_argument_model("t", 3, 4, 2, dropout=0.2, rng=rng)
         batch = rng.standard_normal((2, 2, 5, 3))  # two windows' (left, right) halves
         np.testing.assert_array_equal(
-            vecent._encode(model, batch),
+            vecent._encode(model, *_identity_ids(batch)),
             np.hstack([lstm_last(model.fwd, batch[:, 0].swapaxes(0, 1)),
                        lstm_last(model.bwd, batch[:, 1].swapaxes(0, 1))]),
         )
@@ -227,7 +234,7 @@ class TestLSTM:
         grad_out = rng.standard_normal((B, H))
 
         cache = {}
-        h_fused = lstm_last(cell, steps, cache)
+        h_fused = lstm_last(cell, steps, cache=cache)
         grads = lstm_bptt(cell, cache, grad_out)
         h_ref, *grads_ref = _per_gate_bptt_oracle(_blocks(cell), steps, grad_out)
         np.testing.assert_allclose(h_fused, _lstm_oracle(_blocks(cell), steps), rtol=1e-10)
@@ -296,7 +303,7 @@ class TestInPlaceGateMath:
         rng = np.random.default_rng(41)
         cell = init_lstm(rng, D, H).astype(np.float64)
         steps = rng.standard_normal((T, B, D))
-        h = lstm_last(cell, steps, {} if training else None)
+        h = lstm_last(cell, steps, cache={} if training else None)
         assert np.array_equal(h, self._out_of_place(cell, steps))
 
 
@@ -363,7 +370,7 @@ class TestPaddedRows:
     @staticmethod
     def _trained_run(cell, steps, grad_out):
         cache = {}
-        h = lstm_last(cell, steps, cache)
+        h = lstm_last(cell, steps, cache=cache)
         return h, list(lstm_bptt(cell, cache, grad_out))
 
     def test_matches_unpacked_at_model_shape(self):
@@ -408,7 +415,7 @@ class TestPaddedRows:
         steps = _padded_steps(rng, leads, T, D).astype(ndiff.DTYPE)
         grad_out = rng.standard_normal((len(leads), H)).astype(ndiff.DTYPE)
         cache = {}
-        h = lstm_last(cell, steps, cache)
+        h = lstm_last(cell, steps, cache=cache)
         grads = lstm_bptt(cell, cache, grad_out)
         assert cache["widths"].tolist() == [1, 1, 2, 3, 4, 6]
         h_ref, grads_ref = _unpacked_lstm(
@@ -436,6 +443,69 @@ class TestPaddedRows:
         np.testing.assert_array_equal(h[0], h[5])  # both all-pad rows end on the chain
 
 
+class TestIdInput:
+    """lstm_last over ids into a word-vector matrix, which projects each
+    distinct word once, equals lstm_last over the gathered rows, and a word
+    whose vector is zero (an oov=zero word) pads as the pad id does."""
+
+    B, T, D, H, V = 32, 11, 200, 128, 60  # 60 words for 352 slots: ids repeat
+
+    def _ids(self, rng, oov_zero):
+        """(T, B) ids with leads drawn as in the oracle tests, into V words
+        of which 0, and with ``oov_zero`` also word 1, have the zero vector;
+        the oov word then opens every fourth row after its padding."""
+        vectors = rng.standard_normal((self.V, self.D))
+        vectors[0] = 0.0
+        leads = rng.integers(0, self.T + 1, size=self.B)
+        leads[:2] = [self.T, 0]
+        ids = rng.integers(2, self.V, size=(self.T, self.B))
+        ids[np.arange(self.T)[:, None] < leads] = 0
+        if oov_zero:
+            vectors[1] = 0.0
+            rows = np.flatnonzero(leads < self.T)[::4]
+            ids[leads[rows], rows] = 1
+        return ids, vectors
+
+    @pytest.mark.parametrize("oov_zero", [False, True], ids=["pad_only", "oov_zero_word"])
+    @pytest.mark.parametrize("dtype", [np.float64, ndiff.DTYPE])
+    def test_ids_match_gathered_rows(self, dtype, oov_zero):
+        rng = np.random.default_rng(71)
+        cell = init_lstm(rng, self.D, self.H).astype(dtype)
+        ids, vectors = self._ids(rng, oov_zero)
+        vectors = vectors.astype(dtype)
+        grad_out = rng.standard_normal((self.B, self.H)).astype(dtype)
+        runs = []
+        for inputs in ((ids, vectors), (vectors[ids],)):
+            cache = {}
+            h = lstm_last(cell, *inputs, cache=cache)
+            runs.append((cache, (h, *lstm_bptt(cell, cache, grad_out))))
+        (by_id, got), (gathered, ref) = runs
+        # The same packing, in which the zero words lengthen the leads.
+        lead = np.logical_and.accumulate(np.isin(ids, [0, 1] if oov_zero else [0])).sum(axis=0)
+        assert (lead > np.logical_and.accumulate(ids == 0).sum(axis=0)).any() == oov_zero
+        widths = [1 + int((lead <= t).sum()) for t in range(self.T)]
+        assert by_id["widths"].tolist() == gathered["widths"].tolist() == widths
+        assert np.array_equal(by_id["order"], gathered["order"])
+        assert np.array_equal(by_id["X"], gathered["X"])
+        # The bounds of the float64 oracle and float32 model-shape tests.
+        if dtype == np.float64:
+            bound = 1e-10
+        else:
+            bound = math.sqrt(self.T * (self.D + self.H)) * np.finfo(np.float32).eps
+        for name, a, b in zip(("h", "A", "b"), got, ref):
+            assert a.dtype == dtype, name
+            np.testing.assert_allclose(a, b, rtol=0, atol=bound * np.abs(b).max(), err_msg=name)
+        np.testing.assert_array_equal(lstm_last(cell, ids, vectors), got[0])
+
+    def test_rejects_ids_that_do_not_fit(self):
+        cell = init_lstm(np.random.default_rng(0), 3, 4)
+        ids = np.zeros((2, 1), dtype=np.int32)
+        with pytest.raises(ShapeError):  # vectors of the wrong width
+            lstm_last(cell, ids, np.zeros((1, 4)))
+        with pytest.raises(ShapeError):  # a (T, B, D) batch with vectors
+            lstm_last(cell, np.zeros((2, 1, 3)), np.zeros((1, 3)))
+
+
 class TestNoGrad:
     """Inference runs lstm_last with no cache, so it keeps no BPTT state."""
 
@@ -449,7 +519,7 @@ class TestNoGrad:
         try:
             h = lstm_last(cell, steps)
             kept_inference = tracemalloc.get_traced_memory()[0]
-            lstm_last(cell, steps, cache)
+            lstm_last(cell, steps, cache=cache)
             kept_training = tracemalloc.get_traced_memory()[0] - kept_inference
         finally:
             tracemalloc.stop()
@@ -466,7 +536,7 @@ class TestNoGrad:
         steps = rng.standard_normal((3, 2, 3))
         h_inference = lstm_last(cell, steps)
         cache = {}
-        h = lstm_last(cell, steps, cache)
+        h = lstm_last(cell, steps, cache=cache)
         assert np.array_equal(h, h_inference)
         for name, grad in zip(cell.params("c"), lstm_bptt(cell, cache, np.ones_like(h))):
             assert np.abs(grad).sum() > 0, name
@@ -579,8 +649,8 @@ class TestBackward:
         one = _padded_steps(rng, [2], 5, 3)
         grad_out = rng.standard_normal((1, 4))
         cache_one, cache_two = {}, {}
-        lstm_last(cell, one, cache_one)
-        lstm_last(cell, np.concatenate([one, one], axis=1), cache_two)
+        lstm_last(cell, one, cache=cache_one)
+        lstm_last(cell, np.concatenate([one, one], axis=1), cache=cache_two)
         single = lstm_bptt(cell, cache_one, grad_out)
         double = lstm_bptt(cell, cache_two, np.concatenate([grad_out, grad_out]))
         for got, ref in zip(double, single):
@@ -591,6 +661,7 @@ class TestBackward:
         assert set(results) == {
             "lstm_last_batch",
             "lstm_last_padded",
+            "lstm_last_ids",
             "weighted_bce",
             "composed_argument_loss",
             "composed_event_loss",
@@ -786,7 +857,7 @@ class TestFiniteInvariant:
         composed = 5.0 * rng.standard_normal((9, 8))
         y_exist = (np.arange(9) % 3 == 0).astype(float)[:, None]
         results = [
-            vecent.argument_loss_and_grads(arg_model, batch, labels, 0.3, rng),
+            vecent.argument_loss_and_grads(arg_model, *_identity_ids(batch), labels, 0.3, rng),
             vecom.event_loss_and_grads(event_model, composed, y_exist, y_exist),
         ]
         for loss, grads, probs in results:
@@ -806,17 +877,20 @@ class TestFiniteInvariant:
             vecent.train_argument_model(windows, labels, hyper, rng=rng)
 
 
-def _record_training_arrays(monkeypatch, module, loss_name) -> dict[str, np.ndarray]:
+def _record_training_arrays(
+    monkeypatch, module, loss_name, inputs=("input batch",)
+) -> dict[str, np.ndarray]:
     """Wrap ``module.loss_name`` (a model's loss-and-gradient function), the
     optimizer step and the LSTM's BPTT so that a training run records every
-    array they see, by name: the input batch, probabilities, LSTM cache
-    entries, gradients, velocities and parameters."""
+    array they see, by name: the loss's leading arguments under the names
+    ``inputs``, probabilities, LSTM cache entries, gradients, velocities and
+    parameters."""
     seen: dict[str, np.ndarray] = {}
     loss_fn, step, bptt = getattr(module, loss_name), ndiff.sgd_step, ndiff.lstm_bptt
 
-    def loss_and_grads(model, batch, *rest):
-        loss, grads, probs = loss_fn(model, batch, *rest)
-        seen["input batch"] = batch
+    def loss_and_grads(model, *args):
+        loss, grads, probs = loss_fn(model, *args)
+        seen.update(zip(inputs, args))
         seen["probabilities"] = probs
         return loss, grads, probs
 
@@ -858,7 +932,9 @@ class TestFloat32:
     def test_argument_training_step(self, monkeypatch):
         _, windows = self._windows()
         labels = np.arange(len(windows)) % 2
-        seen = _record_training_arrays(monkeypatch, vecent, "argument_loss_and_grads")
+        seen = _record_training_arrays(
+            monkeypatch, vecent, "argument_loss_and_grads", ("input ids", "input vectors")
+        )
         # One batch holds every row, so one epoch is one step; the default
         # dropout draws a mask.
         hyper = vecent.Hyper(window=4, lstm_hidden=6, arg_mlp_hidden=5, batch=1000, epochs=1)
@@ -870,6 +946,10 @@ class TestFloat32:
         assert {f"gradient {n}" for n in names} | {f"velocity {n}" for n in names} <= seen.keys()
         assert sum(name.endswith(" X") for name in seen) == 2  # both directions' caches
         assert any(w.ids[0, 0] == 0 for w in windows.values())  # the pad chain ran
+        # The batch is ids into the windows' own matrix: no slot's vector is copied.
+        ids = seen.pop("input ids")
+        assert ids.shape == (len(windows), 2, 5) and ids.dtype.kind == "i"
+        assert seen["input vectors"] is next(iter(windows.values())).vectors
         _assert_production_dtype(seen)
         _assert_production_dtype({qid: w.vectors for qid, w in windows.items()})
         assert {w.ids.dtype for w in windows.values()} == {np.dtype(np.int32)}
@@ -945,7 +1025,7 @@ class TestFloat32:
         grad_out = rng.standard_normal((B, H)).astype(ndiff.DTYPE)
 
         cache = {}
-        h = lstm_last(cell, steps, cache)
+        h = lstm_last(cell, steps, cache=cache)
         grads = lstm_bptt(cell, cache, grad_out)
         h_ref, *grads_ref = _per_gate_bptt_oracle(
             _blocks(cell.astype(np.float64)), steps.astype(np.float64), grad_out.astype(np.float64)

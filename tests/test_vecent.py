@@ -134,6 +134,27 @@ class TestEncode:
         )
         np.testing.assert_array_equal(predict_probs(model, [w1]), predict_probs(model, [w2]))
 
+    def test_windows_of_two_calls_in_one_batch(self, bgi, table):
+        # Each call's windows index their own matrix; a batch mixing them
+        # indexes both, stacked, and encodes each window as its call's batch
+        # alone does.
+        model = new_argument_model("t", table.dim, lstm_hidden=8, mlp_hidden=4, dropout=0.2,
+                                   rng=np.random.default_rng(6)).astype(np.float64)
+        calls = [
+            list(build_entity_windows(bgi, 3, t).values())
+            for t in (table, EmbeddingTable(table.dim, seed=6))
+        ]
+        assert calls[0][0].vectors is not calls[1][0].vectors
+        mixed = [w for pair in zip(*calls) for w in pair]
+        ids, vectors = vecent._gather(mixed)
+        assert len(vectors) == sum(len(windows[0].vectors) for windows in calls)
+        np.testing.assert_array_equal(vectors[ids], np.stack([w.vectors[w.ids] for w in mixed]))
+        got = argument_embeddings(model, mixed)
+        for k, windows in enumerate(calls):
+            np.testing.assert_allclose(
+                got[k :: 2], argument_embeddings(model, windows), rtol=0, atol=1e-12
+            )
+
     def test_swapping_halves_changes_encoding(self, bgi, table):
         model = new_argument_model("t", table.dim, lstm_hidden=8, mlp_hidden=4,
                                    dropout=0.2, rng=np.random.default_rng(2))
