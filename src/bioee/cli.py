@@ -314,7 +314,7 @@ def cmd_train_events(cfg: RunConfig) -> int:
 
     windows = vecent.build_entity_windows(corpus, manifest["u"], table)
     entities, pairs = vecom.candidate_pairs(corpus)
-    embeddings = vecom.embed_pair_entities(entities, arg_models, windows)
+    embeddings = vecom.embed_entities(arg_models, windows)
 
     trained, skipped = [], {}
     for event_type in corpus.task_schema.event_types:
@@ -388,7 +388,7 @@ def cmd_predict(cfg: RunConfig) -> int:
         entities, pairs = vecom.candidate_pairs(corpus)
         # One chunked embedding pass per role model over the shard, and one
         # scoring pass per event type.
-        embeddings = vecom.embed_pair_entities(entities, role_models, windows)
+        embeddings = vecom.embed_entities(role_models, windows)
         scores = {  # event type -> (p_exists, p_forward), each indexed by pair
             name: vecom.event_forward_batch(model, embeddings, pairs, schema.roles(name))
             for name, model in sorted(event_models.items())

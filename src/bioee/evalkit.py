@@ -3,11 +3,11 @@ ROC/PRC curves.
 
 Every class is cross-validated on one fold plan over sentences (or
 documents), so no test sentence's entities reach training. Per fold, one
-argument model per role is trained and runs one inference pass, over the
-candidate pairs' entities and the fold's test entities: the test entities
-are scored from the embeddings that feed every event type's heads. A corpus
-where some class has few positives drops from 10-fold to 5-fold. Scores are
-pooled across folds before metrics and curves are computed
+argument model per role is trained and runs one inference pass over every
+entity, in the one entity order of ``vecom.candidate_pairs``: the fold's test
+entities are scored from the embeddings that feed every event type's heads.
+A corpus where some class has few positives drops from 10-fold to 5-fold.
+Scores are pooled across folds before metrics and curves are computed
 (micro-averaging).
 
 The folds are independent, and each draws from its own seeded generators,
@@ -296,24 +296,16 @@ def cross_validate(
     def unit(doc_id, sentence_index):
         return doc_id if doc_level else (doc_id, sentence_index)
 
-    qids = sorted(windows)
+    qids = sorted(windows)  # the order of ``entities``
     ordered = [windows[q] for q in qids]
     arg_labels = vecent.argument_labels(corpus, qids)
     events = list(corpus.events.values())
     exist, forward = {}, {}
     for et in schema.event_types:
         exist[et], forward[et] = vecom.label_pairs(entities, pairs, events, et)
-    # The entities of ``qids`` that the rows of ``pairs`` point at, in their
-    # order, and those in no pair (alone in their sentence).
-    position = {q: i for i, q in enumerate(qids)}
-    pair_ents = np.array(
-        [position[Corpus.qualify(e.doc_id, e.id)] for e in entities], dtype=np.intp
-    )
-    unpaired = np.setdiff1d(np.arange(len(qids)), pair_ents)
 
-    entity_units = [unit(e.doc_id, e.sentence_index) for e in (corpus.entities[q] for q in qids)]
-    pair_entity_units = [unit(e.doc_id, e.sentence_index) for e in entities]
-    pair_units = [pair_entity_units[a] for a in pairs[:, 0].tolist()]
+    entity_units = [unit(e.doc_id, e.sentence_index) for e in entities]
+    pair_units = [entity_units[a] for a in pairs[:, 0].tolist()]
     plan = plan_folds(
         {
             **{f"arg:{role}": (entity_units, y) for role, y in arg_labels.items()},
@@ -326,7 +318,6 @@ def cross_validate(
     )
     entity_fold = plan.folds(entity_units)
     pair_fold = plan.folds(pair_units)
-    pair_entity_fold = plan.folds(pair_entity_units)
 
     def run_fold(fold):
         """The fold's test-entity probabilities per role, and (p_exists,
@@ -337,18 +328,12 @@ def cross_validate(
         test_ents = np.flatnonzero(entity_fold == fold)
         train_pairs = np.flatnonzero(pair_fold != fold)
         test_pairs = np.flatnonzero(pair_fold == fold)
-        seen = int((pair_entity_fold[pairs[test_pairs]] != fold).sum())
+        seen = int((entity_fold[pairs[test_pairs]] != fold).sum())
 
         # One argument model per role, trained on the training units'
-        # entities, then one inference pass over the pair entities and this
-        # fold's test entities in no pair: its test rows are scored and its
-        # pair rows, the first len(entities), feed every event type's heads.
-        pass_ents = np.concatenate([pair_ents, unpaired[entity_fold[unpaired] == fold]])
-        row_of = np.empty(len(qids), dtype=np.intp)
-        row_of[pass_ents] = np.arange(len(pass_ents))
-        test_rows = row_of[test_ents]
+        # entities, then one inference pass over every entity: its test rows
+        # are scored and all its rows feed every event type's heads.
         train_windows = [ordered[i] for i in train_ents]
-        pass_windows = [ordered[i] for i in pass_ents]
         embeddings, arg_out, event_out = {}, {}, {}
         for role, labels in arg_labels.items():
             t0 = time.perf_counter()
@@ -360,8 +345,8 @@ def cross_validate(
                 arg_type=role,
             )
             t1 = time.perf_counter()
-            embeddings[role] = vecent.argument_embeddings(model, pass_windows)
-            probs = vecent.embedding_probs(model, embeddings[role][test_rows])
+            embeddings[role] = vecent.argument_embeddings(model, ordered)
+            probs = vecent.embedding_probs(model, embeddings[role][test_ents])
             arg_out[role] = (probs, t1 - t0, time.perf_counter() - t1)
 
         for et in exist:

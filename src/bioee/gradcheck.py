@@ -37,13 +37,16 @@ def checks(rng) -> dict:
     """Name -> (loss_and_grads, parameters) of every check."""
     out = {}
     cell = ndiff.init_lstm(rng, 3, 4).astype(np.float64)
-    # Three steps of two rows with no zero step, so no row is packed.
-    out["lstm_last_batch"] = _lstm_check(cell, _signed_uniform(rng, (3, 2, 3)))
+    # Three steps of two rows with no zero step, so no row is packed. In
+    # this check and the next, each slot is its own word: the identity id map.
+    batch = np.arange(6).reshape(3, 2)
+    out["lstm_last_batch"] = _lstm_check(cell, batch, _signed_uniform(rng, (6, 3)))
     # Constant steps whose rows have 1, T-1, 0 and T leading zero steps
     # (T = 4), so lstm_last packs the rows and starts them from its pad chain.
     leads = np.array([1, 3, 0, 4])
     live = np.arange(4)[:, None, None] >= leads[:, None]
-    out["lstm_last_padded"] = _lstm_check(cell, _signed_uniform(rng, (4, leads.size, 3)) * live)
+    steps = (_signed_uniform(rng, (4, leads.size, 3)) * live).reshape(-1, 3)
+    out["lstm_last_padded"] = _lstm_check(cell, np.arange(16).reshape(4, 4), steps)
 
     logits = _signed_uniform(rng, (5, 1))
     bce_labels = np.array([[1.0], [0.0], [1.0], [1.0], [0.0]])

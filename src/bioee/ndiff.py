@@ -1,10 +1,10 @@
 """Numpy building blocks of the two models and their hand-written gradients.
 
-Dense layers over row batches ``(B, n)``, a whole-sequence LSTM over a
-constant step-major batch of word ids ``(T, B)`` into one word-vector matrix
-with its backpropagation through time, a weighted binary cross-entropy that
-returns its gradient, momentum SGD, finite-difference gradient checking and
-checkpoints. The LSTM hoists the input projection out of the recurrence,
+Dense layers over row batches ``(B, n)``, a whole-sequence LSTM whose one
+input form is a step-major batch of word ids ``(T, B)`` into one word-vector
+matrix, with its backpropagation through time, a weighted binary
+cross-entropy that returns its gradient, momentum SGD, finite-difference
+gradient checking and checkpoints. The LSTM hoists the input projection out of the recurrence,
 projects each distinct word once, and skips leading all-zero steps by
 packing the rows and sharing one pad-state chain. Each model composes these
 into one loss-and-gradient function; nothing records a graph.
@@ -123,13 +123,13 @@ def _gate_cols(hidden: int) -> list[slice]:
 
 
 def lstm_last(
-    cell: DenseParams, X: np.ndarray, vectors: np.ndarray | None = None, cache: dict | None = None
+    cell: DenseParams, X: np.ndarray, vectors: np.ndarray, cache: dict | None = None
 ) -> np.ndarray:
     """Final hidden states ``(B, H)`` of a forget-gate LSTM run from the zero
     state over a constant step-major batch: ``X`` is ``(T, B)`` int ids into
-    the rows of the word-vector matrix ``vectors`` ``(V, D)``. With no
-    ``vectors``, ``X`` is a ``(T, B, D)`` batch of input rows, read as the
-    identity id map into its own rows.
+    the rows of the word-vector matrix ``vectors`` ``(V, D)``, its one input
+    form: ``(T, B, D)`` rows run as ``arange(T * B).reshape(T, B)`` into
+    ``rows.reshape(-1, D)``.
 
     ``cell`` is one dense layer over ``[x, h]`` for all four gates: ``A`` is
     ``(4H, D+H)`` and ``b`` is ``(4H,)``, in row blocks i, f, o, g. The input
@@ -155,12 +155,6 @@ def lstm_last(
     hidden = len(b) // 4
     in_dim = A.shape[1] - hidden
     dtype = A.dtype
-    if vectors is None:  # dense steps: the identity id map into their own rows
-        vectors = np.asarray(X)
-        if vectors.ndim != 3:
-            raise ShapeError(f"lstm_last: input shape {vectors.shape} is not (T, B, D)")
-        X = np.arange(math.prod(vectors.shape[:2])).reshape(vectors.shape[:2])
-        vectors = vectors.reshape(-1, vectors.shape[2])
     if X.ndim != 2 or vectors.ndim != 2 or vectors.shape[1] != in_dim:
         raise ShapeError(
             f"lstm_last: ids {X.shape} into vectors {vectors.shape} vs input size {in_dim}"

@@ -18,7 +18,7 @@ import numpy as np
 from . import ndiff
 from .corpus import Corpus, Entity, Sentence
 from .embed import PAD, EmbeddingTable
-from .errors import AlignmentError, TrainingError, TrainingSetupError
+from .errors import AlignmentError, ShapeError, TrainingError, TrainingSetupError
 from .ndiff import DenseParams
 
 
@@ -193,16 +193,12 @@ def argument_labels(corpus: Corpus, qids: list[str]) -> dict[str, np.ndarray]:
 
 
 def _gather(windows: list[ContextWindow]) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(B, 2, u+1)`` ids of a window batch and the word-vector matrix
-    they index: the windows' shared matrix, or, for windows of several
-    ``build_entity_windows`` calls, their distinct matrices stacked, with
-    each window's ids offset to its own matrix's rows."""
-    matrices = {id(w.vectors): w.vectors for w in windows}
-    starts = dict(zip(matrices, np.cumsum([0, *map(len, matrices.values())]).tolist()))
-    ids = np.stack([w.ids + starts[id(w.vectors)] for w in windows])
-    if len(matrices) == 1:
-        return ids, windows[0].vectors
-    return ids, np.concatenate(list(matrices.values()))
+    """The ``(B, 2, u+1)`` ids of a window batch and the one word-vector
+    matrix they index, which the windows of one build share."""
+    vectors = windows[0].vectors
+    if any(w.vectors is not vectors for w in windows):
+        raise ShapeError("window batch mixes the word-vector matrices of several builds")
+    return np.stack([w.ids for w in windows]), vectors
 
 
 def _encode(model: ArgumentModel, ids: np.ndarray, vectors: np.ndarray, caches=(None, None)):

@@ -1,15 +1,15 @@
 """Directed-event classifiers composed from frozen argument embeddings.
 
 Every ordered pair of entities in a sentence is a candidate. A corpus's
-pairs are one ``(n, 2)`` int array of (first, second) rows into one entity
-order, each sentence's n(n-1) pairs one slice, in document and sentence
-order. A pair gets a two-bit label per event type: one bit for whether the
-event links the two entities at all, one for whether it points from the
-first to the second. The classifier input composes the pair's argument
-embeddings with a subtraction, one inference chunk or training mini-batch
-at a time; the existence head sees the elementwise absolute value (so it is
-exactly symmetric under orientation of the composed vector), while the
-direction head sees the signed vector.
+pairs are one ``(n, 2)`` int array of (first, second) rows into its one
+entity order, every entity by qualified id, each sentence's n(n-1) pairs one
+slice, in document and sentence order. A pair gets a two-bit label per event
+type: one bit for whether the event links the two entities at all, one for
+whether it points from the first to the second. The classifier input composes
+the pair's argument embeddings with a subtraction, one inference chunk or
+training mini-batch at a time; the existence head sees the elementwise
+absolute value (so it is exactly symmetric under orientation of the composed
+vector), while the direction head sees the signed vector.
 """
 
 from __future__ import annotations
@@ -77,11 +77,12 @@ def _qid(entity: Entity) -> str:
 
 
 def candidate_pairs(corpus: Corpus) -> tuple[list[Entity], np.ndarray]:
-    """The entities of every sentence with at least two, in qualified-id
-    order, and the ``(n, 2)`` rows into them of every ordered pair of
-    distinct entities of each such sentence, n(n-1) per sentence, in
-    document and sentence order."""
-    groups = [s.entities for doc in corpus.documents for s in doc.sentences if len(s.entities) > 1]
+    """Every entity of the corpus in qualified-id order, the one entity order
+    of windows, labels, embeddings and decoding, and the ``(n, 2)`` rows into
+    it of every ordered pair of distinct entities of one sentence, n(n-1) per
+    sentence, in document and sentence order. An entity alone in its
+    sentence is in no pair."""
+    groups = [s.entities for doc in corpus.documents for s in doc.sentences]
     entities = sorted((e for group in groups for e in group), key=_qid)
     row = {_qid(e): i for i, e in enumerate(entities)}
     pairs = []
@@ -127,15 +128,14 @@ def label_pairs(
 # Pair features
 
 
-def embed_pair_entities(
-    entities: list[Entity],
-    models: dict[str, ArgumentModel],
-    windows: dict[str, ContextWindow],
+def embed_entities(
+    models: dict[str, ArgumentModel], windows: dict[str, ContextWindow]
 ) -> dict[str, np.ndarray]:
-    """Role -> ``(m, E)`` embeddings of the m ``entities`` under that role's
-    model, one row per entity; roles are unknown at prediction time, so each
+    """Role -> ``(m, E)`` embeddings of the m ``windows`` under that role's
+    model, one row per entity in qualified-id order (that of
+    ``candidate_pairs``); roles are unknown at prediction time, so each
     entity gets the embedding of each role model."""
-    ordered = [windows[_qid(e)] for e in entities]
+    ordered = [windows[q] for q in sorted(windows)]
     return {
         role: vecent.argument_embeddings(model, ordered) for role, model in sorted(models.items())
     }

@@ -673,7 +673,7 @@ class TestPredict:
         arg_models = {r: vecent.load_argument_model(out / "args" / f"{r}.ckpt", r) for r in roles}
         model = vecom.load_event_model(out / "events" / "Lives_In.ckpt")
         entities, pairs = vecom.candidate_pairs(corpus)
-        embeddings = vecom.embed_pair_entities(entities, arg_models, windows)
+        embeddings = vecom.embed_entities(arg_models, windows)
         p_exists, p_forward = vecom.event_forward_batch(model, embeddings, pairs, roles)
 
         # pairs.tsv: n(n-1) rows per sentence, in document and sentence order.

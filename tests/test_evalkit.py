@@ -489,10 +489,9 @@ def unpaired_corpus():
 
 @pytest.mark.usefixtures("in_process")
 class TestOneEncoderPass:
-    """Per fold and role, crossval runs the argument encoder once, over the
-    pair entities and the fold's test entities, and scores the test rows of
-    that pass. Its pooled scores are what ``predict_probs`` gives the fold's
-    test windows."""
+    """Per fold and role, crossval runs the argument encoder once, over every
+    entity, and scores the test rows of that pass. Its pooled scores are what
+    ``predict_probs`` gives the fold's test windows."""
 
     @staticmethod
     def _pooled_and_expected(monkeypatch, corpus, doc_level):
@@ -538,8 +537,9 @@ class TestOneEncoderPass:
 
     @pytest.mark.parametrize("doc_level", [False, True], ids=["sentences", "documents"])
     def test_entity_in_no_pair_is_scored(self, monkeypatch, unpaired_corpus, doc_level):
-        entities, _ = vecom.candidate_pairs(unpaired_corpus)
-        paired = {Corpus.qualify(e.doc_id, e.id) for e in entities}
+        # The entities of no pair row are those alone in their sentence.
+        entities, pairs = vecom.candidate_pairs(unpaired_corpus)
+        paired = {Corpus.qualify(entities[i].doc_id, entities[i].id) for i in np.unique(pairs)}
         pooled, expected, qids = self._pooled_and_expected(
             monkeypatch, unpaired_corpus, doc_level
         )

@@ -179,10 +179,12 @@ class TestElementwise:
         rng = np.random.default_rng(35)
         model = vecent.new_argument_model("t", 3, 4, 2, dropout=0.2, rng=rng)
         batch = rng.standard_normal((2, 2, 5, 3))  # two windows' (left, right) halves
+        halves = [
+            lstm_last(cell, *_identity_ids(batch[:, k].swapaxes(0, 1)))
+            for k, cell in enumerate((model.fwd, model.bwd))
+        ]
         np.testing.assert_array_equal(
-            vecent._encode(model, *_identity_ids(batch)),
-            np.hstack([lstm_last(model.fwd, batch[:, 0].swapaxes(0, 1)),
-                       lstm_last(model.bwd, batch[:, 1].swapaxes(0, 1))]),
+            vecent._encode(model, *_identity_ids(batch)), np.hstack(halves)
         )
 
     def test_relu_values(self):
@@ -197,7 +199,7 @@ class TestLSTM:
         zeros = [np.zeros((4, 7)) for _ in range(4)] + [np.zeros(4) for _ in range(4)]
         cell = _cell_from_arrays(*zeros)
         for steps in (1, 5):
-            h = lstm_last(cell, np.zeros((steps, 1, 3)))
+            h = lstm_last(cell, *_identity_ids(np.zeros((steps, 1, 3))))
             np.testing.assert_array_equal(h, np.zeros((1, 4)))
 
     def test_zero_weights_carried_cell_state(self):
@@ -205,7 +207,7 @@ class TestLSTM:
         # c1 = 1/3 and c2 = 0.5 * c1 + 0.5 * 2/3 = 0.5 from a non-zero c_prev.
         zeros = [np.zeros((4, 7)) for _ in range(4)] + [np.zeros(4) for _ in range(3)]
         cell = _cell_from_arrays(*zeros, np.full(4, math.atanh(2.0 / 3.0)))
-        h = lstm_last(cell, np.zeros((2, 1, 3)))
+        h = lstm_last(cell, *_identity_ids(np.zeros((2, 1, 3))))
         np.testing.assert_allclose(h, np.full((1, 4), 0.5 * math.tanh(0.5)), atol=1e-15)
 
     def test_random_cell_matches_independent_oracle(self):
@@ -215,14 +217,14 @@ class TestLSTM:
         cell = _cell_from_arrays(*Ws, *bs)
         for batch in (1, 3):
             steps = rng.standard_normal((4, batch, 5))
-            h = lstm_last(cell, steps)
+            h = lstm_last(cell, *_identity_ids(steps))
             np.testing.assert_allclose(h, _lstm_oracle([*Ws, *bs], steps), atol=1e-12)
 
     def test_lstm_last_single_step(self):
         rng = np.random.default_rng(3)
         cell = init_lstm(rng, 3, 4).astype(np.float64)
         x = rng.standard_normal(3)
-        h_last = lstm_last(cell, x[None, None, :])
+        h_last = lstm_last(cell, *_identity_ids(x[None, None, :]))
         h_step, _ = _lstm_step_oracle(_blocks(cell), x, np.zeros(4), np.zeros(4))
         np.testing.assert_allclose(h_last[0], h_step, atol=1e-15)
 
@@ -234,7 +236,7 @@ class TestLSTM:
         grad_out = rng.standard_normal((B, H))
 
         cache = {}
-        h_fused = lstm_last(cell, steps, cache=cache)
+        h_fused = lstm_last(cell, *_identity_ids(steps), cache=cache)
         grads = lstm_bptt(cell, cache, grad_out)
         h_ref, *grads_ref = _per_gate_bptt_oracle(_blocks(cell), steps, grad_out)
         np.testing.assert_allclose(h_fused, _lstm_oracle(_blocks(cell), steps), rtol=1e-10)
@@ -245,7 +247,7 @@ class TestLSTM:
     def test_all_pad_inputs_bounded(self):
         rng = np.random.default_rng(4)
         cell = init_lstm(rng, 3, 4)
-        h = lstm_last(cell, np.zeros((6, 1, 3)))
+        h = lstm_last(cell, *_identity_ids(np.zeros((6, 1, 3))))
         assert np.all(np.abs(h) < 1.0)
 
     def test_output_magnitude_bounded_by_one(self):
@@ -254,22 +256,22 @@ class TestLSTM:
         cell = init_lstm(rng, 5, 3)
         for _ in range(10):
             seq = 10.0 * rng.standard_normal((7, 1, 5))
-            assert np.all(np.abs(lstm_last(cell, seq)) < 1.0)
+            assert np.all(np.abs(lstm_last(cell, *_identity_ids(seq))) < 1.0)
 
     def test_sequence_reversal_changes_output(self):
         rng = np.random.default_rng(5)
         cell = init_lstm(rng, 3, 4)
         seq = rng.standard_normal((4, 1, 3))
-        fwd = lstm_last(cell, seq)
-        rev = lstm_last(cell, seq[::-1])
+        fwd = lstm_last(cell, *_identity_ids(seq))
+        rev = lstm_last(cell, *_identity_ids(seq[::-1]))
         assert not np.allclose(fwd, rev)
 
     def test_empty_sequence(self):
         cell = init_lstm(np.random.default_rng(0), 3, 4)
         with pytest.raises(ShapeError):
-            lstm_last(cell, np.zeros((0, 1, 3)))
-        with pytest.raises(ShapeError):  # one step of one row, not a (T, B, D) batch
-            lstm_last(cell, np.zeros((1, 3)))
+            lstm_last(cell, *_identity_ids(np.zeros((0, 1, 3))))
+        with pytest.raises(ShapeError):  # one step's ids, not a (T, B) batch
+            lstm_last(cell, np.zeros(1, dtype=np.int64), np.zeros((1, 3)))
 
 
 class TestInPlaceGateMath:
@@ -303,7 +305,7 @@ class TestInPlaceGateMath:
         rng = np.random.default_rng(41)
         cell = init_lstm(rng, D, H).astype(np.float64)
         steps = rng.standard_normal((T, B, D))
-        h = lstm_last(cell, steps, cache={} if training else None)
+        h = lstm_last(cell, *_identity_ids(steps), cache={} if training else None)
         assert np.array_equal(h, self._out_of_place(cell, steps))
 
 
@@ -370,7 +372,7 @@ class TestPaddedRows:
     @staticmethod
     def _trained_run(cell, steps, grad_out):
         cache = {}
-        h = lstm_last(cell, steps, cache=cache)
+        h = lstm_last(cell, *_identity_ids(steps), cache=cache)
         return h, list(lstm_bptt(cell, cache, grad_out))
 
     def test_matches_unpacked_at_model_shape(self):
@@ -386,7 +388,7 @@ class TestPaddedRows:
         _assert_close(h, h_ref)
         for name, got, ref in zip(cell.params("c"), grads, grads_ref):
             _assert_close(got, ref, err_msg=name)
-        _assert_close(lstm_last(cell, steps), h_ref)
+        _assert_close(lstm_last(cell, *_identity_ids(steps)), h_ref)
 
     @pytest.mark.parametrize("lead", [0, 1, 3, 4])
     def test_vector_steps(self, lead):
@@ -415,7 +417,7 @@ class TestPaddedRows:
         steps = _padded_steps(rng, leads, T, D).astype(ndiff.DTYPE)
         grad_out = rng.standard_normal((len(leads), H)).astype(ndiff.DTYPE)
         cache = {}
-        h = lstm_last(cell, steps, cache=cache)
+        h = lstm_last(cell, *_identity_ids(steps), cache=cache)
         grads = lstm_bptt(cell, cache, grad_out)
         assert cache["widths"].tolist() == [1, 1, 2, 3, 4, 6]
         h_ref, grads_ref = _unpacked_lstm(
@@ -428,7 +430,7 @@ class TestPaddedRows:
             np.testing.assert_allclose(
                 got, ref, rtol=0, atol=bound * np.abs(ref).max(), err_msg=name
             )
-        np.testing.assert_array_equal(lstm_last(cell, steps), h)
+        np.testing.assert_array_equal(lstm_last(cell, *_identity_ids(steps)), h)
 
     def test_output_rows_keep_input_order(self):
         T, D, H = 6, 4, 3
@@ -436,9 +438,9 @@ class TestPaddedRows:
         cell = init_lstm(rng, D, H)
         leads = [6, 5, 3, 0, 2, 6, 1, 4]  # packing sorts these rows
         steps = _padded_steps(rng, leads, T, D)
-        h = lstm_last(cell, steps)
+        h = lstm_last(cell, *_identity_ids(steps))
         for r in range(len(leads)):
-            alone = lstm_last(cell, steps[:, r : r + 1])[0]
+            alone = lstm_last(cell, *_identity_ids(steps[:, r : r + 1]))[0]
             _assert_close(h[r], alone, err_msg=f"row {r}")
         np.testing.assert_array_equal(h[0], h[5])  # both all-pad rows end on the chain
 
@@ -475,7 +477,7 @@ class TestIdInput:
         vectors = vectors.astype(dtype)
         grad_out = rng.standard_normal((self.B, self.H)).astype(dtype)
         runs = []
-        for inputs in ((ids, vectors), (vectors[ids],)):
+        for inputs in ((ids, vectors), _identity_ids(vectors[ids])):
             cache = {}
             h = lstm_last(cell, *inputs, cache=cache)
             runs.append((cache, (h, *lstm_bptt(cell, cache, grad_out))))
@@ -513,13 +515,13 @@ class TestNoGrad:
         T, B, D, H = 11, 64, 20, 16
         rng = np.random.default_rng(30)
         cell = init_lstm(rng, D, H)
-        steps = rng.standard_normal((T, B, D))
+        steps = _identity_ids(rng.standard_normal((T, B, D)))
         cache = {}
         tracemalloc.start()
         try:
-            h = lstm_last(cell, steps)
+            h = lstm_last(cell, *steps)
             kept_inference = tracemalloc.get_traced_memory()[0]
-            lstm_last(cell, steps, cache=cache)
+            lstm_last(cell, *steps, cache=cache)
             kept_training = tracemalloc.get_traced_memory()[0] - kept_inference
         finally:
             tracemalloc.stop()
@@ -534,9 +536,9 @@ class TestNoGrad:
         rng = np.random.default_rng(31)
         cell = init_lstm(rng, 3, 4)
         steps = rng.standard_normal((3, 2, 3))
-        h_inference = lstm_last(cell, steps)
+        h_inference = lstm_last(cell, *_identity_ids(steps))
         cache = {}
-        h = lstm_last(cell, steps, cache=cache)
+        h = lstm_last(cell, *_identity_ids(steps), cache=cache)
         assert np.array_equal(h, h_inference)
         for name, grad in zip(cell.params("c"), lstm_bptt(cell, cache, np.ones_like(h))):
             assert np.abs(grad).sum() > 0, name
@@ -649,8 +651,8 @@ class TestBackward:
         one = _padded_steps(rng, [2], 5, 3)
         grad_out = rng.standard_normal((1, 4))
         cache_one, cache_two = {}, {}
-        lstm_last(cell, one, cache=cache_one)
-        lstm_last(cell, np.concatenate([one, one], axis=1), cache=cache_two)
+        lstm_last(cell, *_identity_ids(one), cache=cache_one)
+        lstm_last(cell, *_identity_ids(np.concatenate([one, one], axis=1)), cache=cache_two)
         single = lstm_bptt(cell, cache_one, grad_out)
         double = lstm_bptt(cell, cache_two, np.concatenate([grad_out, grad_out]))
         for got, ref in zip(double, single):
@@ -868,10 +870,12 @@ class TestFiniteInvariant:
 
     def test_nan_input_stops_training_naming_a_parameter(self):
         rng = np.random.default_rng(34)
-        ids = np.arange(8).reshape(2, 4)  # each window's own eight rows
-        windows = [ContextWindow(ids, rng.standard_normal((8, 6))) for _ in range(12)]
+        # Each window reads its own eight rows of one shared matrix.
+        ids = np.arange(96).reshape(12, 2, 4)
+        vectors = rng.standard_normal((96, 6))
+        windows = [ContextWindow(window, vectors) for window in ids]
         labels = (np.arange(12) % 3 == 0).astype(int)
-        windows[5].vectors[ids[0, 2], 1] = np.nan  # in a left half
+        vectors[ids[5, 0, 2], 1] = np.nan  # in a left half
         hyper = vecent.Hyper(lstm_hidden=4, arg_mlp_hidden=3, batch=4, epochs=1)
         with pytest.raises(TrainingError, match="non-finite gradient for parameter 'fwd.A'"):
             vecent.train_argument_model(windows, labels, hyper, rng=rng)
@@ -968,8 +972,8 @@ class TestFloat32:
         models = {
             role: vecent.new_argument_model(role, 12, 6, 5, dropout=0.2, rng=rng) for role in "ST"
         }
-        entities, pairs = vecom.candidate_pairs(corpus)
-        embeddings = vecom.embed_pair_entities(entities, models, windows)
+        _, pairs = vecom.candidate_pairs(corpus)
+        embeddings = vecom.embed_entities(models, windows)
         exists = np.arange(len(pairs)) % 2
         seen = _record_training_arrays(monkeypatch, vecom, "event_loss_and_grads")
         hyper = vecent.Hyper(event_mlp_hidden=4, batch=10_000, epochs=1)
@@ -1025,7 +1029,7 @@ class TestFloat32:
         grad_out = rng.standard_normal((B, H)).astype(ndiff.DTYPE)
 
         cache = {}
-        h = lstm_last(cell, steps, cache=cache)
+        h = lstm_last(cell, *_identity_ids(steps), cache=cache)
         grads = lstm_bptt(cell, cache, grad_out)
         h_ref, *grads_ref = _per_gate_bptt_oracle(
             _blocks(cell.astype(np.float64)), steps.astype(np.float64), grad_out.astype(np.float64)

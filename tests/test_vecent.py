@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bioee import ndiff, synth, vecent
 from bioee.corpus import Corpus
 from bioee.embed import PAD, EmbeddingTable
-from bioee.errors import TrainingSetupError
+from bioee.errors import ShapeError, TrainingSetupError
 from bioee.vecent import (
     ContextWindow,
     Hyper,
@@ -42,8 +42,15 @@ def _gere_sentence(corpus):
     return doc.sentences[0]
 
 
+def _gere_windows(corpus, tids, table, u=3):
+    """The windows of GERE's entities ``tids``, from one build, so one batch
+    can hold them."""
+    windows = build_entity_windows(corpus, u, table)
+    return [windows[Corpus.qualify("GERE", tid)] for tid in tids]
+
+
 def _gere_window(corpus, tid, table, u=3):
-    return build_entity_windows(corpus, u, table)[Corpus.qualify("GERE", tid)]
+    return _gere_windows(corpus, [tid], table, u)[0]
 
 
 class TestBuildContext:
@@ -134,26 +141,23 @@ class TestEncode:
         )
         np.testing.assert_array_equal(predict_probs(model, [w1]), predict_probs(model, [w2]))
 
-    def test_windows_of_two_calls_in_one_batch(self, bgi, table):
-        # Each call's windows index their own matrix; a batch mixing them
-        # indexes both, stacked, and encodes each window as its call's batch
-        # alone does.
+    def test_batch_mixing_matrices_is_rejected(self, bgi, table):
+        # A batch's ids index the one matrix its windows share. Two builds
+        # from one table hold equal but distinct matrices, and a batch may
+        # not mix them.
         model = new_argument_model("t", table.dim, lstm_hidden=8, mlp_hidden=4, dropout=0.2,
-                                   rng=np.random.default_rng(6)).astype(np.float64)
-        calls = [
-            list(build_entity_windows(bgi, 3, t).values())
-            for t in (table, EmbeddingTable(table.dim, seed=6))
-        ]
+                                   rng=np.random.default_rng(6))
+        calls = [list(build_entity_windows(bgi, 3, table).values()) for _ in range(2)]
         assert calls[0][0].vectors is not calls[1][0].vectors
+        np.testing.assert_array_equal(calls[0][0].vectors, calls[1][0].vectors)
+        ids, vectors = vecent._gather(calls[0])
+        assert vectors is calls[0][0].vectors
+        np.testing.assert_array_equal(ids, np.stack([w.ids for w in calls[0]]))
         mixed = [w for pair in zip(*calls) for w in pair]
-        ids, vectors = vecent._gather(mixed)
-        assert len(vectors) == sum(len(windows[0].vectors) for windows in calls)
-        np.testing.assert_array_equal(vectors[ids], np.stack([w.vectors[w.ids] for w in mixed]))
-        got = argument_embeddings(model, mixed)
-        for k, windows in enumerate(calls):
-            np.testing.assert_allclose(
-                got[k :: 2], argument_embeddings(model, windows), rtol=0, atol=1e-12
-            )
+        with pytest.raises(ShapeError):
+            vecent._gather(mixed)
+        with pytest.raises(ShapeError):
+            argument_embeddings(model, mixed)
 
     def test_swapping_halves_changes_encoding(self, bgi, table):
         model = new_argument_model("t", table.dim, lstm_hidden=8, mlp_hidden=4,
@@ -170,7 +174,7 @@ class TestArgForward:
 
     def test_probability_range(self, bgi, table):
         model = new_argument_model("t", table.dim, 8, 4, dropout=0.2, rng=np.random.default_rng(3))
-        windows = [_gere_window(bgi, ent.id, table) for ent in _gere_sentence(bgi).entities]
+        windows = _gere_windows(bgi, [ent.id for ent in _gere_sentence(bgi).entities], table)
         probs = predict_probs(model, windows)
         assert probs.shape == (len(windows),)
         assert np.all((0.0 < probs) & (probs < 1.0))
@@ -246,17 +250,20 @@ class TestOversample:
 
 def _separable_samples(n=200, dim=8, u=2, seed=0):
     """(windows, labels) where the anchor vector's direction determines the
-    label; trivially learnable."""
+    label; trivially learnable. The windows share one matrix, each its own
+    u+1 rows."""
     rng = np.random.default_rng(seed)
     base = rng.standard_normal(dim)
-    windows = []
+    contexts = []
     labels = np.arange(n) % 2
     for label in labels:
         anchor = base * (2.0 if label else -2.0) + 0.1 * rng.standard_normal(dim)
         ctx = 0.1 * rng.standard_normal((u + 1, dim))
         ctx[-1] = anchor  # both halves read the same context toward the anchor
-        windows.append(ContextWindow(np.tile(np.arange(u + 1), (2, 1)), ctx))
-    return windows, labels
+        contexts.append(ctx)
+    vectors = np.concatenate(contexts)
+    ids = np.arange(n * (u + 1)).reshape(n, 1, u + 1).repeat(2, axis=1)
+    return [ContextWindow(window, vectors) for window in ids], labels
 
 
 class TestTraining:
@@ -346,7 +353,7 @@ class TestArgumentEmbedding:
     def test_batch_matches_single(self, bgi, table):
         model = new_argument_model("t", table.dim, 8, 5, dropout=0.2, rng=np.random.default_rng(10))
         model = model.astype(np.float64)
-        windows = [_gere_window(bgi, tid, table) for tid in ("T1", "T4", "T5")]
+        windows = _gere_windows(bgi, ["T1", "T4", "T5"], table)
         batch = argument_embeddings(model, windows)
         for i, w in enumerate(windows):
             np.testing.assert_allclose(batch[i], argument_embeddings(model, [w])[0], atol=1e-12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bioee import ndiff, vecent, vecom
-from bioee.corpus import Corpus, Entity
+from bioee.corpus import BGI_SCHEMA, Corpus, Entity, corpus_from_documents
 from bioee.embed import EmbeddingTable
 from bioee.errors import ConfigurationError, DataError, TrainingSetupError
 from bioee.vecent import Hyper
@@ -14,7 +14,7 @@ from bioee.vecom import (
     candidate_pairs,
     compose_pairs,
     decode_events,
-    embed_pair_entities,
+    embed_entities,
     event_forward_batch,
     label_pairs,
     new_event_model,
@@ -80,6 +80,29 @@ class TestCandidatePairs:
         ]
         assert got == expected
         assert len({(doc_id, sidx) for doc_id, sidx, _, _ in got}) > 1
+
+    def test_every_entity_in_window_order(self, table):
+        # BB's sentences hold 2, 3, 1 and 2 entities. Every entity is in the
+        # one order of the windows; the lone one is in no pair row.
+        bb = fixtures.bb_corpus()
+        sentences = [(doc.id, s) for doc in bb.documents for s in doc.sentences]
+        assert [len(s.entities) for _, s in sentences] == [2, 3, 1, 2]
+        entities, pairs = candidate_pairs(bb)
+        qids = sorted(vecent.build_entity_windows(bb, 3, table))
+        assert [Corpus.qualify(e.doc_id, e.id) for e in entities] == qids
+        row = {q: i for i, q in enumerate(qids)}
+        lone = [
+            row[Corpus.qualify(doc_id, sent.entities[0].id)]
+            for doc_id, sent in sentences
+            if len(sent.entities) == 1
+        ]
+        assert len(lone) == 1 and lone[0] not in pairs
+        stop = 0
+        for doc_id, sent in sentences:
+            rows = [row[Corpus.qualify(doc_id, e.id)] for e in sent.entities]
+            start, stop = stop, stop + len(rows) * (len(rows) - 1)
+            assert pairs[start:stop].tolist() == [[a, b] for a in rows for b in rows if a != b]
+        assert stop == len(pairs)
 
 
 class TestLabelPairs:
@@ -164,26 +187,29 @@ class TestPairInput:
 
     ROLES = ("Action", "Target")
 
-    def _composed(self, bgi, table, models):
-        entities, pairs = _sentence_pairs(bgi, "PMID-10629188")
-        windows = vecent.build_entity_windows(bgi, 3, table)
-        embeddings = embed_pair_entities(entities, models, windows)
+    @staticmethod
+    def _case():
+        """The case-study document alone: one sentence of four entities."""
+        return corpus_from_documents([(*fixtures.case_study_document(), None, None)], BGI_SCHEMA)
+
+    def _composed(self, table, models):
+        case = self._case()
+        entities, pairs = candidate_pairs(case)
+        embeddings = embed_entities(models, vecent.build_entity_windows(case, 3, table))
         return entities, embeddings, pairs, compose_pairs(embeddings, pairs, self.ROLES)
 
-    def test_halves_are_twice_embedding_size(self, bgi, table):
-        entities, embeddings, pairs, composed = self._composed(
-            bgi, table, _role_models(table, 0, 1)
-        )
+    def test_halves_are_twice_embedding_size(self, table):
+        entities, embeddings, pairs, composed = self._composed(table, _role_models(table, 0, 1))
         assert composed.shape == (len(pairs), 10)
         assert pairs.shape == (len(pairs), 2)
         assert {e.shape for e in embeddings.values()} == {(4, 5)}  # four distinct entities
 
-    def test_half_layout_matches_role_models(self, bgi, table):
+    def test_half_layout_matches_role_models(self, table):
         models = {role: m.astype(np.float64) for role, m in _role_models(table, 2, 3).items()}
-        entities, embeddings, pairs, composed = self._composed(bgi, table, models)
+        entities, embeddings, pairs, composed = self._composed(table, models)
         i = _ids(entities, pairs).index(("T1", "T2"))
         a, b = pairs[i]
-        windows = vecent.build_entity_windows(bgi, 3, table)
+        windows = vecent.build_entity_windows(self._case(), 3, table)
         w_first = windows[Corpus.qualify(entities[a].doc_id, entities[a].id)]
         w_second = windows[Corpus.qualify(entities[b].doc_id, entities[b].id)]
 
@@ -198,10 +224,10 @@ class TestPairInput:
         second_half = np.concatenate([emb("Target", w_second), emb("Action", w_second)])
         np.testing.assert_allclose(composed[i], first_half - second_half, atol=1e-12)
 
-    def test_deterministic(self, bgi, table):
+    def test_deterministic(self, table):
         models = _role_models(table, 4, 5)
-        _, _, rows_a, a = self._composed(bgi, table, models)
-        _, _, rows_b, b = self._composed(bgi, table, models)
+        _, _, rows_a, a = self._composed(table, models)
+        _, _, rows_b, b = self._composed(table, models)
         np.testing.assert_array_equal(rows_a, rows_b)
         np.testing.assert_array_equal(a, b)
 
@@ -340,7 +366,6 @@ class TestPairStageMemory:
         rng = np.random.default_rng(18)
         n = 8 * ndiff.INFERENCE_CHUNK
         vectors = rng.standard_normal((50, 8)).astype(ndiff.DTYPE)
-        entities = [Entity(id=f"T{i}", label="X", span=(0, 1), doc_id="D") for i in range(n)]
         windows = {
             f"D/T{i}": vecent.ContextWindow(rng.integers(0, 50, (2, 4), dtype=np.int32), vectors)
             for i in range(n)
@@ -354,11 +379,11 @@ class TestPairStageMemory:
         one = list(windows.values())[: ndiff.INFERENCE_CHUNK]
         chunk_peak, chunk = _traced_peak(vecent.argument_embeddings, models["S"], one)
         working_set = chunk_peak - chunk.nbytes
-        peak, embeddings = _traced_peak(embed_pair_entities, entities, models, windows)
+        peak, embeddings = _traced_peak(embed_entities, models, windows)
         kept = sum(e.nbytes for e in embeddings.values())
         assert kept == 2 * n * self.E * ndiff.DTYPE().itemsize
-        # Beside those, only the window list handed to the role models (8
-        # bytes per entity) and its bookkeeping.
+        # Beside those, only the sorted id list and the window list handed
+        # to the role models (8 bytes per entity each) and their bookkeeping.
         assert peak <= kept + working_set + 64 * n, (peak, kept, working_set)
 
     def _pairs(self, n, rng):
@@ -571,7 +596,7 @@ class TestBuildPairSamples:
         }
         windows = vecent.build_entity_windows(bgi, 3, table)
         entities, pairs = candidate_pairs(bgi)
-        embeddings = embed_pair_entities(entities, arg_models, windows)
+        embeddings = embed_entities(arg_models, windows)
         composed = compose_pairs(embeddings, pairs, bgi.task_schema.roles("ActionTarget"))
         exists, _ = label_pairs(entities, pairs, list(bgi.events.values()), "ActionTarget")
         positive = [entities[a] for a, e in zip(pairs[:, 0].tolist(), exists) if e]
@@ -581,8 +606,8 @@ class TestBuildPairSamples:
 
     def test_missing_model_is_configuration_error(self, bgi, table):
         windows = vecent.build_entity_windows(bgi, 3, table)
-        entities, pairs = candidate_pairs(bgi)
-        embeddings = embed_pair_entities(entities, {}, windows)
+        _, pairs = candidate_pairs(bgi)
+        embeddings = embed_entities({}, windows)
         roles = bgi.task_schema.roles("ActionTarget")
         with pytest.raises(ConfigurationError):
             compose_pairs(embeddings, pairs, roles)
