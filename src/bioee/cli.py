@@ -108,12 +108,17 @@ def config_to_ini(cfg: RunConfig) -> str:
 # Shared plumbing
 
 
-def _resolve_table(cfg: RunConfig) -> embed.EmbeddingTable:
-    if cfg.embedding == "hashed":
-        return embed.EmbeddingTable(dim=cfg.dim, oov_policy=cfg.oov, seed=cfg.oov_seed)
-    return embed.load_table(
-        cfg.embedding, format=cfg.embedding_format, oov_policy=cfg.oov, seed=cfg.oov_seed
-    )
+def _embedding_record(cfg: RunConfig) -> dict:
+    """The embedding settings of ``cfg`` as ``train-args`` records them."""
+    return dict(source=cfg.embedding, format=cfg.embedding_format, oov=cfg.oov, seed=cfg.oov_seed)
+
+
+def _resolve_table(embedding: dict, dim: int) -> embed.EmbeddingTable:
+    """The table an embedding record names; ``dim`` sizes a hashed table."""
+    source, oov, seed = embedding["source"], embedding["oov"], embedding["seed"]
+    if source == "hashed":
+        return embed.EmbeddingTable(dim=dim, oov_policy=oov, seed=seed)
+    return embed.load_table(source, format=embedding["format"], oov_policy=oov, seed=seed)
 
 
 def _train_corpus(cfg: RunConfig) -> Corpus:
@@ -176,12 +181,33 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _checkpoint_paths(
-    cfg: RunConfig, stage: str, noun: str, required: tuple[str, ...] = ()
-) -> tuple[dict[str, Path], dict]:
-    """The path of every checkpoint that ``train-<stage>`` listed in
-    ``<out>/<stage>/manifest.json`` under ``<noun>_types``, by name, and the
-    manifest, which must also hold the ``required`` entries, each an int >= 1."""
+# Manifest entry -> (test, wording) of its valid values.
+_NAMES = (lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v), "a list of names")
+_COUNT = (lambda v: type(v) is int and v >= 1, "an int >= 1")  # bool is an int subclass
+_EMBEDDING = (
+    lambda v: isinstance(v, dict)
+    and isinstance(v.get("source"), str)
+    and v.get("format") in embed.FORMATS
+    and v.get("oov") in embed.OOV_POLICIES
+    and type(v.get("seed")) is int,
+    "an object of a source path or 'hashed', a format, an oov policy and an int seed",
+)
+
+
+def _save_stage(directory: Path, trained: dict, manifest: dict) -> None:
+    """Write each trained ``name -> (model, epoch log)`` as ``<name>.ckpt``
+    and ``<name>.log.csv``, then the stage's ``manifest.json``."""
+    directory.mkdir(exist_ok=True)
+    for name, (model, log) in trained.items():
+        ndiff.save_tensors(directory / f"{name}.ckpt", model.parameters())
+        (directory / f"{name}.log.csv").write_text(vecent.epoch_log_csv(log), encoding="utf-8")
+    _write_json(directory / "manifest.json", manifest)
+
+
+def _load_stage(cfg: RunConfig, stage: str, noun: str, load, required: dict) -> tuple[dict, dict]:
+    """Every model that ``train-<stage>`` listed in ``<out>/<stage>/manifest.json``
+    under ``<noun>_types``, by name, each read by ``load(path, name, manifest)``,
+    and the manifest, whose ``required`` entries must pass their tests."""
     directory = Path(cfg.out) / stage
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -192,47 +218,42 @@ def _checkpoint_paths(
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8 or not JSON
         raise ConfigurationError(f"{manifest_path}: not a JSON manifest ({exc})") from None
-    for key in (f"{noun}_types", *required):
+    for key, (valid, wording) in {f"{noun}_types": _NAMES, **required}.items():
         if not isinstance(manifest, dict) or key not in manifest:
             raise ConfigurationError(f"{manifest_path}: manifest has no {key!r} entry")
-    names = manifest[f"{noun}_types"]
-    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
-        raise ConfigurationError(
-            f"{manifest_path}: manifest entry '{noun}_types' must be a list of names, got {names!r}"
-        )
-    for key in required:
-        if type(manifest[key]) is not int or manifest[key] < 1:  # bool is an int subclass
+        if not valid(manifest[key]):
             raise ConfigurationError(
-                f"{manifest_path}: manifest entry {key!r} must be an int >= 1, "
+                f"{manifest_path}: manifest entry {key!r} must be {wording}, "
                 f"got {manifest[key]!r}"
             )
-    paths = {}
-    for name in names:
-        paths[name] = directory / f"{name}.ckpt"
-        if not paths[name].exists():
-            raise ConfigurationError(f"missing {noun} checkpoint {paths[name]}")
-    return paths, manifest
-
-
-def _load_argument_models(
-    cfg: RunConfig, table: embed.EmbeddingTable
-) -> tuple[dict[str, vecent.ArgumentModel], dict]:
-    """The argument models and their manifest, checked against the table."""
-    paths, manifest = _checkpoint_paths(cfg, "args", "argument", required=("dim", "u"))
-    dim = manifest["dim"]
-    if table.dim != dim:
-        raise ConfigurationError(f"embedding dim {table.dim} does not match checkpoints ({dim})")
-    models = {name: vecent.load_argument_model(path, name) for name, path in paths.items()}
-    for name, model in models.items():
-        if model.input_size != dim:
-            raise TrainingError(
-                f"{paths[name]}: LSTM input size {model.input_size} is not the manifest's dim {dim}"
-            )
+    models = {}
+    for name in manifest[f"{noun}_types"]:
+        path = directory / f"{name}.ckpt"
+        if not path.exists():
+            raise ConfigurationError(f"missing {noun} checkpoint {path}")
+        models[name] = load(path, name, manifest)
     return models, manifest
 
 
-def _save_model(model: ndiff.Layers, path: Path) -> None:
-    ndiff.save_tensors(path, model.parameters())
+def _load_argument_models(cfg: RunConfig) -> tuple[dict, int, embed.EmbeddingTable]:
+    """The argument models, their window size u and the embedding table
+    they were trained on, rebuilt from their manifest, not from ``cfg``."""
+
+    def load(path, name, manifest):
+        model, dim = vecent.load_argument_model(path, name), manifest["dim"]
+        if model.input_size != dim:
+            raise TrainingError(
+                f"{path}: LSTM input size {model.input_size} is not the manifest's dim {dim}"
+            )
+        return model
+
+    required = {"dim": _COUNT, "u": _COUNT, "embedding": _EMBEDDING}
+    models, manifest = _load_stage(cfg, "args", "argument", load, required)
+    dim = manifest["dim"]
+    table = _resolve_table(manifest["embedding"], dim)
+    if table.dim != dim:
+        raise ConfigurationError(f"embedding dim {table.dim} does not match checkpoints ({dim})")
+    return models, manifest["u"], table
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +275,13 @@ def cmd_ingest(cfg: RunConfig) -> int:
 def cmd_train_args(cfg: RunConfig) -> int:
     started = time.perf_counter()
     corpus = _train_corpus(cfg)
-    table = _resolve_table(cfg)
-    out = _outdir(cfg)
-    args_dir = out / "args"
-    args_dir.mkdir(exist_ok=True)
+    embedding = _embedding_record(cfg)
+    table = _resolve_table(embedding, cfg.dim)
+    args_dir = _outdir(cfg) / "args"
 
     windows = vecent.build_entity_windows(corpus, cfg.window, table)
     qids = sorted(windows)
     ordered = [windows[q] for q in qids]
-    trained = corpus.task_schema.argument_types
     labels = vecent.argument_labels(corpus, qids)
 
     def train(arg_type):
@@ -273,31 +292,20 @@ def cmd_train_args(cfg: RunConfig) -> int:
 
     # The roles train in worker processes; this process writes every file.
     workers = pool.worker_count(len(labels))
-    results = pool.map_in_workers(train, list(labels), workers)
-    for arg_type, (model, log) in zip(labels, results):
-        _save_model(model, args_dir / f"{arg_type}.ckpt")
-        (args_dir / f"{arg_type}.log.csv").write_text(
-            vecent.epoch_log_csv(log), encoding="utf-8"
-        )
+    trained = dict(zip(labels, pool.map_in_workers(train, list(labels), workers)))
+    for arg_type in trained:
         logger.info("trained argument model %s on %d samples", arg_type, len(ordered))
-    _write_json(
-        args_dir / "manifest.json",
-        {
-            "task": cfg.schema,
-            "argument_types": trained,
-            "u": cfg.window,
-            "dim": table.dim,
-            "lstm_hidden": cfg.lstm_hidden,
-            "mlp_hidden": cfg.arg_mlp_hidden,
-            "dropout": cfg.dropout,
-            "embedding": {
-                "source": cfg.embedding,
-                "format": cfg.embedding_format,
-                "oov": cfg.oov,
-                "seed": cfg.oov_seed,
-            },
-        },
-    )
+    manifest = {
+        "task": cfg.schema,
+        "argument_types": list(trained),
+        "u": cfg.window,
+        "dim": table.dim,
+        "lstm_hidden": cfg.lstm_hidden,
+        "mlp_hidden": cfg.arg_mlp_hidden,
+        "dropout": cfg.dropout,
+        "embedding": embedding,
+    }
+    _save_stage(args_dir, trained, manifest)
     print(f"trained {len(trained)} argument models -> {args_dir}")
     _finish(cfg, "train-args", started, workers=workers)
     return 0
@@ -306,17 +314,14 @@ def cmd_train_args(cfg: RunConfig) -> int:
 def cmd_train_events(cfg: RunConfig) -> int:
     started = time.perf_counter()
     corpus = _train_corpus(cfg)
-    table = _resolve_table(cfg)
-    arg_models, manifest = _load_argument_models(cfg, table)
-    out = _outdir(cfg)
-    events_dir = out / "events"
-    events_dir.mkdir(exist_ok=True)
+    arg_models, u, table = _load_argument_models(cfg)
+    events_dir = _outdir(cfg) / "events"
 
-    windows = vecent.build_entity_windows(corpus, manifest["u"], table)
+    windows = vecent.build_entity_windows(corpus, u, table)
     entities, pairs = vecom.candidate_pairs(corpus)
     embeddings = vecom.embed_entities(arg_models, windows)
 
-    trained, skipped = [], {}
+    trained, skipped = {}, {}
     for event_type in corpus.task_schema.event_types:
         exists, forward = vecom.label_pairs(
             entities, pairs, list(corpus.events.values()), event_type
@@ -324,29 +329,21 @@ def cmd_train_events(cfg: RunConfig) -> int:
         roles = corpus.task_schema.roles(event_type)
         rng = child_rng(cfg.seed, f"cmd/train-events/{event_type}")
         try:
-            model, log = vecom.train_event_model(
+            trained[event_type] = vecom.train_event_model(
                 embeddings, pairs, roles, exists, forward, event_type, cfg, rng=rng
             )
         except TrainingSetupError as exc:
             logger.warning("skipping %s: %s", event_type, exc)
             skipped[event_type] = str(exc)
-            continue
-        _save_model(model, events_dir / f"{event_type}.ckpt")
-        (events_dir / f"{event_type}.log.csv").write_text(
-            vecent.epoch_log_csv(log), encoding="utf-8"
-        )
-        trained.append(event_type)
     if not trained:
         raise TrainingSetupError("no event type had both positive and negative pairs")
-    _write_json(
-        events_dir / "manifest.json",
-        {
-            "task": cfg.schema,
-            "event_types": trained,
-            "skipped": skipped,
-            "hidden": cfg.event_mlp_hidden,
-        },
-    )
+    manifest = {
+        "task": cfg.schema,
+        "event_types": list(trained),
+        "skipped": skipped,
+        "hidden": cfg.event_mlp_hidden,
+    }
+    _save_stage(events_dir, trained, manifest)
     print(f"trained {len(trained)} event models -> {events_dir}")
     _finish(cfg, "train-events", started)
     return 0
@@ -366,25 +363,27 @@ def cmd_predict(cfg: RunConfig) -> int:
     schema = load_schema(cfg.schema)
     # Predictions need no gold events, so no document's .a2 is read.
     files = [(doc_id, txt, a1, None) for doc_id, txt, a1, _ in list_corpus_dir(cfg.predict_dir)]
-    table = _resolve_table(cfg)
-    arg_models, manifest = _load_argument_models(cfg, table)
-    event_paths, _ = _checkpoint_paths(cfg, "events", "event")
-    event_models = {name: vecom.load_event_model(path) for name, path in event_paths.items()}
-    for event_type, model in event_models.items():
+    arg_models, u, table = _load_argument_models(cfg)
+
+    def load_event_model(path, event_type, _):
+        model = vecom.load_event_model(path)
         for role in set(schema.roles(event_type)) & arg_models.keys():
             width = 2 * arg_models[role].embedding_size
             if model.input_size != width:
                 raise TrainingError(
-                    f"{event_paths[event_type]}: event heads take {model.input_size} inputs, "
+                    f"{path}: event heads take {model.input_size} inputs, "
                     f"not the {width} of two composed {role} embeddings"
                 )
+        return model
+
+    event_models, _ = _load_stage(cfg, "events", "event", load_event_model, {})
     roles = {r for event_type in event_models for r in schema.roles(event_type)}
     role_models = {role: arg_models[role] for role in roles & arg_models.keys()}
 
     def predict_shard(shard_files):
         """Each document's (id, .a2 text) and the shard's pairs.tsv rows."""
         corpus = read_corpus_files(shard_files, schema)
-        windows = vecent.build_entity_windows(corpus, manifest["u"], table)
+        windows = vecent.build_entity_windows(corpus, u, table)
         entities, pairs = vecom.candidate_pairs(corpus)
         # One chunked embedding pass per role model over the shard, and one
         # scoring pass per event type.
@@ -437,7 +436,7 @@ def cmd_predict(cfg: RunConfig) -> int:
 def cmd_crossval(cfg: RunConfig) -> int:
     started = time.perf_counter()
     corpus = _train_corpus(cfg)
-    table = _resolve_table(cfg)
+    table = _resolve_table(_embedding_record(cfg), cfg.dim)
     report = evalkit.cross_validate(
         corpus, table, hyper=cfg, seed=cfg.seed, doc_level=cfg.doc_level_cv
     )

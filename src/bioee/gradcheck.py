@@ -59,10 +59,10 @@ def checks(rng) -> dict:
     out["weighted_bce"] = (bce_loss_and_grads, {"logits": logits})
 
     # The full argument-classifier loss (u=3, hidden=6), with one fixed
-    # dropout mask.
+    # dropout mask of rate 0.25.
     u, dim, hidden, mlp_hidden = 3, 4, 6, 5
     arg_model = vecent.new_argument_model(
-        "check", embed_dim=dim, lstm_hidden=hidden, mlp_hidden=mlp_hidden, dropout=0.25, rng=rng
+        "check", embed_dim=dim, lstm_hidden=hidden, mlp_hidden=mlp_hidden, rng=rng
     ).astype(np.float64)
     # Three windows, each slot its own word: the identity id map into the
     # (3, 2, u+1, dim) vectors, of which all left halves are drawn, then all right.
@@ -72,7 +72,7 @@ def checks(rng) -> dict:
     arg_labels = np.array([[1.0], [0.0], [1.0]])
     out["composed_argument_loss"] = (
         lambda: vecent.argument_loss_and_grads(
-            arg_model, window_ids, window_vectors, arg_labels, 0.7, np.random.default_rng(999)
+            arg_model, window_ids, window_vectors, arg_labels, 0.7, 0.25, np.random.default_rng(999)
         )[:2],
         arg_model.parameters(),
     )

@@ -75,7 +75,6 @@ class ArgumentModel(ndiff.Layers):
     bwd: DenseParams
     f1: DenseParams
     f2: DenseParams
-    dropout: float
 
     @property
     def embedding_size(self) -> int:
@@ -93,7 +92,6 @@ def new_argument_model(
     embed_dim: int,
     lstm_hidden: int,
     mlp_hidden: int,
-    dropout: float,
     rng: np.random.Generator | None = None,
 ) -> ArgumentModel:
     rng = rng or np.random.default_rng(0)
@@ -103,7 +101,6 @@ def new_argument_model(
         bwd=ndiff.init_lstm(rng, embed_dim, lstm_hidden),
         f1=ndiff.init_dense(rng, 2 * lstm_hidden, mlp_hidden),
         f2=ndiff.init_dense(rng, mlp_hidden, 1),
-        dropout=dropout,
     )
 
 
@@ -244,15 +241,16 @@ def predict_probs(model: ArgumentModel, windows: list[ContextWindow]) -> np.ndar
 
 
 def argument_loss_and_grads(
-    model: ArgumentModel, ids: np.ndarray, vectors: np.ndarray, labels: np.ndarray, z: float, rng
+    model: ArgumentModel, ids: np.ndarray, vectors: np.ndarray, labels: np.ndarray, z, dropout, rng
 ):
     """The mean weighted BCE of a training batch of windows, ``(B, 2, T)``
     ids into the rows of ``vectors`` (positives weighted ``z``, negatives
-    ``1 - z``), under a dropout mask drawn from ``rng``, the gradient of each
-    of ``model.parameters()``, and the ``(B, 1)`` probabilities."""
+    ``1 - z``), under a dropout mask of rate ``dropout`` drawn from ``rng``,
+    the gradient of each of ``model.parameters()``, and the ``(B, 1)``
+    probabilities."""
     caches = ({}, {})
     enc = _encode(model, ids, vectors, caches)
-    keep = ndiff.dropout_mask(model.dropout, (len(enc), model.embedding_size), rng, enc.dtype)
+    keep = ndiff.dropout_mask(dropout, (len(enc), model.embedding_size), rng, enc.dtype)
     hidden, dropped, probs = _head(model, enc, keep)
     scale = 1.0 / len(labels)
     loss, g = ndiff.weighted_bce(labels, probs, z, 1.0 - z, scale)
@@ -332,14 +330,13 @@ def train_argument_model(
         embed_dim=windows[0].vectors.shape[1],
         lstm_hidden=hyper.lstm_hidden,
         mlp_hidden=hyper.arg_mlp_hidden,
-        dropout=hyper.dropout,
         rng=rng,
     )
     labels = labels[train_idx, None].astype(np.float64)
 
     def loss_and_grads(idx):
         ids, vectors = _gather([windows[i] for i in train_idx[idx]])
-        return argument_loss_and_grads(model, ids, vectors, labels[idx], z, rng)
+        return argument_loss_and_grads(model, ids, vectors, labels[idx], z, hyper.dropout, rng)
 
     return model, sgd_epochs(model, hyper, labels, loss_and_grads, rng)
 
@@ -392,10 +389,9 @@ def epoch_log_csv(log: list[EpochRecord]) -> str:
 
 
 def load_argument_model(path, arg_type: str) -> ArgumentModel:
-    """A saved model, for inference: checkpoints hold only the weights, so the
-    dropout rate, which inference does not apply, is the default. Both LSTM
-    layers must be ``(4H, D+H)`` and the head must take their ``2H`` outputs
-    to one probability."""
+    """A saved model, for inference: checkpoints hold only the weights. Both
+    LSTM layers must be ``(4H, D+H)`` and the head must take their ``2H``
+    outputs to one probability."""
     layers = ndiff.load_dense_layers(path, ArgumentModel.LAYERS)
     shapes = {name: layer.A.shape for name, layer in layers.items()}
     rows, cols = shapes["fwd"]
@@ -408,4 +404,4 @@ def load_argument_model(path, arg_type: str) -> ArgumentModel:
         or shapes["f2"] != (1, shapes["f1"][0])
     ):
         raise TrainingError(f"{path}: layer shapes {shapes} do not form an argument model")
-    return ArgumentModel(arg_type=arg_type, dropout=Hyper.dropout, **layers)
+    return ArgumentModel(arg_type=arg_type, **layers)

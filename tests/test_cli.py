@@ -738,6 +738,70 @@ class TestSavedArgumentModels:
             assert probs[positive].mean() > probs[~positive].mean(), role
 
 
+def _without(args, *flags):
+    """``args`` without each of ``flags`` and the value after it."""
+    out = list(args)
+    for flag in flags:
+        at = out.index(flag)
+        del out[at : at + 2]
+    return out
+
+
+class TestInputsFromManifest:
+    """train-events and predict rebuild the argument models' window and word
+    vectors from args/manifest.json, whatever their own flags say."""
+
+    @staticmethod
+    def _outputs(out):
+        paths = sorted(p for stage in ("events", "pred") for p in (out / stage).iterdir())
+        return {str(p.relative_to(out)): p.read_bytes() for p in paths}
+
+    @pytest.mark.parametrize(
+        "dropped",
+        [("--oov-seed",), ("--embedding", "--dim", "--oov-seed", "--window")],
+        ids=["oov_seed", "window_and_embedding"],
+    )
+    def test_later_commands_ignore_embedding_flags(self, tmp_path, bgi_dir, case_dir, dropped):
+        trained = tmp_path / "trained"
+        base = ["--schema", "bgi", "--train-dir", str(bgi_dir), "--predict-dir", str(case_dir),
+                "--epochs", "2"]
+        assert main(["train-args", *base, "--out", str(trained), *FIT_ARGS]) == 0
+        outputs = {}
+        for name, later in (("repeated", FIT_ARGS), ("dropped", _without(FIT_ARGS, *dropped))):
+            out = tmp_path / name
+            shutil.copytree(trained / "args", out / "args")
+            assert main(["train-events", *base, "--out", str(out), *later]) == 0
+            assert main(["predict", *base, "--out", str(out), *later]) == 0
+            outputs[name] = self._outputs(out)
+        assert outputs["dropped"] == outputs["repeated"]
+
+    def test_predict_reads_word2vec_table_of_manifest(self, tmp_path, bgi_dir, case_dir):
+        # Every other word of the corpus has a vector; the rest are zero (oov=zero).
+        corpus = load_corpus_dir(bgi_dir, load_schema("bgi"))
+        words = sorted({t.text for doc in corpus.documents for sent in doc.sentences
+                        for t in sent.tokens})[::2]
+        rng = np.random.default_rng(5)
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text(
+            f"{len(words)} 32\n"
+            + "".join(w + "".join(f" {v:.4f}" for v in rng.standard_normal(32)) + "\n"
+                      for w in words),
+            encoding="utf-8",
+        )
+        embedding = ["--embedding", str(vectors), "--embedding-format", "text", "--oov", "zero"]
+        out = tmp_path / "out"
+        base = ["--schema", "bgi", "--train-dir", str(bgi_dir), "--predict-dir", str(case_dir),
+                "--out", str(out), "--epochs", "2", *_without(FIT_ARGS, "--embedding", "--dim")]
+        assert main(["train-args", *base, *embedding]) == 0
+        assert json.loads((out / "args" / "manifest.json").read_text())["dim"] == 32
+        assert main(["train-events", *base, *embedding]) == 0
+        preds = {}
+        for name, flags in (("repeated", embedding), ("dropped", [])):
+            assert main(["predict", *base, *flags]) == 0
+            preds[name] = {p.name: p.read_bytes() for p in (out / "pred").iterdir()}
+        assert preds["dropped"] == preds["repeated"]
+
+
 def _rewrite(edit):
     return lambda path: path.write_bytes(edit(path.read_bytes()))
 
@@ -878,8 +942,11 @@ def _drop_manifest_key(key):
 class TestBadManifest:
     @pytest.mark.parametrize(
         "damage",
-        [lambda _: "{", *(_drop_manifest_key(key) for key in ("argument_types", "dim", "u"))],
-        ids=["not_json", "no_argument_types", "no_dim", "no_u"],
+        [
+            lambda _: "{",
+            *(_drop_manifest_key(key) for key in ("argument_types", "dim", "u", "embedding")),
+        ],
+        ids=["not_json", "no_argument_types", "no_dim", "no_u", "no_embedding"],
     )
     def test_predict_reports_json_error(self, tmp_path, case_dir, trained_out, damage, capsys):
         out = tmp_path / "out"
@@ -903,9 +970,12 @@ class TestBadManifest:
             ("args", "dim", True),
             ("args", "argument_types", 5),
             ("events", "event_types", 5),
+            ("args", "embedding", "hashed"),
+            ("args", "embedding", {"source": "hashed", "format": "text", "oov": "hashed",
+                                   "seed": "3"}),
         ],
         ids=["u_zero", "u_string", "u_float", "dim_bool", "argument_types_int",
-             "event_types_int"],
+             "event_types_int", "embedding_not_object", "embedding_seed_string"],
     )
     def test_bad_values_report_json_error(
         self, tmp_path, case_dir, trained_out, stage, key, value, capsys

@@ -177,7 +177,7 @@ class TestElementwise:
     def test_concat(self):
         # The BLSTM encoding is the left-to-right state, then the right-to-left.
         rng = np.random.default_rng(35)
-        model = vecent.new_argument_model("t", 3, 4, 2, dropout=0.2, rng=rng)
+        model = vecent.new_argument_model("t", 3, 4, 2, rng=rng)
         batch = rng.standard_normal((2, 2, 5, 3))  # two windows' (left, right) halves
         halves = [
             lstm_last(cell, *_identity_ids(batch[:, k].swapaxes(0, 1)))
@@ -757,7 +757,7 @@ class TestDropout:
 
     def test_inference_is_identity(self):
         rng = np.random.default_rng(42)
-        model = vecent.new_argument_model("t", 6, 5, 4, dropout=0.9, rng=rng)
+        model = vecent.new_argument_model("t", 6, 5, 4, rng=rng)
         hidden, dropped, _ = vecent._head(model, rng.standard_normal((3, 10)))
         assert dropped is hidden
 
@@ -851,7 +851,7 @@ class TestFiniteInvariant:
 
     def test_ops_finite_on_sane_inputs(self):
         rng = np.random.default_rng(33)
-        arg_model = vecent.new_argument_model("t", 6, 5, 4, dropout=0.3, rng=rng)
+        arg_model = vecent.new_argument_model("t", 6, 5, 4, rng=rng)
         batch = rng.standard_normal((7, 2, 4, 6))
         batch[:3, 0, :2] = 0.0  # leading padding of left halves, so the pad chain runs
         labels = (np.arange(7) % 2).astype(float)[:, None]
@@ -859,7 +859,7 @@ class TestFiniteInvariant:
         composed = 5.0 * rng.standard_normal((9, 8))
         y_exist = (np.arange(9) % 3 == 0).astype(float)[:, None]
         results = [
-            vecent.argument_loss_and_grads(arg_model, *_identity_ids(batch), labels, 0.3, rng),
+            vecent.argument_loss_and_grads(arg_model, *_identity_ids(batch), labels, 0.3, 0.3, rng),
             vecom.event_loss_and_grads(event_model, composed, y_exist, y_exist),
         ]
         for loss, grads, probs in results:
@@ -970,7 +970,7 @@ class TestFloat32:
         corpus, windows = self._windows()
         rng = np.random.default_rng(1)
         models = {
-            role: vecent.new_argument_model(role, 12, 6, 5, dropout=0.2, rng=rng) for role in "ST"
+            role: vecent.new_argument_model(role, 12, 6, 5, rng=rng) for role in "ST"
         }
         _, pairs = vecom.candidate_pairs(corpus)
         embeddings = vecom.embed_entities(models, windows)
@@ -992,7 +992,7 @@ class TestFloat32:
         )
 
     def test_checkpoint_round_trip_bit_for_bit(self, tmp_path):
-        model = vecent.new_argument_model("t", 7, 5, 4, dropout=0.2, rng=np.random.default_rng(3))
+        model = vecent.new_argument_model("t", 7, 5, 4, rng=np.random.default_rng(3))
         f32 = np.finfo(np.float32)
         model.f1.A[0, :4] = [f32.max, f32.smallest_subnormal, -0.0, 1.0 + f32.eps]
         path = tmp_path / "arg.ckpt"

@@ -125,14 +125,14 @@ class TestEncode:
 
     def test_output_is_twice_hidden(self, bgi, table):
         model = new_argument_model("t", table.dim, lstm_hidden=16, mlp_hidden=8,
-                                   dropout=0.2, rng=np.random.default_rng(0))
+                                   rng=np.random.default_rng(0))
         w = _gere_window(bgi, "T4", table)
         assert model.f1.A.shape == (8, 32)  # f1 reads the encoding
         assert argument_embeddings(model, [w]).shape == (1, 8)
 
     def test_all_pad_windows_encode_identically(self, table):
         model = new_argument_model("t", table.dim, lstm_hidden=8, mlp_hidden=4,
-                                   dropout=0.2, rng=np.random.default_rng(1))
+                                   rng=np.random.default_rng(1))
         pads = np.zeros((2, 4), dtype=np.int32)
         w1 = ContextWindow(pads, np.zeros((1, table.dim)))
         w2 = ContextWindow(pads.copy(), np.zeros((3, table.dim), dtype=np.float32))
@@ -145,7 +145,7 @@ class TestEncode:
         # A batch's ids index the one matrix its windows share. Two builds
         # from one table hold equal but distinct matrices, and a batch may
         # not mix them.
-        model = new_argument_model("t", table.dim, lstm_hidden=8, mlp_hidden=4, dropout=0.2,
+        model = new_argument_model("t", table.dim, lstm_hidden=8, mlp_hidden=4,
                                    rng=np.random.default_rng(6))
         calls = [list(build_entity_windows(bgi, 3, table).values()) for _ in range(2)]
         assert calls[0][0].vectors is not calls[1][0].vectors
@@ -161,7 +161,7 @@ class TestEncode:
 
     def test_swapping_halves_changes_encoding(self, bgi, table):
         model = new_argument_model("t", table.dim, lstm_hidden=8, mlp_hidden=4,
-                                   dropout=0.2, rng=np.random.default_rng(2))
+                                   rng=np.random.default_rng(2))
         w = _gere_window(bgi, "T4", table)
         swapped = ContextWindow(w.ids[::-1], w.vectors)
         assert not np.allclose(
@@ -173,22 +173,21 @@ class TestArgForward:
     """Argument-role probabilities from ``predict_probs``."""
 
     def test_probability_range(self, bgi, table):
-        model = new_argument_model("t", table.dim, 8, 4, dropout=0.2, rng=np.random.default_rng(3))
+        model = new_argument_model("t", table.dim, 8, 4, rng=np.random.default_rng(3))
         windows = _gere_windows(bgi, [ent.id for ent in _gere_sentence(bgi).entities], table)
         probs = predict_probs(model, windows)
         assert probs.shape == (len(windows),)
         assert np.all((0.0 < probs) & (probs < 1.0))
 
     def test_zero_weight_model_gives_half(self, bgi, table):
-        model = new_argument_model("t", table.dim, 8, 4, dropout=0.2, rng=np.random.default_rng(4))
+        model = new_argument_model("t", table.dim, 8, 4, rng=np.random.default_rng(4))
         for t in model.parameters().values():
             t[...] = 0.0
         w = _gere_window(bgi, "T4", table)
         assert predict_probs(model, [w])[0] == pytest.approx(0.5)
 
     def test_inference_is_deterministic(self, bgi, table):
-        model = new_argument_model("t", table.dim, 8, 4, dropout=0.5,
-                                   rng=np.random.default_rng(5))
+        model = new_argument_model("t", table.dim, 8, 4, rng=np.random.default_rng(5))
         w = _gere_window(bgi, "T4", table)
         assert predict_probs(model, [w])[0] == predict_probs(model, [w])[0]
 
@@ -324,20 +323,19 @@ class TestTraining:
 
 class TestArgumentEmbedding:
     def test_dimension_is_mlp_hidden(self, bgi, table):
-        model = new_argument_model("t", table.dim, 8, 5, dropout=0.2, rng=np.random.default_rng(6))
+        model = new_argument_model("t", table.dim, 8, 5, rng=np.random.default_rng(6))
         w = _gere_window(bgi, "T4", table)
         assert argument_embeddings(model, [w]).shape == (1, 5)
 
     def test_zero_weight_model_gives_zero_vector(self, bgi, table):
-        model = new_argument_model("t", table.dim, 8, 5, dropout=0.2, rng=np.random.default_rng(7))
+        model = new_argument_model("t", table.dim, 8, 5, rng=np.random.default_rng(7))
         for t in model.parameters().values():
             t[...] = 0.0
         w = _gere_window(bgi, "T4", table)
         np.testing.assert_array_equal(argument_embeddings(model, [w]), np.zeros((1, 5)))
 
     def test_identical_windows_identical_embeddings(self, bgi, table):
-        model = new_argument_model("t", table.dim, 8, 5, dropout=0.5,
-                                   rng=np.random.default_rng(8))
+        model = new_argument_model("t", table.dim, 8, 5, rng=np.random.default_rng(8))
         w = _gere_window(bgi, "T4", table)
         np.testing.assert_array_equal(
             argument_embeddings(model, [w]), argument_embeddings(model, [w])
@@ -345,13 +343,13 @@ class TestArgumentEmbedding:
 
     def test_embedding_is_preactivation(self, bgi, table):
         # Values outside (-1, 1) prove no tanh was applied.
-        model = new_argument_model("t", table.dim, 8, 5, dropout=0.2, rng=np.random.default_rng(9))
+        model = new_argument_model("t", table.dim, 8, 5, rng=np.random.default_rng(9))
         model.f1.A *= 50.0
         w = _gere_window(bgi, "T4", table)
         assert np.abs(argument_embeddings(model, [w])).max() > 1.0
 
     def test_batch_matches_single(self, bgi, table):
-        model = new_argument_model("t", table.dim, 8, 5, dropout=0.2, rng=np.random.default_rng(10))
+        model = new_argument_model("t", table.dim, 8, 5, rng=np.random.default_rng(10))
         model = model.astype(np.float64)
         windows = _gere_windows(bgi, ["T1", "T4", "T5"], table)
         batch = argument_embeddings(model, windows)
@@ -360,7 +358,7 @@ class TestArgumentEmbedding:
 
     def test_chunked_inference_matches_row_by_row(self, bgi, table, monkeypatch):
         monkeypatch.setattr(ndiff, "INFERENCE_CHUNK", 4)
-        model = new_argument_model("t", table.dim, 8, 5, dropout=0.2, rng=np.random.default_rng(11))
+        model = new_argument_model("t", table.dim, 8, 5, rng=np.random.default_rng(11))
         model = model.astype(np.float64)
         windows = list(build_entity_windows(bgi, 3, table).values())[:10]
         assert len(ndiff.inference_chunks(len(windows))) == 3

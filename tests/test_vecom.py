@@ -174,10 +174,10 @@ class TestLabelPairs:
 def _role_models(table, seed_s, seed_t):
     return {
         "Action": vecent.new_argument_model(
-            "Action", table.dim, 6, 5, dropout=0.2, rng=np.random.default_rng(seed_s)
+            "Action", table.dim, 6, 5, rng=np.random.default_rng(seed_s)
         ),
         "Target": vecent.new_argument_model(
-            "Target", table.dim, 6, 5, dropout=0.2, rng=np.random.default_rng(seed_t)
+            "Target", table.dim, 6, 5, rng=np.random.default_rng(seed_t)
         ),
     }
 
@@ -371,7 +371,7 @@ class TestPairStageMemory:
             for i in range(n)
         }
         models = {
-            role: vecent.new_argument_model(role, 8, 6, self.E, dropout=0.2, rng=rng)
+            role: vecent.new_argument_model(role, 8, 6, self.E, rng=rng)
             for role in STUB_ROLES
         }
         # The working set of one chunk: what embedding one chunk holds
@@ -591,7 +591,7 @@ class TestBuildPairSamples:
     def test_features_and_labels_align(self, bgi, table):
         rng = np.random.default_rng(0)
         arg_models = {
-            role: vecent.new_argument_model(role, table.dim, 6, 5, dropout=0.2, rng=rng)
+            role: vecent.new_argument_model(role, table.dim, 6, 5, rng=rng)
             for role in ("Action", "Target")
         }
         windows = vecent.build_entity_windows(bgi, 3, table)
