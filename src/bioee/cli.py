@@ -16,6 +16,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import platform
 import sys
 import time
@@ -109,8 +110,10 @@ def config_to_ini(cfg: RunConfig) -> str:
 
 
 def _embedding_record(cfg: RunConfig) -> dict:
-    """The embedding settings of ``cfg`` as ``train-args`` records them."""
-    return dict(source=cfg.embedding, format=cfg.embedding_format, oov=cfg.oov, seed=cfg.oov_seed)
+    """The embedding settings of ``cfg`` as ``train-args`` records them: a
+    word2vec file by its absolute path, so later commands may run elsewhere."""
+    source = cfg.embedding if cfg.embedding == "hashed" else os.path.abspath(cfg.embedding)
+    return dict(source=source, format=cfg.embedding_format, oov=cfg.oov, seed=cfg.oov_seed)
 
 
 def _resolve_table(embedding: dict, dim: int) -> embed.EmbeddingTable:
@@ -138,23 +141,15 @@ def _outdir(cfg: RunConfig) -> Path:
 # at least M_MMAP_THRESHOLD bytes get a mapping of their own. Both would
 # otherwise adapt to the largest block freed so far, so each training step's
 # 0.5-5 MB temporaries were unmapped and faulted in again step after step.
-# M_ARENA_MAX = 1 gives every thread the main heap: the worker pool's result
-# thread unpickles train-args' models, and in an arena of its own that
-# memory stayed resident where the main thread could not reuse it.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
-_HEAP_POLICY = (
-    (_M_MMAP_THRESHOLD, 32 << 20),
-    (_M_TRIM_THRESHOLD, 128 << 20),
-    (_M_ARENA_MAX, 1),
-)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 128 << 20))
 heap_policy = "default"  # "pinned" once pin_heap() has set _HEAP_POLICY
 
 
 def pin_heap() -> str:
     """Fix glibc's heap thresholds so freed temporaries stay mapped (up to
-    128 MiB of them), and give every thread the main heap; idempotent, and a
-    no-op off glibc. Returns the policy now in force, "pinned" or
-    "default"."""
+    128 MiB of them); idempotent, and a no-op off glibc. Returns the policy
+    now in force, "pinned" or "default"."""
     global heap_policy
     if platform.libc_ver()[0] == "glibc":
         mallopt = ctypes.CDLL(None).mallopt
@@ -235,9 +230,10 @@ def _load_stage(cfg: RunConfig, stage: str, noun: str, load, required: dict) -> 
     return models, manifest
 
 
-def _load_argument_models(cfg: RunConfig) -> tuple[dict, int, embed.EmbeddingTable]:
-    """The argument models, their window size u and the embedding table
-    they were trained on, rebuilt from their manifest, not from ``cfg``."""
+def _load_argument_models(cfg: RunConfig) -> tuple[dict, RunConfig, embed.EmbeddingTable]:
+    """The argument models, ``cfg`` with the window and embedding settings
+    they were trained with, and their embedding table, all rebuilt from
+    their manifest, not from ``cfg``."""
 
     def load(path, name, manifest):
         model, dim = vecent.load_argument_model(path, name), manifest["dim"]
@@ -249,11 +245,21 @@ def _load_argument_models(cfg: RunConfig) -> tuple[dict, int, embed.EmbeddingTab
 
     required = {"dim": _COUNT, "u": _COUNT, "embedding": _EMBEDDING}
     models, manifest = _load_stage(cfg, "args", "argument", load, required)
-    dim = manifest["dim"]
-    table = _resolve_table(manifest["embedding"], dim)
+    dim, embedding = manifest["dim"], manifest["embedding"]
+    try:
+        table = _resolve_table(embedding, dim)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"{Path(cfg.out) / 'args' / 'manifest.json'}: cannot read the embedding table "
+            f"{embedding['source']} ({exc.strerror or exc})"
+        ) from None
     if table.dim != dim:
         raise ConfigurationError(f"embedding dim {table.dim} does not match checkpoints ({dim})")
-    return models, manifest["u"], table
+    cfg = dataclasses.replace(
+        cfg, window=manifest["u"], dim=dim, embedding=embedding["source"],
+        embedding_format=embedding["format"], oov=embedding["oov"], oov_seed=embedding["seed"],
+    )
+    return models, cfg, table
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +320,10 @@ def cmd_train_args(cfg: RunConfig) -> int:
 def cmd_train_events(cfg: RunConfig) -> int:
     started = time.perf_counter()
     corpus = _train_corpus(cfg)
-    arg_models, u, table = _load_argument_models(cfg)
+    arg_models, cfg, table = _load_argument_models(cfg)
     events_dir = _outdir(cfg) / "events"
 
-    windows = vecent.build_entity_windows(corpus, u, table)
+    windows = vecent.build_entity_windows(corpus, cfg.window, table)
     entities, pairs = vecom.candidate_pairs(corpus)
     embeddings = vecom.embed_entities(arg_models, windows)
 
@@ -363,7 +369,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     schema = load_schema(cfg.schema)
     # Predictions need no gold events, so no document's .a2 is read.
     files = [(doc_id, txt, a1, None) for doc_id, txt, a1, _ in list_corpus_dir(cfg.predict_dir)]
-    arg_models, u, table = _load_argument_models(cfg)
+    arg_models, cfg, table = _load_argument_models(cfg)
 
     def load_event_model(path, event_type, _):
         model = vecom.load_event_model(path)
@@ -383,7 +389,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     def predict_shard(shard_files):
         """Each document's (id, .a2 text) and the shard's pairs.tsv rows."""
         corpus = read_corpus_files(shard_files, schema)
-        windows = vecent.build_entity_windows(corpus, u, table)
+        windows = vecent.build_entity_windows(corpus, cfg.window, table)
         entities, pairs = vecom.candidate_pairs(corpus)
         # One chunked embedding pass per role model over the shard, and one
         # scoring pass per event type.
@@ -552,20 +558,26 @@ _COMMANDS = {
 }
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``bioee`` parser: every sub-command with its flags, or, given the
+    invoked ``command``, only that one with its flags, as ``main`` builds it
+    (all six sub-commands' flags take about 3 ms to build)."""
     parser = argparse.ArgumentParser(
         prog="bioee",
         description="Trigger-free bottom-up biomedical event extraction pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        _add_common(sub.add_parser(name))
+        sub_parser = sub.add_parser(name)
+        if command in (None, name):
+            _add_common(sub_parser)
     return parser
 
 
 def main(argv=None) -> int:
     pin_heap()
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser(argv[0] if argv else None).parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

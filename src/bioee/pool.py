@@ -4,15 +4,21 @@
 are independent, each fold and role draws from its own seeded generator, and
 the shard layout does not follow the CPU count, so they run in worker
 processes forked from the command, with results that do not depend on the
-worker count. The workers inherit the command's state copy-on-write; only the
-items and the results cross between processes.
+worker count. The workers inherit the command's state, the items included,
+copy-on-write; only item indices and pickled results cross between
+processes, through one pair of pipes per worker. No thread is started.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import pickle
+import select
+import signal
+import sys
 from collections.abc import Iterable
+from dataclasses import dataclass, field
 
 from .errors import TrainingError
 
@@ -34,35 +40,87 @@ _BLAS_SETTERS = (
 )
 
 
-def _one_blas_thread() -> None:
-    """Cap each OpenBLAS mapped into this process at one thread, so that N
-    workers run N BLAS threads, not N times the CPU count. Does nothing
-    where the mapped libraries cannot be listed."""
+def _blas_setters() -> list:
+    """The thread-count setter of each OpenBLAS mapped into this process;
+    none where the mapped libraries cannot be listed."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
             paths = {line.split()[-1] for line in maps if "openblas" in line}
         libs = [ctypes.CDLL(path) for path in paths]
     except OSError:
-        return
-    for lib in libs:
-        for name in _BLAS_SETTERS:
-            if hasattr(lib, name):
-                setter = getattr(lib, name)
-                setter.argtypes, setter.restype = (ctypes.c_int,), None
+        return []
+    setters = [getattr(lib, name) for lib in libs for name in _BLAS_SETTERS if hasattr(lib, name)]
+    for setter in setters:
+        setter.argtypes, setter.restype = (ctypes.c_int,), None
+    return setters
+
+
+_HEADER = 8  # bytes of a result frame's length prefix
+
+
+@dataclass
+class _Worker:
+    pid: int
+    tasks: int  # write end of the pipe of item indices
+    results: int  # read end of the pipe of result frames
+    item: int | None = None  # the index it is working on
+    frame: bytearray = field(default_factory=bytearray)
+
+
+def _serve(fn, items: list, tasks: int, results: int) -> None:
+    """A worker's loop: read an item index, send back one frame holding the
+    pickled ``(True, fn(item))`` or ``(False, exception)``; stop at the end
+    of the index pipe."""
+    while index := os.read(tasks, 4):
+        try:
+            outcome = True, fn(items[int.from_bytes(index, "little")])
+            payload = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            try:
+                payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+            except Exception as err:
+                lost = TrainingError(
+                    f"a worker raised {type(exc).__name__}: {exc}, which cannot be "
+                    f"sent back ({err})"
+                )
+                payload = pickle.dumps((False, lost), pickle.HIGHEST_PROTOCOL)
+        frame = memoryview(len(payload).to_bytes(_HEADER, "little") + payload)
+        while frame:
+            frame = frame[os.write(results, frame) :]
+
+
+def _fork_worker(fn, items: list, workers: list[_Worker], blas_setters: list) -> _Worker:
+    """Fork one worker, which first closes the parent's ends of its
+    siblings' pipes, so that each pipe has one process at either end, and
+    caps OpenBLAS at one thread, so that N workers run N BLAS threads, not
+    N times the CPU count."""
+    tasks_r, tasks_w = os.pipe()
+    results_r, results_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (tasks_r, tasks_w, results_r, results_w):
+            os.close(fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            for fd in [tasks_w, results_r, *(fd for w in workers for fd in (w.tasks, w.results))]:
+                os.close(fd)
+            for setter in blas_setters:
                 setter(1)
-
-
-_job = None  # set in each worker process: the function it applies to each item
-
-
-def _start_worker(fn) -> None:
-    global _job
-    _one_blas_thread()
-    _job = fn
-
-
-def _run_job(item):
-    return _job(item)
+            _serve(fn, items, tasks_r, results_w)
+            code = 0
+        finally:
+            for stream in (sys.stdout, sys.stderr):
+                try:
+                    stream.flush()
+                except (OSError, ValueError):  # a closed or broken stream
+                    pass
+            os._exit(code)
+    os.close(tasks_r)
+    os.close(results_w)
+    return _Worker(pid, tasks_w, results_r)
 
 
 def map_in_workers(fn, items, workers: int) -> Iterable:
@@ -71,29 +129,90 @@ def map_in_workers(fn, items, workers: int) -> Iterable:
     the caller iterates, so each result can be consumed before the next job
     runs.
 
-    ``fn`` and everything it reads reach the workers by fork, not by
-    pickling; only the items and the results are pickled. An error raised
-    by ``fn`` in a worker is raised here; a worker that dies raises
-    ``TrainingError``. No worker outlives the call.
+    ``fn``, the items and everything they read reach the workers by fork,
+    not by pickling; only the results are pickled. Each worker is given its
+    next item as it sends back a result, so workers that draw long jobs do
+    not hold up the rest. The first error raised by ``fn`` in a worker is
+    raised here once every worker is killed; a worker that exits without
+    sending back its item's result raises ``TrainingError``. No worker
+    outlives the call.
     """
     if workers <= 1:
         return map(fn, items)
-    # Imported here, not at the top: it adds 0.9 MB of resident memory to
-    # every command, predict included.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    items = list(items)
+    results = [None] * len(items)
+    sent = 0  # items handed out so far
+    blas_setters = _blas_setters()  # here, once: a freshly forked worker took 8 times longer
+    for stream in (sys.stdout, sys.stderr):
+        stream.flush()  # or the workers would write out the parent's buffer again
+    pool: list[_Worker] = []
 
-    pool = ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker,
-        initargs=(fn,),
-    )
+    def feed(worker: _Worker) -> None:
+        """Send the worker its next item, if any is left, and close its pipe
+        of items once none is, so that it exits as soon as it is done."""
+        nonlocal sent
+        worker.item = None
+        if sent < len(items):
+            worker.item, sent = sent, sent + 1
+            try:
+                os.write(worker.tasks, worker.item.to_bytes(4, "little"))
+            except BrokenPipeError:
+                pass  # it exited; its result pipe's end reports the lost item
+        if sent == len(items) and worker.tasks >= 0:
+            os.close(worker.tasks)
+            worker.tasks = -1
+
     try:
-        return list(pool.map(_run_job, items))
-    except BrokenProcessPool as exc:
-        raise TrainingError(f"a worker process died: {exc}") from None
+        for _ in range(min(workers, len(items))):
+            pool.append(_fork_worker(fn, items, pool, blas_setters))
+            feed(pool[-1])
+        by_fd = {w.results: w for w in pool}
+        poller = select.poll()
+        for fd in by_fd:
+            poller.register(fd, select.POLLIN)
+        left = len(items)
+        while left:
+            for fd, _ in poller.poll():
+                worker = by_fd[fd]
+                chunk = os.read(fd, 1 << 16)  # a pipe holds 64 KiB
+                if not chunk:
+                    poller.unregister(fd)
+                    if worker.item is not None:
+                        _, status = os.waitpid(worker.pid, 0)
+                        worker.pid = -1
+                        raise TrainingError(
+                            f"a worker process died (exit code "
+                            f"{os.waitstatus_to_exitcode(status)}) before sending back "
+                            f"the result of item {worker.item}"
+                        )
+                    continue
+                frame = worker.frame
+                frame += chunk
+                if len(frame) < _HEADER + int.from_bytes(frame[:_HEADER], "little"):
+                    continue  # the frame is not complete yet
+                try:
+                    ok, value = pickle.loads(memoryview(frame)[_HEADER:])
+                except Exception as exc:
+                    raise TrainingError(
+                        f"the result of item {worker.item} cannot be read back ({exc})"
+                    ) from None
+                if not ok:
+                    raise value
+                results[worker.item] = value
+                frame.clear()
+                left -= 1
+                feed(worker)
+    except BaseException:
+        for worker in pool:
+            if worker.pid > 0:
+                os.kill(worker.pid, signal.SIGKILL)
+        raise
     finally:
-        pool.shutdown(cancel_futures=True)
-
+        for worker in pool:
+            if worker.tasks >= 0:
+                os.close(worker.tasks)
+        for worker in pool:
+            if worker.pid > 0:
+                os.waitpid(worker.pid, 0)
+            os.close(worker.results)
+    return results

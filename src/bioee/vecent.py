@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ndiff
-from .corpus import Corpus, Entity, Sentence
+from .corpus import Corpus
 from .embed import PAD, EmbeddingTable
 from .errors import AlignmentError, ShapeError, TrainingError, TrainingSetupError
 from .ndiff import DenseParams
@@ -108,33 +108,34 @@ def new_argument_model(
 # Window construction
 
 
-def _window_halves(sentence: Sentence, entity: Entity, u: int) -> tuple[list[str], list[str]]:
-    """The real tokens of both window halves, each read toward the anchor:
-    at most u+1 per half, before the far-end padding.
+def _window_halves(corpus: Corpus, u: int):
+    """(qualified id, left, right) for every entity, in document order: the
+    real tokens of both window halves, each read toward the anchor, at most
+    u+1 per half, before the far-end padding.
 
-    Only tokens with alphanumeric signal count, plus the anchor even if it
-    has none (punctuation-only tokens pad nothing into the LSTMs).
+    Only tokens with alphanumeric signal count, plus the entity's own anchor
+    even if it has none (punctuation-only tokens pad nothing into the
+    LSTMs). Each sentence's tokens are filtered once, for all its entities.
     """
     if u < 1:
         raise ValueError(f"window size must be >= 1, got {u}")
-    if entity.token_span is None:
-        raise AlignmentError(f"entity {entity.id} has no token alignment")
-    anchor = entity.token_span[1]
-    toks = [
-        t for t in sentence.tokens if any(ch.isalnum() for ch in t.text) or t.index == anchor
-    ]
-    pos = next(k for k, t in enumerate(toks) if t.index == anchor)
-    left = [t.text for t in toks[max(0, pos - u) : pos + 1]]
-    right = [t.text for t in reversed(toks[pos : pos + u + 1])]
-    return left, right
-
-
-def _entity_sentences(corpus: Corpus):
-    """(qualified id, sentence, entity) for every entity, in document order."""
     for doc in corpus.documents:
         for sent in doc.sentences:
+            # The kept tokens, and per token how many of them precede it or end with it.
+            words, before, through = [], [], []
+            for tok in sent.tokens:
+                before.append(len(words))
+                if any(ch.isalnum() for ch in tok.text):
+                    words.append(tok.text)
+                through.append(len(words))
             for ent in sent.entities:
-                yield Corpus.qualify(doc.id, ent.id), sent, ent
+                if ent.token_span is None:
+                    raise AlignmentError(f"entity {ent.id} has no token alignment")
+                anchor = ent.token_span[1]
+                word, start, stop = sent.tokens[anchor].text, before[anchor], through[anchor]
+                left = words[max(0, start - u) : start] + [word]
+                right = words[stop : stop + u][::-1] + [word]
+                yield Corpus.qualify(doc.id, ent.id), left, right
 
 
 def build_entity_windows(
@@ -149,9 +150,9 @@ def build_entity_windows(
     """
     row = {PAD: 0}
     ids = {}
-    for qid, sent, ent in _entity_sentences(corpus):
+    for qid, *halves in _window_halves(corpus, u):
         window = np.zeros((2, u + 1), dtype=np.int32)
-        for half, tokens in zip(window, _window_halves(sent, ent, u)):
+        for half, tokens in zip(window, halves):
             half[u + 1 - len(tokens) :] = [row.setdefault(t, len(row)) for t in tokens]
         ids[qid] = window
     vectors = np.stack([table.lookup(t) for t in row])
@@ -162,8 +163,7 @@ def window_padding(corpus: Corpus, u: int) -> dict:
     """How many of the BLSTM steps over all entity windows are leading
     padding, which ``ndiff.lstm_last`` does not compute."""
     steps = pads = 0
-    for _, sent, ent in _entity_sentences(corpus):
-        left, right = _window_halves(sent, ent, u)
+    for _, left, right in _window_halves(corpus, u):
         steps += 2 * (u + 1)
         pads += 2 * (u + 1) - len(left) - len(right)
     return {

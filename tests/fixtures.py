@@ -7,6 +7,7 @@ documents, a discontinuous entity, and a cross-sentence gold event.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from bioee import vecom
@@ -267,3 +268,12 @@ def window_holds(window, table, left: list[str], right: list[str]) -> bool:
             if window.vectors[i].tobytes() != table.lookup(token).tobytes():
                 return False
     return True
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False

@@ -5,7 +5,6 @@ import dataclasses
 import json
 import logging
 import math
-import multiprocessing
 import os
 import platform
 import re
@@ -435,7 +434,7 @@ class TestTrainArgs:
         for name in names:
             assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
         assert len(lines[2]) == 11 and lines[2] == lines[1]
-        assert multiprocessing.active_children() == []
+        assert fixtures.no_child_left()
 
     def test_malformed_embedding_file_is_json_error(self, tmp_path, bgi_dir, capsys):
         vectors = tmp_path / "vectors.txt"
@@ -607,7 +606,7 @@ class TestPredict:
         assert len(names) == 2 * len(fixtures.bgi_documents()) + 1  # .a2 files, pairs.tsv
         for name in names:
             assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
-        assert multiprocessing.active_children() == []
+        assert fixtures.no_child_left()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bad_document_in_last_shard_is_json_error(self, tmp_path, many_dir, trained_out,
@@ -630,7 +629,7 @@ class TestPredict:
             "line": n_lines,
         }
         assert not (out / "pred").exists() or list((out / "pred").iterdir()) == []
-        assert multiprocessing.active_children() == []
+        assert fixtures.no_child_left()
 
     def test_gold_events_are_not_read(self, tmp_path, many_dir, trained_out):
         # A corrupt gold .a2 next to each document changes nothing: pred/ is
@@ -775,19 +774,62 @@ class TestInputsFromManifest:
             outputs[name] = self._outputs(out)
         assert outputs["dropped"] == outputs["repeated"]
 
-    def test_predict_reads_word2vec_table_of_manifest(self, tmp_path, bgi_dir, case_dir):
-        # Every other word of the corpus has a vector; the rest are zero (oov=zero).
-        corpus = load_corpus_dir(bgi_dir, load_schema("bgi"))
+    @staticmethod
+    def _write_vectors(path, corpus_dir):
+        """A 32-dim text table in which every other word of the corpus has a
+        vector; the rest are zero under oov=zero."""
+        corpus = load_corpus_dir(corpus_dir, load_schema("bgi"))
         words = sorted({t.text for doc in corpus.documents for sent in doc.sentences
                         for t in sent.tokens})[::2]
         rng = np.random.default_rng(5)
-        vectors = tmp_path / "vectors.txt"
-        vectors.write_text(
+        path.write_text(
             f"{len(words)} 32\n"
             + "".join(w + "".join(f" {v:.4f}" for v in rng.standard_normal(32)) + "\n"
                       for w in words),
             encoding="utf-8",
         )
+
+    def test_effective_ini_holds_manifest_settings(self, tmp_path, bgi_dir, case_dir):
+        out = tmp_path / "out"
+        base = ["--schema", "bgi", "--train-dir", str(bgi_dir), "--predict-dir", str(case_dir),
+                "--out", str(out), "--epochs", "2"]
+        assert main(["train-args", *base, *FIT_ARGS]) == 0  # --window 4 --dim 24 --oov-seed 3
+        later = _without(FIT_ARGS, "--embedding", "--dim", "--oov-seed", "--window")
+        for command in ("train-events", "predict"):
+            assert main([command, *base, *later]) == 0
+            effective = (out / "effective.ini").read_text(encoding="utf-8").splitlines()
+            assert {"window = 4", "dim = 24", "embedding = hashed", "oov_seed = 3"} <= set(
+                effective
+            ), command
+
+    def test_word2vec_source_recorded_absolute(self, tmp_path, bgi_dir, case_dir, monkeypatch,
+                                               capsys):
+        trained_in, later_in = tmp_path / "trained_in", tmp_path / "later_in"
+        trained_in.mkdir()
+        later_in.mkdir()
+        vectors = trained_in / "vectors.txt"
+        self._write_vectors(vectors, bgi_dir)
+        out = tmp_path / "out"
+        base = ["--schema", "bgi", "--train-dir", str(bgi_dir), "--predict-dir", str(case_dir),
+                "--out", str(out), "--epochs", "2", *_without(FIT_ARGS, "--embedding", "--dim")]
+        monkeypatch.chdir(trained_in)
+        assert main(["train-args", *base, "--embedding", "vectors.txt", "--oov", "zero"]) == 0
+        manifest = json.loads((out / "args" / "manifest.json").read_text())
+        assert manifest["embedding"]["source"] == str(vectors)
+        monkeypatch.chdir(later_in)  # holds no vectors.txt
+        assert main(["train-events", *base]) == 0
+        assert f"embedding = {vectors}" in (out / "effective.ini").read_text().splitlines()
+        capsys.readouterr()
+        vectors.unlink()
+        assert main(["predict", *base]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigurationError"
+        assert str(Path("args") / "manifest.json") in error["message"]
+        assert str(vectors) in error["message"]
+
+    def test_predict_reads_word2vec_table_of_manifest(self, tmp_path, bgi_dir, case_dir):
+        vectors = tmp_path / "vectors.txt"
+        self._write_vectors(vectors, bgi_dir)
         embedding = ["--embedding", str(vectors), "--embedding-format", "text", "--oov", "zero"]
         out = tmp_path / "out"
         base = ["--schema", "bgi", "--train-dir", str(bgi_dir), "--predict-dir", str(case_dir),
@@ -1088,7 +1130,7 @@ class TestCrossval:
         assert len([f for f in files if f.startswith("curves")]) == 10
         for rel in files:
             assert (outs[1] / rel).read_bytes() == (outs[2] / rel).read_bytes(), rel
-        assert multiprocessing.active_children() == []
+        assert fixtures.no_child_left()
 
     @staticmethod
     def _act_in_fold_3(monkeypatch, act):
@@ -1117,7 +1159,7 @@ class TestCrossval:
         assert self._run(corpus_dir, schema_path, tmp_path / "out") == 1
         error = json.loads(capsys.readouterr().err)
         assert error == {"error": "TrainingError", "message": "fold 3 diverged"}
-        assert multiprocessing.active_children() == []
+        assert fixtures.no_child_left()
 
     def test_dead_worker_is_json_error(self, tmp_path, synth_dir, monkeypatch, capsys):
         monkeypatch.setattr(pool, "worker_count", lambda n_jobs: 2)
@@ -1127,7 +1169,7 @@ class TestCrossval:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "TrainingError"
         assert "worker process died" in error["message"]
-        assert multiprocessing.active_children() == []
+        assert fixtures.no_child_left()
 
 
 ON_GLIBC = platform.libc_ver()[0] == "glibc"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bioee import ndiff, synth, vecent
-from bioee.corpus import Corpus
+from bioee.corpus import BGI_SCHEMA, Corpus, corpus_from_documents
 from bioee.embed import PAD, EmbeddingTable
 from bioee.errors import ShapeError, TrainingSetupError
 from bioee.vecent import (
@@ -102,6 +102,18 @@ class TestBuildContext:
         # The terminal period is a token but never occupies a window slot.
         w = _gere_window(bgi, "T6", table, u=2)  # "cotC", last word before "."
         assert fixtures.window_holds(w, table, ["cotB", "and", "cotC"], [PAD, PAD, "cotC"])
+
+    def test_punctuation_anchor_kept_in_its_own_window_only(self, table):
+        text = "The (gerE) product binds cotB."
+        a1 = "T1\tProtein 4 10\t(gerE)\nT2\tProtein 25 29\tcotB\n"
+        corpus = corpus_from_documents([("D", text, a1, "", None, None)], BGI_SCHEMA)
+        windows = build_entity_windows(corpus, 3, table)
+        assert fixtures.window_holds(  # T1 ends at ")", which has no alphanumeric signal
+            windows["D/T1"], table, [PAD, "The", "gerE", ")"], ["cotB", "binds", "product", ")"]
+        )
+        assert fixtures.window_holds(
+            windows["D/T2"], table, ["gerE", "product", "binds", "cotB"], [PAD, PAD, PAD, "cotB"]
+        )
 
 
 class TestWindowMemory:
