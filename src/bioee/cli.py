@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import ctypes
 import dataclasses
 import json
 import logging
 import math
 import os
-import platform
 import sys
 import time
 import typing
@@ -96,13 +94,10 @@ def config_from_ini(path: str | Path, base: RunConfig | None = None) -> RunConfi
 
 
 def config_to_ini(cfg: RunConfig) -> str:
-    lines = []
-    for section, keys in _INI_LAYOUT.items():
-        lines.append(f"[{section}]")
-        for key in keys:
-            lines.append(f"{key} = {getattr(cfg, key)}")
-        lines.append("")
-    return "\n".join(lines)
+    return "\n".join(
+        f"[{section}]\n" + "".join(f"{key} = {getattr(cfg, key)}\n" for key in keys)
+        for section, keys in _INI_LAYOUT.items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -136,36 +131,13 @@ def _outdir(cfg: RunConfig) -> Path:
     return out
 
 
-# glibc's mallopt parameters: free() gives the top of the heap back to the
-# kernel once more than M_TRIM_THRESHOLD bytes of it are free, and blocks of
-# at least M_MMAP_THRESHOLD bytes get a mapping of their own. Both would
-# otherwise adapt to the largest block freed so far, so each training step's
-# 0.5-5 MB temporaries were unmapped and faulted in again step after step.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_HEAP_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 128 << 20))
-heap_policy = "default"  # "pinned" once pin_heap() has set _HEAP_POLICY
-
-
-def pin_heap() -> str:
-    """Fix glibc's heap thresholds so freed temporaries stay mapped (up to
-    128 MiB of them); idempotent, and a no-op off glibc. Returns the policy
-    now in force, "pinned" or "default"."""
-    global heap_policy
-    if platform.libc_ver()[0] == "glibc":
-        mallopt = ctypes.CDLL(None).mallopt
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        if all(mallopt(param, value) == 1 for param, value in _HEAP_POLICY):
-            heap_policy = "pinned"
-    return heap_policy
-
-
 def _finish(cfg: RunConfig, command: str, started: float, workers: int | None = None) -> None:
     """Write the effective config and append the run-log line, which ends
     with ``workers=N`` for a command that runs its jobs in worker processes."""
     out = _outdir(cfg)
     (out / "effective.ini").write_text(config_to_ini(cfg), encoding="utf-8")
     stamp = datetime.now().isoformat(timespec="seconds")
-    line = f"{stamp} {command} finished in {time.perf_counter() - started:.2f}s heap={heap_policy}"
+    line = f"{stamp} {command} finished in {time.perf_counter() - started:.2f}s {pool.policy}"
     if workers is not None:
         line += f" workers={workers}"
     with open(out / "run.log", "a", encoding="utf-8") as fh:
@@ -271,8 +243,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     corpus = _train_corpus(cfg)
     stats = corpus_stats(corpus)
     stats["window_padding"] = vecent.window_padding(corpus, cfg.window)
-    out = _outdir(cfg)
-    _write_json(out / "stats.json", stats)
+    _write_json(_outdir(cfg) / "stats.json", stats)
     print(json.dumps(stats, indent=2, sort_keys=True))
     _finish(cfg, "ingest", started)
     return 0
@@ -446,8 +417,7 @@ def cmd_crossval(cfg: RunConfig) -> int:
     report = evalkit.cross_validate(
         corpus, table, hyper=cfg, seed=cfg.seed, doc_level=cfg.doc_level_cv
     )
-    out = _outdir(cfg)
-    cv_dir = out / "crossval"
+    cv_dir = _outdir(cfg) / "crossval"
     curves_dir = cv_dir / "curves"
     curves_dir.mkdir(parents=True, exist_ok=True)
     _write_json(cv_dir / "metrics.json", evalkit.report_json(report))
@@ -473,12 +443,9 @@ def cmd_crossval(cfg: RunConfig) -> int:
 
 def cmd_gradcheck(cfg: RunConfig) -> int:
     results = gradcheck.run_suite()
-    worst = 0.0
-    for name in sorted(results):
-        err = results[name]
-        worst = max(worst, err)
-        status = "ok" if err <= 1e-4 else "FAIL"
-        print(f"{status:4s} {name:28s} max_rel_err={err:.3e}")
+    for name, err in sorted(results.items()):
+        print(f"{'ok' if err <= 1e-4 else 'FAIL':4s} {name:28s} max_rel_err={err:.3e}")
+    worst = max(results.values(), default=0.0)
     print(f"worst {worst:.3e} (tolerance 1e-04)")
     return 0 if worst <= 1e-4 else 1
 
@@ -575,7 +542,7 @@ def _parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    pin_heap()
+    pool.pin_process()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser(argv[0] if argv else None).parse_args(argv)
     logging.basicConfig(
@@ -584,18 +551,12 @@ def main(argv=None) -> int:
     )
     try:
         return _COMMANDS[args.command](_build_config(args))
-    except BioeeError as exc:
+    except (BioeeError, OSError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
-        for attr in ("file", "line"):
+        for attr in ("file", "line"):  # where a BioeeError names them
             if getattr(exc, attr, None) is not None:
                 payload[attr] = getattr(exc, attr)
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True),
-            file=sys.stderr,
-        )
         return 1
 
 

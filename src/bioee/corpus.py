@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -175,6 +176,7 @@ class Corpus:
 # Tokenization
 
 _GLUE_CHARS = frozenset("()-_.")
+_RUN = re.compile(r"\S+")  # a whitespace-free run
 
 
 def _split_run(run: str, base: int) -> list[tuple[int, int]]:
@@ -202,15 +204,16 @@ def _split_run(run: str, base: int) -> list[tuple[int, int]]:
     return parts
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split text into offset-bearing tokens.
+def tokenize(text: str, start: int = 0, end: int | None = None) -> list[Token]:
+    """Split ``text[start:end]`` into tokens whose spans are offsets into
+    ``text``, indexed from 0.
 
     Whitespace always separates; within a run, punctuation detaches except
     for ``( ) - _ .`` kept inside alphanumeric material, preserving surface
     forms like ``sigma(F)`` and ``PMID-10629188-S5``.
     """
     tokens: list[Token] = []
-    for m in re.finditer(r"\S+", text):
+    for m in _RUN.finditer(text, start, len(text) if end is None else end):
         for s, e in _split_run(m.group(), m.start()):
             tokens.append(Token(text=text[s:e], span=(s, e), index=len(tokens)))
     return tokens
@@ -416,12 +419,9 @@ def parse_standoff(
     intervals = split_sentences(text, [e.span for e in entities.values()])
     doc = Document(id=doc_id, text=text)
     for idx, (s, e) in enumerate(intervals):
-        sent = Sentence(id=f"{doc_id}-S{idx + 1}", span=(s, e))
-        for tok in tokenize(text[s:e]):
-            sent.tokens.append(
-                Token(text=tok.text, span=(tok.span[0] + s, tok.span[1] + s), index=tok.index)
-            )
-        doc.sentences.append(sent)
+        doc.sentences.append(
+            Sentence(id=f"{doc_id}-S{idx + 1}", span=(s, e), tokens=tokenize(text, s, e))
+        )
 
     # Sentences are disjoint and in text order: the only one that can hold an
     # entity is the last one starting at or before it.
@@ -483,18 +483,25 @@ def corpus_from_documents(items, schema: TaskSchema) -> Corpus:
 def list_corpus_dir(directory: str | Path) -> list[tuple[str, Path, Path, Path | None]]:
     """The ``(doc id, .txt, .a1, .a2 or None)`` files of each document under
     ``directory``, sorted by doc id, the order of ``Corpus.documents``; every
-    ``.txt`` must have its ``.a1``. Nothing is read."""
+    ``.txt`` must have its ``.a1``. Nothing is read: one listing gives every
+    name, and a dangling link is no file."""
     directory = Path(directory)
-    txt_files = sorted(directory.glob("*.txt"))
+    try:
+        with os.scandir(directory) as listing:
+            entries = list(listing)
+    except OSError:
+        entries = []  # no directory to list: no documents
+    present = {e.name for e in entries if not e.is_symlink() or os.path.exists(e.path)}
+    txt_files = sorted(directory / e.name for e in entries if e.name.endswith(".txt"))
     if not txt_files:
         raise ParseError(f"no .txt documents under {directory}")
     files = []
     for txt in txt_files:
         a1 = txt.with_suffix(".a1")
         a2 = txt.with_suffix(".a2")
-        if not a1.exists():
+        if a1.name not in present:
             raise ParseError(f"missing entity file {a1}")
-        files.append((txt.stem, txt, a1, a2 if a2.exists() else None))
+        files.append((txt.stem, txt, a1, a2 if a2.name in present else None))
     return sorted(files, key=lambda f: f[0])
 
 

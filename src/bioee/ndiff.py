@@ -383,13 +383,13 @@ def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(tensors)))
         for name, arr in tensors.items():
-            arr = np.asarray(arr, dtype=np.float64)
+            arr = np.asarray(arr, dtype="<f8", order="C")  # at most one copy, written as is
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
             fh.write(struct.pack("<B", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f8").tobytes())
+            fh.write(arr)
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
@@ -417,8 +417,11 @@ def load_tensors(path) -> dict[str, np.ndarray]:
                 raise TrainingError(f"{path}: tensor name is not UTF-8") from None
             (ndim,) = struct.unpack("<B", read(1))
             shape = struct.unpack(f"<{ndim}I", read(4 * ndim)) if ndim else ()
-            data = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8").reshape(shape)
-            out[name] = np.array(data, dtype=np.float64)
+            if 8 * math.prod(shape) > file_size - fh.tell():
+                raise TrainingError(f"{path}: checkpoint is truncated")
+            data = np.empty(shape, dtype="<f8")
+            fh.readinto(data)  # one buffer, kept as the tensor
+            out[name] = data.astype(np.float64, copy=False)
         return out
 
 

@@ -7,6 +7,7 @@ processes forked from the command, with results that do not depend on the
 worker count. The workers inherit the command's state, the items included,
 copy-on-write; only item indices and pickled results cross between
 processes, through one pair of pipes per worker. No thread is started.
+``pin_process`` sets the BLAS and heap policy of commands and workers.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import ctypes
 import os
 import pickle
+import platform
 import select
 import signal
 import sys
@@ -30,6 +32,14 @@ def worker_count(n_jobs: int) -> int:
         return 1
     return max(1, min(n_jobs, len(os.sched_getaffinity(0))))
 
+
+# glibc's mallopt parameters: free() gives the top of the heap back to the
+# kernel once more than M_TRIM_THRESHOLD bytes of it are free, and blocks of
+# at least M_MMAP_THRESHOLD bytes get a mapping of their own. Both would
+# otherwise adapt to the largest block freed so far, so each training step's
+# 0.5-5 MB temporaries were unmapped and faulted in again step after step.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 128 << 20))
 
 # OpenBLAS's thread-count setter, as numpy's wheels (scipy-openblas with 64-
 # or 32-bit integers) and a system OpenBLAS name it.
@@ -53,6 +63,27 @@ def _blas_setters() -> list:
     for setter in setters:
         setter.argtypes, setter.restype = (ctypes.c_int,), None
     return setters
+
+
+policy = "blas=default heap=default"  # what pin_process() set, as run.log records it
+
+
+def pin_process() -> str:
+    """Cap each OpenBLAS mapped here at one thread, so N workers run N BLAS
+    threads, and fix glibc's heap thresholds (a no-op off glibc). Forked
+    workers inherit both. Idempotent; returns ``pool.policy``."""
+    global policy
+    setters = _blas_setters()
+    for setter in setters:
+        setter(1)
+    heap = "default"
+    if platform.libc_ver()[0] == "glibc":
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        if all(mallopt(param, value) == 1 for param, value in _HEAP_POLICY):
+            heap = "pinned"
+    policy = f"blas={1 if setters else 'default'} heap={heap}"
+    return policy
 
 
 _HEADER = 8  # bytes of a result frame's length prefix
@@ -89,11 +120,9 @@ def _serve(fn, items: list, tasks: int, results: int) -> None:
             frame = frame[os.write(results, frame) :]
 
 
-def _fork_worker(fn, items: list, workers: list[_Worker], blas_setters: list) -> _Worker:
+def _fork_worker(fn, items: list, workers: list[_Worker]) -> _Worker:
     """Fork one worker, which first closes the parent's ends of its
-    siblings' pipes, so that each pipe has one process at either end, and
-    caps OpenBLAS at one thread, so that N workers run N BLAS threads, not
-    N times the CPU count."""
+    siblings' pipes, so that each pipe has one process at either end."""
     tasks_r, tasks_w = os.pipe()
     results_r, results_w = os.pipe()
     try:
@@ -107,8 +136,6 @@ def _fork_worker(fn, items: list, workers: list[_Worker], blas_setters: list) ->
         try:
             for fd in [tasks_w, results_r, *(fd for w in workers for fd in (w.tasks, w.results))]:
                 os.close(fd)
-            for setter in blas_setters:
-                setter(1)
             _serve(fn, items, tasks_r, results_w)
             code = 0
         finally:
@@ -135,14 +162,15 @@ def map_in_workers(fn, items, workers: int) -> Iterable:
     not hold up the rest. The first error raised by ``fn`` in a worker is
     raised here once every worker is killed; a worker that exits without
     sending back its item's result raises ``TrainingError``. No worker
-    outlives the call.
+    outlives the call. Both paths first call ``pin_process``, whose policy
+    the workers inherit.
     """
+    pin_process()
     if workers <= 1:
         return map(fn, items)
     items = list(items)
     results = [None] * len(items)
     sent = 0  # items handed out so far
-    blas_setters = _blas_setters()  # here, once: a freshly forked worker took 8 times longer
     for stream in (sys.stdout, sys.stderr):
         stream.flush()  # or the workers would write out the parent's buffer again
     pool: list[_Worker] = []
@@ -164,7 +192,7 @@ def map_in_workers(fn, items, workers: int) -> Iterable:
 
     try:
         for _ in range(min(workers, len(items))):
-            pool.append(_fork_worker(fn, items, pool, blas_setters))
+            pool.append(_fork_worker(fn, items, pool))
             feed(pool[-1])
         by_fd = {w.results: w for w in pool}
         poller = select.poll()

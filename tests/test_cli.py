@@ -1182,10 +1182,12 @@ class TestHeapPolicy:
                      "--out", str(out)]) == 0
         line = (out / "run.log").read_text().splitlines()[-1]
         assert line.endswith(" heap=pinned" if ON_GLIBC else " heap=default")
+        assert f" {pool.policy}" in line and " blas=" in line
 
     @pytest.mark.skipif(not ON_GLIBC, reason="the heap policy is set through glibc's mallopt")
     def test_freed_arrays_stay_mapped(self):
-        assert cli.pin_heap() == cli.pin_heap() == "pinned"
+        assert pool.pin_process() == pool.pin_process()
+        assert pool.policy.endswith(" heap=pinned")
 
         def churn(rounds):
             for _ in range(rounds):

@@ -1,5 +1,6 @@
 """Standoff parsing, tokenization, alignment, and serialization."""
 
+import os
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,19 @@ class TestTokenize:
         for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
             assert e1 <= s2
         assert all(s < e for s, e in spans)
+
+    @given(
+        st.text(alphabet=st.sampled_from(list("aZ9 \t\n()-_.,;é\u03b2\u00df")), max_size=60),
+        st.integers(0, 70),
+        st.integers(0, 70),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_slice_tokenizes_as_the_shifted_substring(self, text, start, end):
+        shifted = [
+            (t.text, (t.span[0] + start, t.span[1] + start), t.index)
+            for t in tokenize(text[start:end])
+        ]
+        assert [(t.text, t.span, t.index) for t in tokenize(text, start, end)] == shifted
 
 
 class TestSplitSentences:
@@ -524,16 +538,31 @@ class TestCorpusAssembly:
         corpus = load_corpus_dir(tmp_path, BB_SCHEMA)
         assert corpus.events == {}
 
-    def test_one_existence_check_per_standoff_file(self, tmp_path, monkeypatch):
+    def test_one_directory_listing_and_no_existence_check(self, tmp_path, monkeypatch):
         fixtures.write_corpus_dir(tmp_path / "bb", fixtures.bb_documents())
         (tmp_path / "bb" / "BB-1.a2").unlink()  # one document without events
-        checked = []
-        exists = Path.exists
+        checked, listed = [], []
+        exists, scandir = Path.exists, os.scandir
         monkeypatch.setattr(Path, "exists", lambda path: checked.append(path.name) or exists(path))
+        monkeypatch.setattr(os, "scandir", lambda path: listed.append(path) or scandir(path))
         corpus = load_corpus_dir(tmp_path / "bb", BB_SCHEMA)
-        docs = [doc.id for doc in corpus.documents]
-        assert len(docs) == 3
-        assert sorted(checked) == sorted(f"{d}.{ext}" for d in docs for ext in ("a1", "a2"))
+        assert [doc.id for doc in corpus.documents] == ["BB-1", "BB-2", "BB-3"]
+        assert not any(ev.doc_id == "BB-1" for ev in corpus.events.values())
+        assert (checked, listed) == ([], [tmp_path / "bb"])
+
+    def test_dangling_links_are_missing_files(self, tmp_path):
+        (tmp_path / "d.txt").write_text("Bacteria live in soil.", encoding="utf-8")
+        (tmp_path / "d.a1").symlink_to(tmp_path / "gone.a1")
+        with pytest.raises(ParseError, match="missing entity file"):
+            list_corpus_dir(tmp_path)
+        (tmp_path / "d.a1").unlink()
+        (tmp_path / "d.a1").write_text("T1\tBacteria 0 8\tBacteria\n", encoding="utf-8")
+        (tmp_path / "d.a2").symlink_to(tmp_path / "gone.a2")
+        assert list_corpus_dir(tmp_path)[0][3] is None
+
+    def test_a_missing_directory_holds_no_documents(self, tmp_path):
+        with pytest.raises(ParseError, match="no .txt documents"):
+            list_corpus_dir(tmp_path / "absent")
 
 
 class TestSchema:

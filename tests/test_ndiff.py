@@ -1,6 +1,7 @@
 """Layers, hand-written gradients, optimizer, and checkpoints."""
 
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -837,6 +838,35 @@ class TestCheckpoint:
         save_tensors(tmp_path / "a.ckpt", tensors)
         save_tensors(tmp_path / "b.ckpt", tensors)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    def test_bytes_follow_the_format(self, tmp_path):
+        A = np.array([[1.5, -2.0, 0.25]], dtype=np.float32)
+        b = np.array([3.0, 1e-3])
+        save_tensors(tmp_path / "m.ckpt", {"f1.A": A, "b": b})
+        expected = b"BEE1" + struct.pack("<II", 1, 2)
+        expected += struct.pack("<H", 4) + b"f1.A" + struct.pack("<BII", 2, 1, 3)
+        expected += struct.pack("<3d", 1.5, -2.0, 0.25)
+        expected += struct.pack("<H", 1) + b"b" + struct.pack("<BI", 1, 2)
+        expected += struct.pack("<2d", 3.0, 1e-3)
+        assert (tmp_path / "m.ckpt").read_bytes() == expected
+
+    def test_one_float64_copy_per_tensor(self, tmp_path):
+        H, D = 128, 200
+        A = np.ones((4 * H, D + H), dtype=np.float32)  # an LSTM cell's weight
+        path = tmp_path / "cell.ckpt"
+        save_tensors(path, {"fwd.A": A})  # imports and opens anything lazy first
+        tracemalloc.start()
+        try:
+            save_tensors(path, {"fwd.A": A})
+            saving = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded = load_tensors(path)["fwd.A"]
+            loading = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert saving < 1.5 * loaded.nbytes
+        assert loading < 1.5 * loaded.nbytes
+        np.testing.assert_array_equal(loaded, A)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -1,6 +1,7 @@
 """Independent jobs in forked worker processes."""
 
 import ctypes
+import json
 import os
 import subprocess
 import sys
@@ -127,6 +128,33 @@ class TestMapInWorkers:
                               text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
+
+    def test_parent_and_workers_run_one_blas_thread_unpinned(self):
+        """With no BLAS variable set, OpenBLAS starts one thread per CPU;
+        the map caps the parent's, and the workers inherit the cap."""
+        script = (
+            "import ctypes, numpy\n"
+            "from bioee import pool\n"
+            "with open('/proc/self/maps', encoding='utf-8') as maps:\n"
+            "    paths = {line.split()[-1] for line in maps if 'openblas' in line}\n"
+            "names = ('scipy_openblas_get_num_threads64_', 'openblas_get_num_threads')\n"
+            "gets = [getattr(lib, name) for lib in map(ctypes.CDLL, paths)\n"
+            "        for name in names if hasattr(lib, name)]\n"
+            "def threads(_=None):\n"
+            "    return [get() for get in gets]\n"
+            "workers = pool.map_in_workers(threads, range(2), 2)\n"
+            "print([threads(), workers])\n"
+        )
+        src = str(Path(pool.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        done = subprocess.run([sys.executable, "-c", script], env={**env, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        parent, workers = json.loads(done.stdout)
+        if not parent:
+            pytest.skip("numpy's BLAS is not an OpenBLAS this test can query")
+        assert parent == [1] * len(parent)
+        assert workers == [parent, parent]
 
     def test_worker_count_follows_affinity(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))
