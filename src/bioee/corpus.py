@@ -492,16 +492,16 @@ def list_corpus_dir(directory: str | Path) -> list[tuple[str, Path, Path, Path |
     except OSError:
         entries = []  # no directory to list: no documents
     present = {e.name for e in entries if not e.is_symlink() or os.path.exists(e.path)}
-    txt_files = sorted(directory / e.name for e in entries if e.name.endswith(".txt"))
-    if not txt_files:
+    names = sorted(e.name for e in entries if e.name.endswith(".txt"))  # as their Paths sort
+    if not names:
         raise ParseError(f"no .txt documents under {directory}")
     files = []
-    for txt in txt_files:
-        a1 = txt.with_suffix(".a1")
-        a2 = txt.with_suffix(".a2")
+    for name in names:
+        stem = name[:-4] or name  # as pathlib reads it, ".txt" alone has no suffix
+        a1, a2 = directory / f"{stem}.a1", f"{stem}.a2"
         if a1.name not in present:
             raise ParseError(f"missing entity file {a1}")
-        files.append((txt.stem, txt, a1, a2 if a2.name in present else None))
+        files.append((stem, directory / name, a1, directory / a2 if a2 in present else None))
     return sorted(files, key=lambda f: f[0])
 
 

@@ -139,8 +139,8 @@ def lstm_last(
     ``Wh = A[:, D:]``, from one ``(H, 4H)`` C-contiguous copy of ``Wh.T``
     made per call. Training passes an empty ``cache``, which this fills with
     what ``lstm_bptt`` needs, the packed input rows included; inference keeps
-    nothing. The input rows, the state and the output take the dtype of
-    ``A``.
+    nothing and holds one step's activations at a time. The input rows, the
+    state and the output take the dtype of ``A``.
 
     No row's leading all-zero steps (window padding, and words whose vector
     is zero) are computed. From the zero state, zero inputs take every row
@@ -188,9 +188,8 @@ def lstm_last(
     # a power of two rounds the same way unless a value is subnormal), so the
     # forward runs no halving pass; BPTT keeps the unscaled weights.
     half = np.repeat(np.array([0.5, 1.0], dtype=dtype), [3 * hidden, hidden])
-    projected = distinct @ (half[:, None] * Wx).T
+    projected = distinct @ (half[:, None] * Wx).T  # one row per distinct id
     projected += half * b
-    projected = projected[inv]  # the packed slots' rows, step-major
     # The recurrent weight is one C-contiguous (H, 4H) copy per call: each
     # step's product has only the rows past their padding, and at such widths
     # OpenBLAS runs it up to three times faster in this layout than through
@@ -208,7 +207,7 @@ def lstm_last(
     # chain's state, a copy of row 0.
     next_widths = [*widths[1:].tolist(), chain + batch]
     for t, (width, rows) in enumerate(zip(widths.tolist(), next_widths)):
-        act = projected[end : end + width]  # this step's rows become its activations
+        act = projected[inv[end : end + width]]  # this step's packed rows: its activations
         end += width
         if t:  # the zero state adds nothing at the first step
             act += h @ Wh_half
@@ -226,6 +225,7 @@ def lstm_last(
         if cache is not None:
             trace.append((h, c, act, tanh_c))
         h, c = h_next, c_next
+        del act, sig, i, f, o, g, tanh_c  # inference frees them before the next step gathers
     out = np.empty((batch, hidden), dtype=dtype)
     out[order] = h[chain:]  # all-zero rows end on the chain
     if cache is not None:
@@ -374,6 +374,7 @@ def init_lstm(rng: np.random.Generator, input_dim: int, hidden: int) -> DensePar
 
 _MAGIC = b"BEE1"
 _VERSION = 1
+_BLOCK = 1 << 15  # float64 values per read of load_tensors, bounding its memory
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
@@ -392,7 +393,10 @@ def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
             fh.write(arr)
 
 
-def load_tensors(path) -> dict[str, np.ndarray]:
+def load_tensors(path, dtype=np.float64) -> dict[str, np.ndarray]:
+    """The named tensors of a checkpoint, each in ``dtype``: read through one
+    block of at most ``_BLOCK`` float64 values at a time, which is cast into
+    it as ``astype`` casts, so no float64 copy of a tensor is held."""
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
 
@@ -419,16 +423,16 @@ def load_tensors(path) -> dict[str, np.ndarray]:
             shape = struct.unpack(f"<{ndim}I", read(4 * ndim)) if ndim else ()
             if 8 * math.prod(shape) > file_size - fh.tell():
                 raise TrainingError(f"{path}: checkpoint is truncated")
-            data = np.empty(shape, dtype="<f8")
-            fh.readinto(data)  # one buffer, kept as the tensor
-            out[name] = data.astype(np.float64, copy=False)
+            out[name] = data = np.empty(shape, dtype=dtype)
+            for part in np.split(data.reshape(-1), range(_BLOCK, data.size, _BLOCK)):
+                part[:] = np.frombuffer(fh.read(8 * part.size), dtype="<f8")
         return out
 
 
 def load_dense_layers(path, prefixes) -> dict[str, DenseParams]:
     """The named dense layers of a checkpoint, in ``DTYPE``; each ``A`` must
     be a matrix and its ``b`` hold one entry per row of it."""
-    blobs = load_tensors(path)
+    blobs = load_tensors(path, DTYPE)
     layers = {}
     for prefix in prefixes:
         names = (f"{prefix}.A", f"{prefix}.b")
@@ -440,7 +444,7 @@ def load_dense_layers(path, prefixes) -> dict[str, DenseParams]:
             raise TrainingError(
                 f"{path}: layer {prefix!r} has weight shape {A.shape} and bias shape {b.shape}"
             )
-        layers[prefix] = DenseParams(A, b).astype(DTYPE)
+        layers[prefix] = DenseParams(A, b)
     return layers
 
 

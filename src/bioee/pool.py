@@ -13,6 +13,7 @@ processes, through one pair of pipes per worker. No thread is started.
 from __future__ import annotations
 
 import ctypes
+import gc
 import os
 import pickle
 import platform
@@ -132,6 +133,9 @@ def _fork_worker(fn, items: list, workers: list[_Worker]) -> _Worker:
             os.close(fd)
         raise
     if pid == 0:
+        # Frozen, what the worker inherits is skipped by its collections, which
+        # would otherwise write to each object's header and copy its page.
+        gc.freeze()
         code = 1
         try:
             for fd in [tasks_w, results_r, *(fd for w in workers for fd in (w.tasks, w.results))]:

@@ -523,6 +523,23 @@ class TestCorpusAssembly:
         corpus = read_corpus_files(list_corpus_dir(tmp_path), BB_SCHEMA)
         assert [doc.id for doc in corpus.documents] == ["a", "a-b"]
 
+    def test_listing_names_files_as_pathlib_does(self, tmp_path):
+        names = [".txt", "..txt", "a.b.txt", "a-b.txt", "a.txt", "B.txt", "é.txt"]
+        for name in names:
+            (tmp_path / name).write_text("x", encoding="utf-8")
+            (tmp_path / name).with_suffix(".a1").write_text("", encoding="utf-8")
+        (tmp_path / "a.b.a2").write_text("", encoding="utf-8")
+        want = [
+            (txt.stem, txt, txt.with_suffix(".a1"), txt.with_suffix(".a2"))
+            for txt in sorted(tmp_path / name for name in names)
+        ]
+        want = [(*f[:3], f[3] if f[3].exists() else None) for f in want]
+        assert list_corpus_dir(tmp_path) == sorted(want, key=lambda f: f[0])
+        (tmp_path / "a.a1").unlink()
+        (tmp_path / "a-b.a1").unlink()  # the first missing one by file name
+        with pytest.raises(ParseError, match="a-b.a1"):
+            list_corpus_dir(tmp_path)
+
     def test_missing_entity_file(self, tmp_path):
         (tmp_path / "d.txt").write_text("Some text.", encoding="utf-8")
         with pytest.raises(ParseError, match="a1"):

@@ -533,6 +533,24 @@ class TestNoGrad:
         assert len(cache["trace"]) == T
         assert kept_training > T * B * 4 * H * 8
 
+    def test_inference_gathers_one_step_at_a_time(self):
+        # 100 distinct words, none zero, so no step is padded: the distinct
+        # projection is small and every other transient is one step's rows.
+        T, B, D, H = 11, 256, 200, 128
+        rng = np.random.default_rng(32)
+        cell = init_lstm(rng, D, H)
+        vectors = rng.standard_normal((100, D)).astype(ndiff.DTYPE)
+        ids = rng.integers(0, 100, size=(T, B))
+        lstm_last(cell, ids, vectors)  # imports and caches anything lazy first
+        tracemalloc.start()
+        try:
+            lstm_last(cell, ids, vectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Gathering every step's activations up front alone takes T*B*4H floats.
+        assert peak < T * B * 4 * H * 4 / 2
+
     def test_training_after_inference_gets_gradients(self):
         rng = np.random.default_rng(31)
         cell = init_lstm(rng, 3, 4)
@@ -867,6 +885,40 @@ class TestCheckpoint:
         assert saving < 1.5 * loaded.nbytes
         assert loading < 1.5 * loaded.nbytes
         np.testing.assert_array_equal(loaded, A)
+
+    def test_dense_layers_load_cast_through_one_block(self, tmp_path):
+        H, D = 128, 200
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((4 * H, D + H)).astype(np.float32)  # an LSTM cell's weight
+        path = tmp_path / "cell.ckpt"
+        save_tensors(path, {"fwd.A": A, "fwd.b": np.zeros(4 * H)})
+        ndiff.load_dense_layers(path, ["fwd"])
+        tracemalloc.start()
+        try:
+            layer = ndiff.load_dense_layers(path, ["fwd"])["fwd"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # No float64 copy of the cell: its float32 arrays and one read block.
+        assert peak < 1.25 * A.nbytes + 8 * ndiff._BLOCK
+        assert layer.A.dtype == ndiff.DTYPE
+        np.testing.assert_array_equal(layer.A, A)
+
+    def test_dtype_is_cast_from_every_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ndiff, "_BLOCK", 5)  # tensors of 0, 1 and several blocks
+        rng = np.random.default_rng(6)
+        tensors = {
+            "A": rng.standard_normal((3, 4)),
+            "b": rng.standard_normal(5),
+            "empty": np.zeros((0, 2)),
+            "scalar": np.array(2.5),
+        }
+        save_tensors(tmp_path / "m.ckpt", tensors)
+        for dtype in (np.float64, np.float32):
+            loaded = load_tensors(tmp_path / "m.ckpt", dtype)
+            for name, tensor in tensors.items():
+                assert loaded[name].dtype == dtype and loaded[name].shape == tensor.shape
+                assert loaded[name].tobytes() == tensor.astype(dtype).tobytes(), name
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"

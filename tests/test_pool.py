@@ -1,6 +1,7 @@
 """Independent jobs in forked worker processes."""
 
 import ctypes
+import gc
 import json
 import os
 import subprocess
@@ -100,6 +101,22 @@ class TestMapInWorkers:
 
         with pytest.raises(TrainingError, match="Unsendable: item 0"):
             pool.map_in_workers(fail, range(1), 2)
+        assert fixtures.no_child_left()
+
+    def test_workers_inherit_frozen_objects(self):
+        def frozen(_):
+            return gc.get_freeze_count()
+
+        assert gc.get_freeze_count() == 0
+        assert all(count > 0 for count in pool.map_in_workers(frozen, range(4), 2))
+        assert gc.get_freeze_count() == 0  # the parent's generations are left as they are
+        gc.freeze()  # and so is a caller's own freeze
+        try:
+            before = gc.get_freeze_count()
+            assert all(pool.map_in_workers(frozen, range(2), 2))
+            assert gc.get_freeze_count() == before
+        finally:
+            gc.unfreeze()
         assert fixtures.no_child_left()
 
     def test_fork_sees_no_other_thread(self):
